@@ -32,6 +32,7 @@ from .levels import (
     dim_modular_forms,
     genus,
     index,
+    is_prime,
     is_representable,
 )
 
@@ -385,17 +386,6 @@ def deconvolve_by_gamma1_block(
 # Obstruction search
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     q: int
@@ -416,7 +406,7 @@ def _obstruction_divisor(d_q: int) -> tuple[int, int]:
     if d_q % 9 == 0:
         return 9, 2
     for d in range(5, d_q + 1):
-        if _is_prime(d) and d_q % d == 0:
+        if is_prime(d) and d_q % d == 0:
             for a in range(2, d - 1):
                 if a % d not in (1, d - 1):
                     return d, a
@@ -427,6 +417,8 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
     """All primes p <= prime_bound coprime to q with their d_p | d_q verdicts."""
     if q <= 6:
         raise ValueError("obstruction search needs q > 6")
+    if prime_bound < 2:
+        raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
     from .levels import gamma1_index
 
     d_q = gamma1_index(q)
@@ -434,7 +426,7 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
     divisor, residue = _obstruction_divisor(d_q)
     primes = []
     for p in range(2, prime_bound + 1):
-        if not _is_prime(p) or q % p == 0:
+        if not is_prime(p) or q % p == 0:
             continue
         d_p = (p - 1) * (p + 1)
         primes.append((p, d_p, d_p % d_q == 0))
@@ -459,14 +451,17 @@ def table_generate(
 ) -> list[tuple[int, ...]]:
     """Rows (n, [genus,] multiplicities) for Gamma1(n), lo <= n <= hi.
 
-    ``lo`` is clamped up to the smallest level the flavor supports.  The
-    genus column is only present for the omega flavor.
+    ``lo`` is clamped up to the smallest level the flavor supports; a range
+    left empty raises ValueError.  The genus column is only present for the
+    omega flavor.
     """
     if flavor not in TABLE_MIN_LEVEL:
         raise ValueError(f"unsupported table flavor {flavor}")
-    lo = max(lo, TABLE_MIN_LEVEL[flavor])
+    first = TABLE_MIN_LEVEL[flavor]
+    if max(lo, first) > hi:
+        raise ValueError(f"empty level range {lo}..{hi}; this table starts at {first}")
     rows = []
-    for n in range(lo, hi + 1):
+    for n in range(max(lo, first), hi + 1):
         group = CongruenceGroup(GroupKind.GAMMA1, n)
         if flavor is BlockTag.OMEGA_POWERS:
             seq = omega_decomposition(group, w1)

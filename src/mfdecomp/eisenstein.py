@@ -28,6 +28,7 @@ from .exactnum import (
     INFINITE_VALUATION,
     two_adic_valuation_rational,
 )
+from .levels import is_prime
 
 __all__ = [
     "DirichletCharacter",
@@ -55,17 +56,6 @@ class OrderTooSmall(ValueError):
 
 class IntegralityFailure(ArithmeticError):
     """E = (1 - zeta) E_1^chi failed 2-integrality; signals a bug, not data."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _multiplicative_order(a: int, p: int) -> int:
@@ -115,14 +105,9 @@ class DirichletCharacter:
 def odd_two_power_character(p: int) -> DirichletCharacter:
     """The character of order 2^m (p - 1 = 2^m * l, l odd) with value
     zeta_{2^m} at the smallest primitive root."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise NotPrime(f"{p} is not an odd prime")
-    m = 0
-    l = p - 1
-    while l % 2 == 0:
-        l //= 2
-        m += 1
-    order = 1 << m
+    order = (p - 1) & (1 - p)  # 2^m, the largest power of 2 dividing p - 1
     g = smallest_primitive_root(p)
     exponents: list[int | None] = [None] * p
     x = 1
@@ -134,15 +119,24 @@ def odd_two_power_character(p: int) -> DirichletCharacter:
     return chi
 
 
+def _from_counts(order: int, counts: list[int], den: int = 1) -> CyclotomicElement:
+    """(sum_e counts[e] * zeta^e) / den, folded by zeta^{order/2} = -1."""
+    d = order // 2
+    return CyclotomicElement(
+        order, tuple(Fraction(counts[i] - counts[i + d], den) for i in range(d))
+    )
+
+
 def l_value(chi: DirichletCharacter) -> CyclotomicElement:
-    """L(0, chi) = -(1/p) * sum_{n=1}^{p-1} n * chi(n), exact."""
+    """L(0, chi) = -(1/p) * sum_{n=1}^{p-1} n * chi(n), exact; the n are
+    summed as integers per exponent of zeta before one division."""
     if not chi.is_odd():
         raise ValueError("L(0, chi) formula requires an odd character")
     p = chi.modulus
-    acc = CyclotomicElement.from_rational(chi.order, 0)
+    counts = [0] * chi.order
     for n in range(1, p):
-        acc = acc + chi.value(n).scale(n)
-    return acc.scale(Fraction(-1, p))
+        counts[chi.exponents[n]] += n
+    return _from_counts(chi.order, counts, -p)
 
 
 @dataclass(frozen=True)
@@ -176,12 +170,8 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     v2_l = L.two_adic_valuation()
     v2_omz = (one - zeta).two_adic_valuation()
     sum_is_one = v2_l + v2_omz == 1
-    all_ones = CyclotomicElement(
-        chi.order, tuple(Fraction(1) for _ in range(chi.order // 2))
-    )
-    diff = L - all_ones
     congruence_ok = all(
-        two_adic_valuation_rational(c) >= 1 for c in diff.coords if c != 0
+        two_adic_valuation_rational(c - 1) >= 1 for c in L.coords if c != 1
     )
     return ValuationClaimReport(
         p=p,
@@ -219,17 +209,26 @@ class QExpansion:
         )
 
 
-def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> QExpansion:
-    """E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n through q^N."""
+def eisenstein_q_expansion(
+    chi: DirichletCharacter, N: int, *, L: CyclotomicElement | None = None
+) -> QExpansion:
+    """E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n through q^N.
+
+    ``L`` is L(0, chi) if the caller has it.  Divisor sums are counted per
+    exponent of zeta in integers, sieving the multiples of each d <= N.
+    """
     if N < 1:
         raise ValueError("precision must be >= 1")
-    coeffs = [l_value(chi).scale(Fraction(1, 2))]
-    for n in range(1, N + 1):
-        c = CyclotomicElement.from_rational(chi.order, 0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                c = c + chi.value(d)
-        coeffs.append(c)
+    if L is None:
+        L = l_value(chi)
+    counts = [[0] * chi.order for _ in range(N + 1)]
+    for d in range(1, N + 1):
+        e = chi.exponents[d % chi.modulus]
+        if e is not None:
+            for n in range(d, N + 1, d):
+                counts[n][e] += 1
+    coeffs = [L.scale(Fraction(1, 2))]
+    coeffs += [_from_counts(chi.order, c) for c in counts[1:]]
     return QExpansion(tuple(coeffs), N, chi.modulus)
 
 
@@ -286,25 +285,18 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     k_inv = pow(k, -1, chi.order)
     zeta_prime = CyclotomicElement.zeta_power(chi.order, k)
     one = CyclotomicElement.from_rational(chi.order, 1)
-    E = eisenstein_q_expansion(chi, N).scale_by(one - zeta_prime)
-    degree = chi.order // 2
-    components = [[Fraction(0)] * (N + 1) for _ in range(degree)]
-    for n, coeff in enumerate(E.coefficients):
-        adjusted = coeff.galois(k_inv)
-        for i, c in enumerate(adjusted.coords):
-            if two_adic_valuation_rational(c) < 0:
-                raise IntegralityFailure(
-                    f"coefficient of q^{n} in E is not 2-integral (p={p})"
-                )
-            components[i][n] = c
-    averaged = tuple(
-        sum((components[i][n] for i in range(degree)), Fraction(0))
-        for n in range(N + 1)
-    )
+    L = l_value(chi)
+    E = eisenstein_q_expansion(chi, N, L=L).scale_by(one - zeta_prime)
+    rows = [c.galois(k_inv).coords for c in E.coefficients]  # rows[n][i]: f_i at q^n
+    for n, row in enumerate(rows):
+        if any(two_adic_valuation_rational(c) < 0 for c in row):
+            raise IntegralityFailure(
+                f"coefficient of q^{n} in E is not 2-integral (p={p})"
+            )
+    averaged = tuple(sum(row, Fraction(0)) for row in rows)
     ok = two_adic_valuation_rational(averaged[0] - 1) >= 1 and all(
         two_adic_valuation_rational(a) >= 1 for a in averaged[1:] if a != 0
     )
-    L = l_value(chi)
     return HasseLiftReport(
         p=p,
         m=m,
@@ -313,7 +305,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         paper_exponent=1 - Fraction(1, 1 << (m - 2)),
         computed_exponent=1 - Fraction(1, 1 << (m - 1)),
         precision=N,
-        components=tuple(tuple(f) for f in components),
+        components=tuple(zip(*rows)),
         averaged=averaged,
         verdict="pass" if ok else "fail",
     )

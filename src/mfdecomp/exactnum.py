@@ -7,8 +7,11 @@ v_2(x) = v_2(N(x)) / [Q(zeta) : Q].
 
 Only 2-power orders are supported: the minimal polynomial is then the
 single binomial x^{2^{m-1}} + 1, so reduction never needs more than the
-rule zeta^{2^{m-1}} = -1.  All values are immutable and all operations are
-pure functions.
+rule zeta^{2^{m-1}} = -1.  A Galois automorphism zeta -> zeta^k permutes
+that basis up to sign, and the norm descends the tower of quadratic steps
+Q(zeta_{2^m}) / Q(zeta_{2^{m-1}}) / ... / Q (Washington, *Introduction to
+Cyclotomic Fields*, ch. 2): about (4/3) d^2 coefficient products at degree
+d.  All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -146,25 +149,29 @@ class CyclotomicElement:
         return self.coords[0]
 
     def galois(self, k: int) -> "CyclotomicElement":
-        """Apply the automorphism zeta -> zeta^k (k odd)."""
+        """Apply zeta -> zeta^k (k odd): coordinate i moves to i*k mod order,
+        negated when that index is >= degree (zeta^degree = -1)."""
         if k % 2 == 0:
             raise ValueError("Galois exponent must be odd")
-        acc = CyclotomicElement.from_rational(self.order, 0)
+        order, degree = self.order, self.degree
+        coords = [Fraction(0)] * degree
         for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            acc = acc + CyclotomicElement.zeta_power(self.order, i * k).scale(a)
-        return acc
-
-    def conjugates(self) -> list["CyclotomicElement"]:
-        return [self.galois(k) for k in range(1, self.order, 2)]
+            j = i * k % order
+            if j < degree:
+                coords[j] = a
+            else:
+                coords[j - degree] = -a
+        return CyclotomicElement(order, tuple(coords))
 
     def norm(self) -> Fraction:
-        """Field norm down to Q: the product of all Galois conjugates."""
-        prod = CyclotomicElement.from_rational(self.order, 1)
-        for conj in self.conjugates():
-            prod = prod * conj
-        return prod.rational_value()
+        """Field norm to Q down the tower: with sigma: zeta -> -zeta, x * sigma(x)
+        lies in Q(zeta^2), its even coordinates are those over zeta_{order/2},
+        and N_{Q(zeta)/Q}(x) = N_{Q(zeta^2)/Q}(x * sigma(x))."""
+        x = self
+        while x.degree > 1:
+            y = x * x.galois(x.degree + 1)
+            x = CyclotomicElement(x.order // 2, y.coords[::2])
+        return Fraction(x.coords[0])
 
     def two_adic_valuation(self) -> ExtendedValuation:
         """Extended 2-adic valuation v_2(x) = v_2(N(x)) / degree; +inf at 0."""
@@ -177,11 +184,3 @@ class CyclotomicElement:
 def zeta(order: int) -> CyclotomicElement:
     """The distinguished primitive root of unity zeta_{order}."""
     return CyclotomicElement.zeta_power(order, 1)
-
-
-def norm(x: CyclotomicElement) -> Fraction:
-    return x.norm()
-
-
-def two_adic_valuation(x: CyclotomicElement) -> ExtendedValuation:
-    return x.two_adic_valuation()

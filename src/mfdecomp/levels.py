@@ -142,6 +142,17 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1
+    return True
+
+
 def _prime_divisors(n: int) -> list[int]:
     out = []
     m = n

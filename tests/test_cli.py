@@ -181,3 +181,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--flavor", "bogus", "--from", "2", "--to", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("obstruct", "--q", "13", "--bound", "-1"), "prime bound must be >= 2"),
+        (("table", "--flavor", "omega", "--from", "10", "--to", "5"), "empty level range 10..5"),
+        (("table", "--flavor", "level3", "--from", "4", "--to", "4"), "this table starts at 5"),
+    ],
+)
+def test_empty_request_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -165,3 +165,22 @@ def test_report_json_key_order():
     ]
     assert parsed["verdict"] == "pass"
     assert json.dumps(parsed) == doc  # round-trip idempotent
+
+
+def test_q_expansion_reuses_given_l_value():
+    chi = odd_two_power_character(17)
+    E = eisenstein_q_expansion(chi, 20)
+    assert E == eisenstein_q_expansion(chi, 20, L=l_value(chi))
+    assert E.coefficients[0] == l_value(chi).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p", (257, 769))
+def test_order_256_primes(p):
+    # p - 1 = 2^8 * l: cyclotomic order 256, field degree 128.
+    report = hasse_lift(p, 60)
+    claim = valuation_claim_check(p)
+    assert report.m == 8
+    assert report.verdict == "pass"
+    assert report.v2_l == Fraction(127, 128)
+    assert claim.ok
+    assert claim.v2_l == Fraction(127, 128)

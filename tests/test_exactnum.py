@@ -2,16 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mfdecomp.exactnum import (
     CyclotomicElement,
     INFINITE_VALUATION,
-    norm,
-    two_adic_valuation,
     two_adic_valuation_rational,
     zeta,
 )
+
+norm = CyclotomicElement.norm
+two_adic_valuation = CyclotomicElement.two_adic_valuation
 
 
 def elem(order, *coords):
@@ -103,6 +104,53 @@ def test_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
+def conjugate_product(x):
+    """Oracle: the norm as the product of all order/2 Galois conjugates."""
+    prod = CyclotomicElement.from_rational(x.order, 1)
+    for k in range(1, x.order, 2):
+        prod = prod * x.galois(k)
+    return prod.rational_value()
+
+
+orders = st.sampled_from([4, 8, 16, 32, 64])
+odd_exponent = st.integers(min_value=0, max_value=127).map(lambda k: 2 * k + 1)
+rational = st.builds(Fraction, small, st.integers(min_value=1, max_value=8))
+
+
+@st.composite
+def rational_cyclo(draw, order):
+    return CyclotomicElement(
+        order, tuple(draw(st.lists(rational, min_size=order // 2, max_size=order // 2)))
+    )
+
+
+# The oracle does d^3 coefficient products with growing denominators.
+@settings(max_examples=25, deadline=None)
+@given(orders.flatmap(rational_cyclo))
+def test_tower_norm_matches_conjugate_product(x):
+    assert norm(x) == conjugate_product(x)
+
+
+@settings(deadline=None)
+@given(orders.flatmap(lambda o: st.tuples(rational_cyclo(o), rational_cyclo(o))), odd_exponent)
+def test_galois_is_ring_homomorphism(xy, k):
+    x, y = xy
+    assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+    assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+    one = CyclotomicElement.from_rational(x.order, 1)
+    assert one.galois(k) == one
+
+
+@given(orders.flatmap(rational_cyclo), odd_exponent, odd_exponent)
+def test_galois_composition(x, j, k):
+    assert x.galois(k).galois(j) == x.galois(j * k % x.order)
+
+
+def test_galois_rejects_even_exponent():
+    with pytest.raises(ValueError):
+        zeta(8).galois(2)
+
+
 @given(st.integers(min_value=-40, max_value=40).filter(lambda n: n != 0))
 def test_rational_embedding_valuation(n):
     r = Fraction(n, 6)
@@ -117,6 +165,8 @@ def test_norm_matches_sympy_resultant():
         (8, (3, -1, 2, 5)),
         (8, (Fraction(1, 2), 0, Fraction(-3, 4), 1)),
         (16, (1, 2, 0, -1, 3, 0, 0, 1)),
+        (32, tuple(Fraction((-1) ** i * (i % 5), 1 + i % 3) for i in range(16))),
+        (64, tuple((i * 7) % 11 - 5 for i in range(32))),
     ]:
         el = elem(order, *coords)
         poly = sum(sympy.Rational(c) * x**i for i, c in enumerate(el.coords))
