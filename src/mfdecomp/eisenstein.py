@@ -107,7 +107,12 @@ def odd_two_power_character(p: int) -> DirichletCharacter:
     zeta_{2^m} at the smallest primitive root."""
     if not is_prime(p) or p == 2:
         raise NotPrime(f"{p} is not an odd prime")
-    order = (p - 1) & (1 - p)  # 2^m, the largest power of 2 dividing p - 1
+    m = 0
+    l = p - 1
+    while l % 2 == 0:
+        l //= 2
+        m += 1
+    order = 1 << m
     g = smallest_primitive_root(p)
     exponents: list[int | None] = [None] * p
     x = 1
@@ -170,8 +175,12 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     v2_l = L.two_adic_valuation()
     v2_omz = (one - zeta).two_adic_valuation()
     sum_is_one = v2_l + v2_omz == 1
+    all_ones = CyclotomicElement(
+        chi.order, tuple(Fraction(1) for _ in range(chi.order // 2))
+    )
+    diff = L - all_ones
     congruence_ok = all(
-        two_adic_valuation_rational(c - 1) >= 1 for c in L.coords if c != 1
+        two_adic_valuation_rational(c) >= 1 for c in diff.coords if c != 0
     )
     return ValuationClaimReport(
         p=p,
@@ -209,25 +218,21 @@ class QExpansion:
         )
 
 
-def eisenstein_q_expansion(
-    chi: DirichletCharacter, N: int, *, L: CyclotomicElement | None = None
-) -> QExpansion:
+def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> QExpansion:
     """E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n through q^N.
 
-    ``L`` is L(0, chi) if the caller has it.  Divisor sums are counted per
-    exponent of zeta in integers, sieving the multiples of each d <= N.
+    Divisor sums are counted per exponent of zeta in integers, sieving the
+    multiples of each d <= N.
     """
     if N < 1:
         raise ValueError("precision must be >= 1")
-    if L is None:
-        L = l_value(chi)
     counts = [[0] * chi.order for _ in range(N + 1)]
     for d in range(1, N + 1):
         e = chi.exponents[d % chi.modulus]
         if e is not None:
             for n in range(d, N + 1, d):
                 counts[n][e] += 1
-    coeffs = [L.scale(Fraction(1, 2))]
+    coeffs = [l_value(chi).scale(Fraction(1, 2))]
     coeffs += [_from_counts(chi.order, c) for c in counts[1:]]
     return QExpansion(tuple(coeffs), N, chi.modulus)
 
@@ -285,8 +290,9 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     k_inv = pow(k, -1, chi.order)
     zeta_prime = CyclotomicElement.zeta_power(chi.order, k)
     one = CyclotomicElement.from_rational(chi.order, 1)
-    L = l_value(chi)
-    E = eisenstein_q_expansion(chi, N, L=L).scale_by(one - zeta_prime)
+    E1 = eisenstein_q_expansion(chi, N)
+    L = E1.coefficients[0].scale(2)  # the constant term is L(0, chi) / 2
+    E = E1.scale_by(one - zeta_prime)
     rows = [c.galois(k_inv).coords for c in E.coefficients]  # rows[n][i]: f_i at q^n
     for n, row in enumerate(rows):
         if any(two_adic_valuation_rational(c) < 0 for c in row):

@@ -184,3 +184,11 @@ class CyclotomicElement:
 def zeta(order: int) -> CyclotomicElement:
     """The distinguished primitive root of unity zeta_{order}."""
     return CyclotomicElement.zeta_power(order, 1)
+
+
+def norm(x: CyclotomicElement) -> Fraction:
+    return x.norm()
+
+
+def two_adic_valuation(x: CyclotomicElement) -> ExtendedValuation:
+    return x.two_adic_valuation()

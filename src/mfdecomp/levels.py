@@ -110,23 +110,11 @@ def is_representable(group: CongruenceGroup) -> bool:
     return False
 
 
-def _small_level_weights(group: CongruenceGroup) -> tuple[int, int]:
-    return SMALL_LEVEL_WEIGHTS[(group.kind, group.level)]
-
-
 @lru_cache(maxsize=None)
 def _phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 

@@ -313,10 +313,6 @@ class BasisCertificate:
         return self.verdict == "free"
 
 
-def _subring_monomials(spec: SubringSpec, d: int) -> list[tuple[int, ...]]:
-    return _monomials(spec.degrees, d)
-
-
 def verify_free_basis(
     ambient: GradedAlgebra,
     subring: SubringSpec,

@@ -167,13 +167,6 @@ def test_report_json_key_order():
     assert json.dumps(parsed) == doc  # round-trip idempotent
 
 
-def test_q_expansion_reuses_given_l_value():
-    chi = odd_two_power_character(17)
-    E = eisenstein_q_expansion(chi, 20)
-    assert E == eisenstein_q_expansion(chi, 20, L=l_value(chi))
-    assert E.coefficients[0] == l_value(chi).scale(Fraction(1, 2))
-
-
 @pytest.mark.parametrize("p", (257, 769))
 def test_order_256_primes(p):
     # p - 1 = 2^8 * l: cyclotomic order 256, field degree 128.

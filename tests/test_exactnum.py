@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from mfdecomp.exactnum import (
     CyclotomicElement,
     INFINITE_VALUATION,
+    norm,
+    two_adic_valuation,
     two_adic_valuation_rational,
     zeta,
 )
-
-norm = CyclotomicElement.norm
-two_adic_valuation = CyclotomicElement.two_adic_valuation
 
 
 def elem(order, *coords):
@@ -144,6 +143,12 @@ def test_galois_is_ring_homomorphism(xy, k):
 @given(orders.flatmap(rational_cyclo), odd_exponent, odd_exponent)
 def test_galois_composition(x, j, k):
     assert x.galois(k).galois(j) == x.galois(j * k % x.order)
+
+
+# galois is a ring homomorphism, so its value on zeta fixes it everywhere.
+@given(st.integers(min_value=2, max_value=8).map(lambda m: 1 << m), odd_exponent)
+def test_galois_sends_zeta_to_its_power(order, k):
+    assert zeta(order).galois(k) == CyclotomicElement.zeta_power(order, k)
 
 
 def test_galois_rejects_even_exponent():
