@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 
 from .hilbert import (
     HilbertFunction,
@@ -30,10 +31,10 @@ from .levels import (
     Weight1Data,
     dim_cusp_forms,
     dim_modular_forms,
-    genus,
-    index,
+    gamma1_index,
     is_prime,
     is_representable,
+    level_invariants,
 )
 
 __all__ = [
@@ -107,7 +108,7 @@ def base_block(tag: BlockTag) -> BaseBlock:
     else:
         a, b = BLOCK_WEIGHTS[tag]
         line = WeightedLine(a, b)
-        hf = HilbertFunction(lambda k: h0_dim(line, k))
+        hf = HilbertFunction(lru_cache(maxsize=None)(lambda k: h0_dim(line, k)))
     return BaseBlock(tag, hf, BLOCK_RANKS[tag])
 
 
@@ -191,7 +192,7 @@ def omega_decomposition(
             raise DecompositionInvalid(
                 f"l_{12 - i} = {ls[12 - i]} != s_{i} = {expected} for {group}"
             )
-    if ls[10] != genus(group):
+    if ls[10] != level_invariants(group).genus:
         raise DecompositionInvalid(f"l_10 != genus for {group}")
     return seq
 
@@ -234,7 +235,7 @@ def level2_decomposition(
     ks = seq.as_list()
     if ks[7] != dim_cusp_forms(group, 1, w1):
         raise DecompositionInvalid(f"k_7 != s_1 for {group}")
-    if ks[6] != genus(group):
+    if ks[6] != level_invariants(group).genus:
         raise DecompositionInvalid(f"k_6 != genus for {group}")
     return seq
 
@@ -308,11 +309,8 @@ def verify_consistency(
     tag = seq.block.tag
     m = dimension_function(group, w1)
 
-    bad = [
-        (k, m(k), seq.mult.convolve(seq.block.hilbert, k))
-        for k in range(max_weight + 1)
-        if m(k) != seq.mult.convolve(seq.block.hilbert, k)
-    ]
+    rows = ((k, m(k), seq.mult.convolve(seq.block.hilbert, k)) for k in range(max_weight + 1))
+    bad = [row for row in rows if row[1] != row[2]]
     checks.append(
         (
             "convolution",
@@ -323,12 +321,13 @@ def verify_consistency(
         )
     )
 
+    inv = level_invariants(group)
     rank = seq.mult.total() * seq.block.rank
     checks.append(
         (
             "rank",
-            rank == index(group),
-            f"sum(mult) * {seq.block.rank} = {rank}, index = {index(group)}",
+            rank == inv.index,
+            f"sum(mult) * {seq.block.rank} = {rank}, index = {inv.index}",
         )
     )
 
@@ -347,7 +346,7 @@ def verify_consistency(
     s = lambda k: dim_cusp_forms(group, k, w1)
     ls = seq.as_list()
     if tag is BlockTag.OMEGA_POWERS:
-        ok = all(ls[12 - i] == s(i) for i in range(1, 5)) and ls[10] == genus(group)
+        ok = all(ls[12 - i] == s(i) for i in range(1, 5)) and ls[10] == inv.genus
         checks.append(("cusp-identities", ok, "l_{12-i} = s_i, l_10 = genus"))
     elif tag is BlockTag.LEVEL3:
         ok = ls[5] == s(1) and ls[4] == s(2) - s(1)
@@ -355,7 +354,7 @@ def verify_consistency(
         balanced = ls[0] + ls[3] == ls[1] + ls[4] == ls[2] + ls[5]
         checks.append(("balance", balanced, "k_0+k_3 = k_1+k_4 = k_2+k_5"))
     elif tag is BlockTag.LEVEL2:
-        ok = ls[7] == s(1) and ls[6] == genus(group)
+        ok = ls[7] == s(1) and ls[6] == inv.genus
         checks.append(("cusp-identities", ok, "k_7 = s_1, k_6 = genus"))
 
     return ConsistencyReport(group, tag, tuple(checks))
@@ -419,18 +418,16 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
         raise ValueError("obstruction search needs q > 6")
     if prime_bound < 2:
         raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
-    from .levels import gamma1_index
-
     d_q = gamma1_index(q)
     assert d_q > 24
     divisor, residue = _obstruction_divisor(d_q)
-    primes = []
-    for p in range(2, prime_bound + 1):
-        if not is_prime(p) or q % p == 0:
-            continue
-        d_p = (p - 1) * (p + 1)
-        primes.append((p, d_p, d_p % d_q == 0))
-    return ObstructionReport(q, d_q, divisor, residue, tuple(primes))
+    sieve = bytearray([1]) * (prime_bound + 1)  # from 2 on, sieve[n] = 1 iff n is prime
+    for p in range(2, isqrt(prime_bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, prime_bound + 1, p)))
+    d_ps = [(p, (p - 1) * (p + 1)) for p in range(2, prime_bound + 1) if sieve[p] and q % p]
+    primes = tuple((p, d_p, d_p % d_q == 0) for p, d_p in d_ps)
+    return ObstructionReport(q, d_q, divisor, residue, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +462,7 @@ def table_generate(
         group = CongruenceGroup(GroupKind.GAMMA1, n)
         if flavor is BlockTag.OMEGA_POWERS:
             seq = omega_decomposition(group, w1)
-            rows.append((n, genus(group), *seq.as_list()))
+            rows.append((n, level_invariants(group).genus, *seq.as_list()))
         elif flavor is BlockTag.LEVEL3:
             rows.append((n, *level3_decomposition(group, w1).as_list()))
         else:

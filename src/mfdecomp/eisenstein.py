@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import (
     CyclotomicElement,
@@ -163,16 +164,25 @@ class ValuationClaimReport:
         return self.ok
 
 
-def valuation_claim_check(p: int) -> ValuationClaimReport:
-    """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
+@lru_cache(maxsize=1)
+def _character_data(
+    p: int,
+) -> tuple[DirichletCharacter, int, CyclotomicElement, ExtendedValuation]:
+    """chi, m, L(0, chi) and v_2(L(0, chi)) for p.  hasse_lift and
+    valuation_claim_check share them; callers ask for one prime at a time."""
     chi = odd_two_power_character(p)
     m = chi.order.bit_length() - 1
     if m < 2:
         raise OrderTooSmall(f"p = {p} gives order 2^{m}; need m >= 2")
     L = l_value(chi)
+    return chi, m, L, L.two_adic_valuation()
+
+
+def valuation_claim_check(p: int) -> ValuationClaimReport:
+    """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
+    chi, m, L, v2_l = _character_data(p)
     one = CyclotomicElement.from_rational(chi.order, 1)
     zeta = CyclotomicElement.zeta_power(chi.order, 1)
-    v2_l = L.two_adic_valuation()
     v2_omz = (one - zeta).two_adic_valuation()
     sum_is_one = v2_l + v2_omz == 1
     all_ones = CyclotomicElement(
@@ -279,10 +289,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     """
     if galois_exponent % 2 == 0:
         raise ValueError("galois exponent must be odd")
-    chi = odd_two_power_character(p)
-    m = chi.order.bit_length() - 1
-    if m < 2:
-        raise OrderTooSmall(f"p = {p} gives order 2^{m}; need m >= 2")
+    chi, m, _, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
     k = galois_exponent % chi.order
     chi = chi.power(k)
     # zeta' = chi(g) = zeta^k; coordinates w.r.t. powers of zeta' are read
@@ -307,7 +314,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         p=p,
         m=m,
         l_value=L,
-        v2_l=L.two_adic_valuation(),
+        v2_l=v2_l,
         paper_exponent=1 - Fraction(1, 1 << (m - 2)),
         computed_exponent=1 - Fraction(1, 1 << (m - 1)),
         precision=N,

@@ -13,6 +13,10 @@ n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
   with elliptic-point terms, calibrated against g(X0(11)) = 1 and
   g(X0(23)) = 2.
 
+``level_invariants`` computes a group's invariants once and memoises them
+(weight-1 data is no input to it); the dimension functions read that record
+and use integer arithmetic only.
+
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
 applies and otherwise a curated table covering Gamma1(n) for n <= 42,
@@ -264,7 +268,9 @@ class LevelInvariants:
     genus: int
 
 
+@lru_cache(maxsize=None)
 def level_invariants(group: CongruenceGroup) -> LevelInvariants:
+    """All invariants of ``group``, computed once; every dimension reads them."""
     e2, e3 = elliptic_counts(group)
     return LevelInvariants(
         index=index(group),
@@ -337,7 +343,8 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
     """s_1: zero when the degree criterion forces vanishing, else from the table."""
     if group.kind is GroupKind.GAMMA0:
         return 0  # -I acts as -1 on odd weights
-    if 2 * genus(group) - 2 - omega_degree(group) < 0:
+    inv = level_invariants(group)
+    if 2 * inv.genus - 2 - inv.omega_degree < 0:
         return 0
     if w1 is None:
         w1 = Weight1Data.default()
@@ -365,20 +372,19 @@ def dim_modular_forms(
     if key in SMALL_LEVEL_WEIGHTS:
         a, b = SMALL_LEVEL_WEIGHTS[key]
         return h0_dim(WeightedLine(a, b), k)
+    inv = level_invariants(group)
     if group.kind is GroupKind.GAMMA0:
         if k % 2 == 1:
             return 0
-        g = genus(group)
-        e2, e3 = elliptic_counts(group)
-        return (k - 1) * (g - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * cusp_count(group)
+        e2, e3 = inv.elliptic2, inv.elliptic3
+        return (k - 1) * (inv.genus - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * inv.cusps
     # representable Gamma1(n >= 5) / Gamma(n >= 3)
     if k == 1:
-        cusps = cusp_count(group)
-        assert cusps % 2 == 0  # all cusps regular
-        return cusps // 2 + weight1_cusp_dim(group, w1)
-    m = omega_degree(group) * k + 1 - genus(group)
-    assert m.denominator == 1 and m >= 0
-    return int(m)
+        assert inv.cusps % 2 == 0  # all cusps regular
+        return inv.cusps // 2 + weight1_cusp_dim(group, w1)
+    m, rem = divmod(inv.index * k, 24)  # deg(omega^k) = index * k / 24
+    assert rem == 0 and m + 1 - inv.genus >= 0
+    return m + 1 - inv.genus
 
 
 def dim_cusp_forms(
@@ -394,10 +400,9 @@ def dim_cusp_forms(
         return h0_dim(WeightedLine(a, b), k - 2 - a - b)
     if k == 1:
         return weight1_cusp_dim(group, w1)
+    inv = level_invariants(group)
     if k == 2:
-        return genus(group)
-    if group.kind is GroupKind.GAMMA0:
-        if k % 2 == 1:
-            return 0
-        return dim_modular_forms(group, k, w1) - cusp_count(group)
-    return dim_modular_forms(group, k, w1) - cusp_count(group)
+        return inv.genus
+    if group.kind is GroupKind.GAMMA0 and k % 2 == 1:
+        return 0
+    return dim_modular_forms(group, k, w1) - inv.cusps

@@ -19,7 +19,7 @@ from mfdecomp.decomp import (
     verify_consistency,
 )
 from mfdecomp.hilbert import NegativeMultiplicity, TwistMultiset
-from mfdecomp.levels import CongruenceGroup, GroupKind, index
+from mfdecomp.levels import CongruenceGroup, GroupKind, index, is_prime
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 G0 = lambda n: CongruenceGroup(GroupKind.GAMMA0, n)
@@ -190,6 +190,14 @@ def test_obstruction_examples():
     assert 7 not in r8.witnesses()  # d_7 = 48 = d_8 divides
     with pytest.raises(ValueError):
         obstruction_search(6, 100)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13])
+@pytest.mark.parametrize("bound", [2, 3, 4, 5, 1000])
+def test_obstruction_primes_are_the_trial_division_primes(q, bound):
+    report = obstruction_search(q, bound)
+    expected = [p for p in range(2, bound + 1) if is_prime(p) and q % p != 0]
+    assert [p for p, _, _ in report.primes] == expected
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 11, 13])

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from mfdecomp import eisenstein
 from mfdecomp.exactnum import CyclotomicElement
 from mfdecomp.eisenstein import (
     NotPrime,
@@ -177,3 +178,14 @@ def test_order_256_primes(p):
     assert report.v2_l == Fraction(127, 128)
     assert claim.ok
     assert claim.v2_l == Fraction(127, 128)
+
+
+def test_lift_and_claim_share_the_norm_of_l(monkeypatch):
+    eisenstein._character_data.cache_clear()
+    norms = []
+    norm = CyclotomicElement.norm
+    monkeypatch.setattr(CyclotomicElement, "norm", lambda x: norms.append(x) or norm(x))
+    report = hasse_lift(97, 20)
+    claim = valuation_claim_check(97)
+    assert report.v2_l == claim.v2_l == Fraction(15, 16)  # 97 - 1 = 2^5 * 3
+    assert len(norms) == 2  # L(0, chi) once, and 1 - zeta

@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from mfdecomp.hilbert import WeightedLine, h0_dim
 from mfdecomp.levels import (
+    SMALL_LEVEL_WEIGHTS,
     CongruenceGroup,
     GroupKind,
     InvalidGroup,
@@ -19,6 +21,7 @@ from mfdecomp.levels import (
     genus,
     index,
     level_invariants,
+    omega_degree,
 )
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
@@ -219,3 +222,44 @@ def test_gamma1_cusp_genus_relation(n):
         inv = level_invariants(g)
         assert inv.genus == 1 + inv.omega_degree - Fraction(inv.cusps, 2)
     assert index(g) > 0 and cusp_count(g) > 0
+
+
+def _uncached_dimensions(group, k):
+    """(dim M_k, dim S_k) for k >= 2 by the Fraction formulas, built from the
+    invariant functions rather than the memoised ``level_invariants``."""
+    key = (group.kind, group.level)
+    if key in SMALL_LEVEL_WEIGHTS:
+        line = WeightedLine(*SMALL_LEVEL_WEIGHTS[key])
+        return h0_dim(line, k), h0_dim(line, k - 2 - line.a - line.b)
+    g = genus(group)
+    if group.kind is GroupKind.GAMMA0:
+        if k % 2 == 1:
+            return 0, 0
+        e2, e3 = elliptic_counts(group)
+        m = (k - 1) * (g - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * cusp_count(group)
+    else:
+        m = omega_degree(group) * k + 1 - g
+        assert m.denominator == 1
+    m = int(m)
+    assert m >= 0
+    return m, g if k == 2 else m - cusp_count(group)
+
+
+@given(st.sampled_from(list(GroupKind)), st.integers(min_value=2, max_value=200))
+def test_dimensions_match_uncached_formulas(kind, n):
+    group = CongruenceGroup(kind, n)
+    for k in range(2, 49):
+        got = (dim_modular_forms(group, k), dim_cusp_forms(group, k))
+        assert got == _uncached_dimensions(group, k), k
+
+
+def test_level_invariants_are_memoised_per_group():
+    assert level_invariants(G1(23)) is level_invariants(CongruenceGroup.parse("g1:23"))
+
+
+def test_warm_invariant_cache_never_holds_weight1_data(tmp_path):
+    before = dim_modular_forms(G1(23), 1, Weight1Data.default())  # warms level_invariants
+    path = tmp_path / "w1.txt"
+    path.write_text("g1 23 5\n")
+    after = dim_modular_forms(G1(23), 1, Weight1Data.load(path))
+    assert (before, after) == (12, 16)  # 22 cusps / 2 + s_1, s_1 from 1 to 5
