@@ -6,9 +6,11 @@ structures over two-generator subrings, regular-sequence checks, and the
 Weierstrass identity c4^3 - c6^2 = 1728*Delta.
 
 Polynomials are dicts from exponent vectors to coefficients; coefficients
-are ``Fraction`` in characteristic 0 and ints in [0, p) in characteristic
-p.  Rank computations use fraction-free (Bareiss) elimination on integer
-matrices over Q and plain elimination over F_p, so everything is exact.
+are ints where integral and ``Fraction`` otherwise in characteristic 0, and
+ints in [0, p) in characteristic p.  Free-basis certificates over Q scale
+their inputs to integer coefficients, so their rows are integer rows.  Rank
+computations use fraction-free (Bareiss) elimination on integer matrices over
+Q and plain elimination over F_p, so everything is exact.
 """
 
 from __future__ import annotations
@@ -62,9 +64,13 @@ class GradedAlgebra:
         return tuple(deg for _, deg in self.variables)
 
     def coeff(self, value) -> "Fraction | int":
-        if self.char == 0:
-            return Fraction(value)
+        """The value in the coefficient field: an int in [0, p) in characteristic p;
+        in characteristic 0 an int where integral and a ``Fraction`` otherwise."""
+        if type(value) is int:
+            return value % self.char if self.char else value
         f = Fraction(value)
+        if self.char == 0:
+            return f.numerator if f.denominator == 1 else f
         den_inv = pow(f.denominator % self.char, -1, self.char)
         return f.numerator * den_inv % self.char
 
@@ -158,7 +164,7 @@ class Polynomial:
         extra = set(self.terms) - set(basis)
         if extra:
             raise ValueError(f"terms outside the given monomial basis: {extra}")
-        return [self.terms.get(m, self.algebra.coeff(0)) for m in basis]
+        return [self.terms.get(m, 0) for m in basis]
 
     @classmethod
     def constant(cls, algebra: GradedAlgebra, value) -> "Polynomial":
@@ -273,10 +279,13 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
 def matrix_rank(algebra: GradedAlgebra, rows: list[list["Fraction | int"]]) -> int:
     if not rows:
         return 0
-    if algebra.char:
-        return _rank_mod_p([[int(x) for x in row] for row in rows], algebra.char)
-    scale = lcm(*(Fraction(x).denominator for row in rows for x in row), 1)
-    return _rank_bareiss([[int(Fraction(x) * scale) for x in row] for row in rows])
+    if any(type(x) is not int for row in rows for x in row):
+        if algebra.char:
+            rows = [[algebra.coeff(x) for x in row] for row in rows]
+        else:
+            scale = lcm(*(x.denominator for row in rows for x in row))
+            rows = [[int(x * scale) for x in row] for row in rows]
+    return _rank_mod_p(rows, algebra.char) if algebra.char else _rank_bareiss(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +299,9 @@ class SubringSpec:
     generators: tuple[tuple[str, Polynomial], ...]
 
     def __post_init__(self) -> None:
-        for _, g in self.generators:
-            g.homogeneous_degree()
+        for name, g in self.generators:
+            if g.homogeneous_degree() <= 0:
+                raise ValueError(f"subring generator {name} must have positive degree")
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -326,25 +336,32 @@ def verify_free_basis(
     be exactly dim(ambient_d) many and linearly independent; this is also the
     Hilbert-series identity H_ambient = H_subring * sum t^deg(basis).
     """
+    if bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
     basis_degrees = tuple(b.homogeneous_degree() for b in basis)
-    gen_polys = [g for _, g in subring.generators]
     gen_degrees = subring.degrees
 
-    @lru_cache(maxsize=None)
-    def gen_power(i: int, e: int) -> Polynomial:
-        if e == 0:
-            return Polynomial.constant(ambient, 1)
-        return gen_power(i, e - 1) * gen_polys[i]
+    def integral(p: Polynomial) -> Polynomial:
+        # Scaling by the lcm of the denominators changes no rank.
+        return p.scale(lcm(*(c.denominator for c in p.terms.values())))
+
+    gens = [integral(g) for _, g in subring.generators]
+    basis = [integral(b) for b in basis]
+    # Subring monomials g^expo, each built once from a lower one, shared by all b.
+    monomial = {(0,) * len(gens): Polynomial.constant(ambient, 1)}
 
     for d in range(bound + 1):
+        for expo in _graded_monomials(gen_degrees, d - min(basis_degrees, default=0)):
+            if any(expo):
+                i = next(i for i, e in enumerate(expo) if e)
+                lower = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+                monomial[expo] = monomial[lower] * gens[i]
         component = graded_component(ambient, d)
-        products = []
-        for b, bd in zip(basis, basis_degrees):
-            for expo in _monomials(gen_degrees, d - bd):
-                p = b
-                for i, e in enumerate(expo):
-                    p = p * gen_power(i, e)
-                products.append(p)
+        products = [
+            b * monomial[expo]
+            for b, bd in zip(basis, basis_degrees)
+            for expo in _graded_monomials(gen_degrees, d - bd)
+        ]
         if len(products) != len(component):
             return BasisCertificate(
                 ambient, subring, basis_degrees, bound, "not free", d,
@@ -407,25 +424,27 @@ def verify_regular_sequence(
     degrees = [f.homogeneous_degree() for f in elements]
     if bound is None:
         bound = 2 * sum(degrees)
+    if bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
 
     for k, f in enumerate(elements):
         prior = elements[:k]
         e = degrees[k]
+        ranks: dict[int, int] = {}  # degree -> rank of the prefix ideal there
         for d in range(0, bound - e + 1):
             comp_d = graded_component(algebra, d)
             comp_up = graded_component(algebra, d + e)
-            _, rank_ideal_d = _component_span_rank(algebra, prior, d, comp_d)
-            rows_up, rank_ideal_up = _component_span_rank(
-                algebra, prior, d + e, comp_up
-            )
+            if d not in ranks:
+                ranks[d] = _component_span_rank(algebra, prior, d, comp_d)[1]
+            rows_up, ranks[d + e] = _component_span_rank(algebra, prior, d + e, comp_up)
             # dim{x in A_d : f x in ideal_{d+e}} = dim A_d - rank[T | M] + rank M
             mult_rows = [
                 (f * Polynomial(algebra, {mono: 1})).coordinates(comp_up)
                 for mono in comp_d
             ]
             combined_rank = matrix_rank(algebra, mult_rows + rows_up)
-            kernel_dim = len(comp_d) - combined_rank + rank_ideal_up
-            if kernel_dim != rank_ideal_d:
+            kernel_dim = len(comp_d) - combined_rank + ranks[d + e]
+            if kernel_dim != ranks[d]:
                 return RegularSequenceVerdict(
                     False, bound, k, d,
                     f"multiplication by element {k} has a nontrivial kernel in "

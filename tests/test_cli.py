@@ -177,6 +177,26 @@ def test_freebasis_wrong_basis_fails(capsys, tmp_path):
     assert "not free" in out
 
 
+@pytest.mark.parametrize(
+    "gen, bound, message",
+    [
+        ("b2 = b2", "-3", "degree bound must be >= 0, got -3"),
+        ("c = 1", "24", "subring generator c must have positive degree"),
+    ],
+)
+def test_freebasis_bad_file_is_usage_error(capsys, tmp_path, gen, bound, message):
+    spec = tmp_path / "pres.txt"
+    spec.write_text(
+        "char 0\nvar b2 2\nvar b4 4\n"
+        f"gen {gen}\ngen delta = 1/4*b2^2*b4^2 - 8*b4^3\n"
+        f"basis 1\nbasis b4\nbound {bound}\n"
+    )
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--flavor", "bogus", "--from", "2", "--to", "3"])

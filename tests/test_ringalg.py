@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mfdecomp.ringalg import (
     GradedAlgebra,
@@ -65,6 +66,71 @@ def test_polynomial_arithmetic():
         Polynomial(Q_B, {}).homogeneous_degree()
 
 
+INTS = st.integers(-6, 6)
+MIXED = st.one_of(INTS, st.fractions(-6, 6, max_denominator=6))
+
+
+@st.composite
+def matrices(draw, entries):
+    """Products of an n x k and a k x m factor, so rank deficits are common."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def block(rows, cols):
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    left, right = block(n, k), block(k, m)
+    return [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] for row in left]
+
+
+def _rank_by_span(rows, p):
+    """Rank over F_p as log_p of the number of vectors in the row span."""
+    reduced = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows]
+    span = {(0,) * len(rows[0])}
+    for row in reduced:
+        span = {tuple((v + c * x) % p for v, x in zip(vec, row)) for vec in span for c in range(p)}
+    rank, size = 0, len(span)
+    while size > 1:
+        size //= p
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(INTS), matrices(MIXED)))
+def test_matrix_rank_over_q_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    exact = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    assert matrix_rank(Q_B, rows) == sympy.Matrix(exact).rank()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matrix_rank_mod_p_matches_span_count(p, data):
+    # denominators prime to p, so every entry has a value in F_p
+    fractions = st.builds(Fraction, INTS, st.sampled_from([d for d in range(1, 8) if d % p]))
+    rows = data.draw(st.one_of(matrices(INTS), matrices(st.one_of(INTS, fractions))))
+    assert matrix_rank(GradedAlgebra(p, Q_B.variables), rows) == _rank_by_span(rows, p)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=12)),
+    st.sampled_from([0, 2, 3]),
+)
+def test_coeff_is_int_exactly_when_integral(value, char):
+    f = Fraction(value)
+    assume(char == 0 or f.denominator % char)
+    c = GradedAlgebra(char, Q_B.variables).coeff(value)
+    if char == 0:
+        assert c == value
+        assert (type(c) is int) == (f.denominator == 1)
+    else:
+        assert type(c) is int and 0 <= c < char
+        assert (c * f.denominator - f.numerator) % char == 0
+
+
 def test_matrix_rank_exact():
     assert matrix_rank(Q_B, [[1, 2], [2, 4]]) == 1
     assert matrix_rank(Q_B, [[Fraction(1, 3), 0], [0, Fraction(2, 7)]]) == 2
@@ -106,6 +172,47 @@ def test_wrong_basis_not_free():
     b4 = Polynomial.variable(algebra, "b4")
     cert = verify_free_basis(algebra, spec, basis + [b4.power(3)], bound)
     assert not cert.free
+
+
+@pytest.mark.parametrize(
+    "name, old, new, degree",
+    [
+        # b2*c4/4 and a1*c4/3: the new element is c4 times another basis element
+        ("q-rank6", "b2*b4", "1/4*b2^3 - 6*b2*b4", 6),
+        ("q-rank16", "a1^2*a3", "1/3*a1^5 - 8*a1^2*a3", 5),
+    ],
+)
+def test_dependent_basis_not_free_over_q(name, old, new, degree):
+    algebra, spec, basis, bound = PRESETS[name]
+    old, new = parse_polynomial(algebra, old), parse_polynomial(algebra, new)
+    assert old in basis
+    cert = verify_free_basis(algebra, spec, [new if b == old else b for b in basis], bound)
+    verdict = (cert.verdict, cert.failure_kind, cert.failing_degree)
+    assert verdict == ("not free", "independence", degree)
+
+
+def test_certificate_ignores_rational_scaling():
+    algebra, spec, basis, _ = PRESETS["q-rank6"]
+    scaled = SubringSpec(tuple((n, g.scale(Fraction(2, 7))) for n, g in spec.generators))
+    cert = verify_free_basis(algebra, scaled, [b.scale(Fraction(-1, 3)) for b in basis], 30)
+    assert cert.free and cert.subring is scaled
+    cert = verify_free_basis(algebra, scaled, [b.scale(Fraction(5, 6)) for b in basis[:-1]], 30)
+    assert (cert.verdict, cert.failure_kind, cert.failing_degree) == ("not free", "spanning", 10)
+
+
+def test_degree_zero_generator_rejected():
+    one, b4 = parse_polynomial(Q_B, "1"), parse_polynomial(Q_B, "b4")
+    with pytest.raises(ValueError, match="generator c must have positive degree"):
+        SubringSpec((("c", one), ("b4", b4)))
+
+
+def test_negative_bound_rejected():
+    algebra, spec, basis, _ = PRESETS["q-rank6"]
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        verify_free_basis(algebra, spec, basis, -3)
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        verify_regular_sequence(Q_B, [parse_polynomial(Q_B, "b2^2")], -1)
+    assert verify_free_basis(algebra, spec, basis, 0).free
 
 
 def test_hilbert_series_freeness_f2():
