@@ -155,6 +155,9 @@ def _freebasis_from_file(path: str):
                 bound = int(rest)
             else:
                 raise ValueError(f"unknown directive {head!r} in {path}")
+    for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
+        if not lines:
+            raise ValueError(f"no {directive!r} line in {path}")
     algebra = ringalg.GradedAlgebra(char, tuple(variables))
     spec = ringalg.SubringSpec(
         tuple((name, ringalg.parse_polynomial(algebra, expr)) for name, expr in gens)

@@ -2,10 +2,14 @@
 
 A ring of modular forms for a congruence group, viewed as a graded module
 over the level-1 ring, splits into shifted copies of a handful of standard
-blocks: powers of omega (level 1), and the level-2/3/4/5-or-6 rings.  The
-multiplicity sequences are computed here by closed-form differences of
-dimension sequences; Hilbert-function deconvolution (in :mod:`.hilbert`)
-serves as the independent cross-check and the two must always agree.
+blocks: powers of omega (level 1), and the level-2/3/4/5-or-6 rings.  Each
+block is the ring of a weighted projective line P(a, b), with Hilbert series
+1/((1 - t^a)(1 - t^b)), and every block table (rank, support bound,
+closed-form offsets, the kernels between blocks) derives from the pair
+(a, b) in ``BLOCK_WEIGHTS``.  The multiplicity sequences are the
+coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k; Hilbert-function
+deconvolution (in :mod:`.hilbert`) serves as the independent cross-check
+and the two must always agree.
 
 Shift convention: multiplicity at shift i means a summand twisted by the
 (-i)-th power of omega.
@@ -17,12 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
+from typing import Callable
 
 from .hilbert import (
-    HilbertFunction,
     TwistMultiset,
     WeightedLine,
     deconvolve,
+    finite_sequence,
     h0_dim,
 )
 from .levels import (
@@ -33,7 +38,6 @@ from .levels import (
     dim_modular_forms,
     gamma1_index,
     is_prime,
-    is_representable,
     level_invariants,
 )
 
@@ -73,75 +77,66 @@ class BlockTag(str, Enum):
     LEVEL5OR6 = "level5or6"
 
 
-#: Rank of each block as a module over the level-1 ring (= the index of the
-#: corresponding group; 1 for the level-1 ring itself).
-BLOCK_RANKS = {
-    BlockTag.OMEGA_POWERS: 1,
-    BlockTag.LEVEL2: 3,
-    BlockTag.LEVEL3: 8,
-    BlockTag.LEVEL4: 12,
-    BlockTag.LEVEL5OR6: 24,
-}
-
-#: Generator weights of the block rings whose Hilbert function is a
-#: two-generator monomial count.
+#: Generator weights (a, b) of each block ring: the block is the ring of the
+#: weighted projective line P(a, b), so its Hilbert series is
+#: 1/((1 - t^a)(1 - t^b)) and its rank over the level-1 ring is 24 / (a b).
 BLOCK_WEIGHTS = {
     BlockTag.OMEGA_POWERS: (4, 6),
     BlockTag.LEVEL2: (2, 4),
     BlockTag.LEVEL3: (1, 3),
     BlockTag.LEVEL4: (1, 2),
+    BlockTag.LEVEL5OR6: (1, 1),
 }
 
 
 @dataclass(frozen=True)
 class BaseBlock:
     tag: BlockTag
-    hilbert: HilbertFunction
+    hilbert: Callable[[int], int]
     rank: int
 
 
 @lru_cache(maxsize=None)
 def base_block(tag: BlockTag) -> BaseBlock:
-    if tag is BlockTag.LEVEL5OR6:
-        # dim M_k(Gamma1(5)) = k + 1 for all k >= 0
-        hf = HilbertFunction(lambda k: k + 1 if k >= 0 else 0)
-    else:
-        a, b = BLOCK_WEIGHTS[tag]
-        line = WeightedLine(a, b)
-        hf = HilbertFunction(lru_cache(maxsize=None)(lambda k: h0_dim(line, k)))
-    return BaseBlock(tag, hf, BLOCK_RANKS[tag])
+    a, b = BLOCK_WEIGHTS[tag]
+    line = WeightedLine(a, b)
+    hf = lru_cache(maxsize=None)(lambda k: h0_dim(line, k))
+    return BaseBlock(tag, hf, 24 // (a * b))
 
 
 def dimension_function(
     group: CongruenceGroup, w1: Weight1Data | None = None
-) -> HilbertFunction:
-    return HilbertFunction(lambda k: dim_modular_forms(group, k, w1))
+) -> Callable[[int], int]:
+    return lambda k: dim_modular_forms(group, k, w1)
 
 
-#: Support bounds of the multiplicity sequences per block.
-SUPPORT_BOUND = {
-    BlockTag.OMEGA_POWERS: 11,
-    BlockTag.LEVEL2: 7,
-    BlockTag.LEVEL3: 5,
-    BlockTag.LEVEL4: 4,
-    BlockTag.LEVEL5OR6: 3,
-}
+def _support_bound(tag: BlockTag) -> int:
+    """Largest shift with a nonzero multiplicity: a + b + 1, where it is s_1."""
+    return sum(BLOCK_WEIGHTS[tag]) + 1
 
-#: Omega-power decomposition of each block itself: convolving a block-level
-#: multiplicity sequence with this kernel yields the omega-level sequence.
-OMEGA_KERNEL = {
-    BlockTag.LEVEL2: (1, 0, 1, 0, 1),
-    BlockTag.LEVEL3: (1, 1, 1, 2, 1, 1, 1),
-    BlockTag.LEVEL4: (1, 1, 2, 2, 2, 2, 1, 1),
-}
 
-#: The level-4 block in level-2 blocks: four omega-twisted copies of the
-#: level-2 block (ranks: 4 * 3 = 12).
-LEVEL4_IN_LEVEL2 = (1, 1, 1, 1)
-#: The level-5/6 block in level-3 blocks (ranks: 3 * 8 = 24).
-LEVEL56_IN_LEVEL3 = (1, 1, 1)
-#: The level-5/6 block in level-4 blocks (ranks: 2 * 12 = 24).
-LEVEL56_IN_LEVEL4 = (1, 1)
+def _denominator(tag: BlockTag) -> list[int]:
+    """Coefficients of (1 - t^a)(1 - t^b)."""
+    a, b = BLOCK_WEIGHTS[tag]
+    poly = [0] * (a + b + 1)
+    for i, sign in ((0, 1), (a, -1), (b, -1), (a + b, 1)):
+        poly[i] += sign
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _kernel(outer: BlockTag, inner: BlockTag) -> tuple[int, ...]:
+    """The ``inner`` block as shifted copies of the ``outer`` block: the exact
+    quotient of the outer denominator (1 - t^a)(1 - t^b) by the inner one."""
+    rest, den = _denominator(outer), _denominator(inner)
+    quotient = []
+    for i in range(len(rest) - len(den) + 1):
+        c = rest[i]  # den[0] = 1
+        for j, d in enumerate(den):
+            rest[i + j] -= c * d
+        quotient.append(c)
+    assert not any(rest), f"{inner.value} is not free over {outer.value}"
+    return tuple(quotient)
 
 
 @dataclass(frozen=True)
@@ -152,22 +147,19 @@ class DecompositionSequence:
 
     def as_list(self, length: int | None = None) -> list[int]:
         if length is None:
-            length = SUPPORT_BOUND[self.block.tag] + 1
+            length = _support_bound(self.block.tag) + 1
         return self.mult.as_list(length)
 
 
 def _closed_form(
-    group: CongruenceGroup,
-    tag: BlockTag,
-    offsets: tuple[tuple[int, int], ...],
-    w1: Weight1Data | None,
+    group: CongruenceGroup, tag: BlockTag, w1: Weight1Data | None
 ) -> DecompositionSequence:
-    """Multiplicities c_i = sum of sign * m_{i - offset} over ``offsets``."""
-    bound = SUPPORT_BOUND[tag]
+    """Multiplicities c_i: the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k."""
+    offsets = [(off, sign) for off, sign in enumerate(_denominator(tag)) if sign]
     m = dimension_function(group, w1)
     seq = []
-    for i in range(bound + 1):
-        c = sum(sign * m(i - off) for off, sign in offsets)
+    for i in range(_support_bound(tag) + 1):
+        c = sum(sign * m(i - off) for off, sign in offsets if off <= i)
         if c < 0:
             raise DecompositionInvalid(
                 f"{tag.value} multiplicity at shift {i} is {c} < 0 for {group}"
@@ -182,9 +174,7 @@ def omega_decomposition(
     group: CongruenceGroup, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
     """l_i = m_i - m_{i-4} - m_{i-6} + m_{i-10} for 0 <= i <= 11."""
-    seq = _closed_form(
-        group, BlockTag.OMEGA_POWERS, ((0, 1), (4, -1), (6, -1), (10, 1)), w1
-    )
+    seq = _closed_form(group, BlockTag.OMEGA_POWERS, w1)
     ls = seq.as_list()
     for i in range(1, 5):
         expected = dim_cusp_forms(group, i, w1)
@@ -211,9 +201,7 @@ def level3_decomposition(
 ) -> DecompositionSequence:
     """k_i = m_i - m_{i-1} - m_{i-3} + m_{i-4} for 0 <= i <= 5."""
     _require_block_group(group, BlockTag.LEVEL3)
-    seq = _closed_form(
-        group, BlockTag.LEVEL3, ((0, 1), (1, -1), (3, -1), (4, 1)), w1
-    )
+    seq = _closed_form(group, BlockTag.LEVEL3, w1)
     ks = seq.as_list()
     s1 = dim_cusp_forms(group, 1, w1)
     s2 = dim_cusp_forms(group, 2, w1)
@@ -229,9 +217,7 @@ def level2_decomposition(
 ) -> DecompositionSequence:
     """k_i = m_i - m_{i-2} - m_{i-4} + m_{i-6} for 0 <= i <= 7."""
     _require_block_group(group, BlockTag.LEVEL2)
-    seq = _closed_form(
-        group, BlockTag.LEVEL2, ((0, 1), (2, -1), (4, -1), (6, 1)), w1
-    )
+    seq = _closed_form(group, BlockTag.LEVEL2, w1)
     ks = seq.as_list()
     if ks[7] != dim_cusp_forms(group, 1, w1):
         raise DecompositionInvalid(f"k_7 != s_1 for {group}")
@@ -243,16 +229,19 @@ def level2_decomposition(
 def level456_decomposition(
     group: CongruenceGroup, q: int, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
+    """q = 4: the level-2 sequence deconvolved by the level-4 block's kernel
+    (1, 1, 1, 1) in level-2 blocks.  q = 5, 6:
+    kappa_i = m_i - 2 m_{i-1} + m_{i-2} for 0 <= i <= 3."""
     if q not in (4, 5, 6):
         raise ValueError(f"q must be 4, 5 or 6, got {q}")
     if q == 4:
         _require_block_group(group, BlockTag.LEVEL4)
         level2 = level2_decomposition(group, w1)
-        target = HilbertFunction.from_values(level2.as_list())
-        block = HilbertFunction.from_values(LEVEL4_IN_LEVEL2)
+        target = finite_sequence(level2.as_list())
+        block = finite_sequence(_kernel(BlockTag.LEVEL2, BlockTag.LEVEL4))
         try:
             mult = deconvolve(
-                target, block, SUPPORT_BOUND[BlockTag.LEVEL4], verify_through=12
+                target, block, _support_bound(BlockTag.LEVEL4), verify_through=12
             )
         except ValueError as exc:
             raise DecompositionInvalid(
@@ -260,13 +249,10 @@ def level456_decomposition(
             ) from exc
         return DecompositionSequence(group, base_block(BlockTag.LEVEL4), mult)
     _require_block_group(group, BlockTag.LEVEL5OR6)
-    m = dimension_function(group, w1)
-    kappa = [1, m(1) - 2, m(2) - 2 * m(1) + 1, dim_cusp_forms(group, 1, w1)]
-    if any(c < 0 for c in kappa):
-        raise DecompositionInvalid(f"negative kappa for {group}: {kappa}")
-    return DecompositionSequence(
-        group, base_block(BlockTag.LEVEL5OR6), TwistMultiset(dict(enumerate(kappa)))
-    )
+    seq = _closed_form(group, BlockTag.LEVEL5OR6, w1)
+    if seq.as_list()[3] != dim_cusp_forms(group, 1, w1):
+        raise DecompositionInvalid(f"kappa_3 != s_1 for {group}")
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +274,6 @@ class ConsistencyReport:
 
     def failures(self) -> list[tuple[str, str]]:
         return [(name, detail) for name, passed, detail in self.checks if not passed]
-
-
-def _convolve_lists(xs: list[int], kernel: tuple[int, ...]) -> list[int]:
-    out = [0] * (len(xs) + len(kernel) - 1)
-    for i, x in enumerate(xs):
-        for j, k in enumerate(kernel):
-            out[i + j] += x * k
-    return out
 
 
 def verify_consistency(
@@ -331,12 +309,12 @@ def verify_consistency(
         )
     )
 
-    if tag in OMEGA_KERNEL:
+    if tag is not BlockTag.OMEGA_POWERS:
         try:
             omega = omega_decomposition(group, w1).as_list()
-            got = _convolve_lists(seq.as_list(), OMEGA_KERNEL[tag])
-            got = got[:12] + [0] * (12 - len(got))
-            ok = got[:12] == omega
+            kernel = finite_sequence(_kernel(BlockTag.OMEGA_POWERS, tag))
+            got = [seq.mult.convolve(kernel, i) for i in range(12)]
+            ok = got == omega
             checks.append(
                 ("cross-block", ok, f"omega sequence {'matches' if ok else got}")
             )

@@ -2,21 +2,21 @@
 
 h0/h1 of O(m) on P(a,b) are lattice-point counts, computed by direct
 enumeration rather than floor-function closed forms (slower, but immune to
-off-by-one mistakes at the degrees we care about).  ``deconvolve`` is the
-engine that recovers the multiset of twists of a split bundle from its
-Hilbert function: greedy division of formal power series with a
-nonnegativity constraint, then exact re-convolution over a verification
-window.
+off-by-one mistakes at the degrees we care about).  A Hilbert function is
+any ``Callable[[int], int]`` that is 0 in negative degrees; finitely
+supported ones come from ``finite_sequence``.  ``deconvolve`` is the engine
+that recovers the multiset of twists of a split bundle from its Hilbert
+function: greedy division of formal power series with a nonnegativity
+constraint, then exact re-convolution over a verification window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "DeconvolutionError",
-    "HilbertFunction",
     "NegativeMultiplicity",
     "ResidualMismatch",
     "SerreDualityReport",
@@ -24,6 +24,7 @@ __all__ = [
     "WeightedLine",
     "deconvolve",
     "default_verify_through",
+    "finite_sequence",
     "h0_dim",
     "h1_dim",
     "serre_duality_check",
@@ -89,50 +90,10 @@ def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> SerreDualityRep
     return SerreDualityReport(line, lo, hi, True)
 
 
-class HilbertFunction:
-    """Nonnegative integer function of the degree, zero below ``min_degree``.
-
-    Wraps either an explicit list of values (extended by zero above its
-    support only if ``finite``) or a callable evaluated on demand.
-    """
-
-    def __init__(
-        self,
-        source: Callable[[int], int] | list[int] | tuple[int, ...],
-        min_degree: int = 0,
-        finite: bool = False,
-    ) -> None:
-        self.min_degree = min_degree
-        if callable(source):
-            if finite:
-                raise ValueError("finite=True needs an explicit value list")
-            self._func: Callable[[int], int] | None = source
-            self._values: tuple[int, ...] | None = None
-        else:
-            self._func = None
-            self._values = tuple(source)
-        self.finite = finite
-
-    @classmethod
-    def from_values(cls, values, min_degree: int = 0) -> "HilbertFunction":
-        """A finitely supported function (zero outside the listed window)."""
-        return cls(list(values), min_degree=min_degree, finite=True)
-
-    def __call__(self, k: int) -> int:
-        if k < self.min_degree:
-            return 0
-        if self._values is not None:
-            i = k - self.min_degree
-            if i < len(self._values):
-                return self._values[i]
-            if self.finite:
-                return 0
-            raise IndexError(f"degree {k} beyond tabulated range")
-        assert self._func is not None
-        return self._func(k)
-
-    def values(self, lo: int, hi: int) -> list[int]:
-        return [self(k) for k in range(lo, hi + 1)]
+def finite_sequence(values: Iterable[int]) -> Callable[[int], int]:
+    """The Hilbert function with ``values`` in degrees 0, 1, ... and 0 elsewhere."""
+    table = tuple(values)
+    return lambda k: table[k] if 0 <= k < len(table) else 0
 
 
 @dataclass(frozen=True)
@@ -163,8 +124,8 @@ class TwistMultiset:
         n = (self.max_shift() + 1) if length is None else length
         return [self[i] for i in range(n)]
 
-    def convolve(self, block: HilbertFunction, k: int) -> int:
-        return sum(c * block(k - i) for i, c in self.multiplicities.items())
+    def convolve(self, block: Callable[[int], int], k: int) -> int:
+        return sum(c * block(k - i) for i, c in self.multiplicities.items() if i <= k)
 
 
 class DeconvolutionError(ValueError):
@@ -199,8 +160,8 @@ def default_verify_through(max_shift: int, a: int, b: int) -> int:
 
 
 def deconvolve(
-    target: HilbertFunction,
-    block: HilbertFunction,
+    target: Callable[[int], int],
+    block: Callable[[int], int],
     max_shift: int,
     verify_through: int,
 ) -> TwistMultiset:

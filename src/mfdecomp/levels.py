@@ -105,15 +105,6 @@ SMALL_LEVEL_WEIGHTS: dict[tuple[GroupKind, int], tuple[int, int]] = {
 }
 
 
-def is_representable(group: CongruenceGroup) -> bool:
-    """Whether the compactified modular curve is an honest projective curve."""
-    if group.kind is GroupKind.GAMMA1:
-        return group.level >= 5
-    if group.kind is GroupKind.GAMMA_FULL:
-        return group.level >= 3
-    return False
-
-
 @lru_cache(maxsize=None)
 def _phi(n: int) -> int:
     result = n

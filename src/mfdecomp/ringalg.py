@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .levels import is_prime
+
 __all__ = [
     "BasisCertificate",
     "GradedAlgebra",
@@ -50,7 +52,7 @@ class GradedAlgebra:
     variables: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        if self.char < 0 or self.char == 1:
+        if self.char != 0 and not is_prime(self.char):
             raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
         if any(deg <= 0 for _, deg in self.variables):
             raise ValueError("variable degrees must be positive")

@@ -197,6 +197,38 @@ def test_freebasis_bad_file_is_usage_error(capsys, tmp_path, gen, bound, message
     assert err.startswith("error: ") and message in err
 
 
+def test_freebasis_composite_characteristic_is_usage_error(capsys, tmp_path):
+    # the F_3 rank-3 presentation is not a certificate over Z/9, which is no field
+    spec = tmp_path / "pres.txt"
+    spec.write_text(
+        "char 9\nvar b2 2\nvar b4 4\n"
+        "gen b2 = b2\ngen delta = b2^2*b4^2 - b4^3\n"
+        "basis 1\nbasis b4\nbasis b4^2\nbound 24\n"
+    )
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == "error: characteristic must be 0 or a prime, got 9\n"
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        ("", "var"),
+        ("# only a comment\n\n", "var"),
+        ("char 3\nvar b2 2\nbasis 1\nbound 4\n", "gen"),
+        ("var b2 2\ngen b2 = b2\n", "basis"),
+    ],
+)
+def test_freebasis_incomplete_file_is_usage_error(capsys, tmp_path, text, missing):
+    spec = tmp_path / "pres.txt"
+    spec.write_text(text)
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"no '{missing}' line in" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--flavor", "bogus", "--from", "2", "--to", "3"])

@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from mfdecomp.decomp import (
+    BLOCK_WEIGHTS,
     BlockTag,
     DecompositionInvalid,
     DecompositionSequence,
@@ -18,6 +19,7 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
+from mfdecomp.decomp import _kernel, _support_bound
 from mfdecomp.hilbert import NegativeMultiplicity, TwistMultiset
 from mfdecomp.levels import CongruenceGroup, GroupKind, index, is_prime
 
@@ -104,6 +106,26 @@ def test_blocks():
         assert five(k) == sum(c * omega(k - i) for i, c in enumerate(kernel))
 
 
+def test_block_tables_derive_from_weights():
+    assert list(BLOCK_WEIGHTS) == list(BlockTag)
+    assert [_support_bound(tag) for tag in BlockTag] == [11, 7, 5, 4, 3]
+    omega = BlockTag.OMEGA_POWERS
+    assert _kernel(omega, omega) == (1,)
+    assert _kernel(omega, BlockTag.LEVEL2) == (1, 0, 1, 0, 1)
+    assert _kernel(omega, BlockTag.LEVEL3) == (1, 1, 1, 2, 1, 1, 1)
+    assert _kernel(omega, BlockTag.LEVEL4) == (1, 1, 2, 2, 2, 2, 1, 1)
+    assert _kernel(omega, BlockTag.LEVEL5OR6) == (1, 2, 3, 4, 4, 4, 3, 2, 1)
+    assert _kernel(BlockTag.LEVEL2, BlockTag.LEVEL4) == (1, 1, 1, 1)
+    assert _kernel(BlockTag.LEVEL3, BlockTag.LEVEL5OR6) == (1, 1, 1)
+    assert _kernel(BlockTag.LEVEL4, BlockTag.LEVEL5OR6) == (1, 1)
+    # a kernel's total is the ratio of the ranks
+    for tag in BlockTag:
+        assert sum(_kernel(omega, tag)) == base_block(tag).rank
+    # the level-3 block is not free over the level-2 block
+    with pytest.raises(AssertionError):
+        _kernel(BlockTag.LEVEL2, BlockTag.LEVEL3)
+
+
 @pytest.mark.parametrize("n", range(2, 43))
 def test_closed_form_equals_deconvolution(n):
     seq = omega_decomposition(G1(n))
@@ -118,8 +140,17 @@ def test_verify_consistency_gamma1(n):
         assert verify_consistency(level2_decomposition(G1(n))).ok
     if n >= 5:
         assert verify_consistency(level3_decomposition(G1(n))).ok
-        assert verify_consistency(level456_decomposition(G1(n), 5)).ok
-        assert verify_consistency(level456_decomposition(G1(n), 4)).ok
+
+
+@pytest.mark.parametrize(
+    "group", [G1(n) for n in range(4, 43)] + [GF(n) for n in range(3, 12)], ids=str
+)
+def test_verify_consistency_level456(group):
+    qs = (4,) if group == G1(4) else (4, 5, 6)
+    for q in qs:
+        report = verify_consistency(level456_decomposition(group, q))
+        assert report.ok, (q, report.failures())
+        assert "cross-block" in [name for name, _, _ in report.checks]
 
 
 @pytest.mark.parametrize("n", range(2, 43))

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfdecomp.hilbert import (
-    HilbertFunction,
     NegativeMultiplicity,
     ResidualMismatch,
     TwistMultiset,
     WeightedLine,
     deconvolve,
     default_verify_through,
+    finite_sequence,
     h0_dim,
     h1_dim,
     serre_duality_check,
@@ -56,19 +56,19 @@ def test_invalid_weights():
 
 def sl2z_block():
     line = WeightedLine(4, 6)
-    return HilbertFunction(lambda k: h0_dim(line, k))
+    return lambda k: h0_dim(line, k)
 
 
 def test_deconvolve_gamma1_3_dimensions():
     line13 = WeightedLine(1, 3)
-    target = HilbertFunction(lambda k: h0_dim(line13, k))
+    target = lambda k: h0_dim(line13, k)
     mult = deconvolve(target, sl2z_block(), 11, default_verify_through(11, 4, 6))
     assert mult.as_list(12) == [1, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0]
 
 
 def test_deconvolve_gamma1_2_dimensions():
     line24 = WeightedLine(2, 4)
-    target = HilbertFunction(lambda k: h0_dim(line24, k))
+    target = lambda k: h0_dim(line24, k)
     mult = deconvolve(target, sl2z_block(), 11, default_verify_through(11, 4, 6))
     assert mult.multiplicities == {0: 1, 2: 1, 4: 1}
 
@@ -81,12 +81,12 @@ def test_deconvolve_identity():
 
 def test_deconvolve_requires_normalized_block():
     with pytest.raises(ValueError):
-        deconvolve(sl2z_block(), HilbertFunction.from_values([2, 1]), 4, 10)
+        deconvolve(sl2z_block(), finite_sequence([2, 1]), 4, 10)
 
 
 def test_negative_multiplicity_error():
-    target = HilbertFunction.from_values([1, 0, 0])
-    block = HilbertFunction.from_values([1, 1])
+    target = finite_sequence([1, 0, 0])
+    block = finite_sequence([1, 1])
     with pytest.raises(NegativeMultiplicity) as exc:
         deconvolve(target, block, 2, 4)
     assert exc.value.shift == 1
@@ -95,8 +95,8 @@ def test_negative_multiplicity_error():
 
 def test_residual_mismatch_error():
     # target agrees through the shift window but diverges later
-    target = HilbertFunction.from_values([1, 1, 1, 1, 5])
-    block = HilbertFunction.from_values([1])
+    target = finite_sequence([1, 1, 1, 1, 5])
+    block = finite_sequence([1])
     with pytest.raises(ResidualMismatch) as exc:
         deconvolve(target, block, 3, 6)
     assert exc.value.degree == 4
@@ -119,18 +119,29 @@ def test_twist_multiset_invariants():
 )
 def test_convolve_then_deconvolve_roundtrip(mults, weights):
     line = WeightedLine(*weights)
-    block = HilbertFunction(lambda k: h0_dim(line, k))
+    block = lambda k: h0_dim(line, k)
     original = TwistMultiset(dict(enumerate(mults)))
-    target = HilbertFunction(lambda k: original.convolve(block, k))
+    target = lambda k: original.convolve(block, k)
     horizon = default_verify_through(len(mults) - 1, *weights)
     recovered = deconvolve(target, block, len(mults) - 1, horizon)
     assert recovered.multiplicities == original.multiplicities
 
 
-def test_hilbert_function_finite_vs_tabulated():
-    finite = HilbertFunction.from_values([1, 2, 3])
-    assert finite(5) == 0
-    assert finite(-1) == 0
-    tabulated = HilbertFunction([1, 2, 3])
-    with pytest.raises(IndexError):
-        tabulated(5)
+def test_finite_sequence():
+    seq = finite_sequence(iter([1, 2, 3]))  # any iterable, read once
+    assert [seq(k) for k in range(-2, 6)] == [0, 0, 1, 2, 3, 0, 0, 0]
+    assert finite_sequence([])(0) == 0
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=4),
+)
+def test_finite_sequence_roundtrip(mults, tail):
+    # a finite target deconvolved by a finite block, as for the level-4 block
+    block = finite_sequence([1, *tail])
+    original = TwistMultiset(dict(enumerate(mults)))
+    support = len(mults) + len(tail)
+    target = finite_sequence(original.convolve(block, k) for k in range(support))
+    recovered = deconvolve(target, block, len(mults) - 1, support + 5)
+    assert recovered.multiplicities == original.multiplicities

@@ -304,3 +304,11 @@ def test_freeness_against_sympy_groebner_free_rank():
         rows.append([poly.coeff_monomial((i, j)) for i, j in monos])
     mat = sympy.Matrix(rows)
     assert len(products) == len(monos) == mat.rank()
+
+
+@pytest.mark.parametrize("char", [1, 4, 9, -3])
+def test_characteristic_must_be_zero_or_prime(char):
+    with pytest.raises(ValueError, match=f"characteristic must be 0 or a prime, got {char}"):
+        GradedAlgebra(char, (("b2", 2),))
+    for ok in (0, 2, 3, 5):
+        GradedAlgebra(ok, (("b2", 2),))
