@@ -212,18 +212,12 @@ def _suite_decomp(out: list[str], w1: Weight1Data) -> bool:
             oracle = decomp.deconvolve_by_gamma1_block(group, 1, w1)
             agree = seq.as_list() == oracle.as_list(12)
             report = decomp.verify_consistency(seq, w1)
-            ok &= _check(
-                out,
-                f"omega-g1-{n}",
-                agree and report.ok,
-                "closed form = deconvolution; identities hold",
-            )
+            detail = "closed form = deconvolution; identities hold"
+            ok &= _check(out, f"omega-g1-{n}", agree and report.ok, detail)
         except Exception as exc:  # pragma: no cover - surfaced as failure
             ok &= _check(out, f"omega-g1-{n}", False, str(exc))
     try:
-        decomp.deconvolve_by_gamma1_block(
-            CongruenceGroup(GroupKind.GAMMA1, 31), 7, w1
-        )
+        decomp.deconvolve_by_gamma1_block(CongruenceGroup(GroupKind.GAMMA1, 31), 7, w1)
         ok &= _check(out, "gamma1-31-by-7", False, "unexpectedly decomposed")
     except NegativeMultiplicity as exc:
         ok &= _check(out, "gamma1-31-by-7", True, f"fails as required: {exc}")

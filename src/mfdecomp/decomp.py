@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable
 
+from .arith import factorize
 from .hilbert import (
     TwistMultiset,
     WeightedLine,
@@ -36,8 +37,8 @@ from .levels import (
     Weight1Data,
     dim_cusp_forms,
     dim_modular_forms,
+    dimension_table,
     gamma1_index,
-    is_prime,
     level_invariants,
 )
 
@@ -107,7 +108,9 @@ def base_block(tag: BlockTag) -> BaseBlock:
 def dimension_function(
     group: CongruenceGroup, w1: Weight1Data | None = None
 ) -> Callable[[int], int]:
-    return lambda k: dim_modular_forms(group, k, w1)
+    """k -> m_k, read from the group's ``dimension_table`` where it reaches."""
+    table = dimension_table(group, w1)
+    return lambda k: table[k] if 0 <= k < len(table) else dim_modular_forms(group, k, w1)
 
 
 def _support_bound(tag: BlockTag) -> int:
@@ -156,10 +159,10 @@ def _closed_form(
 ) -> DecompositionSequence:
     """Multiplicities c_i: the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k."""
     offsets = [(off, sign) for off, sign in enumerate(_denominator(tag)) if sign]
-    m = dimension_function(group, w1)
+    m = dimension_table(group, w1)  # reaches past every support bound
     seq = []
     for i in range(_support_bound(tag) + 1):
-        c = sum(sign * m(i - off) for off, sign in offsets if off <= i)
+        c = sum(sign * m[i - off] for off, sign in offsets if off <= i)
         if c < 0:
             raise DecompositionInvalid(
                 f"{tag.value} multiplicity at shift {i} is {c} < 0 for {group}"
@@ -286,9 +289,9 @@ def verify_consistency(
     group = seq.group
     tag = seq.block.tag
     m = dimension_function(group, w1)
-
-    rows = ((k, m(k), seq.mult.convolve(seq.block.hilbert, k)) for k in range(max_weight + 1))
-    bad = [row for row in rows if row[1] != row[2]]
+    weights = range(max_weight + 1)
+    got = seq.mult.reconstruct([seq.block.hilbert(k) for k in weights])
+    bad = [(k, m(k), got[k]) for k in weights if m(k) != got[k]]
     checks.append(
         (
             "convolution",
@@ -313,7 +316,7 @@ def verify_consistency(
         try:
             omega = omega_decomposition(group, w1).as_list()
             kernel = finite_sequence(_kernel(BlockTag.OMEGA_POWERS, tag))
-            got = [seq.mult.convolve(kernel, i) for i in range(12)]
+            got = seq.mult.reconstruct([kernel(i) for i in range(12)])
             ok = got == omega
             checks.append(
                 ("cross-block", ok, f"omega sequence {'matches' if ok else got}")
@@ -382,8 +385,8 @@ def _obstruction_divisor(d_q: int) -> tuple[int, int]:
         return 16, 3
     if d_q % 9 == 0:
         return 9, 2
-    for d in range(5, d_q + 1):
-        if is_prime(d) and d_q % d == 0:
+    for d, _ in factorize(d_q):
+        if d >= 5:
             for a in range(2, d - 1):
                 if a % d not in (1, d - 1):
                     return d, a

@@ -29,7 +29,7 @@ from .exactnum import (
     INFINITE_VALUATION,
     two_adic_valuation_rational,
 )
-from .levels import is_prime
+from .arith import is_prime
 
 __all__ = [
     "DirichletCharacter",

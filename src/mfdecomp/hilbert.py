@@ -6,14 +6,15 @@ off-by-one mistakes at the degrees we care about).  A Hilbert function is
 any ``Callable[[int], int]`` that is 0 in negative degrees; finitely
 supported ones come from ``finite_sequence``.  ``deconvolve`` is the engine
 that recovers the multiset of twists of a split bundle from its Hilbert
-function: greedy division of formal power series with a nonnegativity
-constraint, then exact re-convolution over a verification window.
+function, by greedy division with a nonnegativity constraint and exact
+re-convolution over a verification window, on values read once per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DeconvolutionError",
@@ -127,6 +128,11 @@ class TwistMultiset:
     def convolve(self, block: Callable[[int], int], k: int) -> int:
         return sum(c * block(k - i) for i, c in self.multiplicities.items() if i <= k)
 
+    def reconstruct(self, block: Sequence[int]) -> list[int]:
+        """``convolve`` in every degree k < len(block), from the block's values."""
+        coeffs = self.as_list()
+        return [sum(map(mul, coeffs, reversed(block[: k + 1]))) for k in range(len(block))]
+
 
 class DeconvolutionError(ValueError):
     pass
@@ -169,18 +175,23 @@ def deconvolve(
 
     Greedy: c_i = target(i) - sum_{j>=1} block(j) c_{i-j} for i = 0..max_shift,
     then the reconstruction is checked exactly for all degrees <= verify_through.
+    Each function is evaluated once per degree, in increasing degree.
     """
     if block(0) != 1:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    coeffs: list[int] = []
-    for i in range(max_shift + 1):
-        c = target(i) - sum(block(i - j) * coeffs[j] for j in range(i))
-        if c < 0:
-            raise NegativeMultiplicity(i, c)
-        coeffs.append(c)
-    result = TwistMultiset({i: c for i, c in enumerate(coeffs)})
+    targets, blocks, coeffs = [], [1], []
+    for i in range(max(max_shift, verify_through) + 1):
+        targets.append(target(i))
+        if i:
+            blocks.append(block(i))
+        if i <= max_shift:
+            c = targets[i] - sum(map(mul, reversed(coeffs), blocks[1:]))
+            if c < 0:
+                raise NegativeMultiplicity(i, c)
+            coeffs.append(c)
+    result = TwistMultiset(dict(enumerate(coeffs)))
+    got = result.reconstruct(blocks)
     for k in range(verify_through + 1):
-        got = result.convolve(block, k)
-        if got != target(k):
-            raise ResidualMismatch(k, target(k), got)
+        if got[k] != targets[k]:
+            raise ResidualMismatch(k, targets[k], got[k])
     return result

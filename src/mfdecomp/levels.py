@@ -13,9 +13,10 @@ n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
   with elliptic-point terms, calibrated against g(X0(11)) = 1 and
   g(X0(23)) = 2.
 
-``level_invariants`` computes a group's invariants once and memoises them
-(weight-1 data is no input to it); the dimension functions read that record
-and use integer arithmetic only.
+``level_invariants`` derives index, cusps, elliptic points and genus from one
+factorisation of the level, in integers, once per group.  ``dimension_table``
+evaluates m_0..m_40 once per (group, s_1); the decomposition closed forms, the
+deconvolution oracle and the consistency checks all read it.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -29,9 +30,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import prod
 from pathlib import Path
 
+from .arith import factorize, is_prime  # noqa: F401  (is_prime: re-exported)
 from .hilbert import WeightedLine, h0_dim
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "cusp_count",
     "dim_cusp_forms",
     "dim_modular_forms",
+    "dimension_table",
     "elliptic_counts",
     "genus",
     "index",
@@ -105,148 +108,8 @@ SMALL_LEVEL_WEIGHTS: dict[tuple[GroupKind, int], tuple[int, int]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    result = n
-    for p in _prime_divisors(n):
-        result -= result // p
-    return result
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def gamma1_index(n: int) -> int:
-    """d_n = [SL2(Z) : Gamma1(n)] = sum over d|n of d phi(d) phi(n/d)."""
-    return sum(d * _phi(d) * _phi(n // d) for d in _divisors(n))
-
-
-def index(group: CongruenceGroup) -> int:
-    n = group.level
-    if group.kind is GroupKind.GAMMA1:
-        return gamma1_index(n)
-    if group.kind is GroupKind.GAMMA_FULL:
-        return n * gamma1_index(n)  # = |SL2(Z/n)| = n^3 prod (1 - 1/p^2)
-    # Gamma0(n): n prod (1 + 1/p)
-    num = n
-    for p in _prime_divisors(n):
-        num = num // p * (p + 1)
-    return num
-
-
-def omega_degree(group: CongruenceGroup) -> Fraction:
-    return Fraction(index(group), 24)
-
-
-def cusp_count(group: CongruenceGroup) -> int:
-    n = group.level
-    if group.kind is GroupKind.GAMMA1:
-        if n == 2 or n == 3:
-            return 2
-        if n == 4:
-            return 3
-        total = sum(_phi(d) * _phi(n // d) for d in _divisors(n))
-        assert total % 2 == 0
-        return total // 2
-    if group.kind is GroupKind.GAMMA_FULL:
-        if n == 2:
-            return 3
-        idx = index(group)
-        assert idx % (2 * n) == 0
-        return idx // (2 * n)
-    return sum(_phi(gcd(d, n // d)) for d in _divisors(n))
-
-
-def _legendre_minus_one(p: int) -> int:
-    return 1 if p % 4 == 1 else -1
-
-
-def _legendre_minus_three(p: int) -> int:
-    if p == 3:
-        return 0
-    return 1 if p % 3 == 1 else -1
-
-
-def elliptic_counts(group: CongruenceGroup) -> tuple[int, int]:
-    """(number of order-2 elliptic points, number of order-3 elliptic points)."""
-    n = group.level
-    if group.kind is GroupKind.GAMMA1:
-        if n == 2:
-            return (1, 0)
-        if n == 3:
-            return (0, 1)
-        return (0, 0)
-    if group.kind is GroupKind.GAMMA_FULL:
-        return (0, 0)
-    e2 = 0
-    if n % 4 != 0:
-        e2 = 1
-        for p in _prime_divisors(n):
-            if p == 2:
-                continue
-            e2 *= 1 + _legendre_minus_one(p)
-    e3 = 0
-    if n % 9 != 0:
-        e3 = 1
-        for p in _prime_divisors(n):
-            e3 *= 1 + _legendre_minus_three(p)
-    return (e2, e3)
-
-
-def genus(group: CongruenceGroup) -> int:
-    n = group.level
-    if (group.kind, n) in SMALL_LEVEL_WEIGHTS:
-        return 0
-    if group.kind in (GroupKind.GAMMA1, GroupKind.GAMMA_FULL):
-        g = Fraction(1) + omega_degree(group) - Fraction(cusp_count(group), 2)
-        assert g.denominator == 1 and g >= 0
-        return int(g)
-    mu = index(group)
-    e2, e3 = elliptic_counts(group)
-    g = (
-        Fraction(1)
-        + Fraction(mu, 12)
-        - Fraction(e2, 4)
-        - Fraction(e3, 3)
-        - Fraction(cusp_count(group), 2)
-    )
-    assert g.denominator == 1 and g >= 0
-    return int(g)
+def _phi_pow(p: int, e: int) -> int:
+    return p ** (e - 1) * (p - 1) if e else 1
 
 
 @dataclass(frozen=True)
@@ -261,27 +124,72 @@ class LevelInvariants:
 
 @lru_cache(maxsize=None)
 def level_invariants(group: CongruenceGroup) -> LevelInvariants:
-    """All invariants of ``group``, computed once; every dimension reads them."""
-    e2, e3 = elliptic_counts(group)
-    return LevelInvariants(
-        index=index(group),
-        omega_degree=omega_degree(group),
-        cusps=cusp_count(group),
-        elliptic2=e2,
-        elliptic3=e3,
-        genus=genus(group),
-    )
+    """All invariants of ``group`` from one factorisation of its level, in
+    integers; memoised per group, and every dimension reads them."""
+    n, kind = group.level, group.kind
+    primes = factorize(n)
+    e2 = e3 = 0
+    if kind is GroupKind.GAMMA0:
+        # mu = n prod (1 + 1/p); cusps = sum over d | n of phi(gcd(d, n/d))
+        mu, cusps = n, 1
+        for p, e in primes:
+            mu = mu // p * (p + 1)
+            cusps *= sum(_phi_pow(p, min(i, e - i)) for i in range(e + 1))
+        if n % 4:  # e2 = prod over odd p | n of 1 + (-1/p)
+            e2 = prod(2 if p % 4 == 1 else 0 for p, _ in primes if p != 2)
+        if n % 9:  # e3 = prod over p | n of 1 + (-3/p)
+            e3 = prod(1 if p == 3 else 2 if p % 3 == 1 else 0 for p, _ in primes)
+        genus24 = 24 + 2 * mu - 6 * e2 - 8 * e3 - 12 * cusps
+    else:
+        # mu = [SL2(Z) : Gamma1(n)] = n^2 prod (1 - 1/p^2); pairs = sum over
+        # d | n of phi(d) phi(n/d), twice the Gamma1(n) cusp count for n >= 5
+        mu, pairs = n * n, 1
+        for p, e in primes:
+            mu = mu // (p * p) * (p * p - 1)
+            pairs *= sum(_phi_pow(p, i) * _phi_pow(p, e - i) for i in range(e + 1))
+        if kind is GroupKind.GAMMA1:
+            cusps = {2: 2, 3: 2, 4: 3}.get(n, pairs // 2)
+            e2, e3 = {2: (1, 0), 3: (0, 1)}.get(n, (0, 0))
+        else:
+            mu *= n  # = |SL2(Z/n)| = n^3 prod (1 - 1/p^2)
+            cusps = 3 if n == 2 else mu // (2 * n)
+        genus24 = 24 + mu - 12 * cusps
+    if (kind, n) in SMALL_LEVEL_WEIGHTS:
+        genus24 = 0  # weighted projective lines
+    g, rem = divmod(genus24, 24)
+    assert rem == 0 and g >= 0, group
+    return LevelInvariants(mu, Fraction(mu, 24), cusps, e2, e3, g)
+
+
+def index(group: CongruenceGroup) -> int:
+    return level_invariants(group).index
+
+
+def gamma1_index(n: int) -> int:
+    """d_n = [SL2(Z) : Gamma1(n)]."""
+    return index(CongruenceGroup(GroupKind.GAMMA1, n))
+
+
+def omega_degree(group: CongruenceGroup) -> Fraction:
+    return level_invariants(group).omega_degree
+
+
+def cusp_count(group: CongruenceGroup) -> int:
+    return level_invariants(group).cusps
+
+
+def elliptic_counts(group: CongruenceGroup) -> tuple[int, int]:
+    """(number of order-2 elliptic points, number of order-3 elliptic points)."""
+    inv = level_invariants(group)
+    return (inv.elliptic2, inv.elliptic3)
+
+
+def genus(group: CongruenceGroup) -> int:
+    return level_invariants(group).genus
 
 
 # ---------------------------------------------------------------------------
 # Weight-1 data
-
-
-def _default_weight1_table() -> dict[tuple[GroupKind, int], int]:
-    table = {}
-    for n in range(2, 43):
-        table[(GroupKind.GAMMA1, n)] = 1 if n in (23, 31, 39) else 0
-    return table
 
 
 @dataclass(frozen=True)
@@ -297,7 +205,7 @@ class Weight1Data:
 
     @classmethod
     def default(cls) -> "Weight1Data":
-        table = _default_weight1_table()
+        table = {(GroupKind.GAMMA1, n): int(n in (23, 31, 39)) for n in range(2, 43)}
         return cls(table, {key: "builtin" for key in table})
 
     @classmethod
@@ -335,7 +243,7 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
     if group.kind is GroupKind.GAMMA0:
         return 0  # -I acts as -1 on odd weights
     inv = level_invariants(group)
-    if 2 * inv.genus - 2 - inv.omega_degree < 0:
+    if 48 * (inv.genus - 1) < inv.index:  # 2g - 2 - index/24 < 0
         return 0
     if w1 is None:
         w1 = Weight1Data.default()
@@ -350,6 +258,10 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
 
 # ---------------------------------------------------------------------------
 # Dimensions
+
+#: The closed forms read weights up to 11, the deconvolution oracle and the
+#: consistency check up to 40: ``dimension_table`` holds weights 0..40.
+DIMENSION_HORIZON = 40
 
 
 def dim_modular_forms(
@@ -396,4 +308,30 @@ def dim_cusp_forms(
         return inv.genus
     if group.kind is GroupKind.GAMMA0 and k % 2 == 1:
         return 0
+    if k <= DIMENSION_HORIZON:
+        return _dimensions_besides_weight1(group)[k] - inv.cusps
     return dim_modular_forms(group, k, w1) - inv.cusps
+
+
+@lru_cache(maxsize=None)
+def _dimensions_besides_weight1(group: CongruenceGroup) -> tuple[int, ...]:
+    """m_0..m_DIMENSION_HORIZON, with m_1, the only one that reads weight-1
+    data, held at 0."""
+    weights = range(DIMENSION_HORIZON + 1)
+    return tuple(0 if k == 1 else dim_modular_forms(group, k) for k in weights)
+
+
+_DIMENSION_TABLES: dict[tuple[CongruenceGroup, int], tuple[int, ...]] = {}
+
+
+def dimension_table(
+    group: CongruenceGroup, w1: Weight1Data | None = None
+) -> tuple[int, ...]:
+    """m_0..m_DIMENSION_HORIZON, evaluated once per (group, s_1): the weight-1
+    data enter through s_1 alone, so the unhashable ``Weight1Data`` is no key
+    and an override that changes s_1 gets a table of its own."""
+    key = (group, weight1_cusp_dim(group, w1))
+    if key not in _DIMENSION_TABLES:
+        rest = _dimensions_besides_weight1(group)
+        _DIMENSION_TABLES[key] = (rest[0], dim_modular_forms(group, 1, w1), *rest[2:])
+    return _DIMENSION_TABLES[key]

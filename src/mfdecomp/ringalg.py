@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .levels import is_prime
+from .arith import is_prime
 
 __all__ = [
     "BasisCertificate",

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +216,21 @@ def test_freebasis_composite_characteristic_is_usage_error(capsys, tmp_path):
     assert err == "error: characteristic must be 0 or a prime, got 9\n"
 
 
+def test_freebasis_large_composite_characteristic_exits_quickly(capsys, tmp_path):
+    # 998244353 * 1000000007: a trial-division primality test never finishes
+    spec = tmp_path / "pres.txt"
+    spec.write_text(
+        "char 998244359987710471\nvar b2 2\nvar b4 4\n"
+        "gen b2 = b2\ngen delta = b2^2*b4^2 - b4^3\n"
+        "basis 1\nbasis b4\nbasis b4^2\nbound 24\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: characteristic must be 0 or a prime, got 998244359987710471\n"
+
+
 @pytest.mark.parametrize(
     "text, missing",
     [
@@ -248,3 +268,16 @@ def test_empty_request_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "mfdecomp", "levels", "g1:23"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == main(["levels", "g1:23"]) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -1,7 +1,10 @@
+from collections import Counter
+from functools import lru_cache
 from importlib import resources
 
 import pytest
 
+from mfdecomp import decomp, levels
 from mfdecomp.decomp import (
     BLOCK_WEIGHTS,
     BlockTag,
@@ -259,3 +262,26 @@ def test_table_generation_matches_golden():
 def test_dimension_function_wrapper():
     m = dimension_function(G1(23))
     assert m(-5) == 0 and m(0) == 1 and m(3) == 55
+
+
+@pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)])
+def test_each_weight_is_evaluated_once(monkeypatch, group):
+    calls = Counter()
+    original = levels.dim_modular_forms
+
+    def counting(group, k, w1=None):
+        calls[group, k] += 1
+        return original(group, k, w1)
+
+    for module in (levels, decomp):
+        monkeypatch.setattr(module, "dim_modular_forms", counting)
+    # a fresh group: empty dimension caches for the length of this test
+    monkeypatch.setattr(levels, "_DIMENSION_TABLES", {})
+    fresh = lru_cache(maxsize=None)(levels._dimensions_besides_weight1.__wrapped__)
+    monkeypatch.setattr(levels, "_dimensions_besides_weight1", fresh)
+
+    seq = omega_decomposition(group)
+    deconvolve_by_gamma1_block(group, 1)
+    assert verify_consistency(seq).ok
+    assert set(calls) == {(group, k) for k in range(levels.DIMENSION_HORIZON + 1)}
+    assert max(calls.values()) == 1

@@ -145,3 +145,54 @@ def test_finite_sequence_roundtrip(mults, tail):
     target = finite_sequence(original.convolve(block, k) for k in range(support))
     recovered = deconvolve(target, block, len(mults) - 1, support + 5)
     assert recovered.multiplicities == original.multiplicities
+
+
+def _naive_deconvolve(target, block, max_shift, verify_through):
+    """Reference: the greedy division and check, one function call per term."""
+    if block(0) != 1:
+        raise ValueError("block Hilbert function must be normalized: block(0) = 1")
+    coeffs = []
+    for i in range(max_shift + 1):
+        c = target(i) - sum(block(i - j) * coeffs[j] for j in range(i))
+        if c < 0:
+            raise NegativeMultiplicity(i, c)
+        coeffs.append(c)
+    result = TwistMultiset(dict(enumerate(coeffs)))
+    for k in range(verify_through + 1):
+        got = result.convolve(block, k)
+        if got != target(k):
+            raise ResidualMismatch(k, target(k), got)
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).multiplicities
+    except ValueError as exc:  # DeconvolutionError and the normalisation error
+        return type(exc), str(exc), vars(exc)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), max_size=16),
+    st.builds(
+        lambda head, tail: [head, *tail],
+        st.sampled_from([1, 1, 1, 1, 0, 2]),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=8),
+    ),
+    st.integers(min_value=-1, max_value=12),
+    st.integers(min_value=-1, max_value=24),
+)
+def test_deconvolve_matches_naive_reference(target, block, max_shift, verify_through):
+    # a block not normalised to block(0) = 1 must raise the same error in both
+    args = (finite_sequence(target), finite_sequence(block), max_shift, verify_through)
+    assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+
+
+@given(
+    st.dictionaries(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=4)),
+    st.lists(st.integers(min_value=-3, max_value=5), max_size=20),
+)
+def test_reconstruct_is_convolve_in_every_degree(mults, values):
+    mult = TwistMultiset(mults)
+    block = finite_sequence(values)
+    assert mult.reconstruct(values) == [mult.convolve(block, k) for k in range(len(values))]

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mfdecomp.decomp import omega_decomposition
 from mfdecomp.hilbert import WeightedLine, h0_dim
 from mfdecomp.levels import (
     SMALL_LEVEL_WEIGHTS,
@@ -122,7 +125,7 @@ def test_elliptic_counts():
 def test_level_invariants_consistency():
     inv = level_invariants(G1(23))
     assert inv.index == 528
-    assert inv.omega_degree == 22
+    assert inv.omega_degree == omega_degree(G1(23)) == 22
     assert inv.cusps == 22
     assert inv.genus == 12
     assert inv.genus == 1 + inv.omega_degree - inv.cusps // 2
@@ -224,33 +227,157 @@ def test_gamma1_cusp_genus_relation(n):
     assert index(g) > 0 and cusp_count(g) > 0
 
 
-def _uncached_dimensions(group, k):
-    """(dim M_k, dim S_k) for k >= 2 by the Fraction formulas, built from the
-    invariant functions rather than the memoised ``level_invariants``."""
+# ---------------------------------------------------------------------------
+# Coset-action oracle: the invariants read off the right action of S, T and
+# ST on the cosets of the group in SL2(Z), taken modulo -I, without any of
+# the closed formulas in levels.py (Diamond-Shurman, ch. 3).
+
+S, T, ST = (0, -1, 1, 0), (1, 1, 0, 1), (0, -1, 1, 1)
+
+
+def _times(row, m, n):
+    """The row vector ``row`` = (c, d) times the matrix ``m`` = (a, b, c, d), mod n."""
+    (c, d), (a1, b1, c1, d1) = row, m
+    return (c * a1 + d * c1) % n, (c * b1 + d * d1) % n
+
+
+def _prime_powers(n):
+    out, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def _p1_point(row, p, q):
+    """The canonical form (1 : d) or (c : 1), p | c, of a point of P^1(Z/p^e)."""
+    c, d = row
+    if c % p:
+        return 1, d * pow(c, -1, q) % q
+    return c * pow(d, -1, q) % q, 1
+
+
+def _gamma0_action(n):
+    """Gamma0(n) cosets: P^1(Z/n), the product of the P^1(Z/p^e) (by CRT)."""
+    local = _prime_powers(n)
+    points = list(
+        product(*([(1, d) for d in range(q)] + [(c, 1) for c in range(0, q, p)] for p, q in local))
+    )
+
+    def act(point, m):
+        return tuple(_p1_point(_times(row, m, q), p, q) for row, (p, q) in zip(point, local))
+
+    return points, act, len(points)  # -I lies in Gamma0(n): SL2 index = PSL2 index
+
+
+def _gamma1_action(n):
+    """Gamma1(n) cosets: bottom rows (c, d) of order n in (Z/n)^2, modulo +-1."""
+    rows = [(c, d) for c in range(n) for d in range(n) if gcd(c, d, n) == 1]
+    sign = lambda row: min(row, ((-row[0]) % n, (-row[1]) % n))
+    return sorted({sign(row) for row in rows}), lambda row, m: sign(_times(row, m, n)), len(rows)
+
+
+def _gamma_full_action(n):
+    """Gamma(n) cosets: SL2(Z/n), modulo +-1."""
+    mats = [
+        (a, b, c, d)
+        for c in range(n)
+        for d in range(n)
+        if gcd(c, d, n) == 1
+        for a in range(n)
+        for b in range(n)
+        if (a * d - b * c) % n == 1
+    ]
+    sign = lambda m: min(m, tuple((-x) % n for x in m))
+
+    def act(m, g):
+        top, bottom = _times(m[:2], g, n), _times(m[2:], g, n)
+        return sign(top + bottom)
+
+    return sorted({sign(m) for m in mats}), act, len(mats)
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for start in perm:
+        if start not in seen:
+            count += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+    return count
+
+
+@lru_cache(maxsize=None)
+def coset_invariants(group):
+    """(index, cusps, e2, e3, genus) of ``group`` from its coset action."""
+    build = {
+        GroupKind.GAMMA0: _gamma0_action,
+        GroupKind.GAMMA1: _gamma1_action,
+        GroupKind.GAMMA_FULL: _gamma_full_action,
+    }[group.kind]
+    points, act, sl2_index = build(group.level)
+    s, t, st = ({x: act(x, m) for x in points} for m in (S, T, ST))
+    for perm in (s, t, st):
+        assert sorted(perm.values()) == sorted(points)  # a permutation of the cosets
+    cusps = _cycles(t)  # cusps: orbits of <T, -I>
+    e2 = sum(s[x] == x for x in points)
+    e3 = sum(st[x] == x for x in points)
+    # Riemann-Hurwitz for X(group) -> X(1), of degree mu, branched over
+    # i (S), rho (ST) and infinity (T): 2g - 2 = -2 mu + sum (mu - #cycles)
+    twice_g = len(points) - _cycles(s) - _cycles(st) - cusps + 2
+    assert twice_g % 2 == 0
+    return sl2_index, cusps, e2, e3, twice_g // 2
+
+
+ORACLE_GROUPS = (
+    [G0(n) for n in range(2, 201)] + [G1(n) for n in range(2, 61)] + [GF(n) for n in range(2, 13)]
+)
+
+
+def test_coset_oracle_examples():
+    assert coset_invariants(G0(11)) == (12, 2, 0, 0, 1)
+    assert coset_invariants(G0(13)) == (14, 2, 2, 2, 0)
+    assert coset_invariants(G1(4)) == (12, 3, 0, 0, 0)  # one irregular cusp
+    assert coset_invariants(G1(23)) == (528, 22, 0, 0, 12)
+    assert coset_invariants(GF(7)) == (336, 24, 0, 0, 3)  # the Klein quartic
+
+
+def test_level_invariants_match_coset_oracle():
+    for group in ORACLE_GROUPS:
+        inv = level_invariants(group)
+        got = (inv.index, inv.cusps, inv.elliptic2, inv.elliptic3, inv.genus)
+        assert got == coset_invariants(group), group
+
+
+def _oracle_dimensions(group, k):
+    """(dim M_k, dim S_k) for k >= 2 from the coset-oracle invariants."""
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         line = WeightedLine(*SMALL_LEVEL_WEIGHTS[key])
         return h0_dim(line, k), h0_dim(line, k - 2 - line.a - line.b)
-    g = genus(group)
+    mu, cusps, e2, e3, g = coset_invariants(group)
     if group.kind is GroupKind.GAMMA0:
         if k % 2 == 1:
             return 0, 0
-        e2, e3 = elliptic_counts(group)
-        m = (k - 1) * (g - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * cusp_count(group)
+        m = (k - 1) * (g - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * cusps
     else:
-        m = omega_degree(group) * k + 1 - g
+        m = Fraction(mu * k, 24) + 1 - g
         assert m.denominator == 1
-    m = int(m)
     assert m >= 0
-    return m, g if k == 2 else m - cusp_count(group)
+    return m, g if k == 2 else m - cusps
 
 
-@given(st.sampled_from(list(GroupKind)), st.integers(min_value=2, max_value=200))
-def test_dimensions_match_uncached_formulas(kind, n):
-    group = CongruenceGroup(kind, n)
+@given(st.sampled_from(ORACLE_GROUPS))
+def test_dimensions_match_coset_oracle(group):
     for k in range(2, 49):
         got = (dim_modular_forms(group, k), dim_cusp_forms(group, k))
-        assert got == _uncached_dimensions(group, k), k
+        assert got == _oracle_dimensions(group, k), k
 
 
 def test_level_invariants_are_memoised_per_group():
@@ -258,8 +385,15 @@ def test_level_invariants_are_memoised_per_group():
 
 
 def test_warm_invariant_cache_never_holds_weight1_data(tmp_path):
-    before = dim_modular_forms(G1(23), 1, Weight1Data.default())  # warms level_invariants
+    default = Weight1Data.default()
+    before = dim_modular_forms(G1(23), 1, default)  # warms level_invariants
+    omega_before = omega_decomposition(G1(23), default).as_list()  # and the dimension table
     path = tmp_path / "w1.txt"
     path.write_text("g1 23 5\n")
-    after = dim_modular_forms(G1(23), 1, Weight1Data.load(path))
+    override = Weight1Data.load(path)
+    after = dim_modular_forms(G1(23), 1, override)
     assert (before, after) == (12, 16)  # 22 cusps / 2 + s_1, s_1 from 1 to 5
+    omega_after = omega_decomposition(G1(23), override).as_list()
+    # m_1 enters l_1, l_5, l_7 and l_11 with signs +, -, -, +
+    assert [b - a for a, b in zip(omega_before, omega_after)] == [0, 4, 0, 0, 0, -4, 0, -4, 0, 0, 0, 4]
+    assert omega_decomposition(G1(23), default).as_list() == omega_before
