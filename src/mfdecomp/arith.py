@@ -1,7 +1,10 @@
-"""Integer arithmetic: trial-division factorisation (for levels and group
-indices) and a Miller-Rabin primality test (for characteristics and primes)."""
+"""Integer arithmetic: factorisation (for levels and group indices) and a
+Miller-Rabin primality test (for characteristics and primes)."""
 
 from __future__ import annotations
+
+from itertools import count
+from math import gcd
 
 __all__ = ["factorize", "is_prime"]
 
@@ -9,22 +12,44 @@ __all__ = ["factorize", "is_prime"]
 #: bases, so ``is_prime`` is exact there.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+#: ``factorize`` trial-divides by the integers below this bound only.
+_TRIAL_BOUND = 1000
+
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, e) with p^e exactly dividing n >= 1, p ascending."""
-    out = []
+    """The pairs (p, e) with p^e exactly dividing n >= 1, p ascending: trial
+    division below ``_TRIAL_BOUND``, then ``is_prime`` and Pollard-Brent rho
+    on the cofactor, so a level with large prime factors factors at once."""
+    exponents: dict[int, int] = {}
     p = 2
-    while p * p <= n:
-        e = 0
+    while p < _TRIAL_BOUND and p * p <= n:
         while n % p == 0:
             n //= p
-            e += 1
-        if e:
-            out.append((p, e))
+            exponents[p] = exponents.get(p, 0) + 1
         p += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):  # no factor below the bound is left
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            pending += [d := _rho_factor(m), m // d]
+    return tuple(sorted(exponents.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n: Pollard's rho with Brent's cycle search."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) != 1:
+                    break
+            r *= 2
+        if g != n:  # g = n: the cycles mod every factor closed at once; next c
+            return g
 
 
 def is_prime(n: int) -> bool:

@@ -42,8 +42,6 @@ TABLE_COLUMNS = {
     "level3": ["n"] + [f"k{i}" for i in range(6)],
 }
 
-GOLDEN_FILES = {"omega": "omega.tsv", "level2": "level2.tsv", "level3": "level3.tsv"}
-
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 
 
@@ -158,12 +156,7 @@ def _freebasis_from_file(path: str):
     for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
         if not lines:
             raise ValueError(f"no {directive!r} line in {path}")
-    algebra = ringalg.GradedAlgebra(char, tuple(variables))
-    spec = ringalg.SubringSpec(
-        tuple((name, ringalg.parse_polynomial(algebra, expr)) for name, expr in gens)
-    )
-    basis_polys = [ringalg.parse_polynomial(algebra, b) for b in basis]
-    return algebra, spec, basis_polys, bound
+    return ringalg._preset(char, tuple(variables), gens, basis, bound)
 
 
 def cmd_freebasis(args) -> int:
@@ -203,7 +196,7 @@ def _suite_decomp(out: list[str], w1: Weight1Data) -> bool:
         lo, hi = (2, 42) if flavor == "omega" else (4, 23)
         rows = decomp.table_generate(lo, hi, tag, w1)
         generated = _render_table(TABLE_COLUMNS[flavor], rows, "tsv")
-        same = generated == _golden_text(GOLDEN_FILES[flavor])
+        same = generated == _golden_text(f"{flavor}.tsv")
         ok &= _check(out, f"golden-table-{flavor}", same, "byte-for-byte")
     for n in range(2, 43):
         group = CongruenceGroup(GroupKind.GAMMA1, n)
@@ -229,7 +222,7 @@ def _suite_decomp(out: list[str], w1: Weight1Data) -> bool:
     return ok
 
 
-def _suite_wproj(out: list[str]) -> bool:
+def _suite_wproj(out: list[str], w1: Weight1Data) -> bool:
     ok = True
     worst = None
     for a in range(1, 13):
@@ -254,7 +247,7 @@ def _suite_wproj(out: list[str]) -> bool:
     return ok
 
 
-def _suite_ringalg(out: list[str]) -> bool:
+def _suite_ringalg(out: list[str], w1: Weight1Data) -> bool:
     ok = True
     for name in ringalg.PRESETS:
         cert = ringalg.preset_certificate(name)
@@ -279,7 +272,7 @@ def _suite_ringalg(out: list[str]) -> bool:
     return ok
 
 
-def _suite_hasse(out: list[str]) -> bool:
+def _suite_hasse(out: list[str], w1: Weight1Data) -> bool:
     ok = True
     for p in HASSE_PRIMES:
         report = hasse_lift(p, 60)
@@ -293,11 +286,13 @@ def _suite_hasse(out: list[str]) -> bool:
     return ok
 
 
+#: Each suite appends its check lines to ``out`` and reports whether all passed;
+#: only the decomp suite reads the weight-1 data.
 SUITES = {
-    "decomp": lambda out, w1: _suite_decomp(out, w1),
-    "wproj": lambda out, w1: _suite_wproj(out),
-    "ringalg": lambda out, w1: _suite_ringalg(out),
-    "hasse": lambda out, w1: _suite_hasse(out),
+    "decomp": _suite_decomp,
+    "wproj": _suite_wproj,
+    "ringalg": _suite_ringalg,
+    "hasse": _suite_hasse,
 }
 
 
@@ -337,11 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "--suite",
-        choices=["all", "decomp", "wproj", "ringalg", "hasse"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=["all", *SUITES], default="all")
     p.add_argument("--weight1", help="weight-1 override file")
     p.set_defaults(func=cmd_verify)
 

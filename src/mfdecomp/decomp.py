@@ -5,11 +5,16 @@ over the level-1 ring, splits into shifted copies of a handful of standard
 blocks: powers of omega (level 1), and the level-2/3/4/5-or-6 rings.  Each
 block is the ring of a weighted projective line P(a, b), with Hilbert series
 1/((1 - t^a)(1 - t^b)), and every block table (rank, support bound,
-closed-form offsets, the kernels between blocks) derives from the pair
-(a, b) in ``BLOCK_WEIGHTS``.  The multiplicity sequences are the
-coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k; Hilbert-function
-deconvolution (in :mod:`.hilbert`) serves as the independent cross-check
-and the two must always agree.
+closed-form offsets, cusp-form identities, the kernels between blocks)
+derives from the pair (a, b) in ``BLOCK_WEIGHTS``.  The multiplicity
+sequence c_0..c_{a+b+1} is the coefficients of (1 - t^a)(1 - t^b) * sum_k
+m_k t^k.  Serre duality gives it a second time from the cusp-form
+dimensions: read backwards, it is the coefficients of t^1..t^{a+b+2} in
+(1 - t^a)(1 - t^b) * sum_k s_k t^k, that is c_{a+b+2-i} = [... * S(t)]_i.
+The identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus,
+k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
+Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
+independent cross-check and the two must always agree.
 
 Shift convention: multiplicity at shift i means a summand twisted by the
 (-i)-th power of omega.
@@ -32,10 +37,11 @@ from .hilbert import (
     h0_dim,
 )
 from .levels import (
+    SMALL_LEVEL_WEIGHTS,
     CongruenceGroup,
     GroupKind,
     Weight1Data,
-    dim_cusp_forms,
+    cusp_table,
     dim_modular_forms,
     dimension_table,
     gamma1_index,
@@ -81,12 +87,22 @@ class BlockTag(str, Enum):
 #: Generator weights (a, b) of each block ring: the block is the ring of the
 #: weighted projective line P(a, b), so its Hilbert series is
 #: 1/((1 - t^a)(1 - t^b)) and its rank over the level-1 ring is 24 / (a b).
+#: The level-q blocks for q = 2, 3, 4 are the rings of Gamma1(q).
 BLOCK_WEIGHTS = {
     BlockTag.OMEGA_POWERS: (4, 6),
-    BlockTag.LEVEL2: (2, 4),
-    BlockTag.LEVEL3: (1, 3),
-    BlockTag.LEVEL4: (1, 2),
+    **{tag: SMALL_LEVEL_WEIGHTS[GroupKind.GAMMA1, q]
+       for q, tag in enumerate((BlockTag.LEVEL2, BlockTag.LEVEL3, BlockTag.LEVEL4), 2)},
     BlockTag.LEVEL5OR6: (1, 1),
+}
+
+#: Smallest Gamma1 level whose ring each block decomposes; Gamma(n) for n >= 3
+#: takes every block.
+MIN_GAMMA1_LEVEL = {
+    BlockTag.OMEGA_POWERS: 2,
+    BlockTag.LEVEL2: 4,
+    BlockTag.LEVEL3: 5,
+    BlockTag.LEVEL4: 4,
+    BlockTag.LEVEL5OR6: 5,
 }
 
 
@@ -154,20 +170,44 @@ class DecompositionSequence:
         return self.mult.as_list(length)
 
 
+def _times_denominator(tag: BlockTag, values: tuple[int, ...], length: int) -> list[int]:
+    """Coefficients of t^0..t^(length-1) in (1 - t^a)(1 - t^b) * sum_k values[k] t^k."""
+    a, b = BLOCK_WEIGHTS[tag]
+    v = (0,) * (a + b) + values[:length]  # v[i + a + b] = values[i]
+    return [v[i + a + b] - v[i + b] - v[i + a] + v[i] for i in range(length)]
+
+
+def _cusp_identity_failure(
+    group: CongruenceGroup, tag: BlockTag, cs: list[int], w1: Weight1Data | None
+) -> str:
+    """'' if c_0..c_{a+b+1} obey Serre duality, c_{a+b+2-i} =
+    [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for 1 <= i <= a+b+2; else the
+    first shift where they do not."""
+    dual = _times_denominator(tag, cusp_table(group, w1), len(cs) + 1)[:0:-1]
+    bad = [(i, c, d) for i, (c, d) in enumerate(zip(cs, dual)) if c != d]
+    return "shift %d: %d != %d from the cusp-form dimensions" % bad[0] if bad else ""
+
+
 def _closed_form(
     group: CongruenceGroup, tag: BlockTag, w1: Weight1Data | None
 ) -> DecompositionSequence:
-    """Multiplicities c_i: the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k."""
-    offsets = [(off, sign) for off, sign in enumerate(_denominator(tag)) if sign]
-    m = dimension_table(group, w1)  # reaches past every support bound
-    seq = []
-    for i in range(_support_bound(tag) + 1):
-        c = sum(sign * m[i - off] for off, sign in offsets if off <= i)
+    """Multiplicities c_i: the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k,
+    nonnegative and obeying the cusp-form identities."""
+    min_level = MIN_GAMMA1_LEVEL[tag] if group.kind is GroupKind.GAMMA1 else 3
+    if tag is not BlockTag.OMEGA_POWERS and (
+        group.kind is GroupKind.GAMMA0 or group.level < min_level
+    ):
+        raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
+    # dimension_table reaches past every support bound
+    seq = _times_denominator(tag, dimension_table(group, w1), _support_bound(tag) + 1)
+    for i, c in enumerate(seq):
         if c < 0:
             raise DecompositionInvalid(
                 f"{tag.value} multiplicity at shift {i} is {c} < 0 for {group}"
             )
-        seq.append(c)
+    problem = _cusp_identity_failure(group, tag, seq, w1)
+    if problem:
+        raise DecompositionInvalid(f"{tag.value} cusp identities fail for {group}: {problem}")
     return DecompositionSequence(
         group, base_block(tag), TwistMultiset(dict(enumerate(seq)))
     )
@@ -177,39 +217,15 @@ def omega_decomposition(
     group: CongruenceGroup, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
     """l_i = m_i - m_{i-4} - m_{i-6} + m_{i-10} for 0 <= i <= 11."""
-    seq = _closed_form(group, BlockTag.OMEGA_POWERS, w1)
-    ls = seq.as_list()
-    for i in range(1, 5):
-        expected = dim_cusp_forms(group, i, w1)
-        if ls[12 - i] != expected:
-            raise DecompositionInvalid(
-                f"l_{12 - i} = {ls[12 - i]} != s_{i} = {expected} for {group}"
-            )
-    if ls[10] != level_invariants(group).genus:
-        raise DecompositionInvalid(f"l_10 != genus for {group}")
-    return seq
-
-
-def _require_block_group(group: CongruenceGroup, tag: BlockTag) -> None:
-    min_gamma1 = 4 if tag in (BlockTag.LEVEL2, BlockTag.LEVEL4) else 5
-    ok = (group.kind is GroupKind.GAMMA1 and group.level >= min_gamma1) or (
-        group.kind is GroupKind.GAMMA_FULL and group.level >= 3
-    )
-    if not ok:
-        raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
+    return _closed_form(group, BlockTag.OMEGA_POWERS, w1)
 
 
 def level3_decomposition(
     group: CongruenceGroup, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
     """k_i = m_i - m_{i-1} - m_{i-3} + m_{i-4} for 0 <= i <= 5."""
-    _require_block_group(group, BlockTag.LEVEL3)
     seq = _closed_form(group, BlockTag.LEVEL3, w1)
     ks = seq.as_list()
-    s1 = dim_cusp_forms(group, 1, w1)
-    s2 = dim_cusp_forms(group, 2, w1)
-    if ks[5] != s1 or ks[4] != s2 - s1:
-        raise DecompositionInvalid(f"k_5/k_4 cusp identities fail for {group}")
     if not (ks[0] + ks[3] == ks[1] + ks[4] == ks[2] + ks[5]):
         raise DecompositionInvalid(f"balance identity fails for {group}")
     return seq
@@ -219,43 +235,17 @@ def level2_decomposition(
     group: CongruenceGroup, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
     """k_i = m_i - m_{i-2} - m_{i-4} + m_{i-6} for 0 <= i <= 7."""
-    _require_block_group(group, BlockTag.LEVEL2)
-    seq = _closed_form(group, BlockTag.LEVEL2, w1)
-    ks = seq.as_list()
-    if ks[7] != dim_cusp_forms(group, 1, w1):
-        raise DecompositionInvalid(f"k_7 != s_1 for {group}")
-    if ks[6] != level_invariants(group).genus:
-        raise DecompositionInvalid(f"k_6 != genus for {group}")
-    return seq
+    return _closed_form(group, BlockTag.LEVEL2, w1)
 
 
 def level456_decomposition(
     group: CongruenceGroup, q: int, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
-    """q = 4: the level-2 sequence deconvolved by the level-4 block's kernel
-    (1, 1, 1, 1) in level-2 blocks.  q = 5, 6:
-    kappa_i = m_i - 2 m_{i-1} + m_{i-2} for 0 <= i <= 3."""
+    """q = 4: kappa_i = m_i - m_{i-1} - m_{i-2} + m_{i-3} for 0 <= i <= 4.
+    q = 5, 6 (one block): kappa_i = m_i - 2 m_{i-1} + m_{i-2} for 0 <= i <= 3."""
     if q not in (4, 5, 6):
         raise ValueError(f"q must be 4, 5 or 6, got {q}")
-    if q == 4:
-        _require_block_group(group, BlockTag.LEVEL4)
-        level2 = level2_decomposition(group, w1)
-        target = finite_sequence(level2.as_list())
-        block = finite_sequence(_kernel(BlockTag.LEVEL2, BlockTag.LEVEL4))
-        try:
-            mult = deconvolve(
-                target, block, _support_bound(BlockTag.LEVEL4), verify_through=12
-            )
-        except ValueError as exc:
-            raise DecompositionInvalid(
-                f"level4 decomposition fails for {group}: {exc}"
-            ) from exc
-        return DecompositionSequence(group, base_block(BlockTag.LEVEL4), mult)
-    _require_block_group(group, BlockTag.LEVEL5OR6)
-    seq = _closed_form(group, BlockTag.LEVEL5OR6, w1)
-    if seq.as_list()[3] != dim_cusp_forms(group, 1, w1):
-        raise DecompositionInvalid(f"kappa_3 != s_1 for {group}")
-    return seq
+    return _closed_form(group, BlockTag.LEVEL4 if q == 4 else BlockTag.LEVEL5OR6, w1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +274,19 @@ def verify_consistency(
     w1: Weight1Data | None = None,
     max_weight: int = 40,
 ) -> ConsistencyReport:
-    """Convolution, rank, cross-block and cusp-form identities for ``seq``."""
-    checks: list[tuple[str, bool, str]] = []
-    group = seq.group
-    tag = seq.block.tag
+    """Convolution, rank, cross-block, cusp-form and (level 3) balance
+    identities for ``seq``."""
+    group, tag, cs = seq.group, seq.block.tag, seq.as_list()
     m = dimension_function(group, w1)
     weights = range(max_weight + 1)
     got = seq.mult.reconstruct([seq.block.hilbert(k) for k in weights])
     bad = [(k, m(k), got[k]) for k in weights if m(k) != got[k]]
-    checks.append(
-        (
-            "convolution",
-            not bad,
-            "exact through weight %d" % max_weight
-            if not bad
-            else "first failure at weight %d: m=%d, reconstruction=%d" % bad[0],
-        )
-    )
+    detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
+    checks = [("convolution", not bad, detail or f"exact through weight {max_weight}")]
 
-    inv = level_invariants(group)
-    rank = seq.mult.total() * seq.block.rank
-    checks.append(
-        (
-            "rank",
-            rank == inv.index,
-            f"sum(mult) * {seq.block.rank} = {rank}, index = {inv.index}",
-        )
-    )
+    index, rank = level_invariants(group).index, seq.mult.total() * seq.block.rank
+    detail = f"sum(mult) * {seq.block.rank} = {rank}, index = {index}"
+    checks.append(("rank", rank == index, detail))
 
     if tag is not BlockTag.OMEGA_POWERS:
         try:
@@ -324,20 +300,11 @@ def verify_consistency(
         except DecompositionInvalid as exc:
             checks.append(("cross-block", False, str(exc)))
 
-    s = lambda k: dim_cusp_forms(group, k, w1)
-    ls = seq.as_list()
-    if tag is BlockTag.OMEGA_POWERS:
-        ok = all(ls[12 - i] == s(i) for i in range(1, 5)) and ls[10] == inv.genus
-        checks.append(("cusp-identities", ok, "l_{12-i} = s_i, l_10 = genus"))
-    elif tag is BlockTag.LEVEL3:
-        ok = ls[5] == s(1) and ls[4] == s(2) - s(1)
-        checks.append(("cusp-identities", ok, "k_5 = s_1, k_4 = s_2 - s_1"))
-        balanced = ls[0] + ls[3] == ls[1] + ls[4] == ls[2] + ls[5]
+    problem = _cusp_identity_failure(group, tag, cs, w1)
+    checks.append(("cusp-identities", not problem, problem or "Serre duality"))
+    if tag is BlockTag.LEVEL3:
+        balanced = cs[0] + cs[3] == cs[1] + cs[4] == cs[2] + cs[5]
         checks.append(("balance", balanced, "k_0+k_3 = k_1+k_4 = k_2+k_5"))
-    elif tag is BlockTag.LEVEL2:
-        ok = ls[7] == s(1) and ls[6] == inv.genus
-        checks.append(("cusp-identities", ok, "k_7 = s_1, k_6 = genus"))
-
     return ConsistencyReport(group, tag, tuple(checks))
 
 
@@ -414,13 +381,6 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
 # ---------------------------------------------------------------------------
 # Table generation
 
-TABLE_MIN_LEVEL = {
-    BlockTag.OMEGA_POWERS: 2,
-    BlockTag.LEVEL2: 4,
-    BlockTag.LEVEL3: 5,
-}
-
-
 def table_generate(
     lo: int,
     hi: int,
@@ -433,9 +393,9 @@ def table_generate(
     left empty raises ValueError.  The genus column is only present for the
     omega flavor.
     """
-    if flavor not in TABLE_MIN_LEVEL:
+    if flavor not in (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3):
         raise ValueError(f"unsupported table flavor {flavor}")
-    first = TABLE_MIN_LEVEL[flavor]
+    first = MIN_GAMMA1_LEVEL[flavor]
     if max(lo, first) > hi:
         raise ValueError(f"empty level range {lo}..{hi}; this table starts at {first}")
     rows = []

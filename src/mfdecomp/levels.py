@@ -15,8 +15,9 @@ n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
 
 ``level_invariants`` derives index, cusps, elliptic points and genus from one
 factorisation of the level, in integers, once per group.  ``dimension_table``
-evaluates m_0..m_40 once per (group, s_1); the decomposition closed forms, the
-deconvolution oracle and the consistency checks all read it.
+evaluates m_0..m_40 and ``cusp_table`` s_0..s_12 once per (group, s_1); the
+decomposition closed forms, their cusp-form identities, the deconvolution
+oracle and the consistency checks all read them.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -44,6 +45,7 @@ __all__ = [
     "Weight1Data",
     "Weight1Unavailable",
     "cusp_count",
+    "cusp_table",
     "dim_cusp_forms",
     "dim_modular_forms",
     "dimension_table",
@@ -261,7 +263,9 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
 
 #: The closed forms read weights up to 11, the deconvolution oracle and the
 #: consistency check up to 40: ``dimension_table`` holds weights 0..40.
-DIMENSION_HORIZON = 40
+#: Serre duality reads cusp forms up to weight a + b + 2 for the block P(a, b),
+#: at most 12 for the omega block P(4, 6): ``cusp_table`` holds weights 0..12.
+DIMENSION_HORIZON, CUSP_HORIZON = 40, 12
 
 
 def dim_modular_forms(
@@ -293,24 +297,31 @@ def dim_modular_forms(
 def dim_cusp_forms(
     group: CongruenceGroup, k: int, w1: Weight1Data | None = None
 ) -> int:
-    if k <= 0:
-        return 0
+    return _cusp_dimensions(group, range(k, k + 1), w1)[0]
+
+
+def _cusp_dimensions(
+    group: CongruenceGroup, weights: range, w1: Weight1Data | None
+) -> list[int]:
+    """s_k for each k in ``weights``, reading the group's data once."""
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         # Duality on the weighted line: cusp forms of weight k are sections
         # of Omega^1 (x) omega^{k-2} = O(k - 2 - a - b).
         a, b = SMALL_LEVEL_WEIGHTS[key]
-        return h0_dim(WeightedLine(a, b), k - 2 - a - b)
-    if k == 1:
-        return weight1_cusp_dim(group, w1)
+        return [h0_dim(WeightedLine(a, b), k - 2 - a - b) for k in weights]
     inv = level_invariants(group)
-    if k == 2:
-        return inv.genus
-    if group.kind is GroupKind.GAMMA0 and k % 2 == 1:
-        return 0
-    if k <= DIMENSION_HORIZON:
-        return _dimensions_besides_weight1(group)[k] - inv.cusps
-    return dim_modular_forms(group, k, w1) - inv.cusps
+    m = _dimensions_besides_weight1(group)
+    dims = []
+    for k in weights:
+        if k <= 0 or (group.kind is GroupKind.GAMMA0 and k % 2):  # -I: odd weights vanish
+            dims.append(0)
+        elif k <= 2:
+            dims.append(weight1_cusp_dim(group, w1) if k == 1 else inv.genus)
+        else:
+            mk = m[k] if k <= DIMENSION_HORIZON else dim_modular_forms(group, k, w1)
+            dims.append(mk - inv.cusps)
+    return dims
 
 
 @lru_cache(maxsize=None)
@@ -321,17 +332,29 @@ def _dimensions_besides_weight1(group: CongruenceGroup) -> tuple[int, ...]:
     return tuple(0 if k == 1 else dim_modular_forms(group, k) for k in weights)
 
 
-_DIMENSION_TABLES: dict[tuple[CongruenceGroup, int], tuple[int, ...]] = {}
+_DIMENSION_TABLES: dict[tuple[CongruenceGroup, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def dimension_table(
-    group: CongruenceGroup, w1: Weight1Data | None = None
-) -> tuple[int, ...]:
-    """m_0..m_DIMENSION_HORIZON, evaluated once per (group, s_1): the weight-1
-    data enter through s_1 alone, so the unhashable ``Weight1Data`` is no key
-    and an override that changes s_1 gets a table of its own."""
+def _tables(group: CongruenceGroup, w1: Weight1Data | None) -> tuple[tuple[int, ...], ...]:
+    """(m_0..m_DIMENSION_HORIZON, s_0..s_CUSP_HORIZON), evaluated once per
+    (group, s_1): the weight-1 data enter through s_1 alone, so the unhashable
+    ``Weight1Data`` is no key and an override that changes s_1 gets tables of
+    its own."""
     key = (group, weight1_cusp_dim(group, w1))
     if key not in _DIMENSION_TABLES:
         rest = _dimensions_besides_weight1(group)
-        _DIMENSION_TABLES[key] = (rest[0], dim_modular_forms(group, 1, w1), *rest[2:])
+        _DIMENSION_TABLES[key] = (
+            (rest[0], dim_modular_forms(group, 1, w1), *rest[2:]),
+            tuple(_cusp_dimensions(group, range(CUSP_HORIZON + 1), w1)),
+        )
     return _DIMENSION_TABLES[key]
+
+
+def dimension_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:
+    """m_0..m_DIMENSION_HORIZON, once per (group, s_1)."""
+    return _tables(group, w1)[0]
+
+
+def cusp_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:
+    """s_0..s_CUSP_HORIZON, once per (group, s_1)."""
+    return _tables(group, w1)[1]

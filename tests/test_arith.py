@@ -43,3 +43,24 @@ def test_factorize(n):
     assert prod(p**e for p, e in pairs) == n
     assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
     assert all(is_prime(p) and e >= 1 for p, e in pairs)
+
+
+def test_factorize_large_factors():
+    assert factorize(998244353 * 1000000007) == ((998244353, 1), (1000000007, 1))
+    assert factorize(10**18 + 3) == ((10**18 + 3, 1),)
+    assert factorize(1000003**2) == ((1000003, 2),)
+    assert factorize(2**67 - 1) == ((193707721, 1), (761838257287, 1))
+    # d_q = q^2 - 1 for the prime q = 10^18 + 3, which obstruct factorises
+    assert factorize((10**18 + 3) ** 2 - 1) == (
+        (2, 3), (3, 1), (17, 1), (131, 1), (1427, 1), (1801, 1),
+        (246809, 1), (562425889, 1), (52445056723, 1),
+    )
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=3))
+def test_factorize_is_multiplicative(parts):
+    exponents = {}
+    for part in parts:
+        for p, e in factorize(part):
+            exponents[p] = exponents.get(p, 0) + e
+    assert factorize(prod(parts)) == tuple(sorted(exponents.items()))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mfdecomp.cli import main
+from mfdecomp.cli import SUITES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -37,6 +37,32 @@ def test_levels_rejects_level_one(capsys):
     code, _, err = run(capsys, "levels", "g1:1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "spec, index",
+    [
+        # a prime level: n^2 (1 - 1/n^2) = n^2 - 1
+        ("g1:1000000000000000003", 1000000000000000003**2 - 1),
+        # 998244353 * 1000000007: n prod (1 + 1/p) = (p + 1)(q + 1)
+        ("g0:998244359987710471", 998244354 * 1000000008),
+    ],
+)
+def test_levels_with_large_prime_factors_exit_quickly(capsys, spec, index):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "levels", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split("\t"), row.split("\t")))["index"] == str(index)
+
+
+def test_obstruct_at_a_large_prime_exits_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "obstruct", "--q", "1000000000000000003", "--bound", "100")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[0].startswith(f"q=1000000000000000003\td_q={10**36 + 6 * 10**18 + 8}")
 
 
 def test_levels_json_roundtrip(capsys):
@@ -114,6 +140,15 @@ def test_corrupted_override_fails_verify(capsys, tmp_path):
     assert failing
     # the corrupted weight-1 value shifts the tabulated rows off the goldens
     assert any("golden-table" in line for line in failing)
+
+
+def test_verify_suite_choices_are_the_suites():
+    args = build_parser().parse_args(["verify"])
+    assert args.suite == "all"
+    for suite in SUITES:
+        assert build_parser().parse_args(["verify", "--suite", suite]).suite == suite
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--suite", "bogus"])
 
 
 def test_verify_suites_pass(capsys):

@@ -7,6 +7,7 @@ import pytest
 from mfdecomp import decomp, levels
 from mfdecomp.decomp import (
     BLOCK_WEIGHTS,
+    MIN_GAMMA1_LEVEL,
     BlockTag,
     DecompositionInvalid,
     DecompositionSequence,
@@ -23,8 +24,16 @@ from mfdecomp.decomp import (
     verify_consistency,
 )
 from mfdecomp.decomp import _kernel, _support_bound
-from mfdecomp.hilbert import NegativeMultiplicity, TwistMultiset
-from mfdecomp.levels import CongruenceGroup, GroupKind, index, is_prime
+from mfdecomp.hilbert import NegativeMultiplicity, TwistMultiset, deconvolve, finite_sequence
+from mfdecomp.levels import (
+    SMALL_LEVEL_WEIGHTS,
+    CongruenceGroup,
+    GroupKind,
+    Weight1Data,
+    dim_cusp_forms,
+    index,
+    is_prime,
+)
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 G0 = lambda n: CongruenceGroup(GroupKind.GAMMA0, n)
@@ -285,3 +294,105 @@ def test_each_weight_is_evaluated_once(monkeypatch, group):
     assert verify_consistency(seq).ok
     assert set(calls) == {(group, k) for k in range(levels.DIMENSION_HORIZON + 1)}
     assert max(calls.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# The Serre-duality rule behind every cusp-form identity
+
+DECOMPOSE = {
+    BlockTag.OMEGA_POWERS: omega_decomposition,
+    BlockTag.LEVEL2: level2_decomposition,
+    BlockTag.LEVEL3: level3_decomposition,
+    BlockTag.LEVEL4: lambda group, w1=None: level456_decomposition(group, 4, w1),
+    BlockTag.LEVEL5OR6: lambda group, w1=None: level456_decomposition(group, 5, w1),
+}
+
+
+def supported_blocks(group):
+    if group.kind is GroupKind.GAMMA0 or group == GF(2):
+        return [BlockTag.OMEGA_POWERS]
+    if group.kind is GroupKind.GAMMA_FULL:
+        return list(BlockTag)
+    return [tag for tag in BlockTag if group.level >= MIN_GAMMA1_LEVEL[tag]]
+
+
+def serre_dual_sequence(group, tag, w1=None):
+    """c_0..c_{a+b+1} read off the cusp-form dimensions alone:
+    c_{a+b+2-i} = [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i, 1 <= i <= a+b+2."""
+    a, b = BLOCK_WEIGHTS[tag]
+    den = Counter({0: 1, a + b: 1})
+    den[a] -= 1
+    den[b] -= 1
+    s = lambda k: dim_cusp_forms(group, k, w1)
+    coeff = lambda i: sum(c * s(i - j) for j, c in den.items() if j <= i)
+    return [coeff(a + b + 2 - j) for j in range(a + b + 2)]
+
+
+RULE_GROUPS = (
+    [G0(n) for n in range(2, 401)]
+    + [G1(n) for n in range(2, 43)]
+    + [GF(n) for n in range(3, 12)]
+)
+
+
+@pytest.mark.parametrize("group", RULE_GROUPS, ids=str)
+def test_multiplicities_obey_serre_duality(group):
+    for tag in supported_blocks(group):
+        seq = DECOMPOSE[tag](group)
+        assert seq.as_list() == serre_dual_sequence(group, tag), tag
+        assert ("cusp-identities", True, "Serre duality") in verify_consistency(seq).checks
+
+
+def test_serre_duality_under_a_weight1_override(tmp_path):
+    path = tmp_path / "w1.txt"
+    path.write_text("g1 23 5\n")
+    w1 = Weight1Data.load(path)
+    for tag in BlockTag:
+        seq = DECOMPOSE[tag](G1(23), w1)
+        assert seq.as_list() == serre_dual_sequence(G1(23), tag, w1)
+        assert seq.as_list() != DECOMPOSE[tag](G1(23)).as_list()
+        assert verify_consistency(seq, w1).ok
+
+
+@pytest.mark.parametrize("tag", list(BlockTag), ids=lambda tag: tag.value)
+def test_one_changed_multiplicity_fails_the_cusp_identities(tag):
+    good = DECOMPOSE[tag](G1(23))
+    for shift in range(_support_bound(tag) + 1):
+        mults = dict(good.mult.multiplicities)
+        mults[shift] += 1
+        bad = DecompositionSequence(good.group, good.block, TwistMultiset(mults))
+        names = [name for name, _ in verify_consistency(bad).failures()]
+        assert "cusp-identities" in names, shift
+
+
+@pytest.mark.parametrize(
+    "group", [G1(n) for n in range(4, 43)] + [GF(n) for n in range(3, 12)], ids=str
+)
+def test_level4_closed_form_equals_level2_deconvolution(group):
+    level2 = finite_sequence(level2_decomposition(group).as_list())
+    kernel = finite_sequence(_kernel(BlockTag.LEVEL2, BlockTag.LEVEL4))
+    oracle = deconvolve(level2, kernel, _support_bound(BlockTag.LEVEL4), verify_through=12)
+    assert level456_decomposition(group, 4).as_list() == oracle.as_list(5)
+
+
+def test_level_q_block_weights_are_the_gamma1_q_weights():
+    for q, tag in ((2, BlockTag.LEVEL2), (3, BlockTag.LEVEL3), (4, BlockTag.LEVEL4)):
+        assert BLOCK_WEIGHTS[tag] == SMALL_LEVEL_WEIGHTS[GroupKind.GAMMA1, q]
+    assert list(BLOCK_WEIGHTS.values()) == [(4, 6), (2, 4), (1, 3), (1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("tag", list(BlockTag)[1:], ids=lambda tag: tag.value)
+def test_min_gamma1_level_bounds_every_block(tag):
+    first = MIN_GAMMA1_LEVEL[tag]
+    DECOMPOSE[tag](G1(first))
+    with pytest.raises(UnsupportedGroup):
+        DECOMPOSE[tag](G1(first - 1))
+    with pytest.raises(UnsupportedGroup):
+        DECOMPOSE[tag](GF(2))
+
+
+def test_tables_start_at_the_min_gamma1_level():
+    for tag in (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3):
+        assert table_generate(2, 8, tag)[0][0] == MIN_GAMMA1_LEVEL[tag]
+    with pytest.raises(ValueError, match="unsupported table flavor"):
+        table_generate(4, 8, BlockTag.LEVEL4)
