@@ -13,6 +13,8 @@ dimensions: read backwards, it is the coefficients of t^1..t^{a+b+2} in
 (1 - t^a)(1 - t^b) * sum_k s_k t^k, that is c_{a+b+2-i} = [... * S(t)]_i.
 The identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus,
 k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
+Multiplicities, identities and the kernels between blocks all go through
+the series helpers ``times_denominator`` and ``over_denominator``.
 Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
 independent cross-check and the two must always agree.
 
@@ -33,8 +35,9 @@ from .hilbert import (
     TwistMultiset,
     WeightedLine,
     deconvolve,
-    finite_sequence,
     h0_dim,
+    over_denominator,
+    times_denominator,
 )
 from .levels import (
     SMALL_LEVEL_WEIGHTS,
@@ -134,28 +137,17 @@ def _support_bound(tag: BlockTag) -> int:
     return sum(BLOCK_WEIGHTS[tag]) + 1
 
 
-def _denominator(tag: BlockTag) -> list[int]:
-    """Coefficients of (1 - t^a)(1 - t^b)."""
-    a, b = BLOCK_WEIGHTS[tag]
-    poly = [0] * (a + b + 1)
-    for i, sign in ((0, 1), (a, -1), (b, -1), (a + b, 1)):
-        poly[i] += sign
-    return poly
-
-
 @lru_cache(maxsize=None)
 def _kernel(outer: BlockTag, inner: BlockTag) -> tuple[int, ...]:
     """The ``inner`` block as shifted copies of the ``outer`` block: the exact
     quotient of the outer denominator (1 - t^a)(1 - t^b) by the inner one."""
-    rest, den = _denominator(outer), _denominator(inner)
-    quotient = []
-    for i in range(len(rest) - len(den) + 1):
-        c = rest[i]  # den[0] = 1
-        for j, d in enumerate(den):
-            rest[i + j] -= c * d
-        quotient.append(c)
-    assert not any(rest), f"{inner.value} is not free over {outer.value}"
-    return tuple(quotient)
+    (a, b), (c, d) = BLOCK_WEIGHTS[outer], BLOCK_WEIGHTS[inner]
+    n = a + b + 1  # terms of the outer denominator
+    series = over_denominator(times_denominator([1], (a, b), n), (c, d), n)
+    degree = a + b - c - d  # of the quotient, if it is a polynomial
+    free = degree >= 0 and not any(series[degree + 1 :])
+    assert free, f"{inner.value} is not free over {outer.value}"
+    return tuple(series[: degree + 1])
 
 
 @dataclass(frozen=True)
@@ -170,20 +162,13 @@ class DecompositionSequence:
         return self.mult.as_list(length)
 
 
-def _times_denominator(tag: BlockTag, values: tuple[int, ...], length: int) -> list[int]:
-    """Coefficients of t^0..t^(length-1) in (1 - t^a)(1 - t^b) * sum_k values[k] t^k."""
-    a, b = BLOCK_WEIGHTS[tag]
-    v = (0,) * (a + b) + values[:length]  # v[i + a + b] = values[i]
-    return [v[i + a + b] - v[i + b] - v[i + a] + v[i] for i in range(length)]
-
-
 def _cusp_identity_failure(
     group: CongruenceGroup, tag: BlockTag, cs: list[int], w1: Weight1Data | None
 ) -> str:
     """'' if c_0..c_{a+b+1} obey Serre duality, c_{a+b+2-i} =
     [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for 1 <= i <= a+b+2; else the
     first shift where they do not."""
-    dual = _times_denominator(tag, cusp_table(group, w1), len(cs) + 1)[:0:-1]
+    dual = times_denominator(cusp_table(group, w1), BLOCK_WEIGHTS[tag], len(cs) + 1)[:0:-1]
     bad = [(i, c, d) for i, (c, d) in enumerate(zip(cs, dual)) if c != d]
     return "shift %d: %d != %d from the cusp-form dimensions" % bad[0] if bad else ""
 
@@ -198,8 +183,8 @@ def _closed_form(
         group.kind is GroupKind.GAMMA0 or group.level < min_level
     ):
         raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
-    # dimension_table reaches past every support bound
-    seq = _times_denominator(tag, dimension_table(group, w1), _support_bound(tag) + 1)
+    table = dimension_table(group, w1)  # reaches past every support bound
+    seq = times_denominator(table, BLOCK_WEIGHTS[tag], _support_bound(tag) + 1)
     for i, c in enumerate(seq):
         if c < 0:
             raise DecompositionInvalid(
@@ -278,9 +263,8 @@ def verify_consistency(
     identities for ``seq``."""
     group, tag, cs = seq.group, seq.block.tag, seq.as_list()
     m = dimension_function(group, w1)
-    weights = range(max_weight + 1)
-    got = seq.mult.reconstruct([seq.block.hilbert(k) for k in weights])
-    bad = [(k, m(k), got[k]) for k in weights if m(k) != got[k]]
+    got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[tag], max_weight + 1)
+    bad = [(k, m(k), c) for k, c in enumerate(got) if m(k) != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
     checks = [("convolution", not bad, detail or f"exact through weight {max_weight}")]
 
@@ -291,12 +275,10 @@ def verify_consistency(
     if tag is not BlockTag.OMEGA_POWERS:
         try:
             omega = omega_decomposition(group, w1).as_list()
-            kernel = finite_sequence(_kernel(BlockTag.OMEGA_POWERS, tag))
-            got = seq.mult.reconstruct([kernel(i) for i in range(12)])
+            kernel = _kernel(BlockTag.OMEGA_POWERS, tag)
+            got = seq.mult.reconstruct([*kernel, *[0] * (12 - len(kernel))])
             ok = got == omega
-            checks.append(
-                ("cross-block", ok, f"omega sequence {'matches' if ok else got}")
-            )
+            checks.append(("cross-block", ok, f"omega sequence {'matches' if ok else got}"))
         except DecompositionInvalid as exc:
             checks.append(("cross-block", False, str(exc)))
 

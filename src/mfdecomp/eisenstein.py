@@ -26,7 +26,6 @@ from functools import lru_cache
 from .exactnum import (
     CyclotomicElement,
     ExtendedValuation,
-    INFINITE_VALUATION,
     two_adic_valuation_rational,
 )
 from .arith import is_prime
@@ -178,6 +177,12 @@ def _character_data(
     return chi, m, L, L.two_adic_valuation()
 
 
+def _exponents(m: int) -> dict[str, Fraction]:
+    """For chi of order 2^m: the stated 1 - 2^(2-m) and the computed 1 - 2^(1-m)."""
+    return {"paper_exponent": 1 - Fraction(1, 1 << (m - 2)),
+            "computed_exponent": 1 - Fraction(1, 1 << (m - 1))}
+
+
 def valuation_claim_check(p: int) -> ValuationClaimReport:
     """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
     chi, m, L, v2_l = _character_data(p)
@@ -199,8 +204,7 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
         v2_one_minus_zeta=v2_omz,
         sum_is_one=sum_is_one,
         congruence_ok=congruence_ok,
-        paper_exponent=1 - Fraction(1, 1 << (m - 2)),
-        computed_exponent=1 - Fraction(1, 1 << (m - 1)),
+        **_exponents(m),
     )
 
 
@@ -315,8 +319,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         m=m,
         l_value=L,
         v2_l=v2_l,
-        paper_exponent=1 - Fraction(1, 1 << (m - 2)),
-        computed_exponent=1 - Fraction(1, 1 << (m - 1)),
+        **_exponents(m),
         precision=N,
         components=tuple(zip(*rows)),
         averaged=averaged,

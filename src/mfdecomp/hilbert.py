@@ -4,8 +4,11 @@ h0/h1 of O(m) on P(a,b) are lattice-point counts, computed by direct
 enumeration rather than floor-function closed forms (slower, but immune to
 off-by-one mistakes at the degrees we care about).  A Hilbert function is
 any ``Callable[[int], int]`` that is 0 in negative degrees; finitely
-supported ones come from ``finite_sequence``.  ``deconvolve`` is the engine
-that recovers the multiset of twists of a split bundle from its Hilbert
+supported ones come from ``finite_sequence``.  Series N(t) / prod_w (1 - t^w)
+live on coefficient lists truncated to n terms: ``times_denominator`` and
+``over_denominator`` multiply and divide by the factors, one sparse factor
+per pass, for every such product or quotient in the package.  ``deconvolve``
+recovers the multiset of twists of a split bundle from its Hilbert
 function, by greedy division with a nonnegativity constraint and exact
 re-convolution over a verification window, on values read once per degree.
 """
@@ -13,6 +16,7 @@ re-convolution over a verification window, on values read once per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,7 +32,9 @@ __all__ = [
     "finite_sequence",
     "h0_dim",
     "h1_dim",
+    "over_denominator",
     "serre_duality_check",
+    "times_denominator",
 ]
 
 
@@ -72,9 +78,6 @@ def h1_dim(line: WeightedLine, m: int) -> int:
 
 @dataclass(frozen=True)
 class SerreDualityReport:
-    line: WeightedLine
-    lo: int
-    hi: int
     ok: bool
     first_violation: int | None = None
 
@@ -87,14 +90,31 @@ def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> SerreDualityRep
     shift = line.a + line.b
     for m in range(lo, hi + 1):
         if h0_dim(line, m) != h1_dim(line, -m - shift):
-            return SerreDualityReport(line, lo, hi, False, m)
-    return SerreDualityReport(line, lo, hi, True)
+            return SerreDualityReport(False, m)
+    return SerreDualityReport(True)
 
 
 def finite_sequence(values: Iterable[int]) -> Callable[[int], int]:
     """The Hilbert function with ``values`` in degrees 0, 1, ... and 0 elsewhere."""
     table = tuple(values)
     return lambda k: table[k] if 0 <= k < len(table) else 0
+
+
+def times_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
+    """Coefficients of t^0..t^(n-1) in prod_w (1 - t^w) * sum_k values[k] t^k."""
+    out = [*values[:n], *[0] * (n - len(values))]
+    for w in weights:  # a stride-w difference per factor
+        out[w:] = [c - d for c, d in zip(out[w:], out)]
+    return out
+
+
+def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
+    """Coefficients of t^0..t^(n-1) in sum_k values[k] t^k / prod_w (1 - t^w)."""
+    out = [*values[:n], *[0] * (n - len(values))]
+    for w in weights:  # a stride-w running sum per factor
+        for r in range(min(w, n)):
+            out[r::w] = accumulate(out[r::w])
+    return out
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,10 @@ class Weight1Data:
         return self.table.get((group.kind, group.level))
 
 
+#: The builtin table, built once, on first use by a call given no table.
+_builtin_weight1 = lru_cache(maxsize=1)(Weight1Data.default)
+
+
 def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> int:
     """s_1: zero when the degree criterion forces vanishing, else from the table."""
     if group.kind is GroupKind.GAMMA0:
@@ -248,7 +252,7 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
     if 48 * (inv.genus - 1) < inv.index:  # 2g - 2 - index/24 < 0
         return 0
     if w1 is None:
-        w1 = Weight1Data.default()
+        w1 = _builtin_weight1()
     entry = w1.lookup(group)
     if entry is None:
         raise Weight1Unavailable(

@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import lcm
 
 from .arith import is_prime
+from .hilbert import over_denominator, times_denominator
 
 __all__ = [
     "BasisCertificate",
@@ -454,7 +455,8 @@ def verify_regular_sequence(
                 )
 
     # Hilbert-series confirmation for the full quotient.
-    series = _quotient_hilbert_series(algebra.degrees, degrees, bound)
+    n = bound + 1
+    series = over_denominator(times_denominator([1], degrees, n), algebra.degrees, n)
     for d in range(bound + 1):
         comp = graded_component(algebra, d)
         _, rank_ideal = _component_span_rank(algebra, elements, d, comp)
@@ -465,18 +467,6 @@ def verify_regular_sequence(
                 f"differs from the regular-sequence Hilbert series value {series[d]}",
             )
     return RegularSequenceVerdict(True, bound)
-
-
-def _quotient_hilbert_series(
-    var_degrees: tuple[int, ...], elt_degrees: list[int], bound: int
-) -> list[int]:
-    """Coefficients through ``bound`` of H_A(t) * prod(1 - t^e_i)."""
-    series = [len(_graded_monomials(var_degrees, d)) for d in range(bound + 1)]
-    for e in elt_degrees:
-        series = [
-            series[d] - (series[d - e] if d >= e else 0) for d in range(bound + 1)
-        ]
-    return series
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,21 @@ def test_blocks():
         assert five(k) == sum(c * omega(k - i) for i, c in enumerate(kernel))
 
 
+@pytest.mark.parametrize("inner", list(BlockTag), ids=lambda tag: tag.value)
+@pytest.mark.parametrize("outer", list(BlockTag), ids=lambda tag: tag.value)
+def test_kernel_is_polynomial_division(outer, inner):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    den = {tag: (1 - t**a) * (1 - t**b) for tag, (a, b) in BLOCK_WEIGHTS.items()}
+    quotient, remainder = sympy.div(den[outer], den[inner], t)
+    if remainder == 0:
+        coeffs = sympy.Poly(quotient, t).all_coeffs()[::-1]
+        assert _kernel(outer, inner) == tuple(int(c) for c in coeffs)
+    else:
+        with pytest.raises(AssertionError, match="is not free over"):
+            _kernel(outer, inner)
+
+
 def test_block_tables_derive_from_weights():
     assert list(BLOCK_WEIGHTS) == list(BlockTag)
     assert [_support_bound(tag) for tag in BlockTag] == [11, 7, 5, 4, 3]
@@ -210,6 +225,13 @@ def test_corrupted_sequence_detected():
     assert not report.ok
     names = [name for name, _ in report.failures()]
     assert "convolution" in names and "rank" in names
+
+
+def test_multiplicity_beyond_the_support_bound_fails_convolution():
+    good = omega_decomposition(G1(23))
+    mults = {**good.mult.multiplicities, 12: 1}  # the omega support bound is 11
+    bad = DecompositionSequence(good.group, good.block, TwistMultiset(mults))
+    assert "convolution" in [name for name, _ in verify_consistency(bad).failures()]
 
 
 def test_gamma1_31_not_decomposable_by_gamma1_7():

@@ -11,7 +11,9 @@ from mfdecomp.hilbert import (
     finite_sequence,
     h0_dim,
     h1_dim,
+    over_denominator,
     serre_duality_check,
+    times_denominator,
 )
 
 
@@ -196,3 +198,31 @@ def test_reconstruct_is_convolve_in_every_degree(mults, values):
     mult = TwistMultiset(mults)
     block = finite_sequence(values)
     assert mult.reconstruct(values) == [mult.convolve(block, k) for k in range(len(values))]
+
+
+def test_denominator_examples():
+    assert times_denominator([1], (4, 6), 12) == [1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1, 0]
+    assert times_denominator((2, 5, 7), (1,), 5) == [2, 3, 2, -7, 0]
+    assert over_denominator([1, -1], (1, 1), 5) == [1, 1, 1, 1, 1]
+    assert over_denominator([3], (2,), 0) == []
+
+
+@given(
+    st.lists(st.integers(min_value=-20, max_value=20), max_size=30),
+    st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+    st.integers(min_value=0, max_value=30),
+)
+def test_times_and_over_denominator_are_inverse(values, weights, n):
+    truncated = [*values[:n], *[0] * (n - len(values))]
+    assert over_denominator(times_denominator(values, weights, n), weights, n) == truncated
+    assert times_denominator(over_denominator(values, weights, n), weights, n) == truncated
+
+
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=60),
+)
+def test_over_denominator_counts_lattice_points(a, b, n):
+    line = WeightedLine(a, b)
+    assert over_denominator([1], (a, b), n) == [h0_dim(line, k) for k in range(n)]

@@ -25,6 +25,7 @@ from mfdecomp.levels import (
     index,
     level_invariants,
     omega_degree,
+    weight1_cusp_dim,
 )
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
@@ -382,6 +383,16 @@ def test_dimensions_match_coset_oracle(group):
 
 def test_level_invariants_are_memoised_per_group():
     assert level_invariants(G1(23)) is level_invariants(CongruenceGroup.parse("g1:23"))
+
+
+def test_builtin_weight1_table_is_built_at_most_once(monkeypatch):
+    built = []
+    default = Weight1Data.default
+    monkeypatch.setattr(Weight1Data, "default", lambda: built.append(1) or default())
+    for _ in range(3):  # none of these settle s_1 by the vanishing criterion
+        assert weight1_cusp_dim(G1(23)) == dim_cusp_forms(G1(31), 1) == 1
+        assert dim_modular_forms(G1(39), 1) == cusp_count(G1(39)) // 2 + 1
+    assert len(built) <= 1
 
 
 def test_warm_invariant_cache_never_holds_weight1_data(tmp_path):

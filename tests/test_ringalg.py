@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mfdecomp.hilbert import over_denominator
 from mfdecomp.ringalg import (
     GradedAlgebra,
     InhomogeneousInput,
@@ -312,3 +313,13 @@ def test_characteristic_must_be_zero_or_prime(char):
         GradedAlgebra(char, (("b2", 2),))
     for ok in (0, 2, 3, 5):
         GradedAlgebra(ok, (("b2", 2),))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=30),
+)
+def test_over_denominator_counts_graded_monomials(degrees, n):
+    algebra = GradedAlgebra(0, tuple((f"x{i}", d) for i, d in enumerate(degrees)))
+    expected = [len(graded_component(algebra, d)) for d in range(n)]
+    assert over_denominator([1], degrees, n) == expected
