@@ -3,7 +3,9 @@
 Subcommands: levels, table, verify, hasse, wproj, obstruct, freebasis.
 Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 required
 weight-1 data unavailable.  Output is deterministic; TSV is tab-separated
-with LF line endings, JSON is a single document per invocation.
+with LF line endings, JSON is a single document per invocation.  Each
+``verify`` suite in ``SUITES`` yields ``Check`` records; once all have run,
+each is written as one line ``PASS|FAIL<TAB>name[<TAB>detail]``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import resources
+from typing import Iterator
 
 from . import decomp, hilbert, ringalg
 from .decomp import BlockTag
 from .eisenstein import hasse_lift, valuation_claim_check
-from .hilbert import NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
+from .hilbert import Check, NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
 from .levels import (
     CongruenceGroup,
     GroupKind,
@@ -107,12 +110,9 @@ def cmd_wproj(args) -> int:
         sys.stdout.write(f"{h1_dim(line, args.m)}\n")
         return EXIT_OK
     bound = abs(args.m)
-    report = hilbert.serre_duality_check(line, -bound, bound)
-    if report.ok:
-        sys.stdout.write(f"serre duality holds on [{-bound}, {bound}]\n")
-        return EXIT_OK
-    sys.stdout.write(f"serre duality fails at m={report.first_violation}\n")
-    return EXIT_CHECK_FAILED
+    check = hilbert.serre_duality_check(line, -bound, bound)
+    sys.stdout.write(f"serre duality {check.detail}\n")
+    return EXIT_OK if check else EXIT_CHECK_FAILED
 
 
 def cmd_obstruct(args) -> int:
@@ -180,62 +180,46 @@ def cmd_freebasis(args) -> int:
 # verify suites
 
 
-def _check(out: list[str], name: str, ok: bool, detail: str = "") -> bool:
-    status = "PASS" if ok else "FAIL"
-    out.append(f"{status}\t{name}" + (f"\t{detail}" if detail else ""))
-    return ok
-
-
 def _golden_text(name: str) -> str:
     return (resources.files("mfdecomp") / "data" / name).read_text()
 
 
-def _suite_decomp(out: list[str], w1: Weight1Data) -> bool:
-    ok = True
+def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
     for flavor, tag in TABLE_FLAVORS.items():
         lo, hi = (2, 42) if flavor == "omega" else (4, 23)
         rows = decomp.table_generate(lo, hi, tag, w1)
         generated = _render_table(TABLE_COLUMNS[flavor], rows, "tsv")
         same = generated == _golden_text(f"{flavor}.tsv")
-        ok &= _check(out, f"golden-table-{flavor}", same, "byte-for-byte")
+        yield Check(f"golden-table-{flavor}", same, "byte-for-byte")
     for n in range(2, 43):
         group = CongruenceGroup(GroupKind.GAMMA1, n)
         try:
             seq = decomp.omega_decomposition(group, w1)
-            oracle = decomp.deconvolve_by_gamma1_block(group, 1, w1)
-            agree = seq.as_list() == oracle.as_list(12)
+            closed = seq.as_list()
+            oracle = decomp.deconvolve_by_gamma1_block(group, 1, w1).as_list(len(closed))
             report = decomp.verify_consistency(seq, w1)
             detail = "closed form = deconvolution; identities hold"
-            ok &= _check(out, f"omega-g1-{n}", agree and report.ok, detail)
+            check = Check(f"omega-g1-{n}", oracle == closed and report.ok, detail)
         except Exception as exc:  # pragma: no cover - surfaced as failure
-            ok &= _check(out, f"omega-g1-{n}", False, str(exc))
+            check = Check(f"omega-g1-{n}", False, str(exc))
+        yield check
     try:
         decomp.deconvolve_by_gamma1_block(CongruenceGroup(GroupKind.GAMMA1, 31), 7, w1)
-        ok &= _check(out, "gamma1-31-by-7", False, "unexpectedly decomposed")
     except NegativeMultiplicity as exc:
-        ok &= _check(out, "gamma1-31-by-7", True, f"fails as required: {exc}")
+        yield Check("gamma1-31-by-7", True, f"fails as required: {exc}")
+    else:
+        yield Check("gamma1-31-by-7", False, "unexpectedly decomposed")
     for q in (7, 8, 9, 11, 13):
         witnesses = decomp.obstruction_search(q, 1000).witnesses()
-        ok &= _check(
-            out, f"obstruction-q{q}", len(witnesses) >= 5, f"{len(witnesses)} witnesses"
-        )
-    return ok
+        yield Check(f"obstruction-q{q}", len(witnesses) >= 5, f"{len(witnesses)} witnesses")
 
 
-def _suite_wproj(out: list[str], w1: Weight1Data) -> bool:
-    ok = True
-    worst = None
-    for a in range(1, 13):
-        for b in range(1, 13):
-            report = hilbert.serre_duality_check(WeightedLine(a, b), -60, 60)
-            if not report.ok:
-                worst = (a, b, report.first_violation)
-    ok &= _check(
-        out,
-        "serre-duality-grid",
-        worst is None,
-        "a,b <= 12, |m| <= 60" if worst is None else f"fails at {worst}",
-    )
+def _suite_wproj(w1: Weight1Data) -> Iterator[Check]:
+    grid = [WeightedLine(a, b) for a in range(1, 13) for b in range(1, 13)]
+    checks = (hilbert.serre_duality_check(line, -60, 60) for line in grid)
+    failures = (f"P({line.a}, {line.b}) {c.detail}" for line, c in zip(grid, checks) if not c)
+    failure = next(failures, "")
+    yield Check("serre-duality-grid", not failure, failure or "a,b <= 12, |m| <= 60")
     line46 = WeightedLine(4, 6)
     expected = [
         len([(i, j) for i in range(k // 4 + 1) for j in range(k // 6 + 1)
@@ -243,51 +227,37 @@ def _suite_wproj(out: list[str], w1: Weight1Data) -> bool:
         for k in range(61)
     ]
     got = [h0_dim(line46, k) for k in range(61)]
-    ok &= _check(out, "level1-dimensions", got == expected, "weights (4,6), k <= 60")
-    return ok
+    yield Check("level1-dimensions", got == expected, "weights (4,6), k <= 60")
 
 
-def _suite_ringalg(out: list[str], w1: Weight1Data) -> bool:
-    ok = True
+def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:
     for name in ringalg.PRESETS:
         cert = ringalg.preset_certificate(name)
-        ok &= _check(out, f"freebasis-{name}", cert.free, f"degree bound {cert.bound}")
+        yield Check(f"freebasis-{name}", cert.free, f"degree bound {cert.bound}")
     for name, (char, variables, exprs, expected) in ringalg.REGULAR_SEQUENCE_CASES.items():
         algebra = ringalg.GradedAlgebra(char, variables)
         elems = [ringalg.parse_polynomial(algebra, e) for e in exprs]
         verdict = ringalg.verify_regular_sequence(algebra, elems)
-        ok &= _check(
-            out,
-            f"regseq-{name}",
-            verdict.regular == expected,
-            "regular" if verdict.regular else verdict.detail,
-        )
+        detail = "regular" if verdict.regular else verdict.detail
+        yield Check(f"regseq-{name}", verdict.regular == expected, detail)
     for name, (algebra, c4, c6, delta) in ringalg.WEIERSTRASS_PRESENTATIONS.items():
         holds = ringalg.weierstrass_identity_check(
             ringalg.parse_polynomial(algebra, c4),
             ringalg.parse_polynomial(algebra, c6),
             ringalg.parse_polynomial(algebra, delta),
         )
-        ok &= _check(out, f"weierstrass-{name}", holds, "c4^3 - c6^2 = 1728*delta")
-    return ok
+        yield Check(f"weierstrass-{name}", holds, "c4^3 - c6^2 = 1728*delta")
 
 
-def _suite_hasse(out: list[str], w1: Weight1Data) -> bool:
-    ok = True
+def _suite_hasse(w1: Weight1Data) -> Iterator[Check]:
     for p in HASSE_PRIMES:
         report = hasse_lift(p, 60)
         claim = valuation_claim_check(p)
-        ok &= _check(
-            out,
-            f"hasse-p{p}",
-            report.passed and claim.ok,
-            f"v2(L)={claim.v2_l}, verdict={report.verdict}",
-        )
-    return ok
+        detail = f"v2(L)={claim.v2_l}, verdict={report.verdict}"
+        yield Check(f"hasse-p{p}", report.passed and claim.ok, detail)
 
 
-#: Each suite appends its check lines to ``out`` and reports whether all passed;
-#: only the decomp suite reads the weight-1 data.
+#: Each suite yields its checks; only the decomp suite reads the weight-1 data.
 SUITES = {
     "decomp": _suite_decomp,
     "wproj": _suite_wproj,
@@ -299,12 +269,13 @@ SUITES = {
 def cmd_verify(args) -> int:
     w1 = _load_weight1(args.weight1)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    out: list[str] = []
-    ok = True
-    for name in names:
-        ok &= SUITES[name](out, w1)
-    sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    # every check runs before any line is written, so a suite that raises
+    # leaves stdout empty
+    checks = [check for name in names for check in SUITES[name](w1)]
+    for name, ok, detail in checks:
+        fields = ["PASS" if ok else "FAIL", name] + ([detail] if detail else [])
+        sys.stdout.write("\t".join(fields) + "\n")
+    return EXIT_OK if all(checks) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

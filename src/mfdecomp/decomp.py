@@ -32,6 +32,7 @@ from typing import Callable
 
 from .arith import factorize
 from .hilbert import (
+    Check,
     TwistMultiset,
     WeightedLine,
     deconvolve,
@@ -54,6 +55,7 @@ from .levels import (
 __all__ = [
     "BaseBlock",
     "BlockTag",
+    "ConsistencyReport",
     "DecompositionInvalid",
     "DecompositionSequence",
     "ObstructionReport",
@@ -239,13 +241,11 @@ def level456_decomposition(
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    group: CongruenceGroup
-    tag: BlockTag
-    checks: tuple[tuple[str, bool, str], ...]
+    checks: tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
+        return all(self.checks)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -266,28 +266,28 @@ def verify_consistency(
     got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[tag], max_weight + 1)
     bad = [(k, m(k), c) for k, c in enumerate(got) if m(k) != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
-    checks = [("convolution", not bad, detail or f"exact through weight {max_weight}")]
+    checks = [Check("convolution", not bad, detail or f"exact through weight {max_weight}")]
 
     index, rank = level_invariants(group).index, seq.mult.total() * seq.block.rank
     detail = f"sum(mult) * {seq.block.rank} = {rank}, index = {index}"
-    checks.append(("rank", rank == index, detail))
+    checks.append(Check("rank", rank == index, detail))
 
     if tag is not BlockTag.OMEGA_POWERS:
         try:
             omega = omega_decomposition(group, w1).as_list()
             kernel = _kernel(BlockTag.OMEGA_POWERS, tag)
-            got = seq.mult.reconstruct([*kernel, *[0] * (12 - len(kernel))])
+            got = seq.mult.reconstruct([*kernel, *[0] * (len(omega) - len(kernel))])
             ok = got == omega
-            checks.append(("cross-block", ok, f"omega sequence {'matches' if ok else got}"))
+            checks.append(Check("cross-block", ok, f"omega sequence {'matches' if ok else got}"))
         except DecompositionInvalid as exc:
-            checks.append(("cross-block", False, str(exc)))
+            checks.append(Check("cross-block", False, str(exc)))
 
     problem = _cusp_identity_failure(group, tag, cs, w1)
-    checks.append(("cusp-identities", not problem, problem or "Serre duality"))
+    checks.append(Check("cusp-identities", not problem, problem or "Serre duality"))
     if tag is BlockTag.LEVEL3:
         balanced = cs[0] + cs[3] == cs[1] + cs[4] == cs[2] + cs[5]
-        checks.append(("balance", balanced, "k_0+k_3 = k_1+k_4 = k_2+k_5"))
-    return ConsistencyReport(group, tag, tuple(checks))
+        checks.append(Check("balance", balanced, "k_0+k_3 = k_1+k_4 = k_2+k_5"))
+    return ConsistencyReport(tuple(checks))
 
 
 def deconvolve_by_gamma1_block(

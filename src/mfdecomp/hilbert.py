@@ -11,6 +11,9 @@ per pass, for every such product or quotient in the package.  ``deconvolve``
 recovers the multiset of twists of a split bundle from its Hilbert
 function, by greedy division with a nonnegativity constraint and exact
 re-convolution over a verification window, on values read once per degree.
+``Check`` is the package's one pass/fail record, a name, a verdict and a
+detail: ``serre_duality_check`` returns one, ``decomp.verify_consistency``
+collects them, and every ``mfdecomp verify`` suite yields them.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
+    "Check",
     "DeconvolutionError",
     "NegativeMultiplicity",
     "ResidualMismatch",
-    "SerreDualityReport",
     "TwistMultiset",
     "WeightedLine",
     "deconvolve",
@@ -76,22 +79,24 @@ def h1_dim(line: WeightedLine, m: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SerreDualityReport:
+class Check(NamedTuple):
+    """One pass/fail verdict; true exactly when it passed."""
+
+    name: str
     ok: bool
-    first_violation: int | None = None
+    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> SerreDualityReport:
+def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> Check:
     """Check h0(m) = h1(-m - a - b) for every m in [lo, hi]."""
     shift = line.a + line.b
     for m in range(lo, hi + 1):
         if h0_dim(line, m) != h1_dim(line, -m - shift):
-            return SerreDualityReport(False, m)
-    return SerreDualityReport(True)
+            return Check("serre-duality", False, f"fails at m={m}")
+    return Check("serre-duality", True, f"holds on [{lo}, {hi}]")
 
 
 def finite_sequence(values: Iterable[int]) -> Callable[[int], int]:

@@ -194,6 +194,15 @@ def genus(group: CongruenceGroup) -> int:
 # Weight-1 data
 
 
+def _weight1_vanishes(group: CongruenceGroup) -> bool:
+    """Whether s_1 = 0 is forced: for Gamma0, -I acts as -1 on odd weights;
+    otherwise by the degree criterion 2g - 2 - index/24 < 0."""
+    if group.kind is GroupKind.GAMMA0:
+        return True
+    inv = level_invariants(group)
+    return 48 * (inv.genus - 1) < inv.index
+
+
 @dataclass(frozen=True)
 class Weight1Data:
     """Curated weight-1 cusp-form dimensions, keyed by (kind, level).
@@ -212,7 +221,8 @@ class Weight1Data:
 
     @classmethod
     def load(cls, path: str | Path) -> "Weight1Data":
-        """Default table extended/overridden by lines ``kind level s1``."""
+        """Default table extended/overridden by lines ``kind level s1``; a
+        line that contradicts a forced s_1 = 0 is an error."""
         base = cls.default()
         table = dict(base.table)
         provenance = dict(base.provenance)
@@ -225,15 +235,16 @@ class Weight1Data:
             if len(parts) != 3:
                 raise ValueError(f"{source}:{lineno}: expected 'kind level s1'")
             try:
-                kind = GroupKind(parts[0])
-                level = int(parts[1])
+                group = CongruenceGroup(GroupKind(parts[0]), int(parts[1]))
                 s1 = int(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
             if s1 < 0:
                 raise ValueError(f"{source}:{lineno}: s1 must be >= 0")
-            table[(kind, level)] = s1
-            provenance[(kind, level)] = source
+            if s1 and _weight1_vanishes(group):
+                raise ValueError(f"{source}:{lineno}: s1 of {group} is forced to be 0")
+            table[(group.kind, group.level)] = s1
+            provenance[(group.kind, group.level)] = source
         return cls(table, provenance)
 
     def lookup(self, group: CongruenceGroup) -> int | None:
@@ -246,10 +257,7 @@ _builtin_weight1 = lru_cache(maxsize=1)(Weight1Data.default)
 
 def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> int:
     """s_1: zero when the degree criterion forces vanishing, else from the table."""
-    if group.kind is GroupKind.GAMMA0:
-        return 0  # -I acts as -1 on odd weights
-    inv = level_invariants(group)
-    if 48 * (inv.genus - 1) < inv.index:  # 2g - 2 - index/24 < 0
+    if _weight1_vanishes(group):
         return 0
     if w1 is None:
         w1 = _builtin_weight1()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mfdecomp import hilbert
 from mfdecomp.cli import SUITES, build_parser, main
 
 
@@ -140,6 +141,58 @@ def test_corrupted_override_fails_verify(capsys, tmp_path):
     assert failing
     # the corrupted weight-1 value shifts the tabulated rows off the goldens
     assert any("golden-table" in line for line in failing)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("g0 11 5", "s1 of g0:11 is forced to be 0"),
+        ("g1 5 3", "s1 of g1:5 is forced to be 0"),  # by the degree criterion
+        ("g 3 1", "s1 of g:3 is forced to be 0"),
+        ("g1 1 0", "level must be >= 2, got 1"),
+    ],
+)
+def test_override_contradicting_a_forced_value_exits_2(capsys, tmp_path, line, message):
+    override = tmp_path / "w1.txt"
+    override.write_text(f"# weight-1 overrides\n{line}\n")
+    code, out, err = run(capsys, "verify", "--suite", "decomp", "--weight1", str(override))
+    assert (code, out) == (2, "")
+    assert err == f"error: {override}:2: {message}\n"
+
+
+def test_override_consistent_with_forced_values_passes_verify(capsys, tmp_path):
+    override = tmp_path / "w1.txt"
+    override.write_text("g1 5 0\ng0 11 0\n")
+    code, out, _ = run(capsys, "verify", "--suite", "decomp", "--weight1", str(override))
+    assert code == 0
+    assert all(line.startswith("PASS\t") for line in out.splitlines())
+
+
+def test_verify_writes_nothing_when_a_suite_raises(capsys, tmp_path):
+    override = tmp_path / "w1.txt"
+    override.write_text("g1 23 40\n")  # the level-2 table row for 23 goes negative
+    code, out, err = run(capsys, "verify", "--suite", "decomp", "--weight1", str(override))
+    assert (code, out) == (1, "")
+    assert err == "error: level2 multiplicity at shift 5 is -7 < 0 for g1:23\n"
+
+
+@pytest.fixture
+def h1_off_by_one(monkeypatch):
+    h1 = hilbert.h1_dim
+    monkeypatch.setattr(hilbert, "h1_dim", lambda line, m: h1(line, m) + 1)
+
+
+def test_wproj_serre_failure_exits_1(capsys, h1_off_by_one):
+    assert run(capsys, "wproj", "serre", "4", "6", "60")[:2] == (1, "serre duality fails at m=-60\n")
+
+
+def test_verify_wproj_names_the_first_failing_line(capsys, h1_off_by_one):
+    code, out, _ = run(capsys, "verify", "--suite", "wproj")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL\tserre-duality-grid\tP(1, 1) fails at m=-60",
+        "PASS\tlevel1-dimensions\tweights (4,6), k <= 60",
+    ]
 
 
 def test_verify_suite_choices_are_the_suites():

@@ -9,6 +9,7 @@ from mfdecomp.decomp import (
     BLOCK_WEIGHTS,
     MIN_GAMMA1_LEVEL,
     BlockTag,
+    ConsistencyReport,
     DecompositionInvalid,
     DecompositionSequence,
     UnsupportedGroup,
@@ -24,7 +25,13 @@ from mfdecomp.decomp import (
     verify_consistency,
 )
 from mfdecomp.decomp import _kernel, _support_bound
-from mfdecomp.hilbert import NegativeMultiplicity, TwistMultiset, deconvolve, finite_sequence
+from mfdecomp.hilbert import (
+    Check,
+    NegativeMultiplicity,
+    TwistMultiset,
+    deconvolve,
+    finite_sequence,
+)
 from mfdecomp.levels import (
     SMALL_LEVEL_WEIGHTS,
     CongruenceGroup,
@@ -214,6 +221,13 @@ def test_gamma0_property_checks():
         report = verify_consistency(seq)
         assert report.ok, report.failures()
         assert sum(seq.as_list()) == index(G0(n))
+
+
+def test_one_failing_check_fails_the_report():
+    report = ConsistencyReport((Check("a", True, "fine"), Check("b", False, "why")))
+    assert not report.ok
+    assert not report
+    assert report.failures() == [("b", "why")]
 
 
 def test_corrupted_sequence_detected():

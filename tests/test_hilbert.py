@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mfdecomp import hilbert
 from mfdecomp.hilbert import (
+    Check,
     NegativeMultiplicity,
     ResidualMismatch,
     TwistMultiset,
@@ -49,6 +51,26 @@ def test_serre_duality_grid():
     for a in range(1, 13):
         for b in range(1, 13):
             assert serre_duality_check(WeightedLine(a, b), -60, 60).ok
+
+
+def test_check_is_true_exactly_when_it_passed():
+    assert not Check("x", False)
+    assert Check("x", True)
+    assert Check("x", True) == ("x", True, "")
+
+
+def test_serre_duality_check_names_its_range():
+    check = serre_duality_check(WeightedLine(4, 6), -3, 5)
+    assert check == ("serre-duality", True, "holds on [-3, 5]")
+
+
+def test_serre_duality_check_reports_the_first_failing_degree(monkeypatch):
+    h1 = hilbert.h1_dim
+    # h1 off by one in twists <= -30, which Serre duality on P(4, 6) reads at m >= 20
+    monkeypatch.setattr(hilbert, "h1_dim", lambda line, m: h1(line, m) + (m <= -30))
+    check = serre_duality_check(WeightedLine(4, 6), -60, 60)
+    assert not check
+    assert check == ("serre-duality", False, "fails at m=20")
 
 
 def test_invalid_weights():

@@ -211,6 +211,18 @@ def test_weight1_override_file(tmp_path):
     assert dim_cusp_forms(G1(43), 1, w1) == 0
 
 
+@pytest.mark.parametrize(
+    "line", ["g1 5 0", "g0 11 0", "g1 23 5", "g1 50 3", "g 20 7", "g1 43 0", "g1 44 0", "g1 23 0"]
+)
+def test_weight1_override_consistent_with_forced_values_loads(tmp_path, line):
+    path = tmp_path / "w1.txt"
+    path.write_text(line + "\n")
+    kind, level, s1 = line.split()
+    group = CongruenceGroup(GroupKind(kind), int(level))
+    w1 = Weight1Data.load(path)
+    assert w1.lookup(group) == weight1_cusp_dim(group, w1) == int(s1)
+
+
 def test_weight1_override_rejects_garbage(tmp_path):
     for content in ("g1 23\n", "g9 23 0\n", "g1 23 -1\n", "g1 x 0\n"):
         path = tmp_path / "bad.txt"

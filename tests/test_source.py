@@ -19,6 +19,34 @@ def _names_read(tree: ast.AST) -> set[str]:
     return names
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Every name a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_exported_name_is_defined():
+    missing = []
+    for path in MODULES:  # parsed, not imported: importing __main__ runs the CLI
+        tree = ast.parse(path.read_text())
+        exported = next(
+            (ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"),
+            [],
+        )
+        defined = _top_level_names(tree)
+        missing += [f"{path.name}: {name}" for name in exported if name not in defined]
+    assert not missing, missing
+
+
 def test_every_from_import_is_used():
     unused = []
     for path in MODULES:
