@@ -33,17 +33,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DATA_UNAVAILABLE = 3
 
-TABLE_FLAVORS = {
-    "omega": BlockTag.OMEGA_POWERS,
-    "level2": BlockTag.LEVEL2,
-    "level3": BlockTag.LEVEL3,
-}
+TABLE_FLAVORS = {tag.value: tag for tag in decomp.TABLE_BLOCKS}
 
-TABLE_COLUMNS = {
-    "omega": ["n", "genus"] + [f"l{i}" for i in range(12)],
-    "level2": ["n"] + [f"k{i}" for i in range(8)],
-    "level3": ["n"] + [f"k{i}" for i in range(6)],
-}
+
+def _table_columns(tag: BlockTag) -> list[str]:
+    """n, then the genus and l_i for omega powers, or k_i for a level block,
+    one multiplicity column per shift through the block's support bound."""
+    head, letter = (["n", "genus"], "l") if tag is BlockTag.OMEGA_POWERS else (["n"], "k")
+    return head + [f"{letter}{i}" for i in range(decomp._support_bound(tag) + 1)]
+
+
+TABLE_COLUMNS = {flavor: _table_columns(tag) for flavor, tag in TABLE_FLAVORS.items()}
 
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 

@@ -59,6 +59,7 @@ __all__ = [
     "DecompositionInvalid",
     "DecompositionSequence",
     "ObstructionReport",
+    "TABLE_BLOCKS",
     "UnsupportedGroup",
     "base_block",
     "deconvolve_by_gamma1_block",
@@ -109,6 +110,10 @@ MIN_GAMMA1_LEVEL = {
     BlockTag.LEVEL4: 4,
     BlockTag.LEVEL5OR6: 5,
 }
+
+
+#: The blocks with a published table of Gamma1(n) decomposition numbers.
+TABLE_BLOCKS = (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3)
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,8 @@ def _closed_form(
     group: CongruenceGroup, tag: BlockTag, w1: Weight1Data | None
 ) -> DecompositionSequence:
     """Multiplicities c_i: the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k,
-    nonnegative and obeying the cusp-form identities."""
+    nonnegative and obeying the cusp-form identities (and, for level 3, the
+    balance identity)."""
     min_level = MIN_GAMMA1_LEVEL[tag] if group.kind is GroupKind.GAMMA1 else 3
     if tag is not BlockTag.OMEGA_POWERS and (
         group.kind is GroupKind.GAMMA0 or group.level < min_level
@@ -195,6 +201,8 @@ def _closed_form(
     problem = _cusp_identity_failure(group, tag, seq, w1)
     if problem:
         raise DecompositionInvalid(f"{tag.value} cusp identities fail for {group}: {problem}")
+    if tag is BlockTag.LEVEL3 and not (seq[0] + seq[3] == seq[1] + seq[4] == seq[2] + seq[5]):
+        raise DecompositionInvalid(f"balance identity fails for {group}")
     return DecompositionSequence(
         group, base_block(tag), TwistMultiset(dict(enumerate(seq)))
     )
@@ -211,11 +219,7 @@ def level3_decomposition(
     group: CongruenceGroup, w1: Weight1Data | None = None
 ) -> DecompositionSequence:
     """k_i = m_i - m_{i-1} - m_{i-3} + m_{i-4} for 0 <= i <= 5."""
-    seq = _closed_form(group, BlockTag.LEVEL3, w1)
-    ks = seq.as_list()
-    if not (ks[0] + ks[3] == ks[1] + ks[4] == ks[2] + ks[5]):
-        raise DecompositionInvalid(f"balance identity fails for {group}")
-    return seq
+    return _closed_form(group, BlockTag.LEVEL3, w1)
 
 
 def level2_decomposition(
@@ -375,7 +379,7 @@ def table_generate(
     left empty raises ValueError.  The genus column is only present for the
     omega flavor.
     """
-    if flavor not in (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3):
+    if flavor not in TABLE_BLOCKS:
         raise ValueError(f"unsupported table flavor {flavor}")
     first = MIN_GAMMA1_LEVEL[flavor]
     if max(lo, first) > hi:
@@ -383,11 +387,6 @@ def table_generate(
     rows = []
     for n in range(max(lo, first), hi + 1):
         group = CongruenceGroup(GroupKind.GAMMA1, n)
-        if flavor is BlockTag.OMEGA_POWERS:
-            seq = omega_decomposition(group, w1)
-            rows.append((n, level_invariants(group).genus, *seq.as_list()))
-        elif flavor is BlockTag.LEVEL3:
-            rows.append((n, *level3_decomposition(group, w1).as_list()))
-        else:
-            rows.append((n, *level2_decomposition(group, w1).as_list()))
+        genus = (level_invariants(group).genus,) if flavor is BlockTag.OMEGA_POWERS else ()
+        rows.append((n, *genus, *_closed_form(group, flavor, w1).as_list()))
     return rows

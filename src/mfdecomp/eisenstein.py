@@ -36,7 +36,6 @@ __all__ = [
     "IntegralityFailure",
     "NotPrime",
     "OrderTooSmall",
-    "QExpansion",
     "ValuationClaimReport",
     "eisenstein_q_expansion",
     "hasse_lift",
@@ -208,32 +207,9 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     )
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    """Truncated power series in q: coefficients 0..precision, one shared
-    cyclotomic order, tagged with the conductor."""
-
-    coefficients: tuple[CyclotomicElement, ...]
-    precision: int
-    conductor: int
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.precision + 1:
-            raise ValueError("need precision + 1 coefficients")
-        orders = {c.order for c in self.coefficients}
-        if len(orders) > 1:
-            raise ValueError(f"mixed cyclotomic orders {orders}")
-
-    def scale_by(self, factor: CyclotomicElement) -> "QExpansion":
-        return QExpansion(
-            tuple(factor * c for c in self.coefficients),
-            self.precision,
-            self.conductor,
-        )
-
-
-def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> QExpansion:
-    """E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n through q^N.
+def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicElement, ...]:
+    """The coefficients of q^0..q^N in
+    E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n.
 
     Divisor sums are counted per exponent of zeta in integers, sieving the
     multiples of each d <= N.
@@ -248,7 +224,7 @@ def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> QExpansion:
                 counts[n][e] += 1
     coeffs = [l_value(chi).scale(Fraction(1, 2))]
     coeffs += [_from_counts(chi.order, c) for c in counts[1:]]
-    return QExpansion(tuple(coeffs), N, chi.modulus)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -300,11 +276,11 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     # off after applying the automorphism zeta -> zeta^{k'}, k*k' = 1.
     k_inv = pow(k, -1, chi.order)
     zeta_prime = CyclotomicElement.zeta_power(chi.order, k)
-    one = CyclotomicElement.from_rational(chi.order, 1)
+    one_minus_zeta = CyclotomicElement.from_rational(chi.order, 1) - zeta_prime
     E1 = eisenstein_q_expansion(chi, N)
-    L = E1.coefficients[0].scale(2)  # the constant term is L(0, chi) / 2
-    E = E1.scale_by(one - zeta_prime)
-    rows = [c.galois(k_inv).coords for c in E.coefficients]  # rows[n][i]: f_i at q^n
+    L = E1[0].scale(2)  # the constant term is L(0, chi) / 2
+    E = [one_minus_zeta * c for c in E1]
+    rows = [c.galois(k_inv).coords for c in E]  # rows[n][i]: f_i at q^n
     for n, row in enumerate(rows):
         if any(two_adic_valuation_rational(c) < 0 for c in row):
             raise IntegralityFailure(

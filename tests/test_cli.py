@@ -275,6 +275,8 @@ def test_freebasis_wrong_basis_fails(capsys, tmp_path):
     [
         ("b2 = b2", "-3", "degree bound must be >= 0, got -3"),
         ("c = 1", "24", "subring generator c must have positive degree"),
+        ("c4 = 1/0*b2^2", "24", "zero denominator in '1/0'"),
+        ("c4 = b2^+b4", "24", "empty exponent in 'b2^'"),
     ],
 )
 def test_freebasis_bad_file_is_usage_error(capsys, tmp_path, gen, bound, message):

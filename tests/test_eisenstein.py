@@ -99,18 +99,18 @@ def test_valuation_sum_is_one(p):
 def test_eisenstein_coefficients_p5():
     chi = odd_two_power_character(5)
     E = eisenstein_q_expansion(chi, 10)
-    assert E.coefficients[0] == cyc(4, Fraction(3, 10), Fraction(1, 10))  # L/2
-    assert E.coefficients[1] == cyc(4, 1, 0)
-    assert E.coefficients[2] == cyc(4, 1, 1)  # chi(1) + chi(2) = 1 + i
-    assert E.coefficients[5] == cyc(4, 1, 0)  # chi(5) = 0
-    assert E.coefficients[10] == cyc(4, 1, 1)  # d in {1,2,5,10}
+    assert len(E) == 11
+    assert E[0] == cyc(4, Fraction(3, 10), Fraction(1, 10))  # L/2
+    assert E[1] == cyc(4, 1, 0)
+    assert E[2] == cyc(4, 1, 1)  # chi(1) + chi(2) = 1 + i
+    assert E[5] == cyc(4, 1, 0)  # chi(5) = 0
+    assert E[10] == cyc(4, 1, 1)  # d in {1,2,5,10}
 
 
 def test_eisenstein_coefficient_multiplicativity():
     for p in (5, 13, 17):
         chi = odd_two_power_character(p)
-        E = eisenstein_q_expansion(chi, 60)
-        c = E.coefficients
+        c = eisenstein_q_expansion(chi, 60)
         for m in range(1, 61):
             for n in range(1, 60 // m + 1):
                 if gcd(m, n) == 1:

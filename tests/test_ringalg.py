@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mfdecomp import ringalg
 from mfdecomp.hilbert import over_denominator
 from mfdecomp.ringalg import (
     GradedAlgebra,
@@ -54,6 +56,20 @@ def test_parser():
         parse_polynomial(Q_B, "b7")
     with pytest.raises(ValueError):
         parse_polynomial(Q_B, "")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0*b2^2", "zero denominator in '1/0'"),
+        ("b2^", "empty exponent in 'b2^'"),
+        ("b2^+b4", "empty exponent in 'b2^'"),
+        ("3^*b4", "empty exponent in '3^'"),
+    ],
+)
+def test_parser_rejects_malformed_factors(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_polynomial(Q_B, text)
 
 
 def test_polynomial_arithmetic():
@@ -248,6 +264,71 @@ def test_regular_sequence_order_and_errors():
     assert verify_regular_sequence(Q_B, elems).regular
     with pytest.raises(InhomogeneousInput):
         verify_regular_sequence(Q_B, [parse_polynomial(Q_B, "b2 + b4")])
+
+
+@pytest.mark.parametrize(
+    "algebra, exprs, index, degree",
+    [
+        (F3_B, ("b2^2", "b2^3"), 1, 0),  # the f3 negative control
+        (Q_B, ("b2^2*b4", "b4^2"), 1, 4),  # b4^2 * b2^2 = b4 * (b2^2*b4)
+        (F2_A, ("a1^3", "a1^2*a3", "a3^2"), 1, 1),
+    ],
+)
+def test_regular_sequence_failure_is_located(algebra, exprs, index, degree):
+    verdict = verify_regular_sequence(algebra, [parse_polynomial(algebra, e) for e in exprs])
+    assert (verdict.regular, verdict.failing_index, verdict.failing_degree) == (
+        False, index, degree,
+    )
+    assert verdict.detail == (
+        f"multiplication by element {index} has a nontrivial kernel in degree "
+        f"{degree} of the quotient"
+    )
+
+
+@pytest.mark.parametrize("bound", [None, 64])
+@pytest.mark.parametrize("name", sorted(REGULAR_SEQUENCE_CASES))
+def test_each_prefix_and_degree_is_ranked_at_most_once(monkeypatch, name, bound):
+    char, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
+    algebra = GradedAlgebra(char, variables)
+    elems = [parse_polynomial(algebra, e) for e in exprs]
+    calls = []
+
+    def counting_rank(algebra, rows):
+        calls.append(len(rows))
+        return matrix_rank(algebra, rows)
+
+    monkeypatch.setattr(ringalg, "matrix_rank", counting_rank)
+    verdict = verify_regular_sequence(algebra, elems, bound)
+    assert 0 < len(calls) <= len(elems) * (verdict.bound + 1)
+
+
+@st.composite
+def homogeneous_elements(draw, algebra):
+    """A nonzero homogeneous element of degree 1..8 with small coefficients."""
+    degree = draw(st.sampled_from([d for d in range(1, 9) if graded_component(algebra, d)]))
+    component = graded_component(algebra, degree)
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(component), max_size=len(component))
+    element = st.builds(lambda cs: Polynomial(algebra, dict(zip(component, cs))), coeffs)
+    return draw(element.filter(lambda f: not f.is_zero()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_regular_sequence_agrees_with_a_gcd_oracle(data):
+    # In a two-variable polynomial ring every nonzero element is regular, two
+    # elements are regular exactly when they are coprime, and three never are.
+    sympy = pytest.importorskip("sympy")
+    algebra = data.draw(st.sampled_from([Q_B, F2_A, F3_B]))
+    elems = data.draw(st.lists(homogeneous_elements(algebra), min_size=1, max_size=3))
+    if len(elems) == 2:
+        gens = sympy.symbols(algebra.names)
+        options = {"modulus": algebra.char} if algebra.char else {}
+        # from_dict rewrites the values of the dict it is given, so pass copies
+        f, g = (sympy.Poly.from_dict(dict(e.terms), *gens, **options) for e in elems)
+        expected = f.gcd(g).is_ground
+    else:
+        expected = len(elems) == 1
+    assert verify_regular_sequence(algebra, elems).regular == expected
 
 
 @pytest.mark.parametrize("name", sorted(WEIERSTRASS_PRESENTATIONS))
