@@ -83,6 +83,16 @@ def test_polynomial_arithmetic():
         Polynomial(Q_B, {}).homogeneous_degree()
 
 
+def test_terms_are_read_only():
+    f = parse_polynomial(Q_B, "b2^2 - 24*b4")
+    square = f * f
+    with pytest.raises(TypeError):
+        f.terms[(2, 0)] = 0
+    copy = dict(f.terms)
+    copy[(2, 0)] = 0
+    assert f * f == square
+
+
 INTS = st.integers(-6, 6)
 MIXED = st.one_of(INTS, st.fractions(-6, 6, max_denominator=6))
 
@@ -129,6 +139,27 @@ def test_matrix_rank_mod_p_matches_span_count(p, data):
     fractions = st.builds(Fraction, INTS, st.sampled_from([d for d in range(1, 8) if d % p]))
     rows = data.draw(st.one_of(matrices(INTS), matrices(st.one_of(INTS, fractions))))
     assert matrix_rank(GradedAlgebra(p, Q_B.variables), rows) == _rank_by_span(rows, p)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_add_reports_each_rank_increase(char, data):
+    # integer rows, added in two batches to one echelon
+    first, second = (data.draw(matrices(INTS)) for _ in range(2))
+    width = min(len(first[0]), len(second[0]))
+    rows = [row[:width] for row in first + second]
+    if char:
+        ranks = [_rank_by_span(rows[:i], char) for i in range(1, len(rows) + 1)]
+    else:
+        sympy = pytest.importorskip("sympy")
+        ranks = [sympy.Matrix(rows[:i]).rank() for i in range(1, len(rows) + 1)]
+    echelon = ringalg._Echelon(char)
+    grew = [echelon.add(row) for row in rows[: len(first)]]
+    assert len(echelon) == ranks[len(first) - 1]
+    grew += [echelon.add(row) for row in rows[len(first) :]]
+    assert len(echelon) == ranks[-1]
+    assert grew == [b > a for a, b in zip([0] + ranks, ranks)]
 
 
 @settings(max_examples=300)
@@ -285,21 +316,34 @@ def test_regular_sequence_failure_is_located(algebra, exprs, index, degree):
     )
 
 
+#: products f_k * monomial per prefix k and monomial through the bound;
+#: rebuilding each prefix ideal formed 394, 1,797, 164, 708, 28 and 259
+PRODUCTS = {
+    ("f2-c4-delta", None): 239,
+    ("f2-c4-delta", 64): 1146,
+    ("f3-c4-delta", None): 100,
+    ("f3-c4-delta", 64): 452,
+    ("f3-negative-control", None): 26,
+    ("f3-negative-control", 64): 257,
+}
+
+
 @pytest.mark.parametrize("bound", [None, 64])
 @pytest.mark.parametrize("name", sorted(REGULAR_SEQUENCE_CASES))
-def test_each_prefix_and_degree_is_ranked_at_most_once(monkeypatch, name, bound):
+def test_each_product_is_formed_once(monkeypatch, name, bound):
     char, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
     algebra = GradedAlgebra(char, variables)
     elems = [parse_polynomial(algebra, e) for e in exprs]
     calls = []
+    multiply = Polynomial.__mul__
 
-    def counting_rank(algebra, rows):
-        calls.append(len(rows))
-        return matrix_rank(algebra, rows)
+    def counting_mul(f, g):
+        calls.append(1)
+        return multiply(f, g)
 
-    monkeypatch.setattr(ringalg, "matrix_rank", counting_rank)
-    verdict = verify_regular_sequence(algebra, elems, bound)
-    assert 0 < len(calls) <= len(elems) * (verdict.bound + 1)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    verify_regular_sequence(algebra, elems, bound)
+    assert len(calls) == PRODUCTS[name, bound]
 
 
 @st.composite
@@ -339,6 +383,34 @@ def test_weierstrass_identities(name):
         parse_polynomial(algebra, c6),
         parse_polynomial(algebra, delta),
     )
+
+
+def _reductions(char, variables):
+    """c4 and Delta of the Q presentation in ``variables``, reduced mod ``char``."""
+    algebra = GradedAlgebra(char, variables)
+    (_, c4, _, delta), = (
+        entry for entry in WEIERSTRASS_PRESENTATIONS.values() if entry[0].variables == variables
+    )
+    return parse_polynomial(algebra, c4), parse_polynomial(algebra, delta)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(PRESETS) if PRESETS[name][0].char])
+def test_fp_presets_are_reductions_of_the_q_presentation(name):
+    algebra, spec, _, _ = PRESETS[name]
+    c4, delta = _reductions(algebra.char, algebra.variables)
+    (_, first), (_, last) = spec.generators
+    assert last == delta
+    assert any(first.power(n) == c4 for n in range(1, c4.homogeneous_degree() + 1))
+
+
+# every F_p case but the negative control, which is deliberately not (c4, Delta)
+@pytest.mark.parametrize(
+    "name", [name for name, case in sorted(REGULAR_SEQUENCE_CASES.items()) if case[0] and case[3]]
+)
+def test_fp_regular_sequences_are_reductions_of_the_q_presentation(name):
+    char, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
+    algebra = GradedAlgebra(char, variables)
+    assert [parse_polynomial(algebra, e) for e in exprs] == list(_reductions(char, variables))
 
 
 def test_weierstrass_perturbation_fails():

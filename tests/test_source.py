@@ -62,3 +62,23 @@ def test_every_from_import_is_used():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert not unused, unused
+
+
+def test_every_private_function_is_read():
+    # a private helper or method that nothing in src/ reads is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        read |= _names_read(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
+        for node in scope.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in read
+    ]
+    assert not unread, unread
