@@ -131,7 +131,7 @@ def _freebasis_from_file(path: str):
     variables: list[tuple[str, int]] = []
     gens: list[tuple[str, str]] = []
     basis: list[str] = []
-    bound = 48
+    bound = ringalg.FREE_BASIS_BOUND
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()

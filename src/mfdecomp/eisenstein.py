@@ -8,7 +8,8 @@ computes L(0, chi) exactly, the q-expansion of E_1^chi, the rescaled
 series E = (1 - zeta) * E_1^chi, its coordinate components f_i in the
 power basis, and checks that F = sum f_i is congruent to 1 mod 2 -- a
 characteristic-zero lift of the Hasse invariant A_2 (whose q-expansion is
-identically 1).
+identically 1).  For n >= 1 the lift works on integer divisor counts; a
+rational x has v_2(x) >= 1 exactly when its reduced numerator is even.
 
 Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is verified exactly.  The
 stated closed form for the exponent is recorded in two variants (see
@@ -23,11 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (
-    CyclotomicElement,
-    ExtendedValuation,
-    two_adic_valuation_rational,
-)
+from .exactnum import CyclotomicElement, ExtendedValuation
 from .arith import is_prime
 
 __all__ = [
@@ -189,13 +186,7 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     zeta = CyclotomicElement.zeta_power(chi.order, 1)
     v2_omz = (one - zeta).two_adic_valuation()
     sum_is_one = v2_l + v2_omz == 1
-    all_ones = CyclotomicElement(
-        chi.order, tuple(Fraction(1) for _ in range(chi.order // 2))
-    )
-    diff = L - all_ones
-    congruence_ok = all(
-        two_adic_valuation_rational(c) >= 1 for c in diff.coords if c != 0
-    )
+    congruence_ok = all((c - 1).numerator % 2 == 0 for c in L.coords)  # v_2(c - 1) >= 1
     return ValuationClaimReport(
         p=p,
         m=m,
@@ -207,13 +198,9 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     )
 
 
-def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicElement, ...]:
-    """The coefficients of q^0..q^N in
-    E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n.
-
-    Divisor sums are counted per exponent of zeta in integers, sieving the
-    multiples of each d <= N.
-    """
+def _divisor_counts(chi: DirichletCharacter, N: int) -> list[list[int]]:
+    """counts[n][e] = #{d | n : chi(d) = zeta^e} for 1 <= n <= N (counts[0]
+    stays 0), sieving the multiples of each d <= N."""
     if N < 1:
         raise ValueError("precision must be >= 1")
     counts = [[0] * chi.order for _ in range(N + 1)]
@@ -222,6 +209,16 @@ def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicE
         if e is not None:
             for n in range(d, N + 1, d):
                 counts[n][e] += 1
+    return counts
+
+
+def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicElement, ...]:
+    """The coefficients of q^0..q^N in
+    E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n.
+
+    Divisor sums are counted per exponent of zeta in integers.
+    """
+    counts = _divisor_counts(chi, N)
     coeffs = [l_value(chi).scale(Fraction(1, 2))]
     coeffs += [_from_counts(chi.order, c) for c in counts[1:]]
     return tuple(coeffs)
@@ -265,31 +262,36 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
 
     ``galois_exponent`` k (odd) replaces chi by chi^k; components are then
     extracted with respect to powers of chi^k(g), so the f_i must not
-    depend on k.
+    depend on k.  For n >= 1, with c_n[e] = #{d | n : chi^k(d) = zeta^e},
+    (1 - zeta^k) then zeta -> zeta^{k'} (k*k' = 1) adds c_n[e] at e*k' and
+    subtracts it at (e + k)*k', in ints; zeta^{order/2} = -1 folds the row.
     """
     if galois_exponent % 2 == 0:
         raise ValueError("galois exponent must be odd")
     chi, m, _, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
-    k = galois_exponent % chi.order
+    order, d = chi.order, chi.order // 2
+    k = galois_exponent % order
     chi = chi.power(k)
-    # zeta' = chi(g) = zeta^k; coordinates w.r.t. powers of zeta' are read
-    # off after applying the automorphism zeta -> zeta^{k'}, k*k' = 1.
-    k_inv = pow(k, -1, chi.order)
-    zeta_prime = CyclotomicElement.zeta_power(chi.order, k)
-    one_minus_zeta = CyclotomicElement.from_rational(chi.order, 1) - zeta_prime
-    E1 = eisenstein_q_expansion(chi, N)
-    L = E1[0].scale(2)  # the constant term is L(0, chi) / 2
-    E = [one_minus_zeta * c for c in E1]
-    rows = [c.galois(k_inv).coords for c in E]  # rows[n][i]: f_i at q^n
-    for n, row in enumerate(rows):
-        if any(two_adic_valuation_rational(c) < 0 for c in row):
+    k_inv = pow(k, -1, order)
+    counts = _divisor_counts(chi, N)
+    L = l_value(chi)
+    zeta_k = CyclotomicElement.zeta_power(order, k)
+    E0 = (CyclotomicElement.from_rational(order, 1) - zeta_k) * L.scale(Fraction(1, 2))
+    rows = [E0.galois(k_inv).coords]  # rows[n][i]: f_i at q^n
+    for c in counts[1:]:
+        v = [0] * order
+        for e, c_e in enumerate(c):
+            if c_e:
+                v[e * k_inv % order] += c_e
+                v[(e + k) * k_inv % order] -= c_e
+        rows.append([v[i] - v[i + d] for i in range(d)])
+    for n, row in enumerate(rows):  # v_2(x) < 0 exactly when x's denominator is even
+        if any(c.denominator % 2 == 0 for c in row):
             raise IntegralityFailure(
                 f"coefficient of q^{n} in E is not 2-integral (p={p})"
             )
-    averaged = tuple(sum(row, Fraction(0)) for row in rows)
-    ok = two_adic_valuation_rational(averaged[0] - 1) >= 1 and all(
-        two_adic_valuation_rational(a) >= 1 for a in averaged[1:] if a != 0
-    )
+    sums = [sum(row) for row in rows]
+    ok = all(a.numerator % 2 == 0 for a in (sums[0] - 1, *sums[1:]))
     return HasseLiftReport(
         p=p,
         m=m,
@@ -297,7 +299,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         v2_l=v2_l,
         **_exponents(m),
         precision=N,
-        components=tuple(zip(*rows)),
-        averaged=averaged,
+        components=tuple(tuple(map(Fraction, f)) for f in zip(*rows)),
+        averaged=tuple(map(Fraction, sums)),
         verdict="pass" if ok else "fail",
     )

@@ -11,7 +11,9 @@ rule zeta^{2^{m-1}} = -1.  A Galois automorphism zeta -> zeta^k permutes
 that basis up to sign, and the norm descends the tower of quadratic steps
 Q(zeta_{2^m}) / Q(zeta_{2^{m-1}}) / ... / Q (Washington, *Introduction to
 Cyclotomic Fields*, ch. 2): about (4/3) d^2 coefficient products at degree
-d.  All values are immutable and all operations are pure functions.
+d, in Python ints after clearing one common denominator.  Multiplication
+and the norm share one coordinate-product loop.  All values are immutable
+and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -47,6 +49,23 @@ def two_adic_valuation_rational(x: Fraction) -> ExtendedValuation:
     if x == 0:
         return INFINITE_VALUATION
     return Fraction(_v2_int(x.numerator) - _v2_int(x.denominator))
+
+
+def _product(a, b, zero) -> list:
+    """(sum a_i zeta^i) * (sum b_j zeta^j) with zeta^len(a) = -1, summed from ``zero``."""
+    degree = len(a)
+    acc = [zero] * degree
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y == 0:
+                continue
+            if i + j < degree:
+                acc[i + j] += x * y
+            else:
+                acc[i + j - degree] -= x * y  # zeta^degree = -1
+    return acc
 
 
 def _is_two_power(n: int) -> bool:
@@ -118,20 +137,9 @@ class CyclotomicElement:
 
     def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         self._check_same_field(other)
-        degree = self.degree
-        acc = [Fraction(0)] * degree
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < degree:
-                    acc[k] += a * b
-                else:
-                    acc[k - degree] -= a * b  # zeta^degree = -1
-        return CyclotomicElement(self.order, tuple(acc))
+        return CyclotomicElement(
+            self.order, tuple(_product(self.coords, other.coords, Fraction(0)))
+        )
 
     def scale(self, factor) -> "CyclotomicElement":
         f = Fraction(factor)
@@ -164,14 +172,15 @@ class CyclotomicElement:
         return CyclotomicElement(order, tuple(coords))
 
     def norm(self) -> Fraction:
-        """Field norm to Q down the tower: with sigma: zeta -> -zeta, x * sigma(x)
-        lies in Q(zeta^2), its even coordinates are those over zeta_{order/2},
-        and N_{Q(zeta)/Q}(x) = N_{Q(zeta^2)/Q}(x * sigma(x))."""
-        x = self
-        while x.degree > 1:
-            y = x * x.galois(x.degree + 1)
-            x = CyclotomicElement(x.order // 2, y.coords[::2])
-        return Fraction(x.coords[0])
+        """Field norm to Q down the tower, in integers: N(x) = N(D*x) / D^degree
+        with D the lcm of the coordinate denominators.  With sigma: zeta ->
+        -zeta, y * sigma(y) lies in Q(zeta^2), its even coordinates are those
+        over zeta_{order/2}, and N_{Q(zeta)/Q}(y) = N_{Q(zeta^2)/Q}(y * sigma(y))."""
+        den = math.lcm(*(c.denominator for c in self.coords))
+        y = [c.numerator * (den // c.denominator) for c in self.coords]
+        while len(y) > 1:
+            y = _product(y, [-c if i % 2 else c for i, c in enumerate(y)], 0)[::2]
+        return Fraction(y[0], den**self.degree)
 
     def two_adic_valuation(self) -> ExtendedValuation:
         """Extended 2-adic valuation v_2(x) = v_2(N(x)) / degree; +inf at 0."""

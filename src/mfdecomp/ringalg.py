@@ -301,6 +301,10 @@ class SubringSpec:
         return tuple(g.homogeneous_degree() for _, g in self.generators)
 
 
+#: Degree through which free-basis certificates are checked by default.
+FREE_BASIS_BOUND = 48
+
+
 @dataclass(frozen=True)
 class BasisCertificate:
     ambient: GradedAlgebra
@@ -325,7 +329,7 @@ def verify_free_basis(
     ambient: GradedAlgebra,
     subring: SubringSpec,
     basis: list[Polynomial],
-    bound: int,
+    bound: int | None = None,
 ) -> BasisCertificate:
     """Certify that ``basis`` is a free module basis of ``ambient`` over the
     subring generated by ``subring``, degree by degree up to ``bound``.
@@ -334,6 +338,7 @@ def verify_free_basis(
     be exactly dim(ambient_d) many and linearly independent; this is also the
     Hilbert-series identity H_ambient = H_subring * sum t^deg(basis).
     """
+    bound = FREE_BASIS_BOUND if bound is None else bound
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
     basis_degrees = tuple(b.homogeneous_degree() for b in basis)
@@ -440,7 +445,7 @@ def weierstrass_identity_check(
     return (c4.power(3) - c6.power(2) - delta.scale(1728)).is_zero()
 
 
-def _preset(char, variables, gens, basis_texts, bound=48):
+def _preset(char, variables, gens, basis_texts, bound=FREE_BASIS_BOUND):
     algebra = GradedAlgebra(char, variables)
     spec = SubringSpec(
         tuple((name, parse_polynomial(algebra, text)) for name, text in gens)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mfdecomp import hilbert
+from mfdecomp import hilbert, ringalg
 from mfdecomp.cli import SUITES, build_parser, main
 
 
@@ -256,6 +256,10 @@ def test_freebasis_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "freebasis", "--file", str(spec))
     assert code == 0
     assert "free" in out
+    # without a bound line the file is checked through the library default
+    spec.write_text(spec.read_text().replace("bound 24\n", ""))
+    code, out, _ = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out) == (0, f"{spec}: free (verified through degree {ringalg.FREE_BASIS_BOUND})\n")
 
 
 def test_freebasis_wrong_basis_fails(capsys, tmp_path):

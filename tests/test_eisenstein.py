@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
-from mfdecomp import eisenstein
-from mfdecomp.exactnum import CyclotomicElement
+from mfdecomp import cli, eisenstein, levels
+from mfdecomp.arith import is_prime
+from mfdecomp.exactnum import CyclotomicElement, two_adic_valuation_rational
 from mfdecomp.eisenstein import (
     NotPrime,
     OrderTooSmall,
@@ -134,6 +135,44 @@ def test_hasse_lift_passes(p):
     report = hasse_lift(p, 60)
     assert report.passed
     assert report.precision == 60
+
+
+def field_product_lift(p, N, k):
+    """Oracle: the lift as field products, E_1^{chi^k} through q^N times
+    (1 - zeta^k), read off after zeta -> zeta^{k^-1}."""
+    chi = odd_two_power_character(p)
+    k %= chi.order
+    one_minus_zeta = CyclotomicElement.from_rational(chi.order, 1) - CyclotomicElement.zeta_power(chi.order, k)
+    E1 = eisenstein_q_expansion(chi.power(k), N)
+    rows = [(one_minus_zeta * c).galois(pow(k, -1, chi.order)).coords for c in E1]
+    averaged = tuple(sum(row, Fraction(0)) for row in rows)
+    ok = two_adic_valuation_rational(averaged[0] - 1) >= 1 and all(
+        two_adic_valuation_rational(a) >= 1 for a in averaged[1:]
+    )
+    return tuple(zip(*rows)), averaged, E1[0].scale(2), "pass" if ok else "fail"
+
+
+ORACLE_PRIMES = [p for p in range(5, 200) if p % 4 == 1 and is_prime(p)] + [257]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_hasse_lift_matches_field_products(p):
+    order = odd_two_power_character(p).order
+    for k in sorted({1, 3, order - 1}):
+        for N in (1, 7, 60):
+            report = hasse_lift(p, N, galois_exponent=k)
+            got = report.components, report.averaged, report.l_value, report.verdict
+            assert got == field_product_lift(p, N, k), (p, k, N)
+            entries = [c for f in report.components for c in f] + list(report.averaged)
+            assert all(type(c) is Fraction for c in entries + list(report.l_value.coords))
+
+
+@pytest.mark.parametrize("p", cli.HASSE_PRIMES)
+def test_hasse_lift_passes_at_the_sturm_horizon(p):
+    # q^60 is no Sturm horizon for p >= 41: the degree of omega on X_1(p) is larger.
+    N = levels.omega_degree(levels.CongruenceGroup(levels.GroupKind.GAMMA1, p))
+    assert N == (p * p - 1) // 24
+    assert hasse_lift(p, int(N)).passed
 
 
 @pytest.mark.parametrize("p", (5, 17, 29))

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfdecomp.exactnum import (
     CyclotomicElement,
@@ -123,11 +123,37 @@ def rational_cyclo(draw, order):
     )
 
 
+@st.composite
+def wide_rational_cyclo(draw, order):
+    """Zeros and denominators up to 10^6 that share a common factor but are
+    otherwise unrelated, so clearing them needs a true lcm."""
+    common = draw(st.integers(min_value=1, max_value=1000))
+    coord = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            lambda n, d: Fraction(n, common * d),
+            st.integers(min_value=-1000, max_value=1000),
+            st.integers(min_value=1, max_value=1000),
+        ),
+    )
+    return CyclotomicElement(order, tuple(draw(st.lists(coord, min_size=order // 2, max_size=order // 2))))
+
+
+norm_input = st.one_of(
+    orders.map(lambda o: CyclotomicElement.from_rational(o, 0)),
+    orders.flatmap(rational_cyclo),
+    orders.flatmap(wide_rational_cyclo),
+)
+
+
 # The oracle does d^3 coefficient products with growing denominators.
 @settings(max_examples=25, deadline=None)
-@given(orders.flatmap(rational_cyclo))
+@given(norm_input)
+@example(CyclotomicElement.from_rational(64, 0))
+@example(elem(16, Fraction(1, 6), 0, Fraction(-5, 4), 0, 0, Fraction(7, 999_990), 0, Fraction(1, 10**6)))
 def test_tower_norm_matches_conjugate_product(x):
     assert norm(x) == conjugate_product(x)
+    assert type(norm(x)) is Fraction
 
 
 @settings(deadline=None)

@@ -198,6 +198,14 @@ def test_presets_certify_free(name):
     assert cert.bound == 48
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_none_bound_means_the_default(name):
+    algebra, spec, basis, bound = PRESETS[name]
+    assert bound == ringalg.FREE_BASIS_BOUND == 48
+    assert verify_free_basis(algebra, spec, basis, None) == verify_free_basis(algebra, spec, basis, 48)
+    assert verify_free_basis(algebra, spec, basis) == preset_certificate(name)
+
+
 def test_preset_ranks():
     assert len(PRESETS["f2-rank4"][2]) == 4
     assert len(PRESETS["f3-rank3"][2]) == 3
