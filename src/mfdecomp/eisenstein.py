@@ -262,29 +262,20 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
 
     ``galois_exponent`` k (odd) replaces chi by chi^k; components are then
     extracted with respect to powers of chi^k(g), so the f_i must not
-    depend on k.  For n >= 1, with c_n[e] = #{d | n : chi^k(d) = zeta^e},
-    (1 - zeta^k) then zeta -> zeta^{k'} (k*k' = 1) adds c_n[e] at e*k' and
-    subtracts it at (e + k)*k', in ints; zeta^{order/2} = -1 folds the row.
+    depend on k.  As L(0, chi^k) = sigma_k(L(0, chi)), undoing sigma_k leaves
+    (1 - zeta) L(0, chi)/2 at q^0.  For n >= 1, with c_n[e] = #{d | n :
+    chi(d) = zeta^e}, (1 - zeta^k) then sigma_k^{-1} adds c_n[e] at e and
+    subtracts it at e + 1, in ints; zeta^{order/2} = -1 folds the row.
     """
     if galois_exponent % 2 == 0:
         raise ValueError("galois exponent must be odd")
-    chi, m, _, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
+    chi, m, L, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
     order, d = chi.order, chi.order // 2
-    k = galois_exponent % order
-    chi = chi.power(k)
-    k_inv = pow(k, -1, order)
-    counts = _divisor_counts(chi, N)
-    L = l_value(chi)
-    zeta_k = CyclotomicElement.zeta_power(order, k)
-    E0 = (CyclotomicElement.from_rational(order, 1) - zeta_k) * L.scale(Fraction(1, 2))
-    rows = [E0.galois(k_inv).coords]  # rows[n][i]: f_i at q^n
-    for c in counts[1:]:
-        v = [0] * order
-        for e, c_e in enumerate(c):
-            if c_e:
-                v[e * k_inv % order] += c_e
-                v[(e + k) * k_inv % order] -= c_e
-        rows.append([v[i] - v[i + d] for i in range(d)])
+    zeta = CyclotomicElement.zeta_power(order, 1)
+    E0 = (CyclotomicElement.from_rational(order, 1) - zeta) * L.scale(Fraction(1, 2))
+    rows = [E0.coords]  # rows[n][i]: f_i at q^n
+    for c in _divisor_counts(chi, N)[1:]:  # c[-1] is c[order - 1]
+        rows.append([c[i] - c[i - 1] - c[i + d] + c[i + d - 1] for i in range(d)])
     for n, row in enumerate(rows):  # v_2(x) < 0 exactly when x's denominator is even
         if any(c.denominator % 2 == 0 for c in row):
             raise IntegralityFailure(
@@ -295,7 +286,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     return HasseLiftReport(
         p=p,
         m=m,
-        l_value=L,
+        l_value=L.galois(galois_exponent),
         v2_l=v2_l,
         **_exponents(m),
         precision=N,

@@ -11,9 +11,10 @@ Polynomials are read-only maps from exponent vectors to coefficients;
 coefficients are ints where integral and ``Fraction`` otherwise in
 characteristic 0, and ints in [0, p) in characteristic p.  Free-basis
 certificates and regular-sequence checks over Q scale their inputs to integer
-coefficients, so their rows are integer rows.  Every rank comes from one
-incremental echelon that reduces each new row against the pivot rows kept so
-far: mod p over F_p, and fraction-free over Q, so everything is exact.
+coefficients, so their rows are integer rows, built from the terms of b and
+g^e (or f and a monomial) with no Polynomial per product.  Every rank comes
+from one incremental echelon that reduces each new row against the pivot
+rows kept so far: mod p over F_p, fraction-free over Q, so all is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
 
 from .arith import is_prime
@@ -62,6 +65,9 @@ class GradedAlgebra:
             raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
         if any(deg <= 0 for _, deg in self.variables):
             raise ValueError("variable degrees must be positive")
+        for i, name in enumerate(self.names):
+            if name in self.names[:i]:
+                raise ValueError(f"variable {name!r} is declared twice")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -79,8 +85,9 @@ class GradedAlgebra:
         f = Fraction(value)
         if self.char == 0:
             return f.numerator if f.denominator == 1 else f
-        den_inv = pow(f.denominator % self.char, -1, self.char)
-        return f.numerator * den_inv % self.char
+        if f.denominator % self.char == 0:
+            raise ValueError(f"coefficient {f} is undefined in characteristic {self.char}")
+        return f.numerator * pow(f.denominator, -1, self.char) % self.char
 
 
 @lru_cache(maxsize=None)
@@ -166,12 +173,6 @@ class Polynomial:
             result = result * self
         return result
 
-    def coordinates(self, basis: list[tuple[int, ...]]) -> list["Fraction | int"]:
-        extra = set(self.terms) - set(basis)
-        if extra:
-            raise ValueError(f"terms outside the given monomial basis: {extra}")
-        return [self.terms.get(m, 0) for m in basis]
-
     @classmethod
     def constant(cls, algebra: GradedAlgebra, value) -> "Polynomial":
         return cls(algebra, {(0,) * len(algebra.variables): value})
@@ -224,6 +225,16 @@ def parse_polynomial(algebra: GradedAlgebra, text: str) -> Polynomial:
 # Exact rank computation
 
 
+def _row(f: Mapping, g: Mapping, column: dict) -> list[int]:
+    """The coordinates of f*g (f, g: terms of homogeneous elements) in the
+    numbering ``column`` of their degree's monomials, unreduced mod p."""
+    row = [0] * len(column)
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            row[column[tuple(map(add, m1, m2))]] += c1 * c2
+    return row
+
+
 class _Echelon:
     """Rows in echelon form over F_p (char p) or Q (char 0), one pivot row
     per leading column.
@@ -269,7 +280,7 @@ class _Echelon:
 
 
 def matrix_rank(algebra: GradedAlgebra, rows: list[list["Fraction | int"]]) -> int:
-    if any(type(x) is not int for row in rows for x in row):
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
         if algebra.char:
             rows = [[algebra.coeff(x) for x in row] for row in rows]
         else:
@@ -356,19 +367,20 @@ def verify_free_basis(
                 lower = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
                 monomial[expo] = monomial[lower] * gens[i]
         component = graded_component(ambient, d)
-        products = [
-            b * monomial[expo]
+        factors = [
+            (b.terms, monomial[expo].terms)
             for b, bd in zip(basis, basis_degrees)
             for expo in _graded_monomials(gen_degrees, d - bd)
         ]
-        if len(products) != len(component):
+        if len(factors) != len(component):
             return BasisCertificate(
                 ambient, subring, basis_degrees, bound, "not free", d,
-                "spanning" if len(products) < len(component) else "independence",
+                "spanning" if len(factors) < len(component) else "independence",
             )
         if not component:
             continue
-        rows = [p.coordinates(component) for p in products]
+        column = {m: i for i, m in enumerate(component)}
+        rows = [_row(b, g, column) for b, g in factors]
         if matrix_rank(ambient, rows) != len(component):
             return BasisCertificate(
                 ambient, subring, basis_degrees, bound, "not free", d, "independence"
@@ -416,14 +428,14 @@ def verify_regular_sequence(
         raise ValueError(f"degree bound must be >= 0, got {bound}")
 
     components = [graded_component(algebra, d) for d in range(bound + 1)]
+    columns = [{m: i for i, m in enumerate(component)} for component in components]
     h = [len(component) for component in components]
     ideal = [_Echelon(algebra.char) for _ in components]
     for k, (f, e) in enumerate(zip(map(_integral, elements), degrees)):
         expected = times_denominator(h, [e], bound + 1)
         for d in range(e, bound + 1):  # below e nothing changes
             for mono in components[d - e]:
-                product = f * Polynomial(algebra, {mono: 1})
-                ideal[d].add(product.coordinates(components[d]))
+                ideal[d].add(_row(f.terms, {mono: 1}, columns[d]))
             h[d] = len(components[d]) - len(ideal[d])
             if h[d] != expected[d]:
                 return RegularSequenceVerdict(

@@ -326,6 +326,26 @@ def test_freebasis_large_composite_characteristic_exits_quickly(capsys, tmp_path
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "char 2\nvar a1 1\nvar a1 3\ngen a1 = a1\ngen delta = a1^4\n",
+            "variable 'a1' is declared twice",
+        ),
+        (
+            "char 2\nvar a1 1\nvar a3 3\ngen a1 = 1/2*a1\ngen delta = a3^4 + a1^3*a3^3\n",
+            "coefficient 1/2 is undefined in characteristic 2",
+        ),
+    ],
+)
+def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, message):
+    spec = tmp_path / "pres.txt"
+    spec.write_text(text + "basis 1\nbound 6\n")
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "text, missing",
     [
         ("", "var"),

@@ -343,13 +343,13 @@ def test_each_product_is_formed_once(monkeypatch, name, bound):
     algebra = GradedAlgebra(char, variables)
     elems = [parse_polynomial(algebra, e) for e in exprs]
     calls = []
-    multiply = Polynomial.__mul__
+    add = ringalg._Echelon.add
 
-    def counting_mul(f, g):
+    def counting_add(echelon, row):  # each product's row enters one echelon once
         calls.append(1)
-        return multiply(f, g)
+        return add(echelon, row)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(ringalg._Echelon, "add", counting_add)
     verify_regular_sequence(algebra, elems, bound)
     assert len(calls) == PRODUCTS[name, bound]
 
@@ -362,6 +362,20 @@ def homogeneous_elements(draw, algebra):
     coeffs = st.lists(st.integers(-3, 3), min_size=len(component), max_size=len(component))
     element = st.builds(lambda cs: Polynomial(algebra, dict(zip(component, cs))), coeffs)
     return draw(element.filter(lambda f: not f.is_zero()))
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("degrees", [(1, 3), (2, 4), (1, 2, 3)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_is_the_product_in_coordinates(char, degrees, data):
+    algebra = GradedAlgebra(char, tuple((f"x{i}", d) for i, d in enumerate(degrees)))
+    f, g = (data.draw(homogeneous_elements(algebra)) for _ in range(2))
+    component = graded_component(algebra, f.homogeneous_degree() + g.homogeneous_degree())
+    row = ringalg._row(f.terms, g.terms, {m: i for i, m in enumerate(component)})
+    assert all(type(x) is int for x in row)
+    reduced = [x % char for x in row] if char else row
+    assert reduced == [(f * g).terms.get(m, 0) for m in component]
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,6 +488,17 @@ def test_characteristic_must_be_zero_or_prime(char):
         GradedAlgebra(char, (("b2", 2),))
     for ok in (0, 2, 3, 5):
         GradedAlgebra(ok, (("b2", 2),))
+
+
+def test_variable_names_must_be_distinct():
+    with pytest.raises(ValueError, match="variable 'a1' is declared twice"):
+        GradedAlgebra(2, (("a1", 1), ("a3", 3), ("a1", 3)))
+
+
+def test_coefficient_undefined_mod_p_is_named():
+    with pytest.raises(ValueError, match="coefficient 1/2 is undefined in characteristic 2"):
+        parse_polynomial(F2_A, "1/2*a1")
+    assert parse_polynomial(F3_B, "1/2*b2").terms == {(1, 0): 2}
 
 
 @given(
