@@ -127,11 +127,10 @@ def cmd_obstruct(args) -> int:
 
 
 def _freebasis_from_file(path: str):
-    char = 0
+    single: dict[str, int] = {}  # the "char" and "bound" lines, each at most once
     variables: list[tuple[str, int]] = []
     gens: list[tuple[str, str]] = []
     basis: list[str] = []
-    bound = ringalg.FREE_BASIS_BOUND
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -139,8 +138,10 @@ def _freebasis_from_file(path: str):
                 continue
             head, _, rest = line.partition(" ")
             rest = rest.strip()
-            if head == "char":
-                char = int(rest)
+            if head in ("char", "bound"):
+                if head in single:
+                    raise ValueError(f"repeated {head!r} line in {path}")
+                single[head] = int(rest)
             elif head == "var":
                 name, deg = rest.split()
                 variables.append((name, int(deg)))
@@ -149,14 +150,13 @@ def _freebasis_from_file(path: str):
                 gens.append((name.strip(), expr.strip()))
             elif head == "basis":
                 basis.append(rest)
-            elif head == "bound":
-                bound = int(rest)
             else:
                 raise ValueError(f"unknown directive {head!r} in {path}")
     for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
         if not lines:
             raise ValueError(f"no {directive!r} line in {path}")
-    return ringalg._preset(char, tuple(variables), gens, basis, bound)
+    bound = single.get("bound", ringalg.FREE_BASIS_BOUND)
+    return ringalg._preset(single.get("char", 0), tuple(variables), gens, basis, bound)
 
 
 def cmd_freebasis(args) -> int:

@@ -16,7 +16,10 @@ k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
 Multiplicities, identities and the kernels between blocks all go through
 the series helpers ``times_denominator`` and ``over_denominator``.
 Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
-independent cross-check and the two must always agree.
+independent cross-check and the two must always agree.  Every Hilbert
+function here is a coefficient list: m_0..m_{n-1} come from the memoised
+``levels.dimension_table`` and, past its end, from ``dim_modular_forms``.  A
+``DecompositionSequence`` is a group, a block tag and the multiplicities.
 
 Shift convention: multiplicity at shift i means a summand twisted by the
 (-i)-th power of omega.
@@ -28,15 +31,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
-from typing import Callable
 
 from .arith import factorize
 from .hilbert import (
     Check,
     TwistMultiset,
-    WeightedLine,
     deconvolve,
-    h0_dim,
     over_denominator,
     times_denominator,
 )
@@ -53,7 +53,6 @@ from .levels import (
 )
 
 __all__ = [
-    "BaseBlock",
     "BlockTag",
     "ConsistencyReport",
     "DecompositionInvalid",
@@ -61,9 +60,7 @@ __all__ = [
     "ObstructionReport",
     "TABLE_BLOCKS",
     "UnsupportedGroup",
-    "base_block",
     "deconvolve_by_gamma1_block",
-    "dimension_function",
     "level2_decomposition",
     "level3_decomposition",
     "level456_decomposition",
@@ -116,27 +113,16 @@ MIN_GAMMA1_LEVEL = {
 TABLE_BLOCKS = (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3)
 
 
-@dataclass(frozen=True)
-class BaseBlock:
-    tag: BlockTag
-    hilbert: Callable[[int], int]
-    rank: int
+def _dimensions(group: CongruenceGroup, n: int, w1: Weight1Data | None) -> list[int]:
+    """m_0..m_{n-1}: the group's ``dimension_table``, then the formula past its end."""
+    table = dimension_table(group, w1)
+    return [*table[:n], *(dim_modular_forms(group, k, w1) for k in range(len(table), n))]
 
 
 @lru_cache(maxsize=None)
-def base_block(tag: BlockTag) -> BaseBlock:
-    a, b = BLOCK_WEIGHTS[tag]
-    line = WeightedLine(a, b)
-    hf = lru_cache(maxsize=None)(lambda k: h0_dim(line, k))
-    return BaseBlock(tag, hf, 24 // (a * b))
-
-
-def dimension_function(
-    group: CongruenceGroup, w1: Weight1Data | None = None
-) -> Callable[[int], int]:
-    """k -> m_k, read from the group's ``dimension_table`` where it reaches."""
-    table = dimension_table(group, w1)
-    return lambda k: table[k] if 0 <= k < len(table) else dim_modular_forms(group, k, w1)
+def _level1_block(n: int) -> tuple[int, ...]:
+    """h^0(P(4, 6), k) for k < n: the level-1 dimension sequence."""
+    return tuple(over_denominator([1], BLOCK_WEIGHTS[BlockTag.OMEGA_POWERS], n))
 
 
 def _support_bound(tag: BlockTag) -> int:
@@ -160,12 +146,12 @@ def _kernel(outer: BlockTag, inner: BlockTag) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class DecompositionSequence:
     group: CongruenceGroup
-    block: BaseBlock
+    tag: BlockTag
     mult: TwistMultiset
 
     def as_list(self, length: int | None = None) -> list[int]:
         if length is None:
-            length = _support_bound(self.block.tag) + 1
+            length = _support_bound(self.tag) + 1
         return self.mult.as_list(length)
 
 
@@ -203,9 +189,7 @@ def _closed_form(
         raise DecompositionInvalid(f"{tag.value} cusp identities fail for {group}: {problem}")
     if tag is BlockTag.LEVEL3 and not (seq[0] + seq[3] == seq[1] + seq[4] == seq[2] + seq[5]):
         raise DecompositionInvalid(f"balance identity fails for {group}")
-    return DecompositionSequence(
-        group, base_block(tag), TwistMultiset(dict(enumerate(seq)))
-    )
+    return DecompositionSequence(group, tag, TwistMultiset(dict(enumerate(seq))))
 
 
 def omega_decomposition(
@@ -265,15 +249,17 @@ def verify_consistency(
 ) -> ConsistencyReport:
     """Convolution, rank, cross-block, cusp-form and (level 3) balance
     identities for ``seq``."""
-    group, tag, cs = seq.group, seq.block.tag, seq.as_list()
-    m = dimension_function(group, w1)
+    group, tag, cs = seq.group, seq.tag, seq.as_list()
+    m = _dimensions(group, max_weight + 1, w1)
     got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[tag], max_weight + 1)
-    bad = [(k, m(k), c) for k, c in enumerate(got) if m(k) != c]
+    bad = [(k, mk, c) for k, (mk, c) in enumerate(zip(m, got)) if mk != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
     checks = [Check("convolution", not bad, detail or f"exact through weight {max_weight}")]
 
-    index, rank = level_invariants(group).index, seq.mult.total() * seq.block.rank
-    detail = f"sum(mult) * {seq.block.rank} = {rank}, index = {index}"
+    a, b = BLOCK_WEIGHTS[tag]
+    index, block_rank = level_invariants(group).index, 24 // (a * b)
+    rank = seq.mult.total() * block_rank
+    detail = f"sum(mult) * {block_rank} = {rank}, index = {index}"
     checks.append(Check("rank", rank == index, detail))
 
     if tag is not BlockTag.OMEGA_POWERS:
@@ -307,11 +293,12 @@ def deconvolve_by_gamma1_block(
     The independent oracle for all closed-form decompositions, and the tool
     that exhibits non-decomposability (negative multiplicities) for q > 6.
     """
-    target = dimension_function(group, w1)
+    n = max(max_shift, verify_through, 0) + 1
+    target = _dimensions(group, n, w1)
     if q == 1:
-        block = base_block(BlockTag.OMEGA_POWERS).hilbert
+        block = _level1_block(n)
     else:
-        block = dimension_function(CongruenceGroup(GroupKind.GAMMA1, q), w1)
+        block = _dimensions(CongruenceGroup(GroupKind.GAMMA1, q), n, w1)
     return deconvolve(target, block, max_shift, verify_through)
 
 

@@ -3,14 +3,13 @@
 h0/h1 of O(m) on P(a,b) are lattice-point counts, computed by direct
 enumeration rather than floor-function closed forms (slower, but immune to
 off-by-one mistakes at the degrees we care about).  A Hilbert function is
-any ``Callable[[int], int]`` that is 0 in negative degrees; finitely
-supported ones come from ``finite_sequence``.  Series N(t) / prod_w (1 - t^w)
-live on coefficient lists truncated to n terms: ``times_denominator`` and
-``over_denominator`` multiply and divide by the factors, one sparse factor
-per pass, for every such product or quotient in the package.  ``deconvolve``
-recovers the multiset of twists of a split bundle from its Hilbert
-function, by greedy division with a nonnegativity constraint and exact
-re-convolution over a verification window, on values read once per degree.
+a coefficient list: the dimensions in degrees 0, 1, ..., read as 0 past its
+end.  Series N(t) / prod_w (1 - t^w) live on such lists truncated to n
+terms: ``times_denominator`` and ``over_denominator`` multiply and divide by
+the factors, one sparse factor per pass, for every such product or quotient
+in the package.  ``deconvolve`` recovers the multiset of twists of a split
+bundle from its Hilbert function, by greedy division with a nonnegativity
+constraint and exact re-convolution over a verification window.
 ``Check`` is the package's one pass/fail record, a name, a verdict and a
 detail: ``serre_duality_check`` returns one, ``decomp.verify_consistency``
 collects them, and every ``mfdecomp verify`` suite yields them.
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Check",
@@ -32,7 +31,6 @@ __all__ = [
     "WeightedLine",
     "deconvolve",
     "default_verify_through",
-    "finite_sequence",
     "h0_dim",
     "h1_dim",
     "over_denominator",
@@ -99,15 +97,14 @@ def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> Check:
     return Check("serre-duality", True, f"holds on [{lo}, {hi}]")
 
 
-def finite_sequence(values: Iterable[int]) -> Callable[[int], int]:
-    """The Hilbert function with ``values`` in degrees 0, 1, ... and 0 elsewhere."""
-    table = tuple(values)
-    return lambda k: table[k] if 0 <= k < len(table) else 0
+def _padded(values: Sequence[int], n: int) -> list[int]:
+    """values[0..n-1], read as 0 past the end."""
+    return [*values[:n], *[0] * (n - len(values))]
 
 
 def times_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
     """Coefficients of t^0..t^(n-1) in prod_w (1 - t^w) * sum_k values[k] t^k."""
-    out = [*values[:n], *[0] * (n - len(values))]
+    out = _padded(values, n)
     for w in weights:  # a stride-w difference per factor
         out[w:] = [c - d for c, d in zip(out[w:], out)]
     return out
@@ -115,7 +112,7 @@ def times_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> 
 
 def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
     """Coefficients of t^0..t^(n-1) in sum_k values[k] t^k / prod_w (1 - t^w)."""
-    out = [*values[:n], *[0] * (n - len(values))]
+    out = _padded(values, n)
     for w in weights:  # a stride-w running sum per factor
         for r in range(min(w, n)):
             out[r::w] = accumulate(out[r::w])
@@ -150,8 +147,10 @@ class TwistMultiset:
         n = (self.max_shift() + 1) if length is None else length
         return [self[i] for i in range(n)]
 
-    def convolve(self, block: Callable[[int], int], k: int) -> int:
-        return sum(c * block(k - i) for i, c in self.multiplicities.items() if i <= k)
+    def convolve(self, block: Sequence[int], k: int) -> int:
+        """sum_i mult[i] * block[k - i], with block read as 0 past its end."""
+        items = self.multiplicities.items()
+        return sum(c * block[k - i] for i, c in items if 0 <= k - i < len(block))
 
     def reconstruct(self, block: Sequence[int]) -> list[int]:
         """``convolve`` in every degree k < len(block), from the block's values."""
@@ -191,29 +190,26 @@ def default_verify_through(max_shift: int, a: int, b: int) -> int:
 
 
 def deconvolve(
-    target: Callable[[int], int],
-    block: Callable[[int], int],
+    target: Sequence[int],
+    block: Sequence[int],
     max_shift: int,
     verify_through: int,
 ) -> TwistMultiset:
-    """Write target = sum_i c_i * block(. - i) with c_i >= 0, or raise.
+    """Write target = sum_i c_i * block[. - i] with c_i >= 0, or raise.
 
-    Greedy: c_i = target(i) - sum_{j>=1} block(j) c_{i-j} for i = 0..max_shift,
-    then the reconstruction is checked exactly for all degrees <= verify_through.
-    Each function is evaluated once per degree, in increasing degree.
+    Both are coefficient lists, read as 0 past their end.  Greedy:
+    c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, then
+    the reconstruction is checked exactly for all degrees <= verify_through.
     """
-    if block(0) != 1:
+    n = max(max_shift, verify_through) + 1
+    targets, blocks, coeffs = _padded(target, n), _padded(block, max(n, 1)), []
+    if blocks[0] != 1:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    targets, blocks, coeffs = [], [1], []
-    for i in range(max(max_shift, verify_through) + 1):
-        targets.append(target(i))
-        if i:
-            blocks.append(block(i))
-        if i <= max_shift:
-            c = targets[i] - sum(map(mul, reversed(coeffs), blocks[1:]))
-            if c < 0:
-                raise NegativeMultiplicity(i, c)
-            coeffs.append(c)
+    for i in range(max_shift + 1):
+        c = targets[i] - sum(map(mul, reversed(coeffs), blocks[1 : i + 1]))
+        if c < 0:
+            raise NegativeMultiplicity(i, c)
+        coeffs.append(c)
     result = TwistMultiset(dict(enumerate(coeffs)))
     got = result.reconstruct(blocks)
     for k in range(verify_through + 1):

@@ -15,9 +15,10 @@ n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
 
 ``level_invariants`` derives index, cusps, elliptic points and genus from one
 factorisation of the level, in integers, once per group.  ``dimension_table``
-evaluates m_0..m_40 and ``cusp_table`` s_0..s_12 once per (group, s_1); the
-decomposition closed forms, their cusp-form identities, the deconvolution
-oracle and the consistency checks all read them.
+and ``cusp_table`` are coefficient lists m_0..m_40 and s_0..s_12, evaluated
+once per (group, s_1) in one memoised function; the decomposition closed
+forms, their cusp-form identities, the deconvolution oracle and the
+consistency checks all read them.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -309,64 +310,43 @@ def dim_modular_forms(
 def dim_cusp_forms(
     group: CongruenceGroup, k: int, w1: Weight1Data | None = None
 ) -> int:
-    return _cusp_dimensions(group, range(k, k + 1), w1)[0]
+    """s_k; m_k is read only for k > 2, so weights k >= 2 need no weight-1 data."""
+    return _cusp_dimension(group, k, dim_modular_forms(group, k, w1) if k > 2 else 0, w1)
 
 
-def _cusp_dimensions(
-    group: CongruenceGroup, weights: range, w1: Weight1Data | None
-) -> list[int]:
-    """s_k for each k in ``weights``, reading the group's data once."""
+def _cusp_dimension(
+    group: CongruenceGroup, k: int, m_k: int, w1: Weight1Data | None
+) -> int:
+    """s_k, given m_k (read for k > 2 only)."""
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         # Duality on the weighted line: cusp forms of weight k are sections
         # of Omega^1 (x) omega^{k-2} = O(k - 2 - a - b).
         a, b = SMALL_LEVEL_WEIGHTS[key]
-        return [h0_dim(WeightedLine(a, b), k - 2 - a - b) for k in weights]
-    inv = level_invariants(group)
-    m = _dimensions_besides_weight1(group)
-    dims = []
-    for k in weights:
-        if k <= 0 or (group.kind is GroupKind.GAMMA0 and k % 2):  # -I: odd weights vanish
-            dims.append(0)
-        elif k <= 2:
-            dims.append(weight1_cusp_dim(group, w1) if k == 1 else inv.genus)
-        else:
-            mk = m[k] if k <= DIMENSION_HORIZON else dim_modular_forms(group, k, w1)
-            dims.append(mk - inv.cusps)
-    return dims
+        return h0_dim(WeightedLine(a, b), k - 2 - a - b)
+    if k <= 0 or (group.kind is GroupKind.GAMMA0 and k % 2):  # -I: odd weights vanish
+        return 0
+    if k <= 2:
+        return weight1_cusp_dim(group, w1) if k == 1 else level_invariants(group).genus
+    return m_k - level_invariants(group).cusps
 
 
 @lru_cache(maxsize=None)
-def _dimensions_besides_weight1(group: CongruenceGroup) -> tuple[int, ...]:
-    """m_0..m_DIMENSION_HORIZON, with m_1, the only one that reads weight-1
-    data, held at 0."""
-    weights = range(DIMENSION_HORIZON + 1)
-    return tuple(0 if k == 1 else dim_modular_forms(group, k) for k in weights)
-
-
-_DIMENSION_TABLES: dict[tuple[CongruenceGroup, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _tables(group: CongruenceGroup, w1: Weight1Data | None) -> tuple[tuple[int, ...], ...]:
-    """(m_0..m_DIMENSION_HORIZON, s_0..s_CUSP_HORIZON), evaluated once per
-    (group, s_1): the weight-1 data enter through s_1 alone, so the unhashable
-    ``Weight1Data`` is no key and an override that changes s_1 gets tables of
-    its own."""
-    key = (group, weight1_cusp_dim(group, w1))
-    if key not in _DIMENSION_TABLES:
-        rest = _dimensions_besides_weight1(group)
-        _DIMENSION_TABLES[key] = (
-            (rest[0], dim_modular_forms(group, 1, w1), *rest[2:]),
-            tuple(_cusp_dimensions(group, range(CUSP_HORIZON + 1), w1)),
-        )
-    return _DIMENSION_TABLES[key]
+def _tables(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(m_0..m_DIMENSION_HORIZON, s_0..s_CUSP_HORIZON), each weight evaluated
+    once per (group, s_1): the weight-1 data enter through s_1 alone, so the
+    unhashable ``Weight1Data`` is no key (the body reads s_1 from a one-entry
+    table) and an override that changes s_1 gets tables of its own."""
+    w1 = Weight1Data({(group.kind, group.level): s1})
+    m = tuple(dim_modular_forms(group, k, w1) for k in range(DIMENSION_HORIZON + 1))
+    return m, tuple(_cusp_dimension(group, k, m[k], w1) for k in range(CUSP_HORIZON + 1))
 
 
 def dimension_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:
     """m_0..m_DIMENSION_HORIZON, once per (group, s_1)."""
-    return _tables(group, w1)[0]
+    return _tables(group, weight1_cusp_dim(group, w1))[0]
 
 
 def cusp_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:
     """s_0..s_CUSP_HORIZON, once per (group, s_1)."""
-    return _tables(group, w1)[1]
+    return _tables(group, weight1_cusp_dim(group, w1))[1]

@@ -66,6 +66,8 @@ class GradedAlgebra:
         if any(deg <= 0 for _, deg in self.variables):
             raise ValueError("variable degrees must be positive")
         for i, name in enumerate(self.names):
+            if not name.isidentifier():
+                raise ValueError(f"variable name {name!r} is not an identifier")
             if name in self.names[:i]:
                 raise ValueError(f"variable {name!r} is declared twice")
 

@@ -336,6 +336,10 @@ def test_freebasis_large_composite_characteristic_exits_quickly(capsys, tmp_path
             "char 2\nvar a1 1\nvar a3 3\ngen a1 = 1/2*a1\ngen delta = a3^4 + a1^3*a3^3\n",
             "coefficient 1/2 is undefined in characteristic 2",
         ),
+        (  # "2*2" would read as the square of a variable named 2
+            "var 2 1\nvar b 3\ngen c = 2*2\ngen d = b\nbasis 2\n",
+            "variable name '2' is not an identifier",
+        ),
     ],
 )
 def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, message):
@@ -343,6 +347,21 @@ def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, messag
     spec.write_text(text + "basis 1\nbound 6\n")
     code, out, err = run(capsys, "freebasis", "--file", str(spec))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "directive, lines", [("bound", "bound 6\nbound 2\n"), ("char", "char 0\nchar 3\nbound 6\n")]
+)
+def test_freebasis_repeated_directive_is_usage_error(capsys, tmp_path, directive, lines):
+    # the q-rank6 presentation, free in both characteristics and through both bounds
+    spec = tmp_path / "pres.txt"
+    spec.write_text(
+        "var b2 2\nvar b4 4\ngen c4 = b2^2 - 24*b4\ngen delta = 1/4*b2^2*b4^2 - 8*b4^3\n"
+        + "".join(f"basis {b}\n" for b in ("1", "b2", "b4", "b2*b4", "b4^2", "b2*b4^2"))
+        + lines
+    )
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out, err) == (2, "", f"error: repeated '{directive}' line in {spec}\n")
 
 
 @pytest.mark.parametrize(

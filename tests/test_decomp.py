@@ -1,5 +1,4 @@
 from collections import Counter
-from functools import lru_cache
 from importlib import resources
 
 import pytest
@@ -13,9 +12,7 @@ from mfdecomp.decomp import (
     DecompositionInvalid,
     DecompositionSequence,
     UnsupportedGroup,
-    base_block,
     deconvolve_by_gamma1_block,
-    dimension_function,
     level2_decomposition,
     level3_decomposition,
     level456_decomposition,
@@ -24,13 +21,14 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
-from mfdecomp.decomp import _kernel, _support_bound
+from mfdecomp.decomp import _kernel, _level1_block, _support_bound
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
     TwistMultiset,
+    WeightedLine,
     deconvolve,
-    finite_sequence,
+    h0_dim,
 )
 from mfdecomp.levels import (
     SMALL_LEVEL_WEIGHTS,
@@ -109,20 +107,25 @@ def test_unsupported_groups():
         level456_decomposition(G1(7), 7)
 
 
+#: Rank of each block over the level-1 ring, in ``BlockTag`` order.
+RANKS = [1, 3, 8, 12, 24]
+
+
 def test_blocks():
-    assert base_block(BlockTag.OMEGA_POWERS).rank == 1
-    assert base_block(BlockTag.LEVEL2).rank == 3
-    assert base_block(BlockTag.LEVEL3).rank == 8
-    assert base_block(BlockTag.LEVEL4).rank == 12
-    assert base_block(BlockTag.LEVEL5OR6).rank == 24
-    for tag in BlockTag:
-        assert base_block(tag).hilbert(0) == 1
+    # the rank check of every block reads its rank 24 / (a b)
+    for tag, rank in zip(BlockTag, RANKS):
+        seq = DECOMPOSE[tag](G1(23))
+        total = sum(seq.as_list())
+        expected = ("rank", True, f"sum(mult) * {rank} = {total * rank}, index = 528")
+        assert expected in verify_consistency(seq).checks, tag
+    # the level-1 block is h0 on P(4, 6)
+    omega = _level1_block(41)
+    assert omega == tuple(h0_dim(WeightedLine(4, 6), k) for k in range(41))
     # level-5/6 block = convolution of (1,2,3,4,4,4,3,2,1) with the level-1 dims
-    omega = base_block(BlockTag.OMEGA_POWERS).hilbert
     kernel = [1, 2, 3, 4, 4, 4, 3, 2, 1]
-    five = base_block(BlockTag.LEVEL5OR6).hilbert
+    five = WeightedLine(*BLOCK_WEIGHTS[BlockTag.LEVEL5OR6])
     for k in range(41):
-        assert five(k) == sum(c * omega(k - i) for i, c in enumerate(kernel))
+        assert h0_dim(five, k) == sum(c * omega[k - i] for i, c in enumerate(kernel) if i <= k)
 
 
 @pytest.mark.parametrize("inner", list(BlockTag), ids=lambda tag: tag.value)
@@ -153,8 +156,8 @@ def test_block_tables_derive_from_weights():
     assert _kernel(BlockTag.LEVEL3, BlockTag.LEVEL5OR6) == (1, 1, 1)
     assert _kernel(BlockTag.LEVEL4, BlockTag.LEVEL5OR6) == (1, 1)
     # a kernel's total is the ratio of the ranks
-    for tag in BlockTag:
-        assert sum(_kernel(omega, tag)) == base_block(tag).rank
+    for tag, rank in zip(BlockTag, RANKS):
+        assert sum(_kernel(omega, tag)) == rank
     # the level-3 block is not free over the level-2 block
     with pytest.raises(AssertionError):
         _kernel(BlockTag.LEVEL2, BlockTag.LEVEL3)
@@ -234,7 +237,7 @@ def test_corrupted_sequence_detected():
     good = omega_decomposition(G1(23))
     mults = dict(good.mult.multiplicities)
     mults[5] -= 1
-    bad = DecompositionSequence(good.group, good.block, TwistMultiset(mults))
+    bad = DecompositionSequence(good.group, good.tag, TwistMultiset(mults))
     report = verify_consistency(bad)
     assert not report.ok
     names = [name for name, _ in report.failures()]
@@ -244,7 +247,7 @@ def test_corrupted_sequence_detected():
 def test_multiplicity_beyond_the_support_bound_fails_convolution():
     good = omega_decomposition(G1(23))
     mults = {**good.mult.multiplicities, 12: 1}  # the omega support bound is 11
-    bad = DecompositionSequence(good.group, good.block, TwistMultiset(mults))
+    bad = DecompositionSequence(good.group, good.tag, TwistMultiset(mults))
     assert "convolution" in [name for name, _ in verify_consistency(bad).failures()]
 
 
@@ -304,11 +307,6 @@ def test_table_generation_matches_golden():
         assert list(row[1:]) == level2[row[0]]
 
 
-def test_dimension_function_wrapper():
-    m = dimension_function(G1(23))
-    assert m(-5) == 0 and m(0) == 1 and m(3) == 55
-
-
 @pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)])
 def test_each_weight_is_evaluated_once(monkeypatch, group):
     calls = Counter()
@@ -320,16 +318,29 @@ def test_each_weight_is_evaluated_once(monkeypatch, group):
 
     for module in (levels, decomp):
         monkeypatch.setattr(module, "dim_modular_forms", counting)
-    # a fresh group: empty dimension caches for the length of this test
-    monkeypatch.setattr(levels, "_DIMENSION_TABLES", {})
-    fresh = lru_cache(maxsize=None)(levels._dimensions_besides_weight1.__wrapped__)
-    monkeypatch.setattr(levels, "_dimensions_besides_weight1", fresh)
+    levels._tables.cache_clear()  # a fresh group: the one dimension cache starts empty
 
     seq = omega_decomposition(group)
     deconvolve_by_gamma1_block(group, 1)
     assert verify_consistency(seq).ok
     assert set(calls) == {(group, k) for k in range(levels.DIMENSION_HORIZON + 1)}
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)], ids=str)
+def test_checks_reach_past_the_dimension_table(group):
+    # weights 41..60 come from dim_modular_forms, past levels.DIMENSION_HORIZON
+    omega = omega_decomposition(group)
+    oracle = deconvolve_by_gamma1_block(group, 1, verify_through=60)
+    assert oracle.as_list(12) == omega.as_list()
+    report = verify_consistency(omega, max_weight=60)
+    assert report.ok, report.failures()
+    assert report.checks[0] == ("convolution", True, "exact through weight 60")
+
+
+def test_level3_oracle_past_the_dimension_table():
+    oracle = deconvolve_by_gamma1_block(G1(23), 3, verify_through=60)
+    assert oracle.as_list() == [1, 11, 21, 21, 11, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +407,7 @@ def test_one_changed_multiplicity_fails_the_cusp_identities(tag):
     for shift in range(_support_bound(tag) + 1):
         mults = dict(good.mult.multiplicities)
         mults[shift] += 1
-        bad = DecompositionSequence(good.group, good.block, TwistMultiset(mults))
+        bad = DecompositionSequence(good.group, good.tag, TwistMultiset(mults))
         names = [name for name, _ in verify_consistency(bad).failures()]
         assert "cusp-identities" in names, shift
 
@@ -405,8 +416,8 @@ def test_one_changed_multiplicity_fails_the_cusp_identities(tag):
     "group", [G1(n) for n in range(4, 43)] + [GF(n) for n in range(3, 12)], ids=str
 )
 def test_level4_closed_form_equals_level2_deconvolution(group):
-    level2 = finite_sequence(level2_decomposition(group).as_list())
-    kernel = finite_sequence(_kernel(BlockTag.LEVEL2, BlockTag.LEVEL4))
+    level2 = level2_decomposition(group).as_list()
+    kernel = _kernel(BlockTag.LEVEL2, BlockTag.LEVEL4)
     oracle = deconvolve(level2, kernel, _support_bound(BlockTag.LEVEL4), verify_through=12)
     assert level456_decomposition(group, 4).as_list() == oracle.as_list(5)
 

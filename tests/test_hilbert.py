@@ -10,7 +10,6 @@ from mfdecomp.hilbert import (
     WeightedLine,
     deconvolve,
     default_verify_through,
-    finite_sequence,
     h0_dim,
     h1_dim,
     over_denominator,
@@ -78,51 +77,48 @@ def test_invalid_weights():
         WeightedLine(0, 3)
 
 
-def sl2z_block():
-    line = WeightedLine(4, 6)
-    return lambda k: h0_dim(line, k)
+def dimensions(a, b, n):
+    """h0 of O(k) on P(a, b) for k < n: the Hilbert function of the block."""
+    line = WeightedLine(a, b)
+    return [h0_dim(line, k) for k in range(n)]
 
 
 def test_deconvolve_gamma1_3_dimensions():
-    line13 = WeightedLine(1, 3)
-    target = lambda k: h0_dim(line13, k)
-    mult = deconvolve(target, sl2z_block(), 11, default_verify_through(11, 4, 6))
+    n = default_verify_through(11, 4, 6) + 1
+    mult = deconvolve(dimensions(1, 3, n), dimensions(4, 6, n), 11, n - 1)
     assert mult.as_list(12) == [1, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0]
 
 
 def test_deconvolve_gamma1_2_dimensions():
-    line24 = WeightedLine(2, 4)
-    target = lambda k: h0_dim(line24, k)
-    mult = deconvolve(target, sl2z_block(), 11, default_verify_through(11, 4, 6))
+    n = default_verify_through(11, 4, 6) + 1
+    mult = deconvolve(dimensions(2, 4, n), dimensions(4, 6, n), 11, n - 1)
     assert mult.multiplicities == {0: 1, 2: 1, 4: 1}
 
 
 def test_deconvolve_identity():
-    block = sl2z_block()
+    block = dimensions(4, 6, 61)
     mult = deconvolve(block, block, 11, 60)
     assert mult.multiplicities == {0: 1}
 
 
 def test_deconvolve_requires_normalized_block():
     with pytest.raises(ValueError):
-        deconvolve(sl2z_block(), finite_sequence([2, 1]), 4, 10)
+        deconvolve(dimensions(4, 6, 11), [2, 1], 4, 10)
+    with pytest.raises(ValueError):  # an empty block is 0 in degree 0
+        deconvolve([1], [], 0, 0)
 
 
 def test_negative_multiplicity_error():
-    target = finite_sequence([1, 0, 0])
-    block = finite_sequence([1, 1])
     with pytest.raises(NegativeMultiplicity) as exc:
-        deconvolve(target, block, 2, 4)
+        deconvolve([1, 0, 0], [1, 1], 2, 4)
     assert exc.value.shift == 1
     assert exc.value.value == -1
 
 
 def test_residual_mismatch_error():
     # target agrees through the shift window but diverges later
-    target = finite_sequence([1, 1, 1, 1, 5])
-    block = finite_sequence([1])
     with pytest.raises(ResidualMismatch) as exc:
-        deconvolve(target, block, 3, 6)
+        deconvolve([1, 1, 1, 1, 5], [1], 3, 6)
     assert exc.value.degree == 4
 
 
@@ -142,19 +138,12 @@ def test_twist_multiset_invariants():
     st.sampled_from([(4, 6), (2, 4), (1, 3), (1, 2)]),
 )
 def test_convolve_then_deconvolve_roundtrip(mults, weights):
-    line = WeightedLine(*weights)
-    block = lambda k: h0_dim(line, k)
-    original = TwistMultiset(dict(enumerate(mults)))
-    target = lambda k: original.convolve(block, k)
     horizon = default_verify_through(len(mults) - 1, *weights)
+    block = dimensions(*weights, horizon + 1)
+    original = TwistMultiset(dict(enumerate(mults)))
+    target = [original.convolve(block, k) for k in range(horizon + 1)]
     recovered = deconvolve(target, block, len(mults) - 1, horizon)
     assert recovered.multiplicities == original.multiplicities
-
-
-def test_finite_sequence():
-    seq = finite_sequence(iter([1, 2, 3]))  # any iterable, read once
-    assert [seq(k) for k in range(-2, 6)] == [0, 0, 1, 2, 3, 0, 0, 0]
-    assert finite_sequence([])(0) == 0
 
 
 @given(
@@ -162,30 +151,32 @@ def test_finite_sequence():
     st.lists(st.integers(min_value=0, max_value=5), max_size=4),
 )
 def test_finite_sequence_roundtrip(mults, tail):
-    # a finite target deconvolved by a finite block, as for the level-4 block
-    block = finite_sequence([1, *tail])
+    # a finite target deconvolved by a finite block, as for the level-4 block;
+    # both are read as 0 past their end, up to the horizon support + 5
+    block = [1, *tail]
     original = TwistMultiset(dict(enumerate(mults)))
     support = len(mults) + len(tail)
-    target = finite_sequence(original.convolve(block, k) for k in range(support))
+    target = [original.convolve(block, k) for k in range(support)]
     recovered = deconvolve(target, block, len(mults) - 1, support + 5)
     assert recovered.multiplicities == original.multiplicities
 
 
 def _naive_deconvolve(target, block, max_shift, verify_through):
-    """Reference: the greedy division and check, one function call per term."""
-    if block(0) != 1:
+    """Reference: the greedy division and check, one term read at a time."""
+    at = lambda seq, k: seq[k] if 0 <= k < len(seq) else 0
+    if at(block, 0) != 1:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
     coeffs = []
     for i in range(max_shift + 1):
-        c = target(i) - sum(block(i - j) * coeffs[j] for j in range(i))
+        c = at(target, i) - sum(at(block, i - j) * coeffs[j] for j in range(i))
         if c < 0:
             raise NegativeMultiplicity(i, c)
         coeffs.append(c)
     result = TwistMultiset(dict(enumerate(coeffs)))
     for k in range(verify_through + 1):
         got = result.convolve(block, k)
-        if got != target(k):
-            raise ResidualMismatch(k, target(k), got)
+        if got != at(target, k):
+            raise ResidualMismatch(k, at(target, k), got)
     return result
 
 
@@ -208,7 +199,7 @@ def _outcome(fn, *args):
 )
 def test_deconvolve_matches_naive_reference(target, block, max_shift, verify_through):
     # a block not normalised to block(0) = 1 must raise the same error in both
-    args = (finite_sequence(target), finite_sequence(block), max_shift, verify_through)
+    args = (target, block, max_shift, verify_through)
     assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
 
 
@@ -218,8 +209,7 @@ def test_deconvolve_matches_naive_reference(target, block, max_shift, verify_thr
 )
 def test_reconstruct_is_convolve_in_every_degree(mults, values):
     mult = TwistMultiset(mults)
-    block = finite_sequence(values)
-    assert mult.reconstruct(values) == [mult.convolve(block, k) for k in range(len(values))]
+    assert mult.reconstruct(values) == [mult.convolve(values, k) for k in range(len(values))]
 
 
 def test_denominator_examples():

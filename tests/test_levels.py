@@ -197,6 +197,8 @@ def test_weight1_unavailable_beyond_table():
         dim_modular_forms(G1(43), 1)
     # but the degree criterion still settles large Gamma(n) of genus 0 cases
     assert dim_cusp_forms(GF(3), 1) == 0
+    # and weights k >= 2 need no weight-1 data
+    assert [dim_cusp_forms(G1(43), k) for k in (2, 3, 50)] == [57, 133, 3752]
 
 
 def test_weight1_override_file(tmp_path):

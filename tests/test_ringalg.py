@@ -495,6 +495,14 @@ def test_variable_names_must_be_distinct():
         GradedAlgebra(2, (("a1", 1), ("a3", 3), ("a1", 3)))
 
 
+@pytest.mark.parametrize("name", ["2", "1/2", "b-2", "b^2", "a*b", "", "b 2"])
+def test_variable_names_must_be_identifiers(name):
+    # the parser would read such a name as a constant or split it into factors
+    with pytest.raises(ValueError, match=f"variable name {re.escape(repr(name))} is not an identifier"):
+        GradedAlgebra(0, (("a1", 1), (name, 3)))
+    GradedAlgebra(0, (("a1", 1), ("_b2", 3)))
+
+
 def test_coefficient_undefined_mod_p_is_named():
     with pytest.raises(ValueError, match="coefficient 1/2 is undefined in characteristic 2"):
         parse_polynomial(F2_A, "1/2*a1")

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import mfdecomp
 
@@ -9,8 +10,12 @@ MODULES = sorted(Path(mfdecomp.__file__).parent.glob("*.py"))
 
 
 def _names_read(tree: ast.AST) -> set[str]:
-    """Every name the code reads, string annotations included."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Every name the code reads, string annotations included; a name that is
+    only assigned to is not read."""
+    names = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
     for node in ast.walk(tree):
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             for part in ast.walk(annotation) if annotation else ():
@@ -64,21 +69,33 @@ def test_every_from_import_is_used():
     assert not unused, unused
 
 
+def _private_definitions(tree: ast.Module) -> Iterator[tuple[int, str]]:
+    """(line, name) of each private function, method and module-level
+    assigned name, such as a cache or a constant."""
+    for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.lineno, node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Name):
+                        yield node.lineno, part.id
+
+
 def test_every_private_function_is_read():
-    # a private helper or method that nothing in src/ reads is dead code
+    # a private helper, method, cache or constant that nothing in src/ reads is dead code
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     read = set()
     for tree in trees.values():
         read |= _names_read(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     unread = [
-        f"{name}:{node.lineno}: {node.name}"
+        f"{name}:{lineno}: {defined}"
         for name, tree in trees.items()
-        for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]
-        for node in scope.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and not node.name.endswith("__")
-        and node.name not in read
+        for lineno, defined in _private_definitions(tree)
+        if defined.startswith("_") and not defined.endswith("__") and defined not in read
     ]
     assert not unread, unread
