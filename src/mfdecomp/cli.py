@@ -11,6 +11,7 @@ each is written as one line ``PASS|FAIL<TAB>name[<TAB>detail]``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from importlib import resources
 from typing import Iterator
@@ -58,11 +59,7 @@ def _render_table(columns: list[str], rows: list[tuple[int, ...]], fmt: str) -> 
         lines += ["\t".join(str(x) for x in row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        import json
-
-        return (
-            json.dumps({"columns": columns, "rows": [list(r) for r in rows]}) + "\n"
-        )
+        return json.dumps({"columns": columns, "rows": [list(r) for r in rows]}) + "\n"
     # markdown
     lines = ["| " + " | ".join(columns) + " |"]
     lines.append("|" + "|".join(" --- " for _ in columns) + "|")
@@ -132,26 +129,33 @@ def _freebasis_from_file(path: str):
     gens: list[tuple[str, str]] = []
     basis: list[str] = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             head, _, rest = line.partition(" ")
             rest = rest.strip()
-            if head in ("char", "bound"):
-                if head in single:
-                    raise ValueError(f"repeated {head!r} line in {path}")
-                single[head] = int(rest)
-            elif head == "var":
-                name, deg = rest.split()
-                variables.append((name, int(deg)))
-            elif head == "gen":
-                name, _, expr = rest.partition("=")
-                gens.append((name.strip(), expr.strip()))
-            elif head == "basis":
-                basis.append(rest)
-            else:
-                raise ValueError(f"unknown directive {head!r} in {path}")
+            if head in single:
+                raise ValueError(f"repeated {head!r} line in {path}")
+            try:
+                if head in ("char", "bound"):
+                    single[head] = int(rest)
+                elif head == "var":
+                    if len(rest.split()) != 2:
+                        raise ValueError("expected 'var name degree'")
+                    name, deg = rest.split()
+                    variables.append((name, int(deg)))
+                elif head == "gen":
+                    name, eq, expr = rest.partition("=")
+                    if not eq:
+                        raise ValueError("expected 'gen name = polynomial'")
+                    gens.append((name.strip(), expr.strip()))
+                elif head == "basis":
+                    basis.append(rest)
+                else:
+                    raise ValueError(f"unknown directive {head!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
         if not lines:
             raise ValueError(f"no {directive!r} line in {path}")
@@ -240,12 +244,9 @@ def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:
         verdict = ringalg.verify_regular_sequence(algebra, elems)
         detail = "regular" if verdict.regular else verdict.detail
         yield Check(f"regseq-{name}", verdict.regular == expected, detail)
-    for name, (algebra, c4, c6, delta) in ringalg.WEIERSTRASS_PRESENTATIONS.items():
-        holds = ringalg.weierstrass_identity_check(
-            ringalg.parse_polynomial(algebra, c4),
-            ringalg.parse_polynomial(algebra, c6),
-            ringalg.parse_polynomial(algebra, delta),
-        )
+    for name, (algebra, *texts) in ringalg.WEIERSTRASS_PRESENTATIONS.items():
+        c4, c6, delta = (ringalg.parse_polynomial(algebra, text) for text in texts)
+        holds = ringalg.weierstrass_identity_check(c4, c6, delta)
         yield Check(f"weierstrass-{name}", holds, "c4^3 - c6^2 = 1728*delta")
 
 

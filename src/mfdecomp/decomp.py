@@ -115,6 +115,8 @@ TABLE_BLOCKS = (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3)
 
 def _dimensions(group: CongruenceGroup, n: int, w1: Weight1Data | None) -> list[int]:
     """m_0..m_{n-1}: the group's ``dimension_table``, then the formula past its end."""
+    if n < 0:
+        raise ValueError(f"weight count must be >= 0, got {n}")
     table = dimension_table(group, w1)
     return [*table[:n], *(dim_modular_forms(group, k, w1) for k in range(len(table), n))]
 
@@ -249,6 +251,8 @@ def verify_consistency(
 ) -> ConsistencyReport:
     """Convolution, rank, cross-block, cusp-form and (level 3) balance
     identities for ``seq``."""
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     group, tag, cs = seq.group, seq.tag, seq.as_list()
     m = _dimensions(group, max_weight + 1, w1)
     got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[tag], max_weight + 1)

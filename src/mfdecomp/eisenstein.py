@@ -165,10 +165,10 @@ def _character_data(
 ) -> tuple[DirichletCharacter, int, CyclotomicElement, ExtendedValuation]:
     """chi, m, L(0, chi) and v_2(L(0, chi)) for p.  hasse_lift and
     valuation_claim_check share them; callers ask for one prime at a time."""
+    if p % 4 == 3 and is_prime(p):  # p - 1 = 2 * odd, checked before chi is built
+        raise OrderTooSmall(f"p = {p} gives order 2^1; need m >= 2")
     chi = odd_two_power_character(p)
     m = chi.order.bit_length() - 1
-    if m < 2:
-        raise OrderTooSmall(f"p = {p} gives order 2^{m}; need m >= 2")
     L = l_value(chi)
     return chi, m, L, L.two_adic_valuation()
 

@@ -99,6 +99,8 @@ def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> Check:
 
 def _padded(values: Sequence[int], n: int) -> list[int]:
     """values[0..n-1], read as 0 past the end."""
+    if n < 0:
+        raise ValueError(f"coefficient count must be >= 0, got {n}")
     return [*values[:n], *[0] * (n - len(values))]
 
 

@@ -3,9 +3,13 @@
 Supports exactly what the verification work needs: two-variable weighted
 polynomial rings, homogeneous elements, free-basis certificates for module
 structures over two-generator subrings, regular-sequence checks, and the
-Weierstrass identity c4^3 - c6^2 = 1728*Delta.  A sequence is regular when
-each prefix's quotient has the previous quotient's Hilbert function times
-(1 - t^deg f), the product ``hilbert.times_denominator`` forms.
+Weierstrass identity c4^3 - c6^2 = 1728*Delta.  Each level's ring and its
+c4, c6 and Delta are written once, as strings over Q in
+``WEIERSTRASS_PRESENTATIONS``; the F_2 and F_3 inputs are those strings read
+mod p, where ``GradedAlgebra.coeff`` reduces p-integral coefficients and
+rejects the rest.  A sequence is regular when each prefix's quotient has the
+previous quotient's Hilbert function times (1 - t^deg f), the product
+``hilbert.times_denominator`` forms.
 
 Polynomials are read-only maps from exponent vectors to coefficients;
 coefficients are ints where integral and ``Fraction`` otherwise in
@@ -461,68 +465,56 @@ def weierstrass_identity_check(
 
 def _preset(char, variables, gens, basis_texts, bound=FREE_BASIS_BOUND):
     algebra = GradedAlgebra(char, variables)
-    spec = SubringSpec(
-        tuple((name, parse_polynomial(algebra, text)) for name, text in gens)
-    )
+    spec = SubringSpec(tuple((name, parse_polynomial(algebra, text)) for name, text in gens))
     basis = [parse_polynomial(algebra, text) for text in basis_texts]
     return algebra, spec, basis, bound
 
 
-#: The four module-structure presets: (characteristic, variables,
-#: subring generators, module basis, certified degree bound).
-PRESETS = {
-    # F_2[a1, a3] free of rank 4 over F_2[a1, Delta]
-    "f2-rank4": _preset(
-        2,
-        (("a1", 1), ("a3", 3)),
-        (("a1", "a1"), ("delta", "a3^4 + a1^3*a3^3")),
-        ("1", "a3", "a3^2", "a3^3"),
-    ),
-    # F_3[b2, b4] free of rank 3 over F_3[b2, Delta]
-    "f3-rank3": _preset(
-        3,
-        (("b2", 2), ("b4", 4)),
-        (("b2", "b2"), ("delta", "b2^2*b4^2 + b4^3")),
-        ("1", "b4", "b4^2"),
-    ),
-    # Q[b2, b4] free of rank 6 over Q[c4, Delta]
-    "q-rank6": _preset(
-        0,
-        (("b2", 2), ("b4", 4)),
-        (("c4", "b2^2 - 24*b4"), ("delta", "1/4*b2^2*b4^2 - 8*b4^3")),
-        ("1", "b2", "b4", "b2*b4", "b4^2", "b2*b4^2"),
-    ),
-    # Q[a1, a3] free of rank 16 over Q[c4, Delta]
-    "q-rank16": _preset(
-        0,
-        (("a1", 1), ("a3", 3)),
-        (("c4", "a1^4 - 24*a1*a3"), ("delta", "a1^3*a3^3 - 27*a3^4")),
-        tuple(f"a1^{i}*a3^{j}" for i in range(4) for j in range(4)),
-    ),
-}
-
-#: Weierstrass-quantity presentations; identity-checked convention.
+#: Each level's Weierstrass presentation over Q: (ring, c4, c6, Delta).
 WEIERSTRASS_PRESENTATIONS = {
     "level2": (
         GradedAlgebra(0, (("b2", 2), ("b4", 4))),
-        "b2^2 - 24*b4",
-        "-1*b2^3 + 36*b2*b4",
-        "1/4*b2^2*b4^2 - 8*b4^3",
+        "b2^2 - 24*b4", "-1*b2^3 + 36*b2*b4", "1/4*b2^2*b4^2 - 8*b4^3",
     ),
     "level3": (
         GradedAlgebra(0, (("a1", 1), ("a3", 3))),
-        "a1^4 - 24*a1*a3",
-        "-1*a1^6 + 36*a1^3*a3 - 216*a3^2",
-        "a1^3*a3^3 - 27*a3^4",
+        "a1^4 - 24*a1*a3", "-1*a1^6 + 36*a1^3*a3 - 216*a3^2", "a1^3*a3^3 - 27*a3^4",
     ),
 }
 
-#: Regular-sequence checks: reductions of (c4, Delta) in characteristic 2/3,
-#: plus a deliberately non-regular control.
+
+def _level_texts(level, names):
+    """``level``'s variables, and ``names`` with "c4" and "delta" read as its strings."""
+    algebra, c4, _, delta = WEIERSTRASS_PRESENTATIONS[level]
+    return algebra.variables, tuple({"c4": c4, "delta": delta}.get(n, n) for n in names)
+
+
+def _level_preset(char, level, basis_texts, gens=("c4", "delta")):
+    variables, texts = _level_texts(level, gens)
+    return _preset(char, variables, tuple(zip(gens, texts)), basis_texts)
+
+
+#: The four module-structure presets: (ring, subring, basis, degree bound).
+PRESETS = {
+    # F_2[a1, a3] free of rank 4 over F_2[a1, Delta]
+    "f2-rank4": _level_preset(2, "level3", ("1", "a3", "a3^2", "a3^3"), ("a1", "delta")),
+    # F_3[b2, b4] free of rank 3 over F_3[b2, Delta]
+    "f3-rank3": _level_preset(3, "level2", ("1", "b4", "b4^2"), ("b2", "delta")),
+    # Q[b2, b4] free of rank 6 over Q[c4, Delta]
+    "q-rank6": _level_preset(0, "level2", ("1", "b2", "b4", "b2*b4", "b4^2", "b2*b4^2")),
+    # Q[a1, a3] free of rank 16 over Q[c4, Delta]
+    "q-rank16": _level_preset(
+        0, "level3", tuple(f"a1^{i}*a3^{j}" for i in range(4) for j in range(4))
+    ),
+}
+
+#: Regular-sequence checks, (char, variables, elements, regular): (c4, Delta)
+#: over F_2 and F_3, and a deliberately non-regular control, as b2^3 is a
+#: multiple of c4 = b2^2 over F_3.
 REGULAR_SEQUENCE_CASES = {
-    "f2-c4-delta": (2, (("a1", 1), ("a3", 3)), ("a1^4", "a3^4 + a1^3*a3^3"), True),
-    "f3-c4-delta": (3, (("b2", 2), ("b4", 4)), ("b2^2", "b2^2*b4^2 + b4^3"), True),
-    "f3-negative-control": (3, (("b2", 2), ("b4", 4)), ("b2^2", "b2^3"), False),
+    "f2-c4-delta": (2, *_level_texts("level3", ("c4", "delta")), True),
+    "f3-c4-delta": (3, *_level_texts("level2", ("c4", "delta")), True),
+    "f3-negative-control": (3, *_level_texts("level2", ("c4", "b2^3")), False),
 }
 
 

@@ -350,6 +350,25 @@ def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, messag
 
 
 @pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("char 3\nvar b2\n", 2, "expected 'var name degree'"),
+        ("var b2 2 4\n", 1, "expected 'var name degree'"),
+        ("var b2 two\n", 1, "invalid literal for int() with base 10: 'two'"),
+        ("char two\n", 1, "invalid literal for int() with base 10: 'two'"),
+        ("var b2 2\nbound 4.5\n", 2, "invalid literal for int() with base 10: '4.5'"),
+        ("var b2 2\n\n# a comment\ngen c b2\n", 4, "expected 'gen name = polynomial'"),
+        ("var b2 2\nvars b4 4\n", 2, "unknown directive 'vars'"),
+    ],
+)
+def test_freebasis_file_errors_name_the_line(capsys, tmp_path, text, lineno, message):
+    spec = tmp_path / "pres.txt"
+    spec.write_text(text + "gen c = b2\nbasis 1\n")
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out, err) == (2, "", f"error: {spec}:{lineno}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "directive, lines", [("bound", "bound 6\nbound 2\n"), ("char", "char 0\nchar 3\nbound 6\n")]
 )
 def test_freebasis_repeated_directive_is_usage_error(capsys, tmp_path, directive, lines):

@@ -21,7 +21,7 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
-from mfdecomp.decomp import _kernel, _level1_block, _support_bound
+from mfdecomp.decomp import _dimensions, _kernel, _level1_block, _support_bound
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
@@ -336,6 +336,17 @@ def test_checks_reach_past_the_dimension_table(group):
     report = verify_consistency(omega, max_weight=60)
     assert report.ok, report.failures()
     assert report.checks[0] == ("convolution", True, "exact through weight 60")
+
+
+def test_negative_window_is_rejected():
+    # read as a slice end, a negative window reported a false convolution failure
+    seq = omega_decomposition(G1(23))
+    for max_weight in (-5, -1):
+        with pytest.raises(ValueError, match=f"max_weight must be >= 0, got {max_weight}$"):
+            verify_consistency(seq, max_weight=max_weight)
+    assert verify_consistency(seq, max_weight=0).ok
+    with pytest.raises(ValueError, match="weight count must be >= 0, got -2$"):
+        _dimensions(G1(23), -2, None)
 
 
 def test_level3_oracle_past_the_dimension_table():

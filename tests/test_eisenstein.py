@@ -89,6 +89,29 @@ def test_valuation_claim_order_too_small():
         hasse_lift(7, 10)
 
 
+def test_order_too_small_is_rejected_before_chi_is_built(monkeypatch):
+    # p = 10000019 = 3 mod 4 is prime; chi would cost a p-entry exponent table
+    # and an O(p) primitive-root search, so m < 2 must be read from p itself
+    def build(p):
+        raise AssertionError(f"chi built for p = {p}")
+
+    monkeypatch.setattr(eisenstein, "odd_two_power_character", build)
+    message = r"^p = 10000019 gives order 2\^1; need m >= 2$"
+    with pytest.raises(OrderTooSmall, match=message):
+        valuation_claim_check(10000019)
+    with pytest.raises(OrderTooSmall, match=message):
+        hasse_lift(10000019, 10)
+
+
+@pytest.mark.parametrize("bad", [2, 15, 35, 5 * 10000019])
+def test_not_prime_comes_before_order_too_small(bad):
+    # 15, 35 and 5 * 10000019 are 3 mod 4, like the primes rejected for m < 2
+    with pytest.raises(NotPrime, match="is not an odd prime"):
+        valuation_claim_check(bad)
+    with pytest.raises(NotPrime, match="is not an odd prime"):
+        hasse_lift(bad, 10)
+
+
 @pytest.mark.parametrize("p", HASSE_PRIMES)
 def test_valuation_sum_is_one(p):
     report = valuation_claim_check(p)

@@ -219,6 +219,21 @@ def test_denominator_examples():
     assert over_denominator([3], (2,), 0) == []
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: times_denominator([1, 2, 3], (1,), -1),
+        lambda: over_denominator([1, 2, 3, 4, 5, 6], (4, 6), -2),
+        lambda: deconvolve([1, 2, 3, 4], [1, 1], -3, -3),
+    ],
+    ids=["times_denominator", "over_denominator", "deconvolve"],
+)
+def test_negative_length_is_rejected(call):
+    # read as a slice end, -2 would keep all but the last two coefficients
+    with pytest.raises(ValueError, match="coefficient count must be >= 0, got -"):
+        call()
+
+
 @given(
     st.lists(st.integers(min_value=-20, max_value=20), max_size=30),
     st.lists(st.integers(min_value=1, max_value=12), max_size=4),

@@ -1,5 +1,7 @@
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -407,12 +409,16 @@ def test_weierstrass_identities(name):
     )
 
 
+def _q_presentation(variables):
+    """The Q presentation (ring, c4, c6, Delta) in ``variables``."""
+    (entry,) = (e for e in WEIERSTRASS_PRESENTATIONS.values() if e[0].variables == variables)
+    return entry
+
+
 def _reductions(char, variables):
     """c4 and Delta of the Q presentation in ``variables``, reduced mod ``char``."""
     algebra = GradedAlgebra(char, variables)
-    (_, c4, _, delta), = (
-        entry for entry in WEIERSTRASS_PRESENTATIONS.values() if entry[0].variables == variables
-    )
+    _, c4, _, delta = _q_presentation(variables)
     return parse_polynomial(algebra, c4), parse_polynomial(algebra, delta)
 
 
@@ -430,9 +436,35 @@ def test_fp_presets_are_reductions_of_the_q_presentation(name):
     "name", [name for name, case in sorted(REGULAR_SEQUENCE_CASES.items()) if case[0] and case[3]]
 )
 def test_fp_regular_sequences_are_reductions_of_the_q_presentation(name):
-    char, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
-    algebra = GradedAlgebra(char, variables)
-    assert [parse_polynomial(algebra, e) for e in exprs] == list(_reductions(char, variables))
+    # the Q strings themselves, read mod p: a reduction written by hand fails
+    _, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
+    _, c4, _, delta = _q_presentation(variables)
+    assert exprs == (c4, delta)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(PRESETS) if PRESETS[name][0].char])
+def test_fp_presets_read_the_q_delta_string(name):
+    # a preset keeps only parsed polynomials, so search the module source: the
+    # one string in it that spells the preset's Delta is the Q presentation's
+    algebra, spec, _, _ = PRESETS[name]
+    (_, _), (_, delta) = spec.generators
+    tree = ast.parse(Path(ringalg.__file__).read_text())
+    texts = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+    def spells_delta(text):
+        try:
+            return parse_polynomial(algebra, text) == delta
+        except ValueError:
+            return False
+
+    assert [text for text in texts if spells_delta(text)] == [_q_presentation(algebra.variables)[3]]
+
+
+def test_level2_strings_are_not_read_in_characteristic_2():
+    # the F_p inputs rely on this guard: a coefficient that is not p-integral is an error
+    algebra, _, _, delta = WEIERSTRASS_PRESENTATIONS["level2"]
+    with pytest.raises(ValueError, match="^coefficient 1/4 is undefined in characteristic 2$"):
+        parse_polynomial(GradedAlgebra(2, algebra.variables), delta)
 
 
 def test_weierstrass_perturbation_fails():
