@@ -126,8 +126,8 @@ def cmd_obstruct(args) -> int:
 def _freebasis_from_file(path: str):
     single: dict[str, int] = {}  # the "char" and "bound" lines, each at most once
     variables: list[tuple[str, int]] = []
-    gens: list[tuple[str, str]] = []
-    basis: list[str] = []
+    gens: list[tuple[int, str, str]] = []  # (line number, name, polynomial text)
+    basis: list[tuple[int, str]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -149,9 +149,9 @@ def _freebasis_from_file(path: str):
                     name, eq, expr = rest.partition("=")
                     if not eq:
                         raise ValueError("expected 'gen name = polynomial'")
-                    gens.append((name.strip(), expr.strip()))
+                    gens.append((lineno, name.strip(), expr.strip()))
                 elif head == "basis":
-                    basis.append(rest)
+                    basis.append((lineno, rest))
                 else:
                     raise ValueError(f"unknown directive {head!r}")
             except ValueError as exc:
@@ -159,18 +159,25 @@ def _freebasis_from_file(path: str):
     for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
         if not lines:
             raise ValueError(f"no {directive!r} line in {path}")
+    algebra = ringalg.GradedAlgebra(single.get("char", 0), tuple(variables))
+
+    def parse(lineno: int, text: str) -> ringalg.Polynomial:
+        try:  # a zero or inhomogeneous polynomial fails here too
+            f = ringalg.parse_polynomial(algebra, text)
+            f.homogeneous_degree()
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return f
+
+    spec = ringalg.SubringSpec(tuple((name, parse(lineno, text)) for lineno, name, text in gens))
     bound = single.get("bound", ringalg.FREE_BASIS_BOUND)
-    return ringalg._preset(single.get("char", 0), tuple(variables), gens, basis, bound)
+    return algebra, spec, [parse(*line) for line in basis], bound
 
 
 def cmd_freebasis(args) -> int:
-    if args.preset:
-        cert = ringalg.preset_certificate(args.preset)
-        label = args.preset
-    else:
-        algebra, spec, basis, bound = _freebasis_from_file(args.file)
-        cert = ringalg.verify_free_basis(algebra, spec, basis, bound)
-        label = args.file
+    label = args.preset or args.file
+    presentation = ringalg.PRESETS[args.preset] if args.preset else _freebasis_from_file(label)
+    cert = ringalg.verify_free_basis(*presentation)
     if cert.free:
         sys.stdout.write(f"{label}: free (verified through degree {cert.bound})\n")
         return EXIT_OK

@@ -233,8 +233,8 @@ class HasseLiftReport:
     paper_exponent: Fraction
     computed_exponent: Fraction
     precision: int
-    components: tuple[tuple[Fraction, ...], ...]  # f_i, coordinate series
-    averaged: tuple[Fraction, ...]  # F = sum_i f_i
+    components: tuple[tuple[Fraction | int, ...], ...]  # f_i; Fraction at q^0, then int
+    averaged: tuple[Fraction | int, ...]  # F = sum_i f_i, likewise
     verdict: str  # "pass" or "fail"
 
     @property
@@ -276,11 +276,9 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     rows = [E0.coords]  # rows[n][i]: f_i at q^n
     for c in _divisor_counts(chi, N)[1:]:  # c[-1] is c[order - 1]
         rows.append([c[i] - c[i - 1] - c[i + d] + c[i + d - 1] for i in range(d)])
-    for n, row in enumerate(rows):  # v_2(x) < 0 exactly when x's denominator is even
-        if any(c.denominator % 2 == 0 for c in row):
-            raise IntegralityFailure(
-                f"coefficient of q^{n} in E is not 2-integral (p={p})"
-            )
+    # v_2(x) < 0 exactly when x's denominator is even; the rows n >= 1 are ints
+    if any(c.denominator % 2 == 0 for c in E0.coords):
+        raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
     sums = [sum(row) for row in rows]
     ok = all(a.numerator % 2 == 0 for a in (sums[0] - 1, *sums[1:]))
     return HasseLiftReport(
@@ -290,7 +288,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         v2_l=v2_l,
         **_exponents(m),
         precision=N,
-        components=tuple(tuple(map(Fraction, f)) for f in zip(*rows)),
-        averaged=tuple(map(Fraction, sums)),
+        components=tuple(zip(*rows)),
+        averaged=tuple(sums),
         verdict="pass" if ok else "fail",
     )

@@ -1,24 +1,22 @@
 """Graded polynomial algebras over Q and F_p, with exact linear algebra.
 
-Supports exactly what the verification work needs: two-variable weighted
-polynomial rings, homogeneous elements, free-basis certificates for module
-structures over two-generator subrings, regular-sequence checks, and the
+Two-variable weighted polynomial rings, homogeneous elements, free-basis
+certificates over two-generator subrings, regular-sequence checks, and the
 Weierstrass identity c4^3 - c6^2 = 1728*Delta.  Each level's ring and its
 c4, c6 and Delta are written once, as strings over Q in
 ``WEIERSTRASS_PRESENTATIONS``; the F_2 and F_3 inputs are those strings read
 mod p, where ``GradedAlgebra.coeff`` reduces p-integral coefficients and
 rejects the rest.  A sequence is regular when each prefix's quotient has the
-previous quotient's Hilbert function times (1 - t^deg f), the product
-``hilbert.times_denominator`` forms.
+previous quotient's Hilbert function times (1 - t^deg f); a free basis over
+k[g_1, g_2] is a basis of A/(g_1, g_2) for a regular pair.  Both checks stop
+where no later degree can change them (``_horizon``).
 
-Polynomials are read-only maps from exponent vectors to coefficients;
-coefficients are ints where integral and ``Fraction`` otherwise in
-characteristic 0, and ints in [0, p) in characteristic p.  Free-basis
-certificates and regular-sequence checks over Q scale their inputs to integer
-coefficients, so their rows are integer rows, built from the terms of b and
-g^e (or f and a monomial) with no Polynomial per product.  Every rank comes
-from one incremental echelon that reduces each new row against the pivot
-rows kept so far: mod p over F_p, fraction-free over Q, so all is exact.
+Polynomials are read-only maps from exponent vectors to coefficients: ints
+where integral and ``Fraction`` otherwise in characteristic 0, ints in
+[0, p) in characteristic p.  Over Q the checks scale their inputs to integer
+coefficients and sum each rank row from the terms of its factors.  Every
+rank comes from one incremental echelon that reduces each new row against
+the pivot rows kept so far: mod p over F_p, fraction-free over Q.
 """
 
 from __future__ import annotations
@@ -111,8 +109,6 @@ def _graded_monomials(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...]
 
 def graded_component(algebra: GradedAlgebra, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors of weighted degree d, descending lexicographic order."""
-    if d < 0:
-        return []
     return list(_graded_monomials(algebra.degrees, d))
 
 
@@ -174,14 +170,10 @@ class Polynomial:
         )
 
     def power(self, n: int) -> "Polynomial":
-        result = Polynomial.constant(self.algebra, 1)
+        result = Polynomial(self.algebra, {(0,) * len(self.algebra.variables): 1})
         for _ in range(n):
             result = result * self
         return result
-
-    @classmethod
-    def constant(cls, algebra: GradedAlgebra, value) -> "Polynomial":
-        return cls(algebra, {(0,) * len(algebra.variables): value})
 
     @classmethod
     def variable(cls, algebra: GradedAlgebra, name: str) -> "Polynomial":
@@ -318,7 +310,8 @@ class SubringSpec:
         return tuple(g.homogeneous_degree() for _, g in self.generators)
 
 
-#: Degree through which free-basis certificates are checked by default.
+#: Default degree bound of a free-basis certificate; two-variable checks stop
+#: sooner (``_horizon``), and the certificate still states this bound.
 FREE_BASIS_BOUND = 48
 
 
@@ -342,6 +335,21 @@ def _integral(p: Polynomial) -> Polynomial:
     return p.scale(lcm(*(c.denominator for c in p.terms.values())))
 
 
+def _horizon(algebra: GradedAlgebra, degrees: tuple[int, ...], bound: int, top: int = 0) -> int:
+    """The last degree that can decide a check through ``bound`` on elements
+    of ``degrees`` with basis degrees up to ``top``.  With two variables, of
+    degrees v_i, and two elements g_i, of degrees e_i, it is
+    min(bound, max(e_1 + e_2 - 1, top)).  In that UFD a pair is regular
+    exactly when coprime.  A common factor h makes g_1/h a kernel element of
+    g_2 on A/(g_1), seen in degree e_1 + e_2 - deg h.  A coprime pair leaves
+    A/(g) zero past e_1 + e_2 - v_1 - v_2, the degree of its Hilbert series
+    (1 - t^e_1)(1 - t^e_2) / ((1 - t^v_1)(1 - t^v_2)), and no element of B
+    lies past ``top``: every later degree passes."""
+    if len(algebra.variables) == len(degrees) == 2:
+        return min(bound, max(sum(degrees) - 1, top))
+    return bound
+
+
 def verify_free_basis(
     ambient: GradedAlgebra,
     subring: SubringSpec,
@@ -349,48 +357,37 @@ def verify_free_basis(
     bound: int | None = None,
 ) -> BasisCertificate:
     """Certify that ``basis`` is a free module basis of ``ambient`` over the
-    subring generated by ``subring``, degree by degree up to ``bound``.
+    subring S generated by ``subring``, degree by degree up to ``bound``.
 
-    In each degree d the products (subring monomial) * (basis element) must
-    be exactly dim(ambient_d) many and linearly independent; this is also the
-    Hilbert-series identity H_ambient = H_subring * sum t^deg(basis).
+    With e the coefficients of H_A(t) * prod(1 - t^deg g_i), degree d needs
+    e_d elements of B (fewer fail as "spanning", more as "independence")
+    whose rows fill A_d with the rows g_i * monomial of the ideal (else
+    "independence").  Given the lower degrees, (g)A_d is the image of the
+    products S_+-monomial * b, so this is where those products first fail
+    to be a basis of A_d, and the same way.  The check stops at ``_horizon``.
     """
     bound = FREE_BASIS_BOUND if bound is None else bound
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
     basis_degrees = tuple(b.homogeneous_degree() for b in basis)
     gen_degrees = subring.degrees
-
-    gens = [_integral(g) for _, g in subring.generators]
-    basis = [_integral(b) for b in basis]
-    # Subring monomials g^expo, each built once from a lower one, shared by all b.
-    monomial = {(0,) * len(gens): Polynomial.constant(ambient, 1)}
-
-    for d in range(bound + 1):
-        for expo in _graded_monomials(gen_degrees, d - min(basis_degrees, default=0)):
-            if any(expo):
-                i = next(i for i, e in enumerate(expo) if e)
-                lower = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-                monomial[expo] = monomial[lower] * gens[i]
-        component = graded_component(ambient, d)
-        factors = [
-            (b.terms, monomial[expo].terms)
-            for b, bd in zip(basis, basis_degrees)
-            for expo in _graded_monomials(gen_degrees, d - bd)
-        ]
-        if len(factors) != len(component):
-            return BasisCertificate(
-                ambient, subring, basis_degrees, bound, "not free", d,
-                "spanning" if len(factors) < len(component) else "independence",
-            )
-        if not component:
-            continue
+    stop = _horizon(ambient, gen_degrees, bound, max(basis_degrees, default=0))
+    components = [graded_component(ambient, d) for d in range(stop + 1)]
+    quotient = times_denominator(list(map(len, components)), gen_degrees, stop + 1)
+    gens = [_integral(g).terms for _, g in subring.generators]
+    basis = [_integral(b).terms for b in basis]
+    for d, (component, e_d) in enumerate(zip(components, quotient)):
         column = {m: i for i, m in enumerate(component)}
-        rows = [_row(b, g, column) for b, g in factors]
-        if matrix_rank(ambient, rows) != len(component):
-            return BasisCertificate(
-                ambient, subring, basis_degrees, bound, "not free", d, "independence"
-            )
+        echelon = _Echelon(ambient.char)
+        for g, deg in zip(gens, gen_degrees):
+            for mono in graded_component(ambient, d - deg):
+                echelon.add(_row(g, {mono: 1}, column))
+        here = [b for b, bd in zip(basis, basis_degrees) if bd == d]
+        for b in here:
+            echelon.add([b.get(m, 0) for m in component])
+        if len(here) != e_d or len(echelon) < len(component):
+            kind = "spanning" if len(here) < e_d else "independence"
+            return BasisCertificate(ambient, subring, basis_degrees, bound, "not free", d, kind)
     return BasisCertificate(ambient, subring, basis_degrees, bound, "free")
 
 
@@ -425,21 +422,22 @@ def verify_regular_sequence(
     H_A(t) * prod(1 - t^deg(f_i)) (Stanley), and the first degree where
     h_k differs from that coefficient locates the kernel.  Each degree keeps
     one echelon of the ideal across prefixes, so prefix k adds only the rows
-    f_k * monomial, and h_k(d) is the monomial count less its rank.
+    f_k * monomial, and h_k(d) is the monomial count less its rank, through
+    ``_horizon``.
     """
-    degrees = [f.homogeneous_degree() for f in elements]
-    if bound is None:
-        bound = 2 * sum(degrees)
+    degrees = tuple(f.homogeneous_degree() for f in elements)
+    bound = 2 * sum(degrees) if bound is None else bound
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
 
-    components = [graded_component(algebra, d) for d in range(bound + 1)]
+    stop = _horizon(algebra, degrees, bound)
+    components = [graded_component(algebra, d) for d in range(stop + 1)]
     columns = [{m: i for i, m in enumerate(component)} for component in components]
     h = [len(component) for component in components]
     ideal = [_Echelon(algebra.char) for _ in components]
     for k, (f, e) in enumerate(zip(map(_integral, elements), degrees)):
-        expected = times_denominator(h, [e], bound + 1)
-        for d in range(e, bound + 1):  # below e nothing changes
+        expected = times_denominator(h, [e], stop + 1)
+        for d in range(e, stop + 1):  # below e nothing changes
             for mono in components[d - e]:
                 ideal[d].add(_row(f.terms, {mono: 1}, columns[d]))
             h[d] = len(components[d]) - len(ideal[d])
@@ -463,13 +461,6 @@ def weierstrass_identity_check(
     return (c4.power(3) - c6.power(2) - delta.scale(1728)).is_zero()
 
 
-def _preset(char, variables, gens, basis_texts, bound=FREE_BASIS_BOUND):
-    algebra = GradedAlgebra(char, variables)
-    spec = SubringSpec(tuple((name, parse_polynomial(algebra, text)) for name, text in gens))
-    basis = [parse_polynomial(algebra, text) for text in basis_texts]
-    return algebra, spec, basis, bound
-
-
 #: Each level's Weierstrass presentation over Q: (ring, c4, c6, Delta).
 WEIERSTRASS_PRESENTATIONS = {
     "level2": (
@@ -491,7 +482,9 @@ def _level_texts(level, names):
 
 def _level_preset(char, level, basis_texts, gens=("c4", "delta")):
     variables, texts = _level_texts(level, gens)
-    return _preset(char, variables, tuple(zip(gens, texts)), basis_texts)
+    algebra = GradedAlgebra(char, variables)
+    spec = SubringSpec(tuple((n, parse_polynomial(algebra, t)) for n, t in zip(gens, texts)))
+    return algebra, spec, [parse_polynomial(algebra, t) for t in basis_texts], FREE_BASIS_BOUND
 
 
 #: The four module-structure presets: (ring, subring, basis, degree bound).
@@ -519,5 +512,4 @@ REGULAR_SEQUENCE_CASES = {
 
 
 def preset_certificate(name: str) -> BasisCertificate:
-    algebra, spec, basis, bound = PRESETS[name]
-    return verify_free_basis(algebra, spec, basis, bound)
+    return verify_free_basis(*PRESETS[name])

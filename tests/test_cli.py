@@ -332,10 +332,6 @@ def test_freebasis_large_composite_characteristic_exits_quickly(capsys, tmp_path
             "char 2\nvar a1 1\nvar a1 3\ngen a1 = a1\ngen delta = a1^4\n",
             "variable 'a1' is declared twice",
         ),
-        (
-            "char 2\nvar a1 1\nvar a3 3\ngen a1 = 1/2*a1\ngen delta = a3^4 + a1^3*a3^3\n",
-            "coefficient 1/2 is undefined in characteristic 2",
-        ),
         (  # "2*2" would read as the square of a variable named 2
             "var 2 1\nvar b 3\ngen c = 2*2\ngen d = b\nbasis 2\n",
             "variable name '2' is not an identifier",
@@ -359,6 +355,22 @@ def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, messag
         ("var b2 2\nbound 4.5\n", 2, "invalid literal for int() with base 10: '4.5'"),
         ("var b2 2\n\n# a comment\ngen c b2\n", 4, "expected 'gen name = polynomial'"),
         ("var b2 2\nvars b4 4\n", 2, "unknown directive 'vars'"),
+        # the polynomial texts, parsed once the whole file is read
+        (
+            "char 2\nvar a1 1\nvar a3 3\ngen a1 = 1/2*a1\ngen delta = a3^4 + a1^3*a3^3\n",
+            4,
+            "coefficient 1/2 is undefined in characteristic 2",
+        ),
+        ("var b2 2\ngen d =\n", 2, "empty polynomial"),
+        (
+            "var b2 2\nvar b4 4\ngen d = b2 + b4\n",
+            3,
+            "expected a nonzero homogeneous polynomial, degrees [2, 4]",
+        ),
+        ("var b2 2\ngen d = b2 - b2\n", 2, "expected a nonzero homogeneous polynomial, degrees []"),
+        ("var b2 2\nbasis b2 + 1\n", 2, "expected a nonzero homogeneous polynomial, degrees [0, 2]"),
+        ("var b2 2\n\nbasis 0*b2\n", 3, "expected a nonzero homogeneous polynomial, degrees []"),
+        ("var b2 2\nbasis b2^\n", 2, "empty exponent in 'b2^'"),
     ],
 )
 def test_freebasis_file_errors_name_the_line(capsys, tmp_path, text, lineno, message):

@@ -186,8 +186,10 @@ def test_hasse_lift_matches_field_products(p):
             report = hasse_lift(p, N, galois_exponent=k)
             got = report.components, report.averaged, report.l_value, report.verdict
             assert got == field_product_lift(p, N, k), (p, k, N)
-            entries = [c for f in report.components for c in f] + list(report.averaged)
-            assert all(type(c) is Fraction for c in entries + list(report.l_value.coords))
+            # q^0 entries are field coordinates; from q^1 on they are divisor counts
+            first, *rest = zip(*report.components, report.averaged)
+            assert all(type(c) is Fraction for c in first + report.l_value.coords)
+            assert all(type(c) is int for row in rest for c in row)
 
 
 @pytest.mark.parametrize("p", cli.HASSE_PRIMES)

@@ -1,10 +1,14 @@
 import ast
 import re
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from mfdecomp import ringalg
 from mfdecomp.hilbert import over_denominator
@@ -230,6 +234,17 @@ def test_wrong_basis_not_free():
     b4 = Polynomial.variable(algebra, "b4")
     cert = verify_free_basis(algebra, spec, basis + [b4.power(3)], bound)
     assert not cert.free
+    # past the horizon 13 only an element of B can fail, here one too many
+    cert = verify_free_basis(algebra, spec, basis + [b4.power(5)], bound)
+    assert (cert.verdict, cert.failure_kind, cert.failing_degree) == ("not free", "independence", 20)
+
+
+def test_three_variables_are_checked_through_the_bound():
+    # no horizon with three variables: Q[x, y, z] over Q[x, y] needs z, of degree 5
+    algebra = GradedAlgebra(0, (("x", 1), ("y", 1), ("z", 5)))
+    spec = SubringSpec(tuple((name, Polynomial.variable(algebra, name)) for name in "xy"))
+    cert = verify_free_basis(algebra, spec, [parse_polynomial(algebra, "1")], 48)
+    assert (cert.verdict, cert.failure_kind, cert.failing_degree) == ("not free", "spanning", 5)
 
 
 @pytest.mark.parametrize(
@@ -326,34 +341,55 @@ def test_regular_sequence_failure_is_located(algebra, exprs, index, degree):
     )
 
 
-#: products f_k * monomial per prefix k and monomial through the bound;
-#: rebuilding each prefix ideal formed 394, 1,797, 164, 708, 28 and 259
-PRODUCTS = {
-    ("f2-c4-delta", None): 239,
-    ("f2-c4-delta", 64): 1146,
-    ("f3-c4-delta", None): 100,
-    ("f3-c4-delta", 64): 452,
-    ("f3-negative-control", None): 26,
-    ("f3-negative-control", 64): 257,
-}
+#: products f_k * monomial per prefix k and monomial through the horizon
+#: deg f_1 + deg f_2 - 1, past which no bound adds any; checking through the
+#: bound (None, then 64) formed 239, 1,146, 100, 452, 26 and 257
+PRODUCTS = {"f2-c4-delta": 35, "f3-c4-delta": 14, "f3-negative-control": 5}
 
 
-@pytest.mark.parametrize("bound", [None, 64])
-@pytest.mark.parametrize("name", sorted(REGULAR_SEQUENCE_CASES))
-def test_each_product_is_formed_once(monkeypatch, name, bound):
-    char, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
-    algebra = GradedAlgebra(char, variables)
-    elems = [parse_polynomial(algebra, e) for e in exprs]
+@pytest.fixture
+def echelon_adds(monkeypatch):
+    """The rows passed to ``_Echelon.add`` from here on, one entry each."""
     calls = []
     add = ringalg._Echelon.add
 
-    def counting_add(echelon, row):  # each product's row enters one echelon once
+    def counting_add(echelon, row):
         calls.append(1)
         return add(echelon, row)
 
     monkeypatch.setattr(ringalg._Echelon, "add", counting_add)
-    verify_regular_sequence(algebra, elems, bound)
-    assert len(calls) == PRODUCTS[name, bound]
+    return calls
+
+
+@pytest.mark.parametrize("bound", [None, 64, 10_000])
+@pytest.mark.parametrize("name", sorted(REGULAR_SEQUENCE_CASES))
+def test_each_product_is_formed_once(echelon_adds, name, bound):
+    char, variables, exprs, _ = REGULAR_SEQUENCE_CASES[name]
+    algebra = GradedAlgebra(char, variables)
+    elems = [parse_polynomial(algebra, e) for e in exprs]
+    verify_regular_sequence(algebra, elems, bound)  # each product's row is added once
+    assert len(echelon_adds) == PRODUCTS[name]
+
+
+#: deg c4 (or b2, a1) + deg Delta - 1, or the top basis degree if larger
+HORIZONS = {"f2-rank4": 12, "f3-rank3": 13, "q-rank6": 15, "q-rank16": 15}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_free_basis_check_stops_at_the_horizon(monkeypatch, echelon_adds, name):
+    algebra, spec, basis, _ = PRESETS[name]
+
+    def unused(*args):
+        raise AssertionError("the quotient check forms no products and no one-shot rank")
+
+    monkeypatch.setattr(ringalg, "matrix_rank", unused)
+    monkeypatch.setattr(Polynomial, "__mul__", unused)
+    at_horizon = verify_free_basis(algebra, spec, basis, HORIZONS[name])
+    adds = len(echelon_adds)
+    far = verify_free_basis(algebra, spec, basis, 10_000)
+    assert at_horizon.free and far.free
+    assert replace(at_horizon, bound=10_000) == far
+    assert len(echelon_adds) == 2 * adds
 
 
 @st.composite
@@ -397,6 +433,90 @@ def test_regular_sequence_agrees_with_a_gcd_oracle(data):
     else:
         expected = len(elems) == 1
     assert verify_regular_sequence(algebra, elems).regular == expected
+
+
+def _product_row_failure(ambient, subring, basis, bound):
+    """Oracle: the first degree d through ``bound`` where the products
+    (subring monomial) * b are not dim(ambient_d) many independent elements,
+    with the kind of failure, or None."""
+    gens = [g for _, g in subring.generators]
+    exponents = GradedAlgebra(0, tuple((f"s{i}", e) for i, e in enumerate(subring.degrees)))
+    power = lru_cache(maxsize=None)(lambda i, e: gens[i].power(e))
+    for d in range(bound + 1):
+        component = graded_component(ambient, d)
+        products = [
+            reduce(mul, (power(i, e) for i, e in enumerate(expo)), b)
+            for b in basis
+            for expo in graded_component(exponents, d - b.homogeneous_degree())
+        ]
+        if len(products) != len(component):
+            return d, "spanning" if len(products) < len(component) else "independence"
+        rows = [[f.terms.get(m, 0) for m in component] for f in products]
+        if rows and matrix_rank(ambient, rows) < len(component):
+            return d, "independence"
+    return None
+
+
+@st.composite
+def free_basis_cases(draw):
+    """(ring, generators, basis, bound): a free presentation in 2 or 3
+    variables over Q, F_2, F_3 or F_5, often broken on purpose."""
+    nvars = draw(st.sampled_from([2, 2, 3]))
+    degrees = [draw(st.integers(1, 3)) for _ in range(nvars)]
+    algebra = GradedAlgebra(draw(st.sampled_from([0, 2, 3, 5])), tuple(
+        (f"x{i}", d) for i, d in enumerate(degrees)
+    ))
+    powers = [draw(st.integers(1, 3)) for _ in range(nvars)]
+    # g_i is x_i^a_i plus monomials in x_i, x_i+1, .. with x_i to a lower power,
+    # so the lex leading terms are x_i^a_i and the monomials below them a basis
+    gens = []
+    for i, a in enumerate(powers):
+        lead = tuple(a if j == i else 0 for j in range(nvars))
+        tail = [m for m in graded_component(algebra, a * degrees[i]) if not any(m[:i]) and m[i] < a]
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(tail), max_size=len(tail)))
+        gens.append(Polynomial(algebra, {lead: 1, **dict(zip(tail, coeffs))}))
+    basis = [Polynomial(algebra, {m: 1}) for m in product(*map(range, powers))]
+    j = draw(st.integers(0, len(basis) - 1))
+    g = draw(st.sampled_from(gens))
+    change = draw(st.sampled_from([
+        "none", "drop", "duplicate", "times g", "into the ideal",
+        "common factor", "fewer gens", "more gens",
+    ]))
+    if change == "drop":
+        del basis[j]
+    elif change == "duplicate":
+        basis.append(basis[j])
+    elif change == "times g":
+        basis[j] = basis[j] * g
+    elif change == "into the ideal":  # the top degree keeps its count: only ranks tell
+        top = max(basis, key=Polynomial.homogeneous_degree)
+        d = top.homogeneous_degree()
+        multiples = [
+            f * Polynomial(algebra, {m: 1})
+            for f in gens for m in graded_component(algebra, d - f.homogeneous_degree())
+        ]
+        basis[basis.index(top)] = multiples[0] if multiples else top
+    elif change == "common factor":
+        h = draw(homogeneous_elements(algebra))
+        gens[:2] = [f * h for f in gens[:2]]
+    elif change == "fewer gens":
+        gens.remove(g)
+    elif change == "more gens":
+        gens.append(draw(homogeneous_elements(algebra)))
+    bound = draw(st.sampled_from(range(40 if nvars == 2 else 10, -1, -1)))  # large ones first
+    return algebra, gens, basis, bound
+
+
+@seed(20170)
+@settings(max_examples=200, deadline=None)
+@given(free_basis_cases())
+def test_free_basis_agrees_with_a_product_row_oracle(case):
+    algebra, gens, basis, bound = case
+    spec = SubringSpec(tuple((f"g{i}", g) for i, g in enumerate(gens)))
+    cert = verify_free_basis(algebra, spec, basis, bound)
+    failure = _product_row_failure(algebra, spec, basis, bound)
+    assert (cert.failing_degree, cert.failure_kind) == (failure or (None, None))
+    assert cert.free == (failure is None) and cert.bound == bound
 
 
 @pytest.mark.parametrize("name", sorted(WEIERSTRASS_PRESENTATIONS))
