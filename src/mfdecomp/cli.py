@@ -161,15 +161,18 @@ def _freebasis_from_file(path: str):
             raise ValueError(f"no {directive!r} line in {path}")
     algebra = ringalg.GradedAlgebra(single.get("char", 0), tuple(variables))
 
-    def parse(lineno: int, text: str) -> ringalg.Polynomial:
+    def parse(lineno: int, text: str, gen: str | None = None) -> ringalg.Polynomial:
         try:  # a zero or inhomogeneous polynomial fails here too
             f = ringalg.parse_polynomial(algebra, text)
-            f.homogeneous_degree()
+            if gen is None:
+                f.homogeneous_degree()
+            else:  # a generator of degree 0 too, by SubringSpec's own check
+                ringalg.SubringSpec(((gen, f),))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         return f
 
-    spec = ringalg.SubringSpec(tuple((name, parse(lineno, text)) for lineno, name, text in gens))
+    spec = ringalg.SubringSpec(tuple((name, parse(n, text, name)) for n, name, text in gens))
     bound = single.get("bound", ringalg.FREE_BASIS_BOUND)
     return algebra, spec, [parse(*line) for line in basis], bound
 

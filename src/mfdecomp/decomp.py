@@ -27,10 +27,10 @@ Shift convention: multiplicity at shift i means a summand twisted by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import factorize
 from .hilbert import (
@@ -145,8 +145,7 @@ def _kernel(outer: BlockTag, inner: BlockTag) -> tuple[int, ...]:
     return tuple(series[: degree + 1])
 
 
-@dataclass(frozen=True)
-class DecompositionSequence:
+class DecompositionSequence(NamedTuple):
     group: CongruenceGroup
     tag: BlockTag
     mult: TwistMultiset
@@ -229,8 +228,7 @@ def level456_decomposition(
 # Verification
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property
@@ -310,8 +308,7 @@ def deconvolve_by_gamma1_block(
 # Obstruction search
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     q: int
     d_q: int
     divisor: int

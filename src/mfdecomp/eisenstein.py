@@ -20,9 +20,9 @@ reports always carry both, never a silent reconciliation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactnum import CyclotomicElement, ExtendedValuation
 from .arith import is_prime
@@ -69,8 +69,7 @@ def smallest_primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root mod {p}")
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(NamedTuple):
     """chi mod p with chi(n) = zeta_order^exponents[n]; exponents[n] = None
     for n divisible by p."""
 
@@ -133,15 +132,14 @@ def l_value(chi: DirichletCharacter) -> CyclotomicElement:
     summed as integers per exponent of zeta before one division."""
     if not chi.is_odd():
         raise ValueError("L(0, chi) formula requires an odd character")
-    p = chi.modulus
-    counts = [0] * chi.order
+    p, order, exponents = chi
+    counts = [0] * order
     for n in range(1, p):
-        counts[chi.exponents[n]] += n
-    return _from_counts(chi.order, counts, -p)
+        counts[exponents[n]] += n
+    return _from_counts(order, counts, -p)
 
 
-@dataclass(frozen=True)
-class ValuationClaimReport:
+class ValuationClaimReport(NamedTuple):
     p: int
     m: int
     v2_l: ExtendedValuation
@@ -203,9 +201,10 @@ def _divisor_counts(chi: DirichletCharacter, N: int) -> list[list[int]]:
     stays 0), sieving the multiples of each d <= N."""
     if N < 1:
         raise ValueError("precision must be >= 1")
-    counts = [[0] * chi.order for _ in range(N + 1)]
+    p, order, exponents = chi
+    counts = [[0] * order for _ in range(N + 1)]
     for d in range(1, N + 1):
-        e = chi.exponents[d % chi.modulus]
+        e = exponents[d % p]
         if e is not None:
             for n in range(d, N + 1, d):
                 counts[n][e] += 1
@@ -224,8 +223,7 @@ def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicE
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class HasseLiftReport:
+class HasseLiftReport(NamedTuple):
     p: int
     m: int
     l_value: CyclotomicElement

@@ -19,7 +19,7 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
@@ -72,25 +72,24 @@ def _is_two_power(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
     """Element of Q(zeta_{2^m}) in the power basis 1, zeta, ..., zeta^{2^{m-1}-1}.
 
     ``order`` is 2^m with m >= 1; ``coords`` has length 2^{m-1} (the field
     degree).  For order 2 the field is Q itself (zeta_2 = -1).
     """
 
-    order: int
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
+    __radd__ = __rmul__ = None  # no tuple arithmetic: 2 * x and (1,) + x raise TypeError
 
-    def __post_init__(self) -> None:
-        if not _is_two_power(self.order):
-            raise ValueError(f"order must be a power of two >= 2, got {self.order}")
-        if len(self.coords) != self.degree:
+    def __new__(cls, order: int, coords: tuple[Fraction, ...]) -> "CyclotomicElement":
+        if not _is_two_power(order):
+            raise ValueError(f"order must be a power of two >= 2, got {order}")
+        if len(coords) != order // 2:
             raise ValueError(
-                f"need {self.degree} coordinates for order {self.order}, "
-                f"got {len(self.coords)}"
+                f"need {order // 2} coordinates for order {order}, got {len(coords)}"
             )
+        return super().__new__(cls, order, coords)
 
     @property
     def degree(self) -> int:

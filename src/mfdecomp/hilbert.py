@@ -17,10 +17,11 @@ collects them, and every ``mfdecomp verify`` suite yields them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Check",
@@ -39,25 +40,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedLine:
+class WeightedLine(namedtuple("WeightedLine", "a b")):
     """The weighted projective line P(a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"weights must be positive, got ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int) -> "WeightedLine":
+        if a < 1 or b < 1:
+            raise ValueError(f"weights must be positive, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
 
 def h0_dim(line: WeightedLine, m: int) -> int:
     """dim H^0(P(a,b); O(m)): pairs (lam, mu) >= 0 with lam*a + mu*b = m."""
     if m < 0:
         return 0
+    a, b = line
     count = 0
-    for lam in range(m // line.a + 1):
-        if (m - lam * line.a) % line.b == 0:
+    for lam in range(m // a + 1):
+        if (m - lam * a) % b == 0:
             count += 1
     return count
 
@@ -66,11 +67,12 @@ def h1_dim(line: WeightedLine, m: int) -> int:
     """dim H^1(P(a,b); O(m)): pairs (lam, mu) < 0 with lam*a + mu*b = m."""
     if m >= 0:
         return 0
+    a, b = line
     count = 0
     lam = -1
-    while lam * line.a > m:
-        rest = m - lam * line.a
-        if rest % line.b == 0 and rest // line.b <= -1:
+    while lam * a > m:
+        rest = m - lam * a
+        if rest % b == 0 and rest // b <= -1:
             count += 1
         lam -= 1
     # lam*a == m (mu would be 0, not negative) or below: nothing more.
@@ -121,22 +123,22 @@ def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> l
     return out
 
 
-@dataclass(frozen=True)
-class TwistMultiset:
+class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     """Multiplicities of shifts: mult[i] summands twisted by -i."""
 
-    multiplicities: dict[int, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = {i: c for i, c in self.multiplicities.items() if c != 0}
+    def __new__(cls, multiplicities: Mapping = MappingProxyType({})) -> "TwistMultiset":
+        cleaned = {i: c for i, c in multiplicities.items() if c != 0}
         if any(c < 0 for c in cleaned.values()):
             raise ValueError("multiplicities must be >= 0")
-        object.__setattr__(self, "multiplicities", cleaned)
+        return super().__new__(cls, cleaned)
 
     def __getitem__(self, i: int) -> int:
         return self.multiplicities.get(i, 0)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
+    def items(self) -> Iterator[tuple[int, int]]:
+        """(shift, multiplicity) pairs with nonzero multiplicity, by shift."""
         return iter(sorted(self.multiplicities.items()))
 
     def total(self) -> int:

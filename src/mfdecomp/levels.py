@@ -28,12 +28,13 @@ overridable from a plain-text file with lines ``kind level s1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import factorize, is_prime  # noqa: F401  (is_prime: re-exported)
 from .hilbert import WeightedLine, h0_dim
@@ -72,14 +73,13 @@ class GroupKind(str, Enum):
     GAMMA_FULL = "g"
 
 
-@dataclass(frozen=True)
-class CongruenceGroup:
-    kind: GroupKind
-    level: int
+class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.level < 2:
-            raise InvalidGroup(f"level must be >= 2, got {self.level}")
+    def __new__(cls, kind: GroupKind, level: int) -> "CongruenceGroup":
+        if level < 2:
+            raise InvalidGroup(f"level must be >= 2, got {level}")
+        return super().__new__(cls, kind, level)
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.level}"
@@ -115,8 +115,7 @@ def _phi_pow(p: int, e: int) -> int:
     return p ** (e - 1) * (p - 1) if e else 1
 
 
-@dataclass(frozen=True)
-class LevelInvariants:
+class LevelInvariants(NamedTuple):
     index: int
     omega_degree: Fraction
     cusps: int
@@ -204,16 +203,15 @@ def _weight1_vanishes(group: CongruenceGroup) -> bool:
     return 48 * (inv.genus - 1) < inv.index
 
 
-@dataclass(frozen=True)
-class Weight1Data:
+class Weight1Data(NamedTuple):
     """Curated weight-1 cusp-form dimensions, keyed by (kind, level).
 
     ``provenance`` records where each entry came from ("builtin" or the
     override file path).
     """
 
-    table: dict[tuple[GroupKind, int], int] = field(default_factory=dict)
-    provenance: dict[tuple[GroupKind, int], str] = field(default_factory=dict)
+    table: dict[tuple[GroupKind, int], int]
+    provenance: dict[tuple[GroupKind, int], str]
 
     @classmethod
     def default(cls) -> "Weight1Data":
@@ -337,7 +335,7 @@ def _tables(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int
     once per (group, s_1): the weight-1 data enter through s_1 alone, so the
     unhashable ``Weight1Data`` is no key (the body reads s_1 from a one-entry
     table) and an override that changes s_1 gets tables of its own."""
-    w1 = Weight1Data({(group.kind, group.level): s1})
+    w1 = Weight1Data({(group.kind, group.level): s1}, {})
     m = tuple(dim_modular_forms(group, k, w1) for k in range(DIMENSION_HORIZON + 1))
     return m, tuple(_cusp_dimension(group, k, m[k], w1) for k in range(CUSP_HORIZON + 1))
 

@@ -21,14 +21,15 @@ the pivot rows kept so far: mod p over F_p, fraction-free over Q.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arith import is_prime
 from .hilbert import times_denominator
@@ -55,23 +56,23 @@ class InhomogeneousInput(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(namedtuple("GradedAlgebra", "char variables")):
     """Free graded polynomial algebra: coefficient field Q (char 0) or F_p."""
 
-    char: int
-    variables: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.char != 0 and not is_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
-        if any(deg <= 0 for _, deg in self.variables):
+    def __new__(cls, char: int, variables: tuple[tuple[str, int], ...]) -> "GradedAlgebra":
+        if char != 0 and not is_prime(char):
+            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+        if any(deg <= 0 for _, deg in variables):
             raise ValueError("variable degrees must be positive")
-        for i, name in enumerate(self.names):
+        names = [name for name, _ in variables]
+        for i, name in enumerate(names):
             if not name.isidentifier():
                 raise ValueError(f"variable name {name!r} is not an identifier")
-            if name in self.names[:i]:
+            if name in names[:i]:
                 raise ValueError(f"variable {name!r} is declared twice")
+        return super().__new__(cls, char, variables)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -84,14 +85,15 @@ class GradedAlgebra:
     def coeff(self, value) -> "Fraction | int":
         """The value in the coefficient field: an int in [0, p) in characteristic p;
         in characteristic 0 an int where integral and a ``Fraction`` otherwise."""
+        p = self.char
         if type(value) is int:
-            return value % self.char if self.char else value
+            return value % p if p else value
         f = Fraction(value)
-        if self.char == 0:
+        if p == 0:
             return f.numerator if f.denominator == 1 else f
-        if f.denominator % self.char == 0:
-            raise ValueError(f"coefficient {f} is undefined in characteristic {self.char}")
-        return f.numerator * pow(f.denominator, -1, self.char) % self.char
+        if f.denominator % p == 0:
+            raise ValueError(f"coefficient {f} is undefined in characteristic {p}")
+        return f.numerator * pow(f.denominator, -1, p) % p
 
 
 @lru_cache(maxsize=None)
@@ -112,19 +114,19 @@ def graded_component(algebra: GradedAlgebra, d: int) -> list[tuple[int, ...]]:
     return list(_graded_monomials(algebra.degrees, d))
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    algebra: GradedAlgebra
-    terms: Mapping[tuple[int, ...], "Fraction | int"] = field(default_factory=dict)
+class Polynomial(namedtuple("Polynomial", "algebra terms")):
+    __slots__ = ()
+    __radd__ = __rmul__ = None  # no tuple arithmetic: 2 * f and (1,) + f raise TypeError
 
-    def __post_init__(self) -> None:
-        cleaned = {
-            mono: c
-            for mono, c in ((m, self.algebra.coeff(c)) for m, c in self.terms.items())
-            if c != 0
-        }
+    def __new__(cls, algebra: GradedAlgebra, terms: Mapping = MappingProxyType({})):
+        coeff = algebra.coeff
+        cleaned = {mono: c for mono, c in ((m, coeff(c)) for m, c in terms.items()) if c != 0}
         # read-only, so that no caller can rewrite an element's coefficients
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
+        return super().__new__(cls, algebra, MappingProxyType(cleaned))
+
+    def __getnewargs__(self) -> tuple:
+        """What copy and pickle rebuild from: a mappingproxy does not pickle."""
+        return self.algebra, dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -294,16 +296,16 @@ def matrix_rank(algebra: GradedAlgebra, rows: list[list["Fraction | int"]]) -> i
 # Free-basis certificates
 
 
-@dataclass(frozen=True)
-class SubringSpec:
+class SubringSpec(namedtuple("SubringSpec", "generators")):
     """Two generators of the ambient algebra, each homogeneous."""
 
-    generators: tuple[tuple[str, Polynomial], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, g in self.generators:
+    def __new__(cls, generators: tuple[tuple[str, Polynomial], ...]) -> "SubringSpec":
+        for name, g in generators:
             if g.homogeneous_degree() <= 0:
                 raise ValueError(f"subring generator {name} must have positive degree")
+        return super().__new__(cls, generators)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -315,8 +317,7 @@ class SubringSpec:
 FREE_BASIS_BOUND = 48
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
+class BasisCertificate(NamedTuple):
     ambient: GradedAlgebra
     subring: SubringSpec
     basis_degrees: tuple[int, ...]
@@ -395,8 +396,7 @@ def verify_free_basis(
 # Regular sequences
 
 
-@dataclass(frozen=True)
-class RegularSequenceVerdict:
+class RegularSequenceVerdict(NamedTuple):
     regular: bool
     bound: int
     failing_index: int | None = None

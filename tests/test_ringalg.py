@@ -1,6 +1,5 @@
 import ast
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -388,7 +387,7 @@ def test_free_basis_check_stops_at_the_horizon(monkeypatch, echelon_adds, name):
     adds = len(echelon_adds)
     far = verify_free_basis(algebra, spec, basis, 10_000)
     assert at_horizon.free and far.free
-    assert replace(at_horizon, bound=10_000) == far
+    assert at_horizon._replace(bound=10_000) == far
     assert len(echelon_adds) == 2 * adds
 
 

@@ -1,6 +1,9 @@
 """Source checks that a linter would make, for a tree with no linter installed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator
 
@@ -99,3 +102,14 @@ def test_every_private_function_is_read():
         if defined.startswith("_") and not defined.endswith("__") and defined not in read
     ]
     assert not unread, unread
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # records are tuples, so start-up pays for neither module; membership only, no timing
+    src = str(Path(mfdecomp.__file__).parent.parent)
+    probe = "import sys, mfdecomp.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert loaded == []
