@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -327,10 +328,8 @@ def _obstruction_divisor(d_q: int) -> tuple[int, int]:
     if d_q % 9 == 0:
         return 9, 2
     for d, _ in factorize(d_q):
-        if d >= 5:
-            for a in range(2, d - 1):
-                if a % d not in (1, d - 1):
-                    return d, a
+        if d >= 5:  # a = 2: coprime to the odd prime d, and 1 < 2 < d - 1
+            return d, 2
     raise ValueError(f"no usable divisor of {d_q} (is d_q > 24?)")
 
 
@@ -343,11 +342,11 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
     d_q = gamma1_index(q)
     assert d_q > 24
     divisor, residue = _obstruction_divisor(d_q)
-    sieve = bytearray([1]) * (prime_bound + 1)  # from 2 on, sieve[n] = 1 iff n is prime
+    sieve = bytearray([0, 0]) + bytearray([1]) * (prime_bound - 1)  # sieve[n] = 1 iff n is prime
     for p in range(2, isqrt(prime_bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, prime_bound + 1, p)))
-    d_ps = [(p, (p - 1) * (p + 1)) for p in range(2, prime_bound + 1) if sieve[p] and q % p]
+    d_ps = [(p, (p - 1) * (p + 1)) for p in compress(range(prime_bound + 1), sieve) if q % p]
     primes = tuple((p, d_p, d_p % d_q == 0) for p, d_p in d_ps)
     return ObstructionReport(q, d_q, divisor, residue, primes)
 

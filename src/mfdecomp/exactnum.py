@@ -80,6 +80,7 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
     __radd__ = __rmul__ = None  # no tuple arithmetic: 2 * x and (1,) + x raise TypeError
 
     def __new__(cls, order: int, coords: tuple[Fraction, ...]) -> "CyclotomicElement":

@@ -44,6 +44,7 @@ class WeightedLine(namedtuple("WeightedLine", "a b")):
     """The weighted projective line P(a, b)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, a: int, b: int) -> "WeightedLine":
         if a < 1 or b < 1:
@@ -127,6 +128,7 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     """Multiplicities of shifts: mult[i] summands twisted by -i."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, multiplicities: Mapping = MappingProxyType({})) -> "TwistMultiset":
         cleaned = {i: c for i, c in multiplicities.items() if c != 0}
@@ -149,7 +151,8 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
 
     def as_list(self, length: int | None = None) -> list[int]:
         n = (self.max_shift() + 1) if length is None else length
-        return [self[i] for i in range(n)]
+        get = self.multiplicities.get
+        return [get(i, 0) for i in range(n)]
 
     def convolve(self, block: Sequence[int], k: int) -> int:
         """sum_i mult[i] * block[k - i], with block read as 0 past its end."""
@@ -202,8 +205,10 @@ def deconvolve(
     """Write target = sum_i c_i * block[. - i] with c_i >= 0, or raise.
 
     Both are coefficient lists, read as 0 past their end.  Greedy:
-    c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, then
-    the reconstruction is checked exactly for all degrees <= verify_through.
+    c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, so the
+    reconstruction sum_i c_i block[k - i] equals the target in every degree
+    k <= max_shift by construction; it is checked exactly in the open degrees
+    max_shift < k <= verify_through.
     """
     n = max(max_shift, verify_through) + 1
     targets, blocks, coeffs = _padded(target, n), _padded(block, max(n, 1)), []
@@ -214,9 +219,8 @@ def deconvolve(
         if c < 0:
             raise NegativeMultiplicity(i, c)
         coeffs.append(c)
-    result = TwistMultiset(dict(enumerate(coeffs)))
-    got = result.reconstruct(blocks)
-    for k in range(verify_through + 1):
-        if got[k] != targets[k]:
-            raise ResidualMismatch(k, targets[k], got[k])
-    return result
+    for k in range(max(max_shift + 1, 0), verify_through + 1):
+        got = sum(map(mul, coeffs, reversed(blocks[k - max_shift : k + 1])))
+        if got != targets[k]:
+            raise ResidualMismatch(k, targets[k], got)
+    return TwistMultiset(dict(enumerate(coeffs)))

@@ -15,10 +15,14 @@ n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
 
 ``level_invariants`` derives index, cusps, elliptic points and genus from one
 factorisation of the level, in integers, once per group.  ``dimension_table``
-and ``cusp_table`` are coefficient lists m_0..m_40 and s_0..s_12, evaluated
-once per (group, s_1) in one memoised function; the decomposition closed
-forms, their cusp-form identities, the deconvolution oracle and the
-consistency checks all read them.
+and ``cusp_table`` are coefficient lists m_0..m_40 and s_0..s_12, built once
+per (group, s_1) in one memoised function, each in one pass over the weights:
+for the small levels the series 1/((1 - t^a)(1 - t^b)) and
+t^(a+b+2)/((1 - t^a)(1 - t^b)), otherwise the formulas above over a range of
+weights.  ``dim_modular_forms`` and ``dim_cusp_forms`` evaluate the same
+formulas at one weight.  The decomposition closed forms, their cusp-form
+identities, the deconvolution oracle and the consistency checks all read the
+tables.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -32,12 +36,11 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from pathlib import Path
 from typing import NamedTuple
 
 from .arith import factorize, is_prime  # noqa: F401  (is_prime: re-exported)
-from .hilbert import WeightedLine, h0_dim
+from .hilbert import over_denominator
 
 __all__ = [
     "CongruenceGroup",
@@ -75,6 +78,7 @@ class GroupKind(str, Enum):
 
 class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, kind: GroupKind, level: int) -> "CongruenceGroup":
         if level < 2:
@@ -111,10 +115,6 @@ SMALL_LEVEL_WEIGHTS: dict[tuple[GroupKind, int], tuple[int, int]] = {
 }
 
 
-def _phi_pow(p: int, e: int) -> int:
-    return p ** (e - 1) * (p - 1) if e else 1
-
-
 class LevelInvariants(NamedTuple):
     index: int
     omega_degree: Fraction
@@ -132,29 +132,33 @@ def level_invariants(group: CongruenceGroup) -> LevelInvariants:
     primes = factorize(n)
     e2 = e3 = 0
     if kind is GroupKind.GAMMA0:
-        # mu = n prod (1 + 1/p); cusps = sum over d | n of phi(gcd(d, n/d))
-        mu, cusps = n, 1
+        # mu = n prod (1 + 1/p); cusps = sum over d | n of phi(gcd(d, n/d)), whose
+        # p-part is 2 p^((e-1)/2) for odd e and p^(e/2 - 1) (p + 1) for even e;
+        # e2 = prod over odd p | n of 1 + (-1/p), e3 = prod over p | n of 1 + (-3/p)
+        mu, cusps, e2, e3 = n, 1, int(n % 4 != 0), int(n % 9 != 0)
         for p, e in primes:
             mu = mu // p * (p + 1)
-            cusps *= sum(_phi_pow(p, min(i, e - i)) for i in range(e + 1))
-        if n % 4:  # e2 = prod over odd p | n of 1 + (-1/p)
-            e2 = prod(2 if p % 4 == 1 else 0 for p, _ in primes if p != 2)
-        if n % 9:  # e3 = prod over p | n of 1 + (-3/p)
-            e3 = prod(1 if p == 3 else 2 if p % 3 == 1 else 0 for p, _ in primes)
+            cusps *= 2 * p ** (e // 2) if e % 2 else p ** (e // 2 - 1) * (p + 1)
+            if p != 2:
+                e2 *= 2 if p % 4 == 1 else 0
+            e3 *= 1 if p == 3 else 2 if p % 3 == 1 else 0
         genus24 = 24 + 2 * mu - 6 * e2 - 8 * e3 - 12 * cusps
     else:
-        # mu = [SL2(Z) : Gamma1(n)] = n^2 prod (1 - 1/p^2); pairs = sum over
-        # d | n of phi(d) phi(n/d), twice the Gamma1(n) cusp count for n >= 5
+        # mu = [SL2(Z) : Gamma1(n)] = n^2 prod (1 - 1/p^2); pairs = sum over d | n
+        # of phi(d) phi(n/d), twice the Gamma1(n) cusp count for n >= 5, whose
+        # p-part is 2 phi(p^e) + (e - 1) p^(e-2) (p - 1)^2
         mu, pairs = n * n, 1
         for p, e in primes:
             mu = mu // (p * p) * (p * p - 1)
-            pairs *= sum(_phi_pow(p, i) * _phi_pow(p, e - i) for i in range(e + 1))
-        if kind is GroupKind.GAMMA1:
-            cusps = {2: 2, 3: 2, 4: 3}.get(n, pairs // 2)
-            e2, e3 = {2: (1, 0), 3: (0, 1)}.get(n, (0, 0))
-        else:
+            phi = p ** (e - 1) * (p - 1)
+            pairs *= 2 * phi + (e - 1) * phi * (p - 1) // p
+        if kind is GroupKind.GAMMA_FULL:
             mu *= n  # = |SL2(Z/n)| = n^3 prod (1 - 1/p^2)
             cusps = 3 if n == 2 else mu // (2 * n)
+        elif n > 4:
+            cusps = pairs // 2
+        else:  # Gamma1(2), Gamma1(3), Gamma1(4)
+            cusps, e2, e3 = 3 if n == 4 else 2, int(n == 2), int(n == 3)
         genus24 = 24 + mu - 12 * cusps
     if (kind, n) in SMALL_LEVEL_WEIGHTS:
         genus24 = 0  # weighted projective lines
@@ -279,65 +283,68 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
 DIMENSION_HORIZON, CUSP_HORIZON = 40, 12
 
 
-def dim_modular_forms(
-    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
-) -> int:
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
+def _forms(group: CongruenceGroup, start: int, stop: int, s1: int | None = None) -> list[int]:
+    """m_k for 0 <= start <= k < stop, all weights in one pass; s_1 is read for
+    m_1 of a representable group only, so weights k >= 2 need no weight-1 data."""
     key = (group.kind, group.level)
-    if key in SMALL_LEVEL_WEIGHTS:
-        a, b = SMALL_LEVEL_WEIGHTS[key]
-        return h0_dim(WeightedLine(a, b), k)
+    if key in SMALL_LEVEL_WEIGHTS:  # monomials of weight k in the weighted ring
+        return over_denominator([1], SMALL_LEVEL_WEIGHTS[key], stop)[start:]
     inv = level_invariants(group)
-    if group.kind is GroupKind.GAMMA0:
-        if k % 2 == 1:
-            return 0
-        e2, e3 = inv.elliptic2, inv.elliptic3
-        return (k - 1) * (inv.genus - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * inv.cusps
-    # representable Gamma1(n >= 5) / Gamma(n >= 3)
-    if k == 1:
-        assert inv.cusps % 2 == 0  # all cusps regular
-        return inv.cusps // 2 + weight1_cusp_dim(group, w1)
-    m, rem = divmod(inv.index * k, 24)  # deg(omega^k) = index * k / 24
-    assert rem == 0 and m + 1 - inv.genus >= 0
-    return m + 1 - inv.genus
+    weights = range(max(start, 1), stop)
+    if group.kind is GroupKind.GAMMA0:  # -I acts as -1: odd weights vanish
+        g, e2, e3, c = inv.genus - 1, inv.elliptic2, inv.elliptic3, inv.cusps
+        m = [0 if k % 2 else (k - 1) * g + k // 4 * e2 + k // 3 * e3 + k // 2 * c for k in weights]
+    else:  # representable Gamma1(n >= 5) / Gamma(n >= 3): deg(omega^k) = index * k / 24
+        degree, rem = divmod(inv.index, 24)
+        assert rem == 0 and inv.cusps % 2 == 0 and 2 * degree + 1 >= inv.genus  # cusps regular
+        g, half = inv.genus, inv.cusps // 2
+        m = [degree * k + 1 - g if k > 1 else half + s1 for k in weights]
+    return [1, *m] if start == 0 < stop else m
 
 
-def dim_cusp_forms(
-    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
-) -> int:
-    """s_k; m_k is read only for k > 2, so weights k >= 2 need no weight-1 data."""
-    return _cusp_dimension(group, k, dim_modular_forms(group, k, w1) if k > 2 else 0, w1)
-
-
-def _cusp_dimension(
-    group: CongruenceGroup, k: int, m_k: int, w1: Weight1Data | None
-) -> int:
-    """s_k, given m_k (read for k > 2 only)."""
+def _cusp_forms(group: CongruenceGroup, start: int, stop: int, s1: int | None = None) -> list[int]:
+    """s_k for 0 <= start <= k < stop, all weights in one pass; s_1 is read at
+    weight 1 only, and m_k for k > 2 only."""
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         # Duality on the weighted line: cusp forms of weight k are sections
         # of Omega^1 (x) omega^{k-2} = O(k - 2 - a - b).
         a, b = SMALL_LEVEL_WEIGHTS[key]
-        return h0_dim(WeightedLine(a, b), k - 2 - a - b)
-    if k <= 0 or (group.kind is GroupKind.GAMMA0 and k % 2):  # -I: odd weights vanish
+        return over_denominator([0] * (a + b + 2) + [1], (a, b), stop)[start:]
+    inv, high = level_invariants(group), max(start, 3)
+    s = [0, s1, inv.genus][start:stop]  # s_2 is the genus
+    for k, m_k in enumerate(_forms(group, high, stop), high):  # -I: odd Gamma0 weights vanish
+        s.append(0 if group.kind is GroupKind.GAMMA0 and k % 2 else m_k - inv.cusps)
+    return s
+
+
+def dim_modular_forms(
+    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
+) -> int:
+    if k < 0:
         return 0
-    if k <= 2:
-        return weight1_cusp_dim(group, w1) if k == 1 else level_invariants(group).genus
-    return m_k - level_invariants(group).cusps
+    return _forms(group, k, k + 1, weight1_cusp_dim(group, w1) if k == 1 else None)[0]
+
+
+def dim_cusp_forms(
+    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
+) -> int:
+    """s_k; weights k != 1 need no weight-1 data."""
+    if k < 0:
+        return 0
+    return _cusp_forms(group, k, k + 1, weight1_cusp_dim(group, w1) if k == 1 else None)[0]
 
 
 @lru_cache(maxsize=None)
 def _tables(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(m_0..m_DIMENSION_HORIZON, s_0..s_CUSP_HORIZON), each weight evaluated
-    once per (group, s_1): the weight-1 data enter through s_1 alone, so the
-    unhashable ``Weight1Data`` is no key (the body reads s_1 from a one-entry
-    table) and an override that changes s_1 gets tables of its own."""
-    w1 = Weight1Data({(group.kind, group.level): s1}, {})
-    m = tuple(dim_modular_forms(group, k, w1) for k in range(DIMENSION_HORIZON + 1))
-    return m, tuple(_cusp_dimension(group, k, m[k], w1) for k in range(CUSP_HORIZON + 1))
+    """(m_0..m_DIMENSION_HORIZON, s_0..s_CUSP_HORIZON), each in one pass over the
+    weights, once per (group, s_1): the weight-1 data enter through s_1 alone,
+    so the unhashable ``Weight1Data`` is no key and an override that changes
+    s_1 gets tables of its own."""
+    return (
+        tuple(_forms(group, 0, DIMENSION_HORIZON + 1, s1)),
+        tuple(_cusp_forms(group, 0, CUSP_HORIZON + 1, s1)),
+    )
 
 
 def dimension_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:

@@ -60,6 +60,7 @@ class GradedAlgebra(namedtuple("GradedAlgebra", "char variables")):
     """Free graded polynomial algebra: coefficient field Q (char 0) or F_p."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, char: int, variables: tuple[tuple[str, int], ...]) -> "GradedAlgebra":
         if char != 0 and not is_prime(char):
@@ -116,6 +117,7 @@ def graded_component(algebra: GradedAlgebra, d: int) -> list[tuple[int, ...]]:
 
 class Polynomial(namedtuple("Polynomial", "algebra terms")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
     __radd__ = __rmul__ = None  # no tuple arithmetic: 2 * f and (1,) + f raise TypeError
 
     def __new__(cls, algebra: GradedAlgebra, terms: Mapping = MappingProxyType({})):
@@ -300,6 +302,7 @@ class SubringSpec(namedtuple("SubringSpec", "generators")):
     """Two generators of the ambient algebra, each homogeneous."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, generators: tuple[tuple[str, Polynomial], ...]) -> "SubringSpec":
         for name, g in generators:

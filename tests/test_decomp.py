@@ -307,24 +307,35 @@ def test_table_generation_matches_golden():
         assert list(row[1:]) == level2[row[0]]
 
 
-@pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)])
-def test_each_weight_is_evaluated_once(monkeypatch, group):
-    calls = Counter()
-    original = levels.dim_modular_forms
+def _override_23():
+    """The builtin weight-1 table with s_1(Gamma1(23)) = 5, as ``g1 23 5`` loads it."""
+    default = Weight1Data.default()
+    return Weight1Data({**default.table, (GroupKind.GAMMA1, 23): 5}, default.provenance)
 
-    def counting(group, k, w1=None):
-        calls[group, k] += 1
-        return original(group, k, w1)
 
-    for module in (levels, decomp):
-        monkeypatch.setattr(module, "dim_modular_forms", counting)
+#: Every group whose dimensions the decomp-levels benchmark reads.
+DECOMP_LEVELS_GROUPS = [*map(G0, range(2, 401)), *map(G1, range(2, 43)), *map(GF, range(2, 12))]
+
+
+@pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)], ids=str)
+def test_tables_are_built_once_per_group_and_s1(group):
     levels._tables.cache_clear()  # a fresh group: the one dimension cache starts empty
+    for w1 in (None, _override_23(), None, _override_23()):
+        seq = omega_decomposition(group, w1)
+        deconvolve_by_gamma1_block(group, 1, w1)
+        assert verify_consistency(seq, w1).ok
+    info = levels._tables.cache_info()
+    builds = 2 if group == G1(23) else 1  # only the override's group gets a new s_1
+    assert (info.misses, info.currsize) == (builds, builds)
 
-    seq = omega_decomposition(group)
-    deconvolve_by_gamma1_block(group, 1)
-    assert verify_consistency(seq).ok
-    assert set(calls) == {(group, k) for k in range(levels.DIMENSION_HORIZON + 1)}
-    assert max(calls.values()) == 1
+
+@pytest.mark.parametrize("w1", [None, _override_23()], ids=["builtin", "g1-23-5"])
+def test_tables_equal_the_dimensions_weight_by_weight(w1):
+    for group in DECOMP_LEVELS_GROUPS:
+        m = [levels.dim_modular_forms(group, k, w1) for k in range(levels.DIMENSION_HORIZON + 1)]
+        s = [dim_cusp_forms(group, k, w1) for k in range(levels.CUSP_HORIZON + 1)]
+        assert levels.dimension_table(group, w1) == tuple(m), group
+        assert levels.cusp_table(group, w1) == tuple(s), group
 
 
 @pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)], ids=str)

@@ -152,3 +152,43 @@ def test_twist_multiset_pairs_come_from_items():
     assert list(mult.items()) == [(0, 1), (3, 2)]
     assert (mult[0], mult[3], mult[7]) == (1, 2, 0)
     assert list(mult) == [{3: 2, 0: 1}]  # iterating a record gives its fields
+
+
+@pytest.mark.parametrize(
+    "replace, error, message",
+    [
+        (lambda: zeta(8)._replace(order=6), ValueError,
+         "order must be a power of two >= 2, got 6"),
+        (lambda: WeightedLine(4, 6)._replace(b=0), ValueError,
+         "weights must be positive, got (4, 0)"),
+        (lambda: TwistMultiset({0: 1})._replace(multiplicities={2: -1}), ValueError,
+         "multiplicities must be >= 0"),
+        (lambda: CongruenceGroup(GroupKind.GAMMA1, 5)._replace(level=1), InvalidGroup,
+         "level must be >= 2, got 1"),
+        (lambda: F2_ALGEBRA._replace(char=4), ValueError,
+         "characteristic must be 0 or a prime, got 4"),
+        (lambda: CONSTANT._replace(terms={(0, 1): Fraction(1, 2)}), ValueError,
+         "coefficient 1/2 is undefined in characteristic 2"),
+        (lambda: ringalg.PRESETS["f3-rank3"][1]._replace(generators=(("c", CONSTANT),)),
+         ValueError, "subring generator c must have positive degree"),
+    ],
+    ids=[
+        "CyclotomicElement", "WeightedLine", "TwistMultiset", "CongruenceGroup",
+        "GradedAlgebra", "Polynomial", "SubringSpec",
+    ],
+)
+def test_replace_checks_fields_like_the_constructor(replace, error, message):
+    with pytest.raises(error) as info:
+        replace()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_replace_normalises_like_the_constructor():
+    poly = CONSTANT._replace(terms={(1, 0): 3, (0, 1): 2})
+    assert poly == Polynomial(F2_ALGEBRA, {(1, 0): 1})
+    assert dict(poly.terms) == {(1, 0): 1}
+    with pytest.raises(TypeError):
+        poly.terms[(0, 0)] = 1  # read-only, as the constructor leaves it
+    assert TwistMultiset({0: 1})._replace(multiplicities={0: 2, 4: 0}).multiplicities == {0: 2}
+    assert G1_23._replace(level=7) == CongruenceGroup(GroupKind.GAMMA1, 7)

@@ -113,3 +113,17 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert loaded == []
+
+
+def test_cli_import_builds_no_dimension_tables():
+    # tables and invariants are built on first use, not at start-up; cache sizes only, no timing
+    src = str(Path(mfdecomp.__file__).parent.parent)
+    probe = (
+        "import mfdecomp.cli; from mfdecomp import levels; "
+        "print(levels._tables.cache_info().currsize, levels.level_invariants.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    sizes = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert sizes == ["0", "0"]
