@@ -3,7 +3,7 @@ Miller-Rabin primality test (for characteristics and primes)."""
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, count
 from math import gcd
 
 __all__ = ["factorize", "is_prime"]
@@ -12,7 +12,7 @@ __all__ = ["factorize", "is_prime"]
 #: bases, so ``is_prime`` is exact there.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: ``factorize`` trial-divides by the integers below this bound only.
+#: ``factorize`` trial-divides by 2 and the odd integers below this bound only.
 _TRIAL_BOUND = 1000
 
 
@@ -21,12 +21,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     division below ``_TRIAL_BOUND``, then ``is_prime`` and Pollard-Brent rho
     on the cofactor, so a level with large prime factors factors at once."""
     exponents: dict[int, int] = {}
-    p = 2
-    while p < _TRIAL_BOUND and p * p <= n:
+    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):  # 2, then odd candidates only
+        if p * p > n:
+            break
         while n % p == 0:
             n //= p
             exponents[p] = exponents.get(p, 0) + 1
-        p += 1
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()

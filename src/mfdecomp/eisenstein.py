@@ -8,8 +8,12 @@ computes L(0, chi) exactly, the q-expansion of E_1^chi, the rescaled
 series E = (1 - zeta) * E_1^chi, its coordinate components f_i in the
 power basis, and checks that F = sum f_i is congruent to 1 mod 2 -- a
 characteristic-zero lift of the Hasse invariant A_2 (whose q-expansion is
-identically 1).  For n >= 1 the lift works on integer divisor counts; a
-rational x has v_2(x) >= 1 exactly when its reduced numerator is even.
+identically 1).  g is found by the p - 1 test (g^((p-1)/q) != 1 for each
+prime q | p - 1), so a prime costs its O(p) character table and little
+more.  For n >= 1 the lift works on integer divisor counts, one column over
+n per exponent of zeta; q^0 is read from the coordinates of L(0, chi), with
+no field product.  A rational x has v_2(x) >= 1 exactly when its reduced
+numerator is even.
 
 Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is verified exactly.  The
 stated closed form for the exponent is recorded in two variants (see
@@ -22,10 +26,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from operator import add, sub
 from typing import NamedTuple
 
-from .exactnum import CyclotomicElement, ExtendedValuation
-from .arith import is_prime
+from .exactnum import CyclotomicElement, ExtendedValuation, zeta
+from .arith import factorize, is_prime
 
 __all__ = [
     "DirichletCharacter",
@@ -54,19 +60,13 @@ class IntegralityFailure(ArithmeticError):
     """E = (1 - zeta) E_1^chi failed 2-integrality; signals a bug, not data."""
 
 
-def _multiplicative_order(a: int, p: int) -> int:
-    order, x = 1, a % p
-    while x != 1:
-        x = x * a % p
-        order += 1
-    return order
-
-
 def smallest_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        if _multiplicative_order(g, p) == p - 1:
-            return g
-    raise ValueError(f"no primitive root mod {p}")
+    """The smallest g whose order mod the odd prime p is p - 1: g^((p-1)/q) != 1
+    for every prime q dividing p - 1 (Cohen, section 1.4)."""
+    if p == 2 or not is_prime(p):
+        raise NotPrime(f"{p} is not an odd prime")
+    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
 
 
 class DirichletCharacter(NamedTuple):
@@ -100,15 +100,8 @@ class DirichletCharacter(NamedTuple):
 def odd_two_power_character(p: int) -> DirichletCharacter:
     """The character of order 2^m (p - 1 = 2^m * l, l odd) with value
     zeta_{2^m} at the smallest primitive root."""
-    if not is_prime(p) or p == 2:
-        raise NotPrime(f"{p} is not an odd prime")
-    m = 0
-    l = p - 1
-    while l % 2 == 0:
-        l //= 2
-        m += 1
-    order = 1 << m
-    g = smallest_primitive_root(p)
+    g = smallest_primitive_root(p)  # NotPrime unless p is an odd prime
+    order = (p - 1) & (1 - p)  # the largest power of 2 dividing p - 1
     exponents: list[int | None] = [None] * p
     x = 1
     for t in range(p - 1):
@@ -177,14 +170,19 @@ def _exponents(m: int) -> dict[str, Fraction]:
             "computed_exponent": 1 - Fraction(1, 1 << (m - 1))}
 
 
+@lru_cache(maxsize=None)
+def _v2_one_minus_zeta(order: int) -> ExtendedValuation:
+    """v_2(1 - zeta_order) from the tower norm, once per order."""
+    return (CyclotomicElement.from_rational(order, 1) - zeta(order)).two_adic_valuation()
+
+
 def valuation_claim_check(p: int) -> ValuationClaimReport:
     """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
     chi, m, L, v2_l = _character_data(p)
-    one = CyclotomicElement.from_rational(chi.order, 1)
-    zeta = CyclotomicElement.zeta_power(chi.order, 1)
-    v2_omz = (one - zeta).two_adic_valuation()
+    v2_omz = _v2_one_minus_zeta(chi.order)
     sum_is_one = v2_l + v2_omz == 1
-    congruence_ok = all((c - 1).numerator % 2 == 0 for c in L.coords)  # v_2(c - 1) >= 1
+    # v_2(a/b - 1) >= 1 for a/b in lowest terms exactly when a - b is even
+    congruence_ok = all((c.numerator - c.denominator) % 2 == 0 for c in L.coords)
     return ValuationClaimReport(
         p=p,
         m=m,
@@ -197,17 +195,18 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
 
 
 def _divisor_counts(chi: DirichletCharacter, N: int) -> list[list[int]]:
-    """counts[n][e] = #{d | n : chi(d) = zeta^e} for 1 <= n <= N (counts[0]
-    stays 0), sieving the multiples of each d <= N."""
+    """counts[e][n] = #{d | n : chi(d) = zeta^e} for 1 <= n <= N (counts[e][0]
+    stays 0), sieving the multiples of each d <= N into column e."""
     if N < 1:
         raise ValueError("precision must be >= 1")
     p, order, exponents = chi
-    counts = [[0] * order for _ in range(N + 1)]
+    counts = [[0] * (N + 1) for _ in range(order)]
     for d in range(1, N + 1):
         e = exponents[d % p]
         if e is not None:
+            column = counts[e]
             for n in range(d, N + 1, d):
-                counts[n][e] += 1
+                column[n] += 1
     return counts
 
 
@@ -219,7 +218,7 @@ def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicE
     """
     counts = _divisor_counts(chi, N)
     coeffs = [l_value(chi).scale(Fraction(1, 2))]
-    coeffs += [_from_counts(chi.order, c) for c in counts[1:]]
+    coeffs += [_from_counts(chi.order, c) for c in islice(zip(*counts), 1, None)]
     return tuple(coeffs)
 
 
@@ -261,23 +260,27 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     ``galois_exponent`` k (odd) replaces chi by chi^k; components are then
     extracted with respect to powers of chi^k(g), so the f_i must not
     depend on k.  As L(0, chi^k) = sigma_k(L(0, chi)), undoing sigma_k leaves
-    (1 - zeta) L(0, chi)/2 at q^0.  For n >= 1, with c_n[e] = #{d | n :
-    chi(d) = zeta^e}, (1 - zeta^k) then sigma_k^{-1} adds c_n[e] at e and
-    subtracts it at e + 1, in ints; zeta^{order/2} = -1 folds the row.
+    (1 - zeta) L(0, chi)/2 at q^0, read from the coordinates x of L(0, chi)
+    as (x_i - x_{i-1})/2 with x_{-1} = -x_{d-1}.  For n >= 1 each f_i is one
+    integer column over n, from the columns c_e(n) = #{d | n : chi(d) = zeta^e}:
+    fold by zeta^d = -1 to g_i = c_i - c_{i+d}, then multiply by 1 - zeta,
+    f_i = g_i - g_{i-1} with g_{-1} = -g_{d-1}.
     """
     if galois_exponent % 2 == 0:
         raise ValueError("galois exponent must be odd")
     chi, m, L, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
-    order, d = chi.order, chi.order // 2
-    zeta = CyclotomicElement.zeta_power(order, 1)
-    E0 = (CyclotomicElement.from_rational(order, 1) - zeta) * L.scale(Fraction(1, 2))
-    rows = [E0.coords]  # rows[n][i]: f_i at q^n
-    for c in _divisor_counts(chi, N)[1:]:  # c[-1] is c[order - 1]
-        rows.append([c[i] - c[i - 1] - c[i + d] + c[i + d - 1] for i in range(d)])
-    # v_2(x) < 0 exactly when x's denominator is even; the rows n >= 1 are ints
-    if any(c.denominator % 2 == 0 for c in E0.coords):
+    d = chi.order // 2
+    counts = _divisor_counts(chi, N)
+    g = [list(map(sub, counts[i], counts[i + d])) for i in range(d)]
+    columns = [list(map(add, g[0], g[-1]))] + [list(map(sub, a, b)) for a, b in zip(g[1:], g)]
+    x = L.coords  # q^0 of (1 - zeta) L/2, with no field product
+    for column, a, b in zip(columns, x, (-x[-1], *x)):
+        column[0] = (a - b) / 2
+    # v_2(x) < 0 exactly when x's denominator is even; the entries n >= 1 are ints
+    if any(column[0].denominator % 2 == 0 for column in columns):
         raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
-    sums = [sum(row) for row in rows]
+    components = tuple(map(tuple, columns))
+    sums = list(map(sum, zip(*components)))
     ok = all(a.numerator % 2 == 0 for a in (sums[0] - 1, *sums[1:]))
     return HasseLiftReport(
         p=p,
@@ -286,7 +289,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         v2_l=v2_l,
         **_exponents(m),
         precision=N,
-        components=tuple(zip(*rows)),
+        components=components,
         averaged=tuple(sums),
         verdict="pass" if ok else "fail",
     )

@@ -45,6 +45,21 @@ def test_factorize(n):
     assert all(is_prime(p) and e >= 1 for p, e in pairs)
 
 
+def test_factorize_agrees_with_a_sieve_through_20000():
+    bound = 20_001
+    smallest = list(range(bound))  # smallest[n]: the least prime factor of n >= 2
+    for p in range(2, isqrt(bound - 1) + 1):
+        if smallest[p] == p:
+            for n in range(p * p, bound, p):
+                smallest[n] = min(smallest[n], p)
+    for n in range(1, bound):
+        exponents, m = {}, n
+        while m > 1:
+            exponents[smallest[m]] = exponents.get(smallest[m], 0) + 1
+            m //= smallest[m]
+        assert factorize(n) == tuple(sorted(exponents.items())), n
+
+
 def test_factorize_large_factors():
     assert factorize(998244353 * 1000000007) == ((998244353, 1), (1000000007, 1))
     assert factorize(10**18 + 3) == ((10**18 + 3, 1),)

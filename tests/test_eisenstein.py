@@ -53,6 +53,28 @@ def test_not_prime_rejected():
             odd_two_power_character(bad)
 
 
+@pytest.mark.parametrize("bad", [-7, 0, 1, 2, 4, 8, 9, 15, 561, 2**16, 5 * 10000019])
+def test_primitive_root_rejects_all_but_odd_primes(bad):
+    # 8 and 9 have no element of order n - 1: an order search never ends there
+    with pytest.raises(NotPrime, match=f"^{bad} is not an odd prime$"):
+        smallest_primitive_root(bad)
+
+
+def multiplicative_order(a, p):
+    """Oracle: the order of a mod p, by repeated multiplication."""
+    order, x = 1, a % p
+    while x != 1:
+        x = x * a % p
+        order += 1
+    return order
+
+
+def test_primitive_root_matches_the_order_definition_below_5000():
+    for p in filter(is_prime, range(3, 5000)):
+        expected = next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
+        assert smallest_primitive_root(p) == expected, p
+
+
 def test_l_value_p5():
     chi = odd_two_power_character(5)
     assert l_value(chi) == cyc(4, Fraction(3, 5), Fraction(1, 5))
@@ -90,8 +112,8 @@ def test_valuation_claim_order_too_small():
 
 
 def test_order_too_small_is_rejected_before_chi_is_built(monkeypatch):
-    # p = 10000019 = 3 mod 4 is prime; chi would cost a p-entry exponent table
-    # and an O(p) primitive-root search, so m < 2 must be read from p itself
+    # p = 10000019 = 3 mod 4 is prime; chi would cost a p-entry exponent table,
+    # so m < 2 must be read from p itself
     def build(p):
         raise AssertionError(f"chi built for p = {p}")
 
@@ -131,6 +153,19 @@ def test_eisenstein_coefficients_p5():
     assert E[10] == cyc(4, 1, 1)  # d in {1,2,5,10}
 
 
+@pytest.mark.parametrize("p", (17, 97, 257))
+def test_eisenstein_coefficients_are_character_divisor_sums(p):
+    chi = odd_two_power_character(p)
+    E = eisenstein_q_expansion(chi, 40)
+    assert E[0] == l_value(chi).scale(Fraction(1, 2))
+    for n in range(1, 41):
+        expected = CyclotomicElement.from_rational(chi.order, 0)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                expected = expected + chi.value(d)
+        assert E[n] == expected, n
+
+
 def test_eisenstein_coefficient_multiplicativity():
     for p in (5, 13, 17):
         chi = odd_two_power_character(p)
@@ -153,11 +188,20 @@ def test_hasse_lift_p5_values():
     assert report.components[1][1] == -1
 
 
-@pytest.mark.parametrize("p", HASSE_PRIMES)
+SWEEP_PRIMES = [p for p in range(5, 1000) if p % 4 == 1 and is_prime(p)]  # 257, 769 included
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
 def test_hasse_lift_passes(p):
     report = hasse_lift(p, 60)
-    assert report.passed
+    claim = valuation_claim_check(p)
+    assert report.passed and claim.ok
     assert report.precision == 60
+    assert report.v2_l == claim.v2_l == 1 - Fraction(2) ** (1 - report.m)
+    first, *rest = zip(*report.components, report.averaged)
+    assert len(rest) == 60
+    assert all(type(c) is Fraction for c in first)
+    assert all(type(c) is int for row in rest for c in row)
 
 
 def field_product_lift(p, N, k):
@@ -246,6 +290,7 @@ def test_order_256_primes(p):
 
 def test_lift_and_claim_share_the_norm_of_l(monkeypatch):
     eisenstein._character_data.cache_clear()
+    eisenstein._v2_one_minus_zeta.cache_clear()
     norms = []
     norm = CyclotomicElement.norm
     monkeypatch.setattr(CyclotomicElement, "norm", lambda x: norms.append(x) or norm(x))
@@ -253,3 +298,18 @@ def test_lift_and_claim_share_the_norm_of_l(monkeypatch):
     claim = valuation_claim_check(97)
     assert report.v2_l == claim.v2_l == Fraction(15, 16)  # 97 - 1 = 2^5 * 3
     assert len(norms) == 2  # L(0, chi) once, and 1 - zeta
+    hasse_lift(353, 20)
+    claim = valuation_claim_check(353)  # 353 - 1 = 2^5 * 11: the same order 32
+    assert claim.ok and claim.v2_one_minus_zeta == Fraction(1, 16)
+    assert len(norms) == 3  # L(0, chi) only: v_2(1 - zeta) is kept per order
+
+
+def test_lift_makes_no_field_product(monkeypatch):
+    products = []
+    mul = CyclotomicElement.__mul__
+    monkeypatch.setattr(CyclotomicElement, "__mul__", lambda x, y: products.append(x) or mul(x, y))
+    for p in (5, 97, 257):
+        for k in (1, 3):
+            assert hasse_lift(p, 20, galois_exponent=k).passed
+    assert products == []
+
