@@ -5,15 +5,14 @@ For an odd prime p write p - 1 = 2^m * l with l odd, and let chi be the
 character of (Z/p)^* of order 2^m with chi(g) = zeta_{2^m} for the smallest
 primitive root g (chi is odd because l is odd).  The machinery here
 computes L(0, chi) exactly, the q-expansion of E_1^chi, the rescaled
-series E = (1 - zeta) * E_1^chi, its coordinate components f_i in the
-power basis, and checks that F = sum f_i is congruent to 1 mod 2 -- a
-characteristic-zero lift of the Hasse invariant A_2 (whose q-expansion is
-identically 1).  g is found by the p - 1 test (g^((p-1)/q) != 1 for each
-prime q | p - 1), so a prime costs its O(p) character table and little
-more.  For n >= 1 the lift works on integer divisor counts, one column over
-n per exponent of zeta; q^0 is read from the coordinates of L(0, chi), with
-no field product.  A rational x has v_2(x) >= 1 exactly when its reduced
-numerator is even.
+series E = (1 - zeta) * E_1^chi and its components f_i in the power basis.
+F = sum f_i lifts the Hasse invariant A_2 (whose q-expansion is identically
+1) to characteristic zero when F = 1 mod 2.  For n >= 1 the sum telescopes
+to twice a difference of divisor counts, even for every n, so the lift is
+one unit condition at q^0, proved for every coefficient: u = (1 - zeta) *
+L(0, chi) / 2 has 2-integral coordinates and their sum F_0 is 1 mod 2.  g
+is found by the p - 1 test (g^((p-1)/q) != 1 for each prime q | p - 1), so
+a prime costs its O(p) character table and little more.
 
 Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is verified exactly.  The
 stated closed form for the exponent is recorded in two variants (see
@@ -164,8 +163,9 @@ def _character_data(
     return chi, m, L, L.two_adic_valuation()
 
 
+@lru_cache(maxsize=None)
 def _exponents(m: int) -> dict[str, Fraction]:
-    """For chi of order 2^m: the stated 1 - 2^(2-m) and the computed 1 - 2^(1-m)."""
+    """Once per m, for both reports: the stated 1 - 2^(2-m) and the computed 1 - 2^(1-m)."""
     return {"paper_exponent": 1 - Fraction(1, 1 << (m - 2)),
             "computed_exponent": 1 - Fraction(1, 1 << (m - 1))}
 
@@ -254,17 +254,18 @@ class HasseLiftReport(NamedTuple):
 
 
 def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
-    """Form E = (1 - zeta) E_1^chi, split into power-basis components f_i,
-    and test F = sum f_i = 1 mod 2 through q^N.
+    """Form E = (1 - zeta) E_1^chi through q^N, split into power-basis
+    components f_i, and decide F = sum f_i = 1 mod 2 for every coefficient.
 
-    ``galois_exponent`` k (odd) replaces chi by chi^k; components are then
-    extracted with respect to powers of chi^k(g), so the f_i must not
-    depend on k.  As L(0, chi^k) = sigma_k(L(0, chi)), undoing sigma_k leaves
-    (1 - zeta) L(0, chi)/2 at q^0, read from the coordinates x of L(0, chi)
-    as (x_i - x_{i-1})/2 with x_{-1} = -x_{d-1}.  For n >= 1 each f_i is one
-    integer column over n, from the columns c_e(n) = #{d | n : chi(d) = zeta^e}:
-    fold by zeta^d = -1 to g_i = c_i - c_{i+d}, then multiply by 1 - zeta,
-    f_i = g_i - g_{i-1} with g_{-1} = -g_{d-1}.
+    ``galois_exponent`` k (odd) replaces chi by chi^k; the f_i, taken in
+    powers of chi^k(g), must not depend on k.  For n >= 1 each f_i is one
+    integer column from c_e(n) = #{d | n : chi(d) = zeta^e}: the fold
+    g_i = c_i - c_{i+d} (zeta^d = -1), then f_i = g_i - g_{i-1} (g_{-1} =
+    -g_{d-1}), so F_n = 2 g_{d-1}(n) is even for every n.  At q^0 undoing
+    sigma_k leaves u = (1 - zeta) L(0, chi)/2.  With D_i = -p x_i for the
+    coordinates x of L(0, chi) and D_{-1} = -D_{d-1}, u has coordinates
+    (D_i - D_{i-1})/(-2p) and F_0 = x_{d-1}.  The unit condition on u: raise
+    IntegralityFailure unless every D_i - D_{i-1} is even; pass iff D_{d-1} is odd.
     """
     if galois_exponent % 2 == 0:
         raise ValueError("galois exponent must be odd")
@@ -273,15 +274,12 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     counts = _divisor_counts(chi, N)
     g = [list(map(sub, counts[i], counts[i + d])) for i in range(d)]
     columns = [list(map(add, g[0], g[-1]))] + [list(map(sub, a, b)) for a, b in zip(g[1:], g)]
-    x = L.coords  # q^0 of (1 - zeta) L/2, with no field product
-    for column, a, b in zip(columns, x, (-x[-1], *x)):
-        column[0] = (a - b) / 2
-    # v_2(x) < 0 exactly when x's denominator is even; the entries n >= 1 are ints
-    if any(column[0].denominator % 2 == 0 for column in columns):
-        raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
-    components = tuple(map(tuple, columns))
-    sums = list(map(sum, zip(*components)))
-    ok = all(a.numerator % 2 == 0 for a in (sums[0] - 1, *sums[1:]))
+    D = [-x.numerator * (p // x.denominator) for x in L.coords]  # each denominator divides p
+    for column, a, b in zip(columns, D, (-D[-1], *D)):
+        if (a - b) % 2:
+            raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
+        column[0] = Fraction(a - b, -2 * p)
+    averaged = (L.coords[-1], *islice(map(add, g[-1], g[-1]), 1, None))
     return HasseLiftReport(
         p=p,
         m=m,
@@ -289,7 +287,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         v2_l=v2_l,
         **_exponents(m),
         precision=N,
-        components=components,
-        averaged=tuple(sums),
-        verdict="pass" if ok else "fail",
+        components=tuple(map(tuple, columns)),
+        averaged=averaged,
+        verdict="pass" if D[-1] % 2 else "fail",
     )

@@ -161,6 +161,8 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
         negated when that index is >= degree (zeta^degree = -1)."""
         if k % 2 == 0:
             raise ValueError("Galois exponent must be odd")
+        if k % self.order == 1:
+            return self
         order, degree = self.order, self.degree
         coords = [Fraction(0)] * degree
         for i, a in enumerate(self.coords):

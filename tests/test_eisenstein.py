@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfdecomp import cli, eisenstein, levels
 from mfdecomp.arith import is_prime
-from mfdecomp.exactnum import CyclotomicElement, two_adic_valuation_rational
+from mfdecomp.exactnum import CyclotomicElement, two_adic_valuation_rational, zeta
 from mfdecomp.eisenstein import (
     NotPrime,
     OrderTooSmall,
@@ -193,15 +195,92 @@ SWEEP_PRIMES = [p for p in range(5, 1000) if p % 4 == 1 and is_prime(p)]  # 257,
 
 @pytest.mark.parametrize("p", SWEEP_PRIMES)
 def test_hasse_lift_passes(p):
-    report = hasse_lift(p, 60)
     claim = valuation_claim_check(p)
-    assert report.passed and claim.ok
-    assert report.precision == 60
-    assert report.v2_l == claim.v2_l == 1 - Fraction(2) ** (1 - report.m)
-    first, *rest = zip(*report.components, report.averaged)
-    assert len(rest) == 60
-    assert all(type(c) is Fraction for c in first)
-    assert all(type(c) is int for row in rest for c in row)
+    x = l_value(odd_two_power_character(p)).coords
+    for k in (1, 3):
+        report = hasse_lift(p, 60, galois_exponent=k)
+        assert report.passed and claim.ok
+        assert report.precision == 60
+        assert report.v2_l == claim.v2_l == 1 - Fraction(2) ** (1 - report.m)
+        first, *rest = zip(*report.components, report.averaged)
+        assert len(rest) == 60
+        assert all(type(c) is Fraction for c in first)
+        assert all(type(c) is int for row in rest for c in row)
+        # oracle: F as the column sums, and the per-row rule F_0 = 1, F_n = 0 mod 2
+        sums = tuple(map(sum, zip(*report.components)))
+        assert report.averaged == sums
+        assert report.averaged[0] == x[-1]
+        rows_ok = (sums[0] - 1).numerator % 2 == 0 and all(a % 2 == 0 for a in sums[1:])
+        assert report.verdict == ("pass" if rows_ok else "fail")
+
+
+def _clear_caches():
+    for cache in (eisenstein._character_data, eisenstein._exponents, eisenstein._v2_one_minus_zeta):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def altered_l(monkeypatch):
+    """Replace L(0, chi) by shift(p, L(0, chi)) in both checks, with its own valuation."""
+    character_data = eisenstein._character_data
+
+    def install(shift):
+        def shifted(p):
+            chi, m, L, _ = character_data(p)
+            L = shift(p, L)
+            return chi, m, L, L.two_adic_valuation()
+
+        monkeypatch.setattr(eisenstein, "_character_data", shifted)
+
+    _clear_caches()
+    yield install
+    monkeypatch.undo()
+    _clear_caches()
+
+
+@pytest.mark.parametrize("p", (5, 17, 97, 257))
+def test_unit_condition_fails_in_all_three_forms_at_twice_l(altered_l, p):
+    # u = (1 - zeta) L/2 is 2-integral but no unit: F_0 = 2 x_{d-1} is even,
+    # v_2(2L) + v_2(1 - zeta) = 2, and 2L = 0, not sum_j zeta^j, mod 2
+    altered_l(lambda p, L: L.scale(2))
+    report = hasse_lift(p, 20)
+    claim = valuation_claim_check(p)
+    assert report.verdict == "fail"
+    assert not claim.sum_is_one and not claim.congruence_ok
+    assert report.averaged[0].numerator % 2 == 0  # F_0 even, so F_0 - 1 is odd
+
+
+@pytest.mark.parametrize("p", (5, 17, 97))
+def test_odd_difference_of_numerators_is_an_integrality_failure(altered_l, p):
+    # adding 1/p moves D_0 = -p x_0 by -1, so u_0 and u_1 get the denominator 2p
+    altered_l(lambda p, L: L + CyclotomicElement.from_rational(L.order, Fraction(1, p)))
+    with pytest.raises(eisenstein.IntegralityFailure, match=rf"^coefficient of q\^0 in E is not 2-integral \(p={p}\)$"):
+        hasse_lift(p, 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((5, 13, 17, 97)), data=st.data())
+def test_lift_decides_the_unit_condition_for_any_l(p, data):
+    # any L with denominators dividing p in place of L(0, chi): the field product
+    # (1 - zeta) L/2 is the oracle for q^0, and F_0 = 1 mod 2 for the verdict
+    chi, m, _, _ = eisenstein._character_data(p)
+    order = chi.order
+    parity = data.draw(st.integers(0, 1))
+    D = [2 * a + parity for a in data.draw(st.lists(st.integers(-p, p), min_size=order // 2, max_size=order // 2))]
+    if data.draw(st.booleans()):
+        D[data.draw(st.integers(0, order // 2 - 1))] += 1  # one numerator of the other parity
+    L = CyclotomicElement(order, tuple(Fraction(a, -p) for a in D))
+    half = CyclotomicElement.from_rational(order, Fraction(1, 2))
+    u = ((CyclotomicElement.from_rational(order, 1) - zeta(order)) * half * L).coords
+    with mock.patch.object(eisenstein, "_character_data", lambda p: (chi, m, L, L.two_adic_valuation())):
+        if any(c.denominator % 2 == 0 for c in u):
+            with pytest.raises(eisenstein.IntegralityFailure):
+                hasse_lift(p, 3)
+            return
+        report = hasse_lift(p, 3)
+    assert tuple(f[0] for f in report.components) == u
+    assert report.averaged[0] == sum(u)
+    assert report.verdict == ("pass" if (sum(u) - 1).numerator % 2 == 0 else "fail")
 
 
 def field_product_lift(p, N, k):
