@@ -11,10 +11,15 @@ F = sum f_i lifts the Hasse invariant A_2 (whose q-expansion is identically
 to twice a difference of divisor counts, even for every n, so the lift is
 one unit condition at q^0, proved for every coefficient: u = (1 - zeta) *
 L(0, chi) / 2 has 2-integral coordinates and their sum F_0 is 1 mod 2.  g
-is found by the p - 1 test (g^((p-1)/q) != 1 for each prime q | p - 1), so
-a prime costs its O(p) character table and little more.
+is found by the p - 1 test (g^((p-1)/q) != 1 for each prime q | p - 1).
+The lift builds no table over the residues: L(0, chi) is one walk over
+x = g^t for t < (p - 1)/2, pairing x with p - x (chi is odd), and chi(d)
+for the divisors d <= N is read from the 2^m powers of h = g^l.  So a prime
+costs about (p - 1)/2 multiplications mod p, in memory O(2^m * N) for any p.
 
-Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is verified exactly.  The
+Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is proved by the unit
+condition: u is a unit, so v_2(L(0, chi)) = v_2(2) - v_2(1 - zeta).  Where u
+is no unit, v_2(L(0, chi)) comes from the tower norm instead.  The
 stated closed form for the exponent is recorded in two variants (see
 ``HasseLiftReport.paper_exponent`` / ``computed_exponent``) which disagree;
 reports always carry both, never a silent reconciliation.
@@ -25,9 +30,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import cycle, islice
 from operator import add, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .exactnum import CyclotomicElement, ExtendedValuation, zeta
 from .arith import factorize, is_prime
@@ -111,14 +116,6 @@ def odd_two_power_character(p: int) -> DirichletCharacter:
     return chi
 
 
-def _from_counts(order: int, counts: list[int], den: int = 1) -> CyclotomicElement:
-    """(sum_e counts[e] * zeta^e) / den, folded by zeta^{order/2} = -1."""
-    d = order // 2
-    return CyclotomicElement(
-        order, tuple(Fraction(counts[i] - counts[i + d], den) for i in range(d))
-    )
-
-
 def l_value(chi: DirichletCharacter) -> CyclotomicElement:
     """L(0, chi) = -(1/p) * sum_{n=1}^{p-1} n * chi(n), exact; the n are
     summed as integers per exponent of zeta before one division."""
@@ -128,7 +125,23 @@ def l_value(chi: DirichletCharacter) -> CyclotomicElement:
     counts = [0] * order
     for n in range(1, p):
         counts[exponents[n]] += n
-    return _from_counts(order, counts, -p)
+    d = order // 2  # folded by zeta^d = -1
+    return CyclotomicElement(order, tuple(Fraction(a - b, -p) for a, b in zip(counts, counts[d:])))
+
+
+def _half_walk(p: int, g: int, order: int) -> CyclotomicElement:
+    """L(0, chi) from the powers x = g^t, t < (p - 1)/2, of the primitive
+    root g: chi(p - x) = -chi(x) = -zeta^t, so the pair (x, p - x) adds
+    (2x - p) * zeta^t.  The x are summed per exponent of zeta and folded by
+    zeta^d = -1 (d = order/2); each coordinate takes -p once more than +p,
+    as (p - 1)/2 = d * l with l odd."""
+    sums = [0] * order
+    x = 1
+    for e in islice(cycle(range(order)), (p - 1) // 2):
+        sums[e] += x
+        x = x * g % p
+    d = order // 2
+    return CyclotomicElement(order, tuple(Fraction(2 * (a - b) - p, -p) for a, b in zip(sums, sums[d:])))
 
 
 class ValuationClaimReport(NamedTuple):
@@ -152,15 +165,31 @@ class ValuationClaimReport(NamedTuple):
 @lru_cache(maxsize=1)
 def _character_data(
     p: int,
-) -> tuple[DirichletCharacter, int, CyclotomicElement, ExtendedValuation]:
-    """chi, m, L(0, chi) and v_2(L(0, chi)) for p.  hasse_lift and
-    valuation_claim_check share them; callers ask for one prime at a time."""
-    if p % 4 == 3 and is_prime(p):  # p - 1 = 2 * odd, checked before chi is built
+) -> tuple[dict[int, int], CyclotomicElement, tuple[Fraction, ...] | None, ExtendedValuation]:
+    """For hasse_lift and valuation_claim_check, which ask for one prime at a
+    time: the powers of h = g^l as {h^e mod p: e} (e < 2^m), L(0, chi), the
+    coordinates of u = (1 - zeta) L(0, chi)/2 (None unless all are
+    2-integral) and v_2(L(0, chi)).  Nothing here has size proportional to p."""
+    if p % 4 == 3 and is_prime(p):  # p - 1 = 2 * odd, checked before any walk
         raise OrderTooSmall(f"p = {p} gives order 2^1; need m >= 2")
-    chi = odd_two_power_character(p)
-    m = chi.order.bit_length() - 1
-    L = l_value(chi)
-    return chi, m, L, L.two_adic_valuation()
+    g = smallest_primitive_root(p)  # NotPrime unless p is an odd prime
+    order = (p - 1) & (1 - p)  # the largest power of 2 dividing p - 1
+    L = _half_walk(p, g, order)
+    # u_i = (D_i - D_{i-1})/(-2p) with D_i = -p x_i for L's coordinates x_i
+    # (each denominator divides p) and D_{-1} = -D_{d-1}
+    D = [-x.numerator * (p // x.denominator) for x in L.coords]
+    steps = [a - b for a, b in zip(D, (-D[-1], *D))]
+    u = None if any(s % 2 for s in steps) else tuple(Fraction(s, -2 * p) for s in steps)
+    # u is a unit of Z_2[zeta] exactly when it is 2-integral and its
+    # coordinate sum x_{d-1} is odd; then v_2(L) = v_2(2) - v_2(1 - zeta)
+    unit = u is not None and D[-1] % 2
+    v2_l = 1 - _v2_one_minus_zeta(order) if unit else L.two_adic_valuation()
+    h = pow(g, (p - 1) // order, p)
+    powers, y = {}, 1
+    for e in range(order):
+        powers[y] = e
+        y = y * h % p
+    return powers, L, u, v2_l
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +207,9 @@ def _v2_one_minus_zeta(order: int) -> ExtendedValuation:
 
 def valuation_claim_check(p: int) -> ValuationClaimReport:
     """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
-    chi, m, L, v2_l = _character_data(p)
-    v2_omz = _v2_one_minus_zeta(chi.order)
+    _, L, _, v2_l = _character_data(p)
+    m = L.order.bit_length() - 1
+    v2_omz = _v2_one_minus_zeta(L.order)
     sum_is_one = v2_l + v2_omz == 1
     # v_2(a/b - 1) >= 1 for a/b in lowest terms exactly when a - b is even
     congruence_ok = all((c.numerator - c.denominator) % 2 == 0 for c in L.coords)
@@ -194,31 +224,43 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     )
 
 
-def _divisor_counts(chi: DirichletCharacter, N: int) -> list[list[int]]:
-    """counts[e][n] = #{d | n : chi(d) = zeta^e} for 1 <= n <= N (counts[e][0]
-    stays 0), sieving the multiples of each d <= N into column e."""
+def _chi_exponents(p: int, powers: dict[int, int], N: int) -> list[int | None]:
+    """chi's exponent at each d < min(N + 1, p), None at d = 0: chi(d) =
+    zeta^e for h^e = d^l, one pow per d; the sieve reads d >= p as d mod p."""
+    l = (p - 1) // len(powers)
+    return [powers[pow(d, l, p)] if d else None for d in range(min(N + 1, p))]
+
+
+def _divisor_columns(order: int, N: int, exponents: Sequence[int | None]) -> list[list[int]]:
+    """g[i][n] = #{d | n : chi(d) = zeta^i} - #{d | n : chi(d) = -zeta^i}
+    for i < order/2 and 1 <= n <= N (g[i][0] stays 0), from chi's exponent
+    e at d, read as exponents[d mod len(exponents)]: the multiples of d go
+    into column e, or into column e - order/2 with a minus sign
+    (zeta^(order/2) = -1)."""
     if N < 1:
         raise ValueError("precision must be >= 1")
-    p, order, exponents = chi
-    counts = [[0] * (N + 1) for _ in range(order)]
+    half = order // 2
+    period = len(exponents)
+    columns = [[0] * (N + 1) for _ in range(half)]
     for d in range(1, N + 1):
-        e = exponents[d % p]
+        e = exponents[d % period]
         if e is not None:
-            column = counts[e]
+            column, step = (columns[e], 1) if e < half else (columns[e - half], -1)
             for n in range(d, N + 1, d):
-                column[n] += 1
-    return counts
+                column[n] += step
+    return columns
 
 
 def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicElement, ...]:
     """The coefficients of q^0..q^N in
     E_1^chi = L(0,chi)/2 + sum_{n>=1} (sum_{d|n} chi(d)) q^n.
 
-    Divisor sums are counted per exponent of zeta in integers.
+    Divisor sums are counted per power-basis coordinate in integers.
     """
-    counts = _divisor_counts(chi, N)
+    _, order, exponents = chi
+    columns = _divisor_columns(order, N, exponents)
     coeffs = [l_value(chi).scale(Fraction(1, 2))]
-    coeffs += [_from_counts(chi.order, c) for c in islice(zip(*counts), 1, None)]
+    coeffs += [CyclotomicElement(order, tuple(map(Fraction, row))) for row in islice(zip(*columns), 1, None)]
     return tuple(coeffs)
 
 
@@ -259,8 +301,8 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
 
     ``galois_exponent`` k (odd) replaces chi by chi^k; the f_i, taken in
     powers of chi^k(g), must not depend on k.  For n >= 1 each f_i is one
-    integer column from c_e(n) = #{d | n : chi(d) = zeta^e}: the fold
-    g_i = c_i - c_{i+d} (zeta^d = -1), then f_i = g_i - g_{i-1} (g_{-1} =
+    integer column from the folded divisor counts g_i(n) = #{d | n : chi(d)
+    = zeta^i} - #{d | n : chi(d) = -zeta^i}: f_i = g_i - g_{i-1} (g_{-1} =
     -g_{d-1}), so F_n = 2 g_{d-1}(n) is even for every n.  At q^0 undoing
     sigma_k leaves u = (1 - zeta) L(0, chi)/2.  With D_i = -p x_i for the
     coordinates x of L(0, chi) and D_{-1} = -D_{d-1}, u has coordinates
@@ -269,17 +311,16 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     """
     if galois_exponent % 2 == 0:
         raise ValueError("galois exponent must be odd")
-    chi, m, L, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
-    d = chi.order // 2
-    counts = _divisor_counts(chi, N)
-    g = [list(map(sub, counts[i], counts[i + d])) for i in range(d)]
-    columns = [list(map(add, g[0], g[-1]))] + [list(map(sub, a, b)) for a, b in zip(g[1:], g)]
-    D = [-x.numerator * (p // x.denominator) for x in L.coords]  # each denominator divides p
-    for column, a, b in zip(columns, D, (-D[-1], *D)):
-        if (a - b) % 2:
-            raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
-        column[0] = Fraction(a - b, -2 * p)
+    powers, L, u, v2_l = _character_data(p)  # v_2 of L(0, chi^k) too: 2 ramifies totally
+    m = L.order.bit_length() - 1
+    g = _divisor_columns(L.order, N, _chi_exponents(p, powers, N))
+    if u is None:
+        raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
     averaged = (L.coords[-1], *islice(map(add, g[-1], g[-1]), 1, None))
+    last = g[-1]
+    for i in reversed(range(len(g))):  # f_i replaces g_i once g_{i+1} no longer needs it
+        column = map(sub, g[i], g[i - 1]) if i else map(add, g[0], last)
+        g[i] = (u[i], *islice(column, 1, None))
     return HasseLiftReport(
         p=p,
         m=m,
@@ -287,7 +328,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         v2_l=v2_l,
         **_exponents(m),
         precision=N,
-        components=tuple(map(tuple, columns)),
+        components=tuple(g),
         averaged=averaged,
-        verdict="pass" if D[-1] % 2 else "fail",
+        verdict="pass" if L.coords[-1].numerator % 2 else "fail",
     )

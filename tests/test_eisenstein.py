@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -114,12 +115,13 @@ def test_valuation_claim_order_too_small():
 
 
 def test_order_too_small_is_rejected_before_chi_is_built(monkeypatch):
-    # p = 10000019 = 3 mod 4 is prime; chi would cost a p-entry exponent table,
-    # so m < 2 must be read from p itself
-    def build(p):
+    # p = 10000019 = 3 mod 4 is prime; the walk for L(0, chi) would cost (p - 1)/2
+    # steps and a character table of p entries, so m < 2 must be read from p itself
+    def build(p, *args):
         raise AssertionError(f"chi built for p = {p}")
 
     monkeypatch.setattr(eisenstein, "odd_two_power_character", build)
+    monkeypatch.setattr(eisenstein, "_half_walk", build)
     message = r"^p = 10000019 gives order 2\^1; need m >= 2$"
     with pytest.raises(OrderTooSmall, match=message):
         valuation_claim_check(10000019)
@@ -221,16 +223,12 @@ def _clear_caches():
 
 @pytest.fixture
 def altered_l(monkeypatch):
-    """Replace L(0, chi) by shift(p, L(0, chi)) in both checks, with its own valuation."""
-    character_data = eisenstein._character_data
+    """Replace the walk's L(0, chi) by shift(p, L(0, chi)) in both checks; the
+    unit condition and the valuation are then decided from it as usual."""
+    walk = eisenstein._half_walk
 
     def install(shift):
-        def shifted(p):
-            chi, m, L, _ = character_data(p)
-            L = shift(p, L)
-            return chi, m, L, L.two_adic_valuation()
-
-        monkeypatch.setattr(eisenstein, "_character_data", shifted)
+        monkeypatch.setattr(eisenstein, "_half_walk", lambda p, g, order: shift(p, walk(p, g, order)))
 
     _clear_caches()
     yield install
@@ -239,15 +237,21 @@ def altered_l(monkeypatch):
 
 
 @pytest.mark.parametrize("p", (5, 17, 97, 257))
-def test_unit_condition_fails_in_all_three_forms_at_twice_l(altered_l, p):
+def test_unit_condition_fails_in_all_three_forms_at_twice_l(altered_l, monkeypatch, p):
     # u = (1 - zeta) L/2 is 2-integral but no unit: F_0 = 2 x_{d-1} is even,
     # v_2(2L) + v_2(1 - zeta) = 2, and 2L = 0, not sum_j zeta^j, mod 2
     altered_l(lambda p, L: L.scale(2))
+    valued = []
+    valuation = CyclotomicElement.two_adic_valuation
+    monkeypatch.setattr(CyclotomicElement, "two_adic_valuation", lambda x: valued.append(x) or valuation(x))
     report = hasse_lift(p, 20)
     claim = valuation_claim_check(p)
     assert report.verdict == "fail"
     assert not claim.sum_is_one and not claim.congruence_ok
     assert report.averaged[0].numerator % 2 == 0  # F_0 even, so F_0 - 1 is odd
+    # no unit, so v_2(2L) comes from the tower norm of 2L, computed once for both reports
+    assert valued.count(report.l_value) == 1
+    assert claim.v2_l == report.v2_l == valuation(report.l_value) == 2 - Fraction(2, 1 << report.m)
 
 
 @pytest.mark.parametrize("p", (5, 17, 97))
@@ -261,10 +265,9 @@ def test_odd_difference_of_numerators_is_an_integrality_failure(altered_l, p):
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from((5, 13, 17, 97)), data=st.data())
 def test_lift_decides_the_unit_condition_for_any_l(p, data):
-    # any L with denominators dividing p in place of L(0, chi): the field product
-    # (1 - zeta) L/2 is the oracle for q^0, and F_0 = 1 mod 2 for the verdict
-    chi, m, _, _ = eisenstein._character_data(p)
-    order = chi.order
+    # any L with denominators dividing p in place of the walk's L(0, chi): the field
+    # product (1 - zeta) L/2 is the oracle for q^0, and F_0 = 1 mod 2 for the verdict
+    order = (p - 1) & (1 - p)
     parity = data.draw(st.integers(0, 1))
     D = [2 * a + parity for a in data.draw(st.lists(st.integers(-p, p), min_size=order // 2, max_size=order // 2))]
     if data.draw(st.booleans()):
@@ -272,12 +275,16 @@ def test_lift_decides_the_unit_condition_for_any_l(p, data):
     L = CyclotomicElement(order, tuple(Fraction(a, -p) for a in D))
     half = CyclotomicElement.from_rational(order, Fraction(1, 2))
     u = ((CyclotomicElement.from_rational(order, 1) - zeta(order)) * half * L).coords
-    with mock.patch.object(eisenstein, "_character_data", lambda p: (chi, m, L, L.two_adic_valuation())):
-        if any(c.denominator % 2 == 0 for c in u):
-            with pytest.raises(eisenstein.IntegralityFailure):
-                hasse_lift(p, 3)
-            return
-        report = hasse_lift(p, 3)
+    eisenstein._character_data.cache_clear()
+    try:
+        with mock.patch.object(eisenstein, "_half_walk", lambda p, g, order: L):
+            if any(c.denominator % 2 == 0 for c in u):
+                with pytest.raises(eisenstein.IntegralityFailure):
+                    hasse_lift(p, 3)
+                return
+            report = hasse_lift(p, 3)
+    finally:
+        eisenstein._character_data.cache_clear()
     assert tuple(f[0] for f in report.components) == u
     assert report.averaged[0] == sum(u)
     assert report.verdict == ("pass" if (sum(u) - 1).numerator % 2 == 0 else "fail")
@@ -376,11 +383,12 @@ def test_lift_and_claim_share_the_norm_of_l(monkeypatch):
     report = hasse_lift(97, 20)
     claim = valuation_claim_check(97)
     assert report.v2_l == claim.v2_l == Fraction(15, 16)  # 97 - 1 = 2^5 * 3
-    assert len(norms) == 2  # L(0, chi) once, and 1 - zeta
+    one_minus_zeta = CyclotomicElement.from_rational(32, 1) - zeta(32)
+    assert norms == [one_minus_zeta]  # u is a unit, so v_2(L) = 1 - v_2(1 - zeta): no norm of L
     hasse_lift(353, 20)
     claim = valuation_claim_check(353)  # 353 - 1 = 2^5 * 11: the same order 32
     assert claim.ok and claim.v2_one_minus_zeta == Fraction(1, 16)
-    assert len(norms) == 3  # L(0, chi) only: v_2(1 - zeta) is kept per order
+    assert norms == [one_minus_zeta]  # v_2(1 - zeta) is kept per order
 
 
 def test_lift_makes_no_field_product(monkeypatch):
@@ -392,3 +400,50 @@ def test_lift_makes_no_field_product(monkeypatch):
             assert hasse_lift(p, 20, galois_exponent=k).passed
     assert products == []
 
+
+PRIMES_1_MOD_4_BELOW_5000 = [p for p in range(5, 5000) if p % 4 == 1 and is_prime(p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES_1_MOD_4_BELOW_5000))
+def test_half_walk_and_power_table_agree_with_the_character_table(p):
+    # oracle: the p-entry table of odd_two_power_character and l_value's full sum
+    chi = odd_two_power_character(p)
+    powers, L, _, _ = eisenstein._character_data(p)
+    assert len(powers) == L.order == chi.order
+    assert L == l_value(chi)
+    assert all(type(c) is Fraction for c in L.coords)
+    exponents = eisenstein._chi_exponents(p, powers, 60)  # the residues d < min(61, p)
+    assert len(exponents) == min(61, p)
+    assert [exponents[d % len(exponents)] for d in range(61)] == [chi.exponents[d % p] for d in range(61)]
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_unit_condition_valuation_equals_the_tower_norm(monkeypatch, p):
+    eisenstein._character_data.cache_clear()
+    normed = []
+    norm = CyclotomicElement.norm
+    monkeypatch.setattr(CyclotomicElement, "norm", lambda x: normed.append(x) or norm(x))
+    _, L, u, v2_l = eisenstein._character_data(p)
+    monkeypatch.undo()
+    assert u is not None and L not in normed  # read from the unit condition, with no norm of L
+    assert v2_l == L.two_adic_valuation() == 1 - Fraction(2, L.order)
+    assert type(v2_l) is Fraction
+
+
+def test_lift_memory_does_not_grow_with_p():
+    # p - 1 = 4 * 25017: a table over the residues takes at least 8 bytes per
+    # residue, 800 KB here; built by odd_two_power_character, it made these two
+    # calls peak at 1,601,400 bytes.  The walk keeps O(2^m) integers and the
+    # columns O(2^m * N), about 5 KB, so the bound is one byte per residue.
+    p = 100069
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        report = hasse_lift(p, 60)
+        claim = valuation_claim_check(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and claim.ok and report.m == 2
+    assert peak < p, peak
