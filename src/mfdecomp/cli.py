@@ -11,14 +11,14 @@ each is written as one line ``PASS|FAIL<TAB>name[<TAB>detail]``.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import sys
+import types
+from functools import lru_cache
 from importlib import resources
 from typing import Iterator
 
-from . import decomp, hilbert, ringalg
-from .decomp import BlockTag
-from .eisenstein import hasse_lift, valuation_claim_check
+from . import hilbert
 from .hilbert import Check, NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
 from .levels import (
     CongruenceGroup,
@@ -34,17 +34,64 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DATA_UNAVAILABLE = 3
 
-TABLE_FLAVORS = {tag.value: tag for tag in decomp.TABLE_BLOCKS}
+
+class _BindOnRun:
+    """Loader of a module registered by ``_lazy``: it runs the module with
+    the module's own loader, then binds it in the package, as an import
+    statement would."""
+
+    def __init__(self, loader) -> None:
+        self.loader = loader
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module: types.ModuleType) -> None:
+        self.loader.exec_module(module)
+        setattr(sys.modules[__package__], module.__name__.rpartition(".")[2], module)
 
 
-def _table_columns(tag: BlockTag) -> list[str]:
+def _lazy(name: str) -> types.ModuleType:
+    """The submodule ``mfdecomp.<name>``, registered in ``sys.modules`` now
+    and run on its first attribute access (the stdlib's ``LazyLoader``
+    recipe).  An import statement of it elsewhere also runs it, because the
+    import system reads its ``__spec__``; that is why it is not bound in the
+    package until it runs.  A module already imported is returned as it is,
+    so there is never a second copy with its own classes."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(_BindOnRun(spec.loader))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Each command executes only the modules it uses; hilbert and levels, which
+# every command needs, are imported above.  exactnum, which only eisenstein
+# imports, is registered too, so that every module of the package is in
+# sys.modules once cli is imported.
+_lazy("exactnum")
+decomp, eisenstein, ringalg = _lazy("decomp"), _lazy("eisenstein"), _lazy("ringalg")
+
+
+#: ``--flavor`` and ``--preset`` choices: the sorted values of
+#: ``decomp.TABLE_BLOCKS`` and the sorted keys of ``ringalg.PRESETS``, written
+#: out so that building the parser executes neither module (a test pins them).
+TABLE_FLAVORS = ("level2", "level3", "omega")
+FREEBASIS_PRESETS = ("f2-rank4", "f3-rank3", "q-rank16", "q-rank6")
+
+
+@lru_cache(maxsize=None)
+def table_columns(flavor: str) -> tuple[str, ...]:
     """n, then the genus and l_i for omega powers, or k_i for a level block,
     one multiplicity column per shift through the block's support bound."""
-    head, letter = (["n", "genus"], "l") if tag is BlockTag.OMEGA_POWERS else (["n"], "k")
-    return head + [f"{letter}{i}" for i in range(decomp._support_bound(tag) + 1)]
+    tag = decomp.BlockTag(flavor)
+    head, letter = (("n", "genus"), "l") if tag is decomp.BlockTag.OMEGA_POWERS else (("n",), "k")
+    return head + tuple(f"{letter}{i}" for i in range(decomp._support_bound(tag) + 1))
 
-
-TABLE_COLUMNS = {flavor: _table_columns(tag) for flavor, tag in TABLE_FLAVORS.items()}
 
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 
@@ -53,12 +100,14 @@ def _load_weight1(path: str | None) -> Weight1Data:
     return Weight1Data.load(path) if path else Weight1Data.default()
 
 
-def _render_table(columns: list[str], rows: list[tuple[int, ...]], fmt: str) -> str:
+def _render_table(columns: tuple[str, ...], rows: list[tuple[int, ...]], fmt: str) -> str:
     if fmt == "tsv":
         lines = ["\t".join(columns)]
         lines += ["\t".join(str(x) for x in row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps({"columns": columns, "rows": [list(r) for r in rows]}) + "\n"
     # markdown
     lines = ["| " + " | ".join(columns) + " |"]
@@ -86,14 +135,13 @@ def cmd_levels(args) -> int:
 
 def cmd_table(args) -> int:
     w1 = _load_weight1(args.weight1)
-    flavor = TABLE_FLAVORS[args.flavor]
-    rows = decomp.table_generate(args.from_, args.to, flavor, w1)
-    sys.stdout.write(_render_table(TABLE_COLUMNS[args.flavor], rows, args.format))
+    rows = decomp.table_generate(args.from_, args.to, decomp.BlockTag(args.flavor), w1)
+    sys.stdout.write(_render_table(table_columns(args.flavor), rows, args.format))
     return EXIT_OK
 
 
 def cmd_hasse(args) -> int:
-    report = hasse_lift(args.prime, args.prec)
+    report = eisenstein.hasse_lift(args.prime, args.prec)
     sys.stdout.write(report.to_json() + "\n")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -199,10 +247,11 @@ def _golden_text(name: str) -> str:
 
 
 def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
-    for flavor, tag in TABLE_FLAVORS.items():
+    for tag in decomp.TABLE_BLOCKS:
+        flavor = tag.value
         lo, hi = (2, 42) if flavor == "omega" else (4, 23)
         rows = decomp.table_generate(lo, hi, tag, w1)
-        generated = _render_table(TABLE_COLUMNS[flavor], rows, "tsv")
+        generated = _render_table(table_columns(flavor), rows, "tsv")
         same = generated == _golden_text(f"{flavor}.tsv")
         yield Check(f"golden-table-{flavor}", same, "byte-for-byte")
     for n in range(2, 43):
@@ -262,8 +311,8 @@ def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:
 
 def _suite_hasse(w1: Weight1Data) -> Iterator[Check]:
     for p in HASSE_PRIMES:
-        report = hasse_lift(p, 60)
-        claim = valuation_claim_check(p)
+        report = eisenstein.hasse_lift(p, 60)
+        claim = eisenstein.valuation_claim_check(p)
         detail = f"v2(L)={claim.v2_l}, verdict={report.verdict}"
         yield Check(f"hasse-p{p}", report.passed and claim.ok, detail)
 
@@ -306,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("table", help="decomposition-number tables")
-    p.add_argument("--flavor", choices=sorted(TABLE_FLAVORS), required=True)
+    p.add_argument("--flavor", choices=TABLE_FLAVORS, required=True)
     p.add_argument("--from", dest="from_", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--format", choices=["tsv", "json", "markdown"], default="tsv")
@@ -337,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freebasis", help="free-basis certificates")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=sorted(ringalg.PRESETS))
+    group.add_argument("--preset", choices=FREEBASIS_PRESETS)
     group.add_argument("--file", help="presentation file")
     p.set_defaults(func=cmd_freebasis)
 

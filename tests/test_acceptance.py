@@ -23,7 +23,7 @@ from importlib import resources
 import pytest
 
 from mfdecomp import decomp, ringalg
-from mfdecomp.cli import TABLE_COLUMNS, _render_table
+from mfdecomp.cli import _render_table, table_columns
 from mfdecomp.decomp import BlockTag
 from mfdecomp.eisenstein import hasse_lift, valuation_claim_check
 from mfdecomp.hilbert import NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
@@ -39,7 +39,7 @@ def golden(name):
 def test_criterion_1_omega_table():
     start = time.monotonic()
     rows = decomp.table_generate(2, 42, BlockTag.OMEGA_POWERS)
-    rendered = _render_table(TABLE_COLUMNS["omega"], rows, "tsv")
+    rendered = _render_table(table_columns("omega"), rows, "tsv")
     assert rendered == golden("omega.tsv")
     assert len(rows) == 41
     assert time.monotonic() - start < 1.0
@@ -47,9 +47,9 @@ def test_criterion_1_omega_table():
 
 def test_criterion_2_block_tables():
     rows3 = decomp.table_generate(4, 23, BlockTag.LEVEL3)
-    assert _render_table(TABLE_COLUMNS["level3"], rows3, "tsv") == golden("level3.tsv")
+    assert _render_table(table_columns("level3"), rows3, "tsv") == golden("level3.tsv")
     rows2 = decomp.table_generate(4, 23, BlockTag.LEVEL2)
-    assert _render_table(TABLE_COLUMNS["level2"], rows2, "tsv") == golden("level2.tsv")
+    assert _render_table(table_columns("level2"), rows2, "tsv") == golden("level2.tsv")
 
 
 def test_criterion_3_oracle_equivalence():

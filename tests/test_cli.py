@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mfdecomp import hilbert, ringalg
-from mfdecomp.cli import SUITES, build_parser, main
+from mfdecomp import decomp, hilbert, ringalg
+from mfdecomp.cli import FREEBASIS_PRESETS, SUITES, TABLE_FLAVORS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -202,6 +202,12 @@ def test_verify_suite_choices_are_the_suites():
         assert build_parser().parse_args(["verify", "--suite", suite]).suite == suite
     with pytest.raises(SystemExit):
         build_parser().parse_args(["verify", "--suite", "bogus"])
+
+
+def test_flavor_and_preset_choices_are_the_library_names():
+    # written out in cli so that building the parser executes neither module
+    assert TABLE_FLAVORS == tuple(sorted(tag.value for tag in decomp.TABLE_BLOCKS))
+    assert FREEBASIS_PRESETS == tuple(sorted(ringalg.PRESETS))
 
 
 def test_verify_suites_pass(capsys):

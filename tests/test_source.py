@@ -4,8 +4,11 @@ import ast
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 from typing import Iterator
+
+import pytest
 
 import mfdecomp
 
@@ -104,26 +107,102 @@ def test_every_private_function_is_read():
     assert not unread, unread
 
 
+def _probe(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports mfdecomp from this tree."""
+    src = str(Path(mfdecomp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # records are tuples, so start-up pays for neither module; membership only, no timing
-    src = str(Path(mfdecomp.__file__).parent.parent)
     probe = "import sys, mfdecomp.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": src}
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert loaded == []
+    assert _probe(probe).split() == []
 
 
 def test_cli_import_builds_no_dimension_tables():
     # tables and invariants are built on first use, not at start-up; cache sizes only, no timing
-    src = str(Path(mfdecomp.__file__).parent.parent)
     probe = (
         "import mfdecomp.cli; from mfdecomp import levels; "
         "print(levels._tables.cache_info().currsize, levels.level_invariants.cache_info().currsize)"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    sizes = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert sizes == ["0", "0"]
+    assert _probe(probe).split() == ["0", "0"]
+
+
+LAZY = ("mfdecomp.decomp", "mfdecomp.eisenstein", "mfdecomp.exactnum", "mfdecomp.ringalg")
+
+#: Prints, space-separated, the modules of LAZY that have executed: a lazy
+#: module is not a plain ModuleType until its first attribute access runs it.
+EXECUTED = f"print(*(name for name in {LAZY!r} if type(sys.modules[name]) is types.ModuleType))"
+
+
+def test_cli_import_registers_every_traced_module_and_executes_no_lazy_one():
+    # the benchmark's tracer looks each target module up in sys.modules right
+    # after importing mfdecomp.cli; membership only, no timing
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    probe = (
+        "import sys, types, mfdecomp.cli\n"
+        "registered = set(sys.modules)\n"
+        f"{EXECUTED}\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import layertrace\n"
+        "print(*sorted({t.module for t in layertrace.TARGETS} - registered))"
+    )
+    executed, missing = _probe(probe).split("\n")[:2]
+    assert (executed, missing) == ("", "")
+
+
+def test_an_import_statement_runs_a_registered_module():
+    # only cli's own references wait for first use: an import of the module
+    # after cli's runs it there and binds it in the package, as without cli
+    probe = (
+        "import sys, types, mfdecomp, mfdecomp.cli\n"
+        "from mfdecomp import eisenstein\n"
+        "import mfdecomp.ringalg\n"
+        f"{EXECUTED}\n"
+        "print(mfdecomp.eisenstein is eisenstein, 'f3-rank3' in mfdecomp.ringalg.PRESETS)"
+    )
+    executed, bound = _probe(probe).splitlines()
+    assert executed == "mfdecomp.eisenstein mfdecomp.exactnum mfdecomp.ringalg"
+    assert bound == "True True"
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["levels", "g1:23"], ""),
+        (["wproj", "serre", "4", "6", "60"], ""),
+        (["hasse", "--prime", "17"], "mfdecomp.eisenstein mfdecomp.exactnum"),
+        (["freebasis", "--preset", "q-rank16"], "mfdecomp.ringalg"),
+        (["table", "--flavor", "omega", "--from", "2", "--to", "5"], "mfdecomp.decomp"),
+        (["obstruct", "--q", "13", "--bound", "100"], "mfdecomp.decomp"),
+    ],
+)
+def test_each_command_executes_only_the_modules_it_uses(argv, executed):
+    probe = (
+        "import contextlib, io, sys, types\n"
+        "from mfdecomp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        f"{EXECUTED}"
+    )
+    assert _probe(probe).strip() == executed
+
+
+def test_cli_reuses_a_module_imported_before_it():
+    # decomp tells the omega block by the identity of its BlockTag member, so
+    # a second decomp beside the first would drop the genus column of a
+    # table asked for with the first one's tag
+    probe = (
+        "import sys\n"
+        "import mfdecomp.decomp as first\n"
+        "from mfdecomp import cli\n"
+        "print(cli.decomp is first, sys.modules['mfdecomp.decomp'] is first)\n"
+        "rows = cli.decomp.table_generate(2, 42, first.BlockTag.OMEGA_POWERS)\n"
+        "print(cli._render_table(cli.table_columns('omega'), rows, 'tsv'), end='')"
+    )
+    head, _, table = _probe(probe).partition("\n")
+    assert head == "True True"
+    assert table == (resources.files("mfdecomp") / "data" / "omega.tsv").read_text()
