@@ -401,12 +401,12 @@ def main(argv: list[str] | None = None) -> int:
     except Weight1Unavailable as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA_UNAVAILABLE
-    except (decomp.DecompositionInvalid, hilbert.DeconvolutionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
     except (InvalidGroup, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        # only a decomp that has run (and so is bound in the package) can have raised
+        ran = vars(sys.modules[__package__]).get("decomp")
+        failed = (hilbert.DeconvolutionError, getattr(ran, "DecompositionInvalid", ()))
+        return EXIT_CHECK_FAILED if isinstance(exc, failed) else EXIT_USAGE
 
 
 if __name__ == "__main__":

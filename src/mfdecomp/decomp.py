@@ -253,9 +253,10 @@ def verify_consistency(
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     group, tag, cs = seq.group, seq.tag, seq.as_list()
-    m = _dimensions(group, max_weight + 1, w1)
-    got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[tag], max_weight + 1)
-    bad = [(k, mk, c) for k, (mk, c) in enumerate(zip(m, got)) if mk != c]
+    # den = (1 - t^a)(1 - t^b) has den(0) = 1: m den - mult and m - mult / den lead alike
+    m, mult = _dimensions(group, max_weight + 1, w1), seq.mult.as_list(max_weight + 1)
+    got = zip(m, times_denominator(m, BLOCK_WEIGHTS[tag], max_weight + 1), mult)
+    bad = [(k, mk, mk - md + c) for k, (mk, md, c) in enumerate(got) if md != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
     checks = [Check("convolution", not bad, detail or f"exact through weight {max_weight}")]
 

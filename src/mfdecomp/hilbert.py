@@ -9,7 +9,7 @@ terms: ``times_denominator`` and ``over_denominator`` multiply and divide by
 the factors, one sparse factor per pass, for every such product or quotient
 in the package.  ``deconvolve`` recovers the multiset of twists of a split
 bundle from its Hilbert function, by greedy division with a nonnegativity
-constraint and exact re-convolution over a verification window.
+constraint, checked over a verification window by one exact integer product.
 ``Check`` is the package's one pass/fail record, a name, a verdict and a
 detail: ``serre_duality_check`` returns one, ``decomp.verify_consistency``
 collects them, and every ``mfdecomp verify`` suite yields them.
@@ -18,8 +18,10 @@ collects them, and every ``mfdecomp verify`` suite yields them.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
+from struct import pack
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -196,6 +198,20 @@ def default_verify_through(max_shift: int, a: int, b: int) -> int:
     return max_shift + a * b + max(a, b)
 
 
+def _pack(values: Sequence[int], w: int) -> int:
+    """sum_k values[k] X^k, X = 2^w, w in 8, 16, 32, ..., |values[k]| < X / 2, in linear time."""
+    raw = (pack(f"<{len(values)}{'bhiq'[w.bit_length() - 4]}", *values) if w <= 64
+           else b"".join([v.to_bytes(w // 8, "little", signed=True) for v in values]))
+    packed = int.from_bytes(raw, "little")  # the values as two's complement words
+    if min(values, default=0) < 0:  # a negative word reads as itself plus X
+        packed -= _pack([v < 0 for v in values], w) << w
+    return packed
+
+
+_height = lru_cache(maxsize=64)(lambda block: max(map(abs, block)))  # max |b|, per block
+_packed_block = lru_cache(maxsize=64)(_pack)
+
+
 def deconvolve(
     target: Sequence[int],
     block: Sequence[int],
@@ -207,8 +223,8 @@ def deconvolve(
     Both are coefficient lists, read as 0 past their end.  Greedy:
     c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, so the
     reconstruction sum_i c_i block[k - i] equals the target in every degree
-    k <= max_shift by construction; it is checked exactly in the open degrees
-    max_shift < k <= verify_through.
+    k <= max_shift by construction; through verify_through it is checked by one
+    exact integer product of the lists packed at X = 2^w (Kronecker substitution).
     """
     n = max(max_shift, verify_through) + 1
     targets, blocks, coeffs = _padded(target, n), _padded(block, max(n, 1)), []
@@ -219,8 +235,11 @@ def deconvolve(
         if c < 0:
             raise NegativeMultiplicity(i, c)
         coeffs.append(c)
-    for k in range(max(max_shift + 1, 0), verify_through + 1):
-        got = sum(map(mul, coeffs, reversed(blocks[k - max_shift : k + 1])))
-        if got != targets[k]:
-            raise ResidualMismatch(k, targets[k], got)
+    bound = max(map(abs, targets), default=0) + (sum(coeffs) + 1) * _height(key := tuple(blocks))
+    w = 8 << (bound.bit_length() // 8).bit_length()  # bytes; X/2 > bound >= |b|, |(CB - T)_k|
+    diff = (_pack(coeffs, w) * _packed_block(key, w) - _pack(targets, w)) & (1 << w * n) - 1
+    if diff:  # the lowest set bit lies in the first failing degree
+        k = ((diff & -diff).bit_length() - 1) // w
+        digit = (diff >> w * k) & (1 << w) - 1  # got - target, as a balanced digit
+        raise ResidualMismatch(k, targets[k], targets[k] + digit - (digit >> w - 1 << w))
     return TwistMultiset(dict(enumerate(coeffs)))

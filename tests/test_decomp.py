@@ -2,6 +2,7 @@ from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mfdecomp import decomp, levels
 from mfdecomp.decomp import (
@@ -29,6 +30,7 @@ from mfdecomp.hilbert import (
     WeightedLine,
     deconvolve,
     h0_dim,
+    over_denominator,
 )
 from mfdecomp.levels import (
     SMALL_LEVEL_WEIGHTS,
@@ -465,3 +467,61 @@ def test_tables_start_at_the_min_gamma1_level():
         assert table_generate(2, 8, tag)[0][0] == MIN_GAMMA1_LEVEL[tag]
     with pytest.raises(ValueError, match="unsupported table flavor"):
         table_generate(4, 8, BlockTag.LEVEL4)
+
+
+# ---------------------------------------------------------------------------
+# The convolution check: m (1 - t^a)(1 - t^b) = mult, against the quotient form
+
+
+def _convolution_by_division(seq, max_weight):
+    """The convolution check as the quotient mult / ((1 - t^a)(1 - t^b)) compared
+    with m, weight by weight: the reference for ``verify_consistency``."""
+    m = _dimensions(seq.group, max_weight + 1, None)
+    got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[seq.tag], max_weight + 1)
+    bad = [(k, mk, c) for k, (mk, c) in enumerate(zip(m, got)) if mk != c]
+    detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
+    return Check("convolution", not bad, detail or f"exact through weight {max_weight}")
+
+
+def _changed(seq, shift, delta):
+    mults = dict(seq.mult.multiplicities)
+    mults[shift] = max(mults.get(shift, 0) + delta, 0)
+    return DecompositionSequence(seq.group, seq.tag, TwistMultiset(mults))
+
+
+@pytest.mark.parametrize(
+    "seq, shift, delta, max_weight, detail",
+    [
+        (omega_decomposition(G1(23)), 5, -1, 40, "weight 5: m=99, reconstruction=98"),
+        # past the omega support bound 11
+        (omega_decomposition(G1(23)), 12, 1, 40, "weight 12: m=253, reconstruction=254"),
+        (level3_decomposition(G1(13)), 0, 2, 60, "weight 0: m=1, reconstruction=3"),
+    ],
+    ids=["omega-shift5", "omega-past-support", "level3-shift0"],
+)
+def test_convolution_failure_names_the_first_weight_and_both_values(
+    seq, shift, delta, max_weight, detail
+):
+    check = verify_consistency(_changed(seq, shift, delta), max_weight=max_weight).checks[0]
+    assert check == Check("convolution", False, "first failure at " + detail)
+
+
+CHANGED_CASES = [
+    (group, tag) for group in (G0(11), G1(13), G1(23), GF(5)) for tag in supported_blocks(group)
+]
+
+
+@given(
+    st.sampled_from(CHANGED_CASES),
+    st.integers(min_value=0, max_value=20),  # past every support bound (at most 11)
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=60),
+)
+def test_convolution_check_by_multiplication_equals_the_quotient_form(
+    case, shift, delta, max_weight
+):
+    group, tag = case
+    seq = _changed(DECOMPOSE[tag](group), shift, delta)
+    report = verify_consistency(seq, max_weight=max_weight)
+    reference = (_convolution_by_division(seq, max_weight), *report.checks[1:])
+    assert report == ConsistencyReport(reference)

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mfdecomp import hilbert
+from mfdecomp import decomp, hilbert
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
@@ -16,6 +18,7 @@ from mfdecomp.hilbert import (
     serre_duality_check,
     times_denominator,
 )
+from mfdecomp.levels import CongruenceGroup, GroupKind, Weight1Data
 
 
 def test_h0_examples():
@@ -187,20 +190,86 @@ def _outcome(fn, *args):
         return type(exc), str(exc), vars(exc)
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=6), max_size=16),
-    st.builds(
-        lambda head, tail: [head, *tail],
-        st.sampled_from([1, 1, 1, 1, 0, 2]),
-        st.lists(st.integers(min_value=0, max_value=3), max_size=8),
-    ),
-    st.integers(min_value=-1, max_value=12),
-    st.integers(min_value=-1, max_value=24),
+#: Entries small, above 2^64, and below -2^64.
+ENTRIES = st.one_of(
+    st.integers(min_value=-3, max_value=6),
+    st.integers(min_value=2**64, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**64)),
 )
-def test_deconvolve_matches_naive_reference(target, block, max_shift, verify_through):
+
+
+@st.composite
+def deconvolution_args(draw):
+    """A block, often not normalised, with negative and huge entries; a target,
+    either arbitrary or a convolution by the block, changed in at most one
+    degree; max_shift up to 20 and verify_through up to 200."""
+    block = [draw(st.sampled_from([1, 1, 1, 1, 0, 2])), *draw(st.lists(ENTRIES, max_size=8))]
+    max_shift = draw(st.integers(min_value=-1, max_value=20))
+    verify_through = draw(st.integers(min_value=-1, max_value=200))
+    if draw(st.booleans()):
+        target = draw(st.lists(ENTRIES, max_size=16))
+    else:
+        mults = TwistMultiset(draw(st.dictionaries(st.integers(0, 20), st.integers(0, 2**66))))
+        target = [mults.convolve(block, k) for k in range(draw(st.integers(0, 210)))]
+        if target and draw(st.booleans()):
+            target[draw(st.integers(0, len(target) - 1))] += draw(ENTRIES.filter(bool))
+    return target, block, max_shift, verify_through
+
+
+@given(deconvolution_args())
+def test_deconvolve_matches_naive_reference(args):
     # a block not normalised to block(0) = 1 must raise the same error in both
-    args = (target, block, max_shift, verify_through)
     assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+
+
+def _decomp_levels_argument_sets():
+    """The arguments of every ``deconvolve`` call of the decomp-levels workload:
+    Gamma0(n), n <= 400, by the level-1 block; Gamma1(n), n <= 42, and Gamma(n),
+    n <= 11, by each block it decomposes into; and Gamma1(31) by Gamma1(7)."""
+    first_level = {1: 2, 2: 4, 3: 5, 4: 4, 5: 5}  # Gamma1(q) block: smallest Gamma1 level
+    calls = [(GroupKind.GAMMA0, n, 1) for n in range(2, 401)]
+    calls += [
+        (GroupKind.GAMMA1, n, q) for n in range(2, 43) for q in first_level if n >= first_level[q]
+    ]
+    calls += [(GroupKind.GAMMA_FULL, n, q) for n in range(3, 12) for q in first_level]
+    calls.append((GroupKind.GAMMA1, 31, 7))
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomp, "deconvolve", lambda *args: seen.append(args) or TwistMultiset())
+        for kind, n, q in calls:
+            decomp.deconvolve_by_gamma1_block(CongruenceGroup(kind, n), q, Weight1Data.default())
+    return seen
+
+
+def test_deconvolve_matches_naive_reference_on_the_decomp_levels_calls():
+    outcomes = [
+        (_outcome(deconvolve, *args), _outcome(_naive_deconvolve, *args))
+        for args in _decomp_levels_argument_sets()
+    ]
+    assert len(outcomes) == 640
+    assert all(fast == naive for fast, naive in outcomes)
+    raised = [fast for fast, _ in outcomes if isinstance(fast, tuple)]
+    message = "multiplicity at shift 3 would be -10 < 0"
+    assert raised == [(NegativeMultiplicity, message, {"shift": 3, "value": -10})]
+
+
+@pytest.mark.parametrize(
+    "block", [over_denominator([1], (1, 1), 4001), [1, 3]], ids=["dense", "one-three"]
+)
+def test_deconvolve_through_degree_4000_stays_fast(block):
+    # growth guard: the window is one product of packed lists, and the block's
+    # inverse series, whose coefficients grow like 3^k for [1, 3], is never formed
+    mults = TwistMultiset({0: 1, 3: 5, 11: 2})
+    target = [mults.convolve(block, k) for k in range(4001)]
+    changed = [*target[:3999], target[3999] + 1, target[4000]]
+    for args, expected in ((target, mults), (changed, 3999)):
+        start = time.perf_counter()
+        try:
+            got = deconvolve(args, block, 11, 4000)
+        except ResidualMismatch as exc:
+            got = exc.degree
+        assert time.perf_counter() - start < 2.0
+        assert got == expected
 
 
 @given(

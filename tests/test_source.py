@@ -178,17 +178,27 @@ def test_an_import_statement_runs_a_registered_module():
         (["freebasis", "--preset", "q-rank16"], "mfdecomp.ringalg"),
         (["table", "--flavor", "omega", "--from", "2", "--to", "5"], "mfdecomp.decomp"),
         (["obstruct", "--q", "13", "--bound", "100"], "mfdecomp.decomp"),
+        # usage errors, found in the command: choosing their exit code runs no other module
+        (["levels", "g1:0"], ""),
+        (["wproj", "h0", "0", "6", "4"], ""),
+        (["hasse", "--prime", "7"], "mfdecomp.eisenstein mfdecomp.exactnum"),
+        (["freebasis", "--file", "/nonexistent/presentation"], ""),
     ],
 )
 def test_each_command_executes_only_the_modules_it_uses(argv, executed):
+    # a command passes (0, nothing on stderr) or is a usage error (2, "error: ...")
     probe = (
         "import contextlib, io, sys, types\n"
         "from mfdecomp.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main({argv!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    code = main({argv!r})\n"
+        "print(code, err.getvalue().startswith('error: '))\n"
         f"{EXECUTED}"
     )
-    assert _probe(probe).strip() == executed
+    outcome, ran = _probe(probe).split("\n")[:2]
+    assert outcome in ("0 False", "2 True")
+    assert ran == executed
 
 
 def test_cli_reuses_a_module_imported_before_it():
