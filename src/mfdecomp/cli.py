@@ -403,10 +403,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA_UNAVAILABLE
     except (InvalidGroup, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        # only a decomp that has run (and so is bound in the package) can have raised
-        ran = vars(sys.modules[__package__]).get("decomp")
-        failed = (hilbert.DeconvolutionError, getattr(ran, "DecompositionInvalid", ()))
-        return EXIT_CHECK_FAILED if isinstance(exc, failed) else EXIT_USAGE
+        failed = isinstance(exc, hilbert.DeconvolutionError)  # decomp.DecompositionInvalid too
+        return EXIT_CHECK_FAILED if failed else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
 independent cross-check and the two must always agree.  Every Hilbert
 function here is a coefficient list: m_0..m_{n-1} come from the memoised
 ``levels.dimension_table`` and, past its end, from ``dim_modular_forms``.  A
-``DecompositionSequence`` is a group, a block tag and the multiplicities.
+``DecompositionSequence`` is a group, a block tag and the multiplicities, a
+``TwistMultiset``: the tuple c_0..c_{a+b+1} with its trailing zeros dropped.
+``as_list`` pads it back to a+b+2 entries.
 
 Shift convention: multiplicity at shift i means a summand twisted by the
 (-i)-th power of omega.
@@ -36,6 +38,7 @@ from typing import NamedTuple
 from .arith import factorize
 from .hilbert import (
     Check,
+    DeconvolutionError,
     TwistMultiset,
     deconvolve,
     over_denominator,
@@ -72,8 +75,8 @@ __all__ = [
 ]
 
 
-class DecompositionInvalid(ValueError):
-    pass
+class DecompositionInvalid(DeconvolutionError):
+    """The Hilbert function did not split into nonnegative block shifts."""
 
 
 class UnsupportedGroup(ValueError):
@@ -160,10 +163,11 @@ class DecompositionSequence(NamedTuple):
 def _cusp_identity_failure(
     group: CongruenceGroup, tag: BlockTag, cs: list[int], w1: Weight1Data | None
 ) -> str:
-    """'' if c_0..c_{a+b+1} obey Serre duality, c_{a+b+2-i} =
-    [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for 1 <= i <= a+b+2; else the
-    first shift where they do not."""
-    dual = times_denominator(cusp_table(group, w1), BLOCK_WEIGHTS[tag], len(cs) + 1)[:0:-1]
+    """'' if c_0..c_{a+b+1}, the first a+b+2 entries of ``cs``, obey Serre
+    duality, c_{a+b+2-i} = [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for
+    1 <= i <= a+b+2; else the first shift where they do not."""
+    n = _support_bound(tag) + 2
+    dual = times_denominator(cusp_table(group, w1), BLOCK_WEIGHTS[tag], n)[:0:-1]
     bad = [(i, c, d) for i, (c, d) in enumerate(zip(cs, dual)) if c != d]
     return "shift %d: %d != %d from the cusp-form dimensions" % bad[0] if bad else ""
 
@@ -191,7 +195,7 @@ def _closed_form(
         raise DecompositionInvalid(f"{tag.value} cusp identities fail for {group}: {problem}")
     if tag is BlockTag.LEVEL3 and not (seq[0] + seq[3] == seq[1] + seq[4] == seq[2] + seq[5]):
         raise DecompositionInvalid(f"balance identity fails for {group}")
-    return DecompositionSequence(group, tag, TwistMultiset(dict(enumerate(seq))))
+    return DecompositionSequence(group, tag, TwistMultiset(seq))
 
 
 def omega_decomposition(
@@ -252,10 +256,12 @@ def verify_consistency(
     identities for ``seq``."""
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    group, tag, cs = seq.group, seq.tag, seq.as_list()
+    group, tag = seq.group, seq.tag
+    # one list c_0..c_n, through the convolution window and the support bound a + b + 1
+    cs = seq.mult.as_list(max(max_weight, _support_bound(tag)) + 1)
     # den = (1 - t^a)(1 - t^b) has den(0) = 1: m den - mult and m - mult / den lead alike
-    m, mult = _dimensions(group, max_weight + 1, w1), seq.mult.as_list(max_weight + 1)
-    got = zip(m, times_denominator(m, BLOCK_WEIGHTS[tag], max_weight + 1), mult)
+    m = _dimensions(group, max_weight + 1, w1)
+    got = zip(m, times_denominator(m, BLOCK_WEIGHTS[tag], max_weight + 1), cs)
     bad = [(k, mk, mk - md + c) for k, (mk, md, c) in enumerate(got) if md != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
     checks = [Check("convolution", not bad, detail or f"exact through weight {max_weight}")]

@@ -129,19 +129,19 @@ def l_value(chi: DirichletCharacter) -> CyclotomicElement:
     return CyclotomicElement(order, tuple(Fraction(a - b, -p) for a, b in zip(counts, counts[d:])))
 
 
-def _half_walk(p: int, g: int, order: int) -> CyclotomicElement:
-    """L(0, chi) from the powers x = g^t, t < (p - 1)/2, of the primitive
-    root g: chi(p - x) = -chi(x) = -zeta^t, so the pair (x, p - x) adds
-    (2x - p) * zeta^t.  The x are summed per exponent of zeta and folded by
-    zeta^d = -1 (d = order/2); each coordinate takes -p once more than +p,
-    as (p - 1)/2 = d * l with l odd."""
+def _half_walk(p: int, g: int, order: int) -> list[int]:
+    """The integers D_i = -p x_i for the coordinates x_i of L(0, chi), from the
+    powers x = g^t, t < (p - 1)/2, of the primitive root g: chi(p - x) =
+    -chi(x) = -zeta^t, so the pair (x, p - x) adds (2x - p) * zeta^t.  The x
+    are summed per exponent of zeta and folded by zeta^d = -1 (d = order/2);
+    each coordinate takes -p once more than +p, as (p - 1)/2 = d * l with l odd."""
     sums = [0] * order
     x = 1
     for e in islice(cycle(range(order)), (p - 1) // 2):
         sums[e] += x
         x = x * g % p
     d = order // 2
-    return CyclotomicElement(order, tuple(Fraction(2 * (a - b) - p, -p) for a, b in zip(sums, sums[d:])))
+    return [2 * (a - b) - p for a, b in zip(sums, sums[d:])]
 
 
 class ValuationClaimReport(NamedTuple):
@@ -174,10 +174,9 @@ def _character_data(
         raise OrderTooSmall(f"p = {p} gives order 2^1; need m >= 2")
     g = smallest_primitive_root(p)  # NotPrime unless p is an odd prime
     order = (p - 1) & (1 - p)  # the largest power of 2 dividing p - 1
-    L = _half_walk(p, g, order)
-    # u_i = (D_i - D_{i-1})/(-2p) with D_i = -p x_i for L's coordinates x_i
-    # (each denominator divides p) and D_{-1} = -D_{d-1}
-    D = [-x.numerator * (p // x.denominator) for x in L.coords]
+    D = _half_walk(p, g, order)
+    L = CyclotomicElement(order, tuple(Fraction(x, -p) for x in D))
+    # u_i = (D_i - D_{i-1})/(-2p) with D_{-1} = -D_{d-1}
     steps = [a - b for a, b in zip(D, (-D[-1], *D))]
     u = None if any(s % 2 for s in steps) else tuple(Fraction(s, -2 * p) for s in steps)
     # u is a unit of Z_2[zeta] exactly when it is 2-integral and its

@@ -10,6 +10,8 @@ the factors, one sparse factor per pass, for every such product or quotient
 in the package.  ``deconvolve`` recovers the multiset of twists of a split
 bundle from its Hilbert function, by greedy division with a nonnegativity
 constraint, checked over a verification window by one exact integer product.
+A ``TwistMultiset`` is a coefficient list too: the multiplicities c_0..c_s,
+a tuple with no trailing zero.
 ``Check`` is the package's one pass/fail record, a name, a verdict and a
 detail: ``serre_duality_check`` returns one, ``decomp.verify_consistency``
 collects them, and every ``mfdecomp verify`` suite yields them.
@@ -22,8 +24,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from struct import pack
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Check",
@@ -127,43 +128,45 @@ def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> l
 
 
 class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
-    """Multiplicities of shifts: mult[i] summands twisted by -i."""
+    """Multiplicities of shifts: c_i summands twisted by -i, as the tuple
+    c_0..c_s of integers >= 0 with no trailing zero."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
-    def __new__(cls, multiplicities: Mapping = MappingProxyType({})) -> "TwistMultiset":
-        cleaned = {i: c for i, c in multiplicities.items() if c != 0}
-        if any(c < 0 for c in cleaned.values()):
+    def __new__(cls, multiplicities: Sequence[int] = ()) -> "TwistMultiset":
+        cs = list(multiplicities)
+        while cs and cs[-1] == 0:  # so that equal multisets are equal records
+            cs.pop()
+        if min(cs, default=0) < 0:
             raise ValueError("multiplicities must be >= 0")
-        return super().__new__(cls, cleaned)
+        return super().__new__(cls, tuple(cs))
 
     def __getitem__(self, i: int) -> int:
-        return self.multiplicities.get(i, 0)
+        return self.multiplicities[i] if 0 <= i < len(self.multiplicities) else 0
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(shift, multiplicity) pairs with nonzero multiplicity, by shift."""
-        return iter(sorted(self.multiplicities.items()))
+        return ((i, c) for i, c in enumerate(self.multiplicities) if c)
 
     def total(self) -> int:
-        return sum(self.multiplicities.values())
+        return sum(self.multiplicities)
 
     def max_shift(self) -> int:
-        return max(self.multiplicities, default=0)
+        return max(len(self.multiplicities) - 1, 0)
 
     def as_list(self, length: int | None = None) -> list[int]:
-        n = (self.max_shift() + 1) if length is None else length
-        get = self.multiplicities.get
-        return [get(i, 0) for i in range(n)]
+        """c_0..c_{length-1}, by default through ``max_shift``; a negative length raises."""
+        return _padded(self.multiplicities, self.max_shift() + 1 if length is None else length)
 
     def convolve(self, block: Sequence[int], k: int) -> int:
         """sum_i mult[i] * block[k - i], with block read as 0 past its end."""
-        items = self.multiplicities.items()
+        items = enumerate(self.multiplicities)
         return sum(c * block[k - i] for i, c in items if 0 <= k - i < len(block))
 
     def reconstruct(self, block: Sequence[int]) -> list[int]:
         """``convolve`` in every degree k < len(block), from the block's values."""
-        coeffs = self.as_list()
+        coeffs = self.multiplicities
         return [sum(map(mul, coeffs, reversed(block[: k + 1]))) for k in range(len(block))]
 
 
@@ -242,4 +245,4 @@ def deconvolve(
         k = ((diff & -diff).bit_length() - 1) // w
         digit = (diff >> w * k) & (1 << w) - 1  # got - target, as a balanced digit
         raise ResidualMismatch(k, targets[k], targets[k] + digit - (digit >> w - 1 << w))
-    return TwistMultiset(dict(enumerate(coeffs)))
+    return TwistMultiset(coeffs)

@@ -49,16 +49,13 @@ __all__ = [
     "LevelInvariants",
     "Weight1Data",
     "Weight1Unavailable",
-    "cusp_count",
     "cusp_table",
     "dim_cusp_forms",
     "dim_modular_forms",
     "dimension_table",
-    "elliptic_counts",
     "genus",
     "index",
     "level_invariants",
-    "omega_degree",
 ]
 
 
@@ -174,20 +171,6 @@ def index(group: CongruenceGroup) -> int:
 def gamma1_index(n: int) -> int:
     """d_n = [SL2(Z) : Gamma1(n)]."""
     return index(CongruenceGroup(GroupKind.GAMMA1, n))
-
-
-def omega_degree(group: CongruenceGroup) -> Fraction:
-    return level_invariants(group).omega_degree
-
-
-def cusp_count(group: CongruenceGroup) -> int:
-    return level_invariants(group).cusps
-
-
-def elliptic_counts(group: CongruenceGroup) -> tuple[int, int]:
-    """(number of order-2 elliptic points, number of order-3 elliptic points)."""
-    inv = level_invariants(group)
-    return (inv.elliptic2, inv.elliptic3)
 
 
 def genus(group: CongruenceGroup) -> int:

@@ -237,7 +237,7 @@ def test_one_failing_check_fails_the_report():
 
 def test_corrupted_sequence_detected():
     good = omega_decomposition(G1(23))
-    mults = dict(good.mult.multiplicities)
+    mults = list(good.mult.multiplicities)
     mults[5] -= 1
     bad = DecompositionSequence(good.group, good.tag, TwistMultiset(mults))
     report = verify_consistency(bad)
@@ -248,7 +248,7 @@ def test_corrupted_sequence_detected():
 
 def test_multiplicity_beyond_the_support_bound_fails_convolution():
     good = omega_decomposition(G1(23))
-    mults = {**good.mult.multiplicities, 12: 1}  # the omega support bound is 11
+    mults = [*good.mult.as_list(12), 1]  # shift 12; the omega support bound is 11
     bad = DecompositionSequence(good.group, good.tag, TwistMultiset(mults))
     assert "convolution" in [name for name, _ in verify_consistency(bad).failures()]
 
@@ -429,7 +429,7 @@ def test_serre_duality_under_a_weight1_override(tmp_path):
 def test_one_changed_multiplicity_fails_the_cusp_identities(tag):
     good = DECOMPOSE[tag](G1(23))
     for shift in range(_support_bound(tag) + 1):
-        mults = dict(good.mult.multiplicities)
+        mults = good.as_list()
         mults[shift] += 1
         bad = DecompositionSequence(good.group, good.tag, TwistMultiset(mults))
         names = [name for name, _ in verify_consistency(bad).failures()]
@@ -484,8 +484,8 @@ def _convolution_by_division(seq, max_weight):
 
 
 def _changed(seq, shift, delta):
-    mults = dict(seq.mult.multiplicities)
-    mults[shift] = max(mults.get(shift, 0) + delta, 0)
+    mults = seq.mult.as_list(max(shift, seq.mult.max_shift()) + 1)
+    mults[shift] = max(mults[shift] + delta, 0)
     return DecompositionSequence(seq.group, seq.tag, TwistMultiset(mults))
 
 

@@ -223,8 +223,9 @@ def _clear_caches():
 
 @pytest.fixture
 def altered_l(monkeypatch):
-    """Replace the walk's L(0, chi) by shift(p, L(0, chi)) in both checks; the
-    unit condition and the valuation are then decided from it as usual."""
+    """Replace the walk's integers D_i, with L(0, chi) = sum_i D_i zeta^i / (-p),
+    by shift(p, D) in both checks; the unit condition and the valuation are
+    then decided from the L they give as usual."""
     walk = eisenstein._half_walk
 
     def install(shift):
@@ -240,7 +241,7 @@ def altered_l(monkeypatch):
 def test_unit_condition_fails_in_all_three_forms_at_twice_l(altered_l, monkeypatch, p):
     # u = (1 - zeta) L/2 is 2-integral but no unit: F_0 = 2 x_{d-1} is even,
     # v_2(2L) + v_2(1 - zeta) = 2, and 2L = 0, not sum_j zeta^j, mod 2
-    altered_l(lambda p, L: L.scale(2))
+    altered_l(lambda p, D: [2 * x for x in D])  # L becomes 2L
     valued = []
     valuation = CyclotomicElement.two_adic_valuation
     monkeypatch.setattr(CyclotomicElement, "two_adic_valuation", lambda x: valued.append(x) or valuation(x))
@@ -256,8 +257,8 @@ def test_unit_condition_fails_in_all_three_forms_at_twice_l(altered_l, monkeypat
 
 @pytest.mark.parametrize("p", (5, 17, 97))
 def test_odd_difference_of_numerators_is_an_integrality_failure(altered_l, p):
-    # adding 1/p moves D_0 = -p x_0 by -1, so u_0 and u_1 get the denominator 2p
-    altered_l(lambda p, L: L + CyclotomicElement.from_rational(L.order, Fraction(1, p)))
+    # adding 1/p to L moves D_0 = -p x_0 by -1, so u_0 and u_1 get the denominator 2p
+    altered_l(lambda p, D: [D[0] - 1, *D[1:]])
     with pytest.raises(eisenstein.IntegralityFailure, match=rf"^coefficient of q\^0 in E is not 2-integral \(p={p}\)$"):
         hasse_lift(p, 20)
 
@@ -265,8 +266,8 @@ def test_odd_difference_of_numerators_is_an_integrality_failure(altered_l, p):
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from((5, 13, 17, 97)), data=st.data())
 def test_lift_decides_the_unit_condition_for_any_l(p, data):
-    # any L with denominators dividing p in place of the walk's L(0, chi): the field
-    # product (1 - zeta) L/2 is the oracle for q^0, and F_0 = 1 mod 2 for the verdict
+    # any integers D_i in place of the walk's, so any L = sum_i D_i zeta^i / (-p): the
+    # field product (1 - zeta) L/2 is the oracle for q^0, and F_0 = 1 mod 2 for the verdict
     order = (p - 1) & (1 - p)
     parity = data.draw(st.integers(0, 1))
     D = [2 * a + parity for a in data.draw(st.lists(st.integers(-p, p), min_size=order // 2, max_size=order // 2))]
@@ -277,7 +278,7 @@ def test_lift_decides_the_unit_condition_for_any_l(p, data):
     u = ((CyclotomicElement.from_rational(order, 1) - zeta(order)) * half * L).coords
     eisenstein._character_data.cache_clear()
     try:
-        with mock.patch.object(eisenstein, "_half_walk", lambda p, g, order: L):
+        with mock.patch.object(eisenstein, "_half_walk", lambda p, g, order: D):
             if any(c.denominator % 2 == 0 for c in u):
                 with pytest.raises(eisenstein.IntegralityFailure):
                     hasse_lift(p, 3)
@@ -325,7 +326,7 @@ def test_hasse_lift_matches_field_products(p):
 @pytest.mark.parametrize("p", cli.HASSE_PRIMES)
 def test_hasse_lift_passes_at_the_sturm_horizon(p):
     # q^60 is no Sturm horizon for p >= 41: the degree of omega on X_1(p) is larger.
-    N = levels.omega_degree(levels.CongruenceGroup(levels.GroupKind.GAMMA1, p))
+    N = levels.level_invariants(levels.CongruenceGroup(levels.GroupKind.GAMMA1, p)).omega_degree
     assert N == (p * p - 1) // 24
     assert hasse_lift(p, int(N)).passed
 

@@ -16,15 +16,12 @@ from mfdecomp.levels import (
     InvalidGroup,
     Weight1Data,
     Weight1Unavailable,
-    cusp_count,
     dim_cusp_forms,
     dim_modular_forms,
-    elliptic_counts,
     gamma1_index,
     genus,
     index,
     level_invariants,
-    omega_degree,
     weight1_cusp_dim,
 )
 
@@ -77,15 +74,15 @@ def test_index_product_formula_agrees_with_divisor_sum():
 
 
 def test_cusp_counts():
-    assert cusp_count(G1(23)) == 22
-    assert cusp_count(GF(3)) == 4
-    assert cusp_count(G1(5)) == 4
-    assert cusp_count(G1(2)) == 2
-    assert cusp_count(G1(3)) == 2
-    assert cusp_count(G1(4)) == 3
-    assert cusp_count(GF(2)) == 3
-    assert cusp_count(G0(11)) == 2
-    assert cusp_count(G0(12)) == 6
+    assert level_invariants(G1(23)).cusps == 22
+    assert level_invariants(GF(3)).cusps == 4
+    assert level_invariants(G1(5)).cusps == 4
+    assert level_invariants(G1(2)).cusps == 2
+    assert level_invariants(G1(3)).cusps == 2
+    assert level_invariants(G1(4)).cusps == 3
+    assert level_invariants(GF(2)).cusps == 3
+    assert level_invariants(G0(11)).cusps == 2
+    assert level_invariants(G0(12)).cusps == 6
 
 
 def test_genus_calibration_gamma0():
@@ -113,20 +110,24 @@ def test_genus_matches_tabulated_column():
 
 
 def test_elliptic_counts():
-    assert elliptic_counts(G1(2)) == (1, 0)
-    assert elliptic_counts(G1(3)) == (0, 1)
-    assert elliptic_counts(G1(7)) == (0, 0)
-    assert elliptic_counts(G0(2)) == (1, 0)
-    assert elliptic_counts(G0(3)) == (0, 1)
-    assert elliptic_counts(G0(13)) == (2, 2)
-    assert elliptic_counts(G0(4)) == (0, 0)
-    assert elliptic_counts(G0(9)) == (0, 0)
+    for group, counts in (
+        (G1(2), (1, 0)),
+        (G1(3), (0, 1)),
+        (G1(7), (0, 0)),
+        (G0(2), (1, 0)),
+        (G0(3), (0, 1)),
+        (G0(13), (2, 2)),
+        (G0(4), (0, 0)),
+        (G0(9), (0, 0)),
+    ):
+        inv = level_invariants(group)
+        assert (inv.elliptic2, inv.elliptic3) == counts, group
 
 
 def test_level_invariants_consistency():
     inv = level_invariants(G1(23))
     assert inv.index == 528
-    assert inv.omega_degree == omega_degree(G1(23)) == 22
+    assert inv.omega_degree == 22
     assert inv.cusps == 22
     assert inv.genus == 12
     assert inv.genus == 1 + inv.omega_degree - inv.cusps // 2
@@ -239,7 +240,7 @@ def test_gamma1_cusp_genus_relation(n):
     if n >= 5:
         inv = level_invariants(g)
         assert inv.genus == 1 + inv.omega_degree - Fraction(inv.cusps, 2)
-    assert index(g) > 0 and cusp_count(g) > 0
+    assert index(g) > 0 and level_invariants(g).cusps > 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ def test_builtin_weight1_table_is_built_at_most_once(monkeypatch):
     monkeypatch.setattr(Weight1Data, "default", lambda: built.append(1) or default())
     for _ in range(3):  # none of these settle s_1 by the vanishing criterion
         assert weight1_cusp_dim(G1(23)) == dim_cusp_forms(G1(31), 1) == 1
-        assert dim_modular_forms(G1(39), 1) == cusp_count(G1(39)) // 2 + 1
+        assert dim_modular_forms(G1(39), 1) == level_invariants(G1(39)).cusps // 2 + 1
     assert len(built) <= 1
 
 
