@@ -52,7 +52,6 @@ from .levels import (
     cusp_table,
     dim_modular_forms,
     dimension_table,
-    gamma1_index,
     level_invariants,
 )
 
@@ -346,7 +345,7 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
         raise ValueError("obstruction search needs q > 6")
     if prime_bound < 2:
         raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
-    d_q = gamma1_index(q)
+    d_q = level_invariants(CongruenceGroup(GroupKind.GAMMA1, q)).index
     assert d_q > 24
     divisor, residue = _obstruction_divisor(d_q)
     sieve = bytearray([0, 0]) + bytearray([1]) * (prime_bound - 1)  # sieve[n] = 1 iff n is prime
@@ -371,10 +370,11 @@ def table_generate(
 
     ``lo`` is clamped up to the smallest level the flavor supports; a range
     left empty raises ValueError.  The genus column is only present for the
-    omega flavor.
+    omega flavor.  ``flavor`` is a member of ``TABLE_BLOCKS`` or its value.
     """
     if flavor not in TABLE_BLOCKS:
         raise ValueError(f"unsupported table flavor {flavor}")
+    flavor = BlockTag(flavor)  # a plain "omega" would fail the `is` test below
     first = MIN_GAMMA1_LEVEL[flavor]
     if max(lo, first) > hi:
         raise ValueError(f"empty level range {lo}..{hi}; this table starts at {first}")

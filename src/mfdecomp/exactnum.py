@@ -3,7 +3,8 @@
 Arbitrary-precision rationals come from ``fractions.Fraction``.  On top of
 that we implement elements of the 2-power cyclotomic fields Q(zeta_{2^m}),
 their field norms and the extended 2-adic valuation
-v_2(x) = v_2(N(x)) / [Q(zeta) : Q].
+v_2(x) = v_2(N(x)) / [Q(zeta) : Q], the methods ``CyclotomicElement.norm``
+and ``CyclotomicElement.two_adic_valuation``.
 
 Only 2-power orders are supported: the minimal polynomial is then the
 single binomial x^{2^{m-1}} + 1, so reduction never needs more than the
@@ -195,11 +196,3 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
 def zeta(order: int) -> CyclotomicElement:
     """The distinguished primitive root of unity zeta_{order}."""
     return CyclotomicElement.zeta_power(order, 1)
-
-
-def norm(x: CyclotomicElement) -> Fraction:
-    return x.norm()
-
-
-def two_adic_valuation(x: CyclotomicElement) -> ExtendedValuation:
-    return x.two_adic_valuation()

@@ -20,6 +20,7 @@ collects them, and every ``mfdecomp verify`` suite yields them.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -135,6 +136,8 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, multiplicities: Sequence[int] = ()) -> "TwistMultiset":
+        if isinstance(multiplicities, Mapping):  # a {shift: c} dict would give its keys
+            raise TypeError("multiplicities must be the sequence c_0..c_s, not a mapping")
         cs = list(multiplicities)
         while cs and cs[-1] == 0:  # so that equal multisets are equal records
             cs.pop()

@@ -13,16 +13,19 @@ n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
   with elliptic-point terms, calibrated against g(X0(11)) = 1 and
   g(X0(23)) = 2.
 
-``level_invariants`` derives index, cusps, elliptic points and genus from one
-factorisation of the level, in integers, once per group.  ``dimension_table``
-and ``cusp_table`` are coefficient lists m_0..m_40 and s_0..s_12, built once
-per (group, s_1) in one memoised function, each in one pass over the weights:
-for the small levels the series 1/((1 - t^a)(1 - t^b)) and
-t^(a+b+2)/((1 - t^a)(1 - t^b)), otherwise the formulas above over a range of
-weights.  ``dim_modular_forms`` and ``dim_cusp_forms`` evaluate the same
-formulas at one weight.  The decomposition closed forms, their cusp-form
-identities, the deconvolution oracle and the consistency checks all read the
-tables.
+A ``CongruenceGroup``'s kind is always a ``GroupKind`` member: the
+constructor, and so ``_replace``, turns a plain "g0", "g1" or "g" into it and
+raises ``InvalidGroup`` for any other kind.  ``level_invariants`` derives
+index, cusps, elliptic points and genus from one factorisation of the level,
+in integers, once per group; they are read as its fields (``genus`` has a
+function too).  ``dimension_table`` and ``cusp_table`` are coefficient lists
+m_0..m_40 and s_0..s_12, built once per (group, s_1) in one memoised
+function, each in one pass over the weights: for the small levels the series
+1/((1 - t^a)(1 - t^b)) and t^(a+b+2)/((1 - t^a)(1 - t^b)), otherwise the
+formulas above over a range of weights.  ``dim_modular_forms`` and
+``dim_cusp_forms`` evaluate the same formulas at one weight.  The
+decomposition closed forms, their cusp-form identities, the deconvolution
+oracle and the consistency checks all read the tables.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -39,7 +42,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import factorize, is_prime  # noqa: F401  (is_prime: re-exported)
+from .arith import factorize
 from .hilbert import over_denominator
 
 __all__ = [
@@ -54,7 +57,6 @@ __all__ = [
     "dim_modular_forms",
     "dimension_table",
     "genus",
-    "index",
     "level_invariants",
 ]
 
@@ -78,6 +80,11 @@ class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, kind: GroupKind, level: int) -> "CongruenceGroup":
+        if type(kind) is not GroupKind:  # a plain "g0" would fail every `kind is` test
+            try:
+                kind = GroupKind(kind)
+            except ValueError:
+                raise InvalidGroup(f"unknown group kind {kind!r}") from None
         if level < 2:
             raise InvalidGroup(f"level must be >= 2, got {level}")
         return super().__new__(cls, kind, level)
@@ -162,15 +169,6 @@ def level_invariants(group: CongruenceGroup) -> LevelInvariants:
     g, rem = divmod(genus24, 24)
     assert rem == 0 and g >= 0, group
     return LevelInvariants(mu, Fraction(mu, 24), cusps, e2, e3, g)
-
-
-def index(group: CongruenceGroup) -> int:
-    return level_invariants(group).index
-
-
-def gamma1_index(n: int) -> int:
-    """d_n = [SL2(Z) : Gamma1(n)]."""
-    return index(CongruenceGroup(GroupKind.GAMMA1, n))
 
 
 def genus(group: CongruenceGroup) -> int:

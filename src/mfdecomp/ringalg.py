@@ -45,7 +45,6 @@ __all__ = [
     "graded_component",
     "matrix_rank",
     "parse_polynomial",
-    "preset_certificate",
     "verify_free_basis",
     "verify_regular_sequence",
     "weierstrass_identity_check",
@@ -178,12 +177,6 @@ class Polynomial(namedtuple("Polynomial", "algebra terms")):
         for _ in range(n):
             result = result * self
         return result
-
-    @classmethod
-    def variable(cls, algebra: GradedAlgebra, name: str) -> "Polynomial":
-        i = algebra.names.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(algebra.variables)))
-        return cls(algebra, {mono: 1})
 
 
 def parse_polynomial(algebra: GradedAlgebra, text: str) -> Polynomial:
@@ -490,7 +483,8 @@ def _level_preset(char, level, basis_texts, gens=("c4", "delta")):
     return algebra, spec, [parse_polynomial(algebra, t) for t in basis_texts], FREE_BASIS_BOUND
 
 
-#: The four module-structure presets: (ring, subring, basis, degree bound).
+#: The four module-structure presets: (ring, subring, basis, degree bound), the
+#: arguments of ``verify_free_basis``.
 PRESETS = {
     # F_2[a1, a3] free of rank 4 over F_2[a1, Delta]
     "f2-rank4": _level_preset(2, "level3", ("1", "a3", "a3^2", "a3^3"), ("a1", "delta")),
@@ -512,7 +506,3 @@ REGULAR_SEQUENCE_CASES = {
     "f3-c4-delta": (3, *_level_texts("level2", ("c4", "delta")), True),
     "f3-negative-control": (3, *_level_texts("level2", ("c4", "b2^3")), False),
 }
-
-
-def preset_certificate(name: str) -> BasisCertificate:
-    return verify_free_basis(*PRESETS[name])

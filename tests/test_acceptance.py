@@ -27,7 +27,7 @@ from mfdecomp.cli import _render_table, table_columns
 from mfdecomp.decomp import BlockTag
 from mfdecomp.eisenstein import hasse_lift, valuation_claim_check
 from mfdecomp.hilbert import NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
-from mfdecomp.levels import CongruenceGroup, GroupKind, dim_modular_forms, index
+from mfdecomp.levels import CongruenceGroup, GroupKind, dim_modular_forms, level_invariants
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 
@@ -76,7 +76,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_rank_and_balance_identities():
     for n in range(2, 43):
-        d = index(G1(n))
+        d = level_invariants(G1(n)).index
         assert sum(decomp.omega_decomposition(G1(n)).as_list()) == d
         if n >= 4:
             assert 3 * sum(decomp.level2_decomposition(G1(n)).as_list()) == d
@@ -111,7 +111,7 @@ def test_criterion_5_weighted_projective_duality():
 
 def test_criterion_6_certificates_and_regular_sequences():
     for name in ("f2-rank4", "f3-rank3", "q-rank6", "q-rank16"):
-        cert = ringalg.preset_certificate(name)
+        cert = ringalg.verify_free_basis(*ringalg.PRESETS[name])
         assert cert.free and cert.bound == 48, name
     for name, (char, variables, exprs, expected) in sorted(
         ringalg.REGULAR_SEQUENCE_CASES.items()

@@ -3,7 +3,6 @@ from math import isqrt, prod
 from hypothesis import given, strategies as st
 
 from mfdecomp.arith import factorize, is_prime
-from mfdecomp.levels import is_prime as levels_is_prime
 
 
 def _sieve(bound):
@@ -31,10 +30,6 @@ def test_is_prime_accepts_large_primes():
     for p in (998244353, 1000000007, 2**61 - 1, 2**89 - 1):
         assert is_prime(p)
     assert not is_prime(2**67 - 1)  # = 193707721 * 761838257287
-
-
-def test_is_prime_is_importable_from_levels():
-    assert levels_is_prime is is_prime
 
 
 @given(st.integers(min_value=1, max_value=10**6))

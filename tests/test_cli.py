@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mfdecomp import decomp, hilbert, ringalg
+from mfdecomp import cli, decomp, hilbert, ringalg
 from mfdecomp.cli import FREEBASIS_PRESETS, SUITES, TABLE_FLAVORS, build_parser, main
 
 
@@ -192,6 +192,18 @@ def test_verify_wproj_names_the_first_failing_line(capsys, h1_off_by_one):
     assert out.splitlines() == [
         "FAIL\tserre-duality-grid\tP(1, 1) fails at m=-60",
         "PASS\tlevel1-dimensions\tweights (4,6), k <= 60",
+    ]
+
+
+def test_verify_level1_dimensions_fails_with_h0_off_by_one_at_one_weight(capsys, monkeypatch):
+    # the check compares h0 with the series 1/((1 - t^4)(1 - t^6)), not with h0 again
+    h0 = cli.h0_dim
+    monkeypatch.setattr(cli, "h0_dim", lambda line, k: h0(line, k) + (k == 24))
+    code, out, _ = run(capsys, "verify", "--suite", "wproj")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS\tserre-duality-grid\ta,b <= 12, |m| <= 60",
+        "FAIL\tlevel1-dimensions\tweights (4,6), k <= 60",
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfdecomp import decomp, levels
+from mfdecomp.arith import is_prime
 from mfdecomp.decomp import (
     BLOCK_WEIGHTS,
     MIN_GAMMA1_LEVEL,
@@ -12,6 +13,7 @@ from mfdecomp.decomp import (
     ConsistencyReport,
     DecompositionInvalid,
     DecompositionSequence,
+    TABLE_BLOCKS,
     UnsupportedGroup,
     deconvolve_by_gamma1_block,
     level2_decomposition,
@@ -38,8 +40,7 @@ from mfdecomp.levels import (
     GroupKind,
     Weight1Data,
     dim_cusp_forms,
-    index,
-    is_prime,
+    level_invariants,
 )
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
@@ -95,7 +96,7 @@ def test_level4_decomposition():
     assert level456_decomposition(G1(5), 4).as_list() == [1, 1, 0, 0, 0]
     seq23 = level456_decomposition(G1(23), 4)
     assert seq23.as_list() == [1, 11, 20, 11, 1]
-    assert seq23.mult.total() * 12 == index(G1(23))
+    assert seq23.mult.total() * 12 == level_invariants(G1(23)).index
 
 
 def test_unsupported_groups():
@@ -194,7 +195,7 @@ def test_verify_consistency_level456(group):
 
 @pytest.mark.parametrize("n", range(2, 43))
 def test_rank_identities(n):
-    d = index(G1(n))
+    d = level_invariants(G1(n)).index
     assert sum(omega_decomposition(G1(n)).as_list()) == d
     if n >= 4:
         assert 3 * sum(level2_decomposition(G1(n)).as_list()) == d
@@ -212,7 +213,7 @@ def test_balance_identity(n):
 
 def test_gamma_full_groups():
     seq = omega_decomposition(GF(4))
-    assert sum(seq.as_list()) == index(GF(4)) == 48
+    assert sum(seq.as_list()) == level_invariants(GF(4)).index == 48
     assert verify_consistency(seq).ok
     for n in (3, 4, 5):
         assert verify_consistency(level3_decomposition(GF(n))).ok
@@ -225,7 +226,7 @@ def test_gamma0_property_checks():
         seq = omega_decomposition(G0(n))
         report = verify_consistency(seq)
         assert report.ok, report.failures()
-        assert sum(seq.as_list()) == index(G0(n))
+        assert sum(seq.as_list()) == level_invariants(G0(n)).index
 
 
 def test_one_failing_check_fails_the_report():
@@ -255,7 +256,7 @@ def test_multiplicity_beyond_the_support_bound_fails_convolution():
 
 def test_gamma1_31_not_decomposable_by_gamma1_7():
     # d_7 = 48 divides d_31 = 960, yet no decomposition exists
-    assert index(G1(31)) % index(G1(7)) == 0
+    assert level_invariants(G1(31)).index % level_invariants(G1(7)).index == 0
     with pytest.raises(NegativeMultiplicity) as exc:
         deconvolve_by_gamma1_block(G1(31), 7)
     assert exc.value.shift == 3
@@ -467,6 +468,14 @@ def test_tables_start_at_the_min_gamma1_level():
         assert table_generate(2, 8, tag)[0][0] == MIN_GAMMA1_LEVEL[tag]
     with pytest.raises(ValueError, match="unsupported table flavor"):
         table_generate(4, 8, BlockTag.LEVEL4)
+    with pytest.raises(ValueError, match="unsupported table flavor level4"):
+        table_generate(4, 8, "level4")
+
+
+def test_a_plain_string_flavor_gives_the_rows_of_its_tag():
+    for tag in TABLE_BLOCKS:
+        assert table_generate(2, 9, tag.value) == table_generate(2, 9, tag)
+    assert len(table_generate(2, 2, "omega")[0]) == 14  # n, the genus, l_0..l_11
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from mfdecomp.levels import (
     Weight1Unavailable,
     dim_cusp_forms,
     dim_modular_forms,
-    gamma1_index,
     genus,
-    index,
     level_invariants,
     weight1_cusp_dim,
 )
@@ -39,12 +37,24 @@ def test_group_parsing():
             CongruenceGroup.parse(bad)
 
 
+def test_a_plain_string_kind_neither_misreads_nor_poisons_the_invariants_cache():
+    # GroupKind is a str enum, so CongruenceGroup("g0", 11) == G0(11) and hashes
+    # like it: a record holding the plain string failed every `kind is` test,
+    # got Gamma1(11)'s invariants and left them in the cache for G0(11)
+    level_invariants.cache_clear()
+    from_string = CongruenceGroup("g0", 11)
+    assert from_string.kind is GroupKind.GAMMA0 and str(from_string) == "g0:11"
+    assert level_invariants(from_string).index == 12
+    assert level_invariants(G0(11)).index == 12
+    assert dim_modular_forms(from_string, 3) == dim_modular_forms(G0(11), 3) == 0
+
+
 def test_index_examples():
-    assert index(G1(5)) == 24
-    assert index(G1(9)) == 72
-    assert index(GF(3)) == 24
-    assert index(G0(11)) == 12
-    assert index(G1(23)) == 528
+    assert level_invariants(G1(5)).index == 24
+    assert level_invariants(G1(9)).index == 72
+    assert level_invariants(GF(3)).index == 24
+    assert level_invariants(G0(11)).index == 12
+    assert level_invariants(G1(23)).index == 528
 
 
 def test_gamma_full_index_by_matrix_enumeration():
@@ -54,7 +64,7 @@ def test_gamma_full_index_by_matrix_enumeration():
         for a, b, c, d in product(range(3), repeat=4)
         if (a * d - b * c) % 3 == 1
     )
-    assert count == index(GF(3)) == 24
+    assert count == level_invariants(GF(3)).index == 24
 
 
 def test_index_product_formula_agrees_with_divisor_sum():
@@ -70,7 +80,7 @@ def test_index_product_formula_agrees_with_divisor_sum():
         if m > 1:
             num, den = num * (m * m - 1), den * m * m
         assert num % den == 0
-        assert gamma1_index(n) == num // den
+        assert level_invariants(G1(n)).index == num // den
 
 
 def test_cusp_counts():
@@ -236,11 +246,10 @@ def test_weight1_override_rejects_garbage(tmp_path):
 
 @given(st.integers(min_value=2, max_value=120))
 def test_gamma1_cusp_genus_relation(n):
-    g = G1(n)
+    inv = level_invariants(G1(n))
     if n >= 5:
-        inv = level_invariants(g)
         assert inv.genus == 1 + inv.omega_degree - Fraction(inv.cusps, 2)
-    assert index(g) > 0 and level_invariants(g).cusps > 0
+    assert inv.index > 0 and inv.cusps > 0
 
 
 # ---------------------------------------------------------------------------

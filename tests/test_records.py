@@ -11,7 +11,13 @@ from mfdecomp import decomp, eisenstein, exactnum, hilbert, levels, ringalg
 from mfdecomp.exactnum import CyclotomicElement, zeta
 from mfdecomp.hilbert import TwistMultiset, WeightedLine
 from mfdecomp.levels import CongruenceGroup, GroupKind, InvalidGroup
-from mfdecomp.ringalg import GradedAlgebra, InhomogeneousInput, Polynomial, SubringSpec
+from mfdecomp.ringalg import (
+    GradedAlgebra,
+    InhomogeneousInput,
+    Polynomial,
+    SubringSpec,
+    parse_polynomial,
+)
 
 G1_23 = CongruenceGroup(GroupKind.GAMMA1, 23)
 F2_ALGEBRA = GradedAlgebra(2, (("x", 1), ("y", 2)))
@@ -38,7 +44,7 @@ def _instances() -> list:
         basis[1],
         subring,
         ringalg.verify_free_basis(ambient, subring, basis),
-        ringalg.verify_regular_sequence(F2_ALGEBRA, [Polynomial.variable(F2_ALGEBRA, "x")]),
+        ringalg.verify_regular_sequence(F2_ALGEBRA, [parse_polynomial(F2_ALGEBRA, "x")]),
     ]
 
 
@@ -79,7 +85,7 @@ def test_reprs_are_unchanged():
         "CyclotomicElement(order=4, coords=(Fraction(1, 2), Fraction(0, 1)))"
     )
     algebra = "GradedAlgebra(char=3, variables=(('b2', 2), ('b4', 4)))"
-    assert repr(ringalg.preset_certificate("f3-rank3")) == (
+    assert repr(ringalg.verify_free_basis(*ringalg.PRESETS["f3-rank3"])) == (
         f"BasisCertificate(ambient={algebra}, subring=SubringSpec(generators=(("
         f"'b2', Polynomial(algebra={algebra}, terms=mappingproxy({{(1, 0): 1}}))), "
         f"('delta', Polynomial(algebra={algebra}, terms=mappingproxy("
@@ -100,6 +106,10 @@ CONSTANT = Polynomial(F2_ALGEBRA, {(0, 0): 1})
         (lambda: WeightedLine(0, 3), ValueError, "weights must be positive, got (0, 3)"),
         (lambda: WeightedLine(2, -1), ValueError, "weights must be positive, got (2, -1)"),
         (lambda: TwistMultiset([0, -2]), ValueError, "multiplicities must be >= 0"),
+        # a {shift: c} dict would otherwise give its keys as the multiplicities
+        (lambda: TwistMultiset({0: 1, 3: 2}), TypeError,
+         "multiplicities must be the sequence c_0..c_s, not a mapping"),
+        (lambda: CongruenceGroup("g2", 11), InvalidGroup, "unknown group kind 'g2'"),
         (lambda: CongruenceGroup(GroupKind.GAMMA0, 1), InvalidGroup,
          "level must be >= 2, got 1"),
         (lambda: GradedAlgebra(4, (("x", 1),)), ValueError,
@@ -128,6 +138,7 @@ def test_constructors_normalise_their_fields():
     assert TwistMultiset([1, 0, 0, 0, 0, 0]).multiplicities == (1,)
     assert Polynomial(F2_ALGEBRA, {(1, 0): 3, (0, 1): 2}).terms == {(1, 0): 1}
     assert TwistMultiset() == TwistMultiset([]) == TwistMultiset([0, 0])
+    assert CongruenceGroup("g", 6).kind is GroupKind.GAMMA_FULL
     assert Polynomial(F2_ALGEBRA).is_zero()
     # the field is an immutable copy: nothing is shared with the caller's list
     given = [1, 2]
@@ -169,8 +180,11 @@ def test_twist_multiset_pairs_come_from_items():
          "weights must be positive, got (4, 0)"),
         (lambda: TwistMultiset([1])._replace(multiplicities=[0, 0, -1]), ValueError,
          "multiplicities must be >= 0"),
+        (lambda: TwistMultiset([1])._replace(multiplicities={0: 1}), TypeError,
+         "multiplicities must be the sequence c_0..c_s, not a mapping"),
         (lambda: CongruenceGroup(GroupKind.GAMMA1, 5)._replace(level=1), InvalidGroup,
          "level must be >= 2, got 1"),
+        (lambda: G1_23._replace(kind="g2"), InvalidGroup, "unknown group kind 'g2'"),
         (lambda: F2_ALGEBRA._replace(char=4), ValueError,
          "characteristic must be 0 or a prime, got 4"),
         (lambda: CONSTANT._replace(terms={(0, 1): Fraction(1, 2)}), ValueError,
@@ -179,8 +193,8 @@ def test_twist_multiset_pairs_come_from_items():
          ValueError, "subring generator c must have positive degree"),
     ],
     ids=[
-        "CyclotomicElement", "WeightedLine", "TwistMultiset", "CongruenceGroup",
-        "GradedAlgebra", "Polynomial", "SubringSpec",
+        "CyclotomicElement", "WeightedLine", "TwistMultiset", "TwistMultiset-mapping",
+        "CongruenceGroup", "CongruenceGroup-kind", "GradedAlgebra", "Polynomial", "SubringSpec",
     ],
 )
 def test_replace_checks_fields_like_the_constructor(replace, error, message):
@@ -198,3 +212,4 @@ def test_replace_normalises_like_the_constructor():
         poly.terms[(0, 0)] = 1  # read-only, as the constructor leaves it
     assert TwistMultiset([1])._replace(multiplicities=[2, 0, 0, 0, 0]).multiplicities == (2,)
     assert G1_23._replace(level=7) == CongruenceGroup(GroupKind.GAMMA1, 7)
+    assert G1_23._replace(kind="g0").kind is GroupKind.GAMMA0

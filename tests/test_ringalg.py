@@ -22,7 +22,6 @@ from mfdecomp.ringalg import (
     graded_component,
     matrix_rank,
     parse_polynomial,
-    preset_certificate,
     verify_free_basis,
     verify_regular_sequence,
     weierstrass_identity_check,
@@ -78,8 +77,8 @@ def test_parser_rejects_malformed_factors(text, message):
 
 
 def test_polynomial_arithmetic():
-    b2 = Polynomial.variable(Q_B, "b2")
-    b4 = Polynomial.variable(Q_B, "b4")
+    b2 = parse_polynomial(Q_B, "b2")
+    b4 = parse_polynomial(Q_B, "b4")
     assert (b2 * b2 - b2.power(2)).is_zero()
     with pytest.raises(InhomogeneousInput):
         (b2 + b4).homogeneous_degree()
@@ -198,7 +197,7 @@ def test_matrix_rank_exact():
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_certify_free(name):
-    cert = preset_certificate(name)
+    cert = verify_free_basis(*PRESETS[name])
     assert cert.free, (cert.failing_degree, cert.failure_kind)
     assert cert.bound == 48
 
@@ -208,7 +207,7 @@ def test_none_bound_means_the_default(name):
     algebra, spec, basis, bound = PRESETS[name]
     assert bound == ringalg.FREE_BASIS_BOUND == 48
     assert verify_free_basis(algebra, spec, basis, None) == verify_free_basis(algebra, spec, basis, 48)
-    assert verify_free_basis(algebra, spec, basis) == preset_certificate(name)
+    assert verify_free_basis(algebra, spec, basis) == verify_free_basis(*PRESETS[name])
 
 
 def test_preset_ranks():
@@ -230,7 +229,7 @@ def test_wrong_basis_not_free():
     cert = verify_free_basis(algebra, spec, basis[:-1], bound)
     assert not cert.free
     assert cert.failure_kind == "spanning"
-    b4 = Polynomial.variable(algebra, "b4")
+    b4 = parse_polynomial(algebra, "b4")
     cert = verify_free_basis(algebra, spec, basis + [b4.power(3)], bound)
     assert not cert.free
     # past the horizon 13 only an element of B can fail, here one too many
@@ -241,7 +240,7 @@ def test_wrong_basis_not_free():
 def test_three_variables_are_checked_through_the_bound():
     # no horizon with three variables: Q[x, y, z] over Q[x, y] needs z, of degree 5
     algebra = GradedAlgebra(0, (("x", 1), ("y", 1), ("z", 5)))
-    spec = SubringSpec(tuple((name, Polynomial.variable(algebra, name)) for name in "xy"))
+    spec = SubringSpec(tuple((name, parse_polynomial(algebra, name)) for name in "xy"))
     cert = verify_free_basis(algebra, spec, [parse_polynomial(algebra, "1")], 48)
     assert (cert.verdict, cert.failure_kind, cert.failing_degree) == ("not free", "spanning", 5)
 
