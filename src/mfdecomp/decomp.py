@@ -7,18 +7,19 @@ block is the ring of a weighted projective line P(a, b), with Hilbert series
 1/((1 - t^a)(1 - t^b)), and every block table (rank, support bound,
 closed-form offsets, cusp-form identities, the kernels between blocks)
 derives from the pair (a, b) in ``BLOCK_WEIGHTS``.  The multiplicity
-sequence c_0..c_{a+b+1} is the coefficients of (1 - t^a)(1 - t^b) * sum_k
-m_k t^k.  Serre duality gives it a second time from the cusp-form
-dimensions: read backwards, it is the coefficients of t^1..t^{a+b+2} in
-(1 - t^a)(1 - t^b) * sum_k s_k t^k, that is c_{a+b+2-i} = [... * S(t)]_i.
+sequence c_0..c_{a+b+1}, the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k,
+is the exact quotient N / K of the group's Hilbert numerator N (see
+``levels.hilbert_numerators``) by the block kernel K.  Serre duality gives it
+a second time from the cusp-form dimensions: read backwards, it is the
+coefficients of t^1..t^{a+b+2} in (1 - t^a)(1 - t^b) * sum_k s_k t^k, that is
+c_{a+b+2-i} = [... * S(t)]_i, for every block once N_S(t) = t^12 N(1/t).
 The identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus,
 k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
 Multiplicities, identities and the kernels between blocks all go through
 the series helpers ``times_denominator`` and ``over_denominator``.
 Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
 independent cross-check and the two must always agree.  Every Hilbert
-function here is a coefficient list: m_0..m_{n-1} come from the memoised
-``levels.dimension_table`` and, past its end, from ``dim_modular_forms``.  A
+function here is a coefficient list: m_0..m_{n-1} expand N, with no horizon.  A
 ``DecompositionSequence`` is a group, a block tag and the multiplicities, a
 ``TwistMultiset``: the tuple c_0..c_{a+b+1} with its trailing zeros dropped.
 ``as_list`` pads it back to a+b+2 entries.
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .arith import factorize
 from .hilbert import (
@@ -45,13 +46,12 @@ from .hilbert import (
     times_denominator,
 )
 from .levels import (
+    LEVEL1_WEIGHTS,
     SMALL_LEVEL_WEIGHTS,
     CongruenceGroup,
     GroupKind,
     Weight1Data,
-    cusp_table,
-    dim_modular_forms,
-    dimension_table,
+    hilbert_numerators,
     level_invariants,
 )
 
@@ -95,7 +95,7 @@ class BlockTag(str, Enum):
 #: 1/((1 - t^a)(1 - t^b)) and its rank over the level-1 ring is 24 / (a b).
 #: The level-q blocks for q = 2, 3, 4 are the rings of Gamma1(q).
 BLOCK_WEIGHTS = {
-    BlockTag.OMEGA_POWERS: (4, 6),
+    BlockTag.OMEGA_POWERS: LEVEL1_WEIGHTS,
     **{tag: SMALL_LEVEL_WEIGHTS[GroupKind.GAMMA1, q]
        for q, tag in enumerate((BlockTag.LEVEL2, BlockTag.LEVEL3, BlockTag.LEVEL4), 2)},
     BlockTag.LEVEL5OR6: (1, 1),
@@ -116,18 +116,20 @@ MIN_GAMMA1_LEVEL = {
 TABLE_BLOCKS = (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3)
 
 
-def _dimensions(group: CongruenceGroup, n: int, w1: Weight1Data | None) -> list[int]:
-    """m_0..m_{n-1}: the group's ``dimension_table``, then the formula past its end."""
-    if n < 0:
-        raise ValueError(f"weight count must be >= 0, got {n}")
-    table = dimension_table(group, w1)
-    return [*table[:n], *(dim_modular_forms(group, k, w1) for k in range(len(table), n))]
-
-
 @lru_cache(maxsize=None)
-def _level1_block(n: int) -> tuple[int, ...]:
-    """h^0(P(4, 6), k) for k < n: the level-1 dimension sequence."""
-    return tuple(over_denominator([1], BLOCK_WEIGHTS[BlockTag.OMEGA_POWERS], n))
+def _series(numerator: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Coefficients of t^0..t^(n-1) in numerator / ((1 - t^4)(1 - t^6)): the
+    dimensions m_0..m_{n-1} of a group from its Hilbert numerator N, and the
+    level-1 dimensions from N = (1,); once per (N, n)."""
+    return tuple(over_denominator(numerator, LEVEL1_WEIGHTS, n))
+
+
+def _over_block(numerator: Sequence[int], tag: BlockTag, n: int) -> list[int]:
+    """Coefficients of t^0..t^(n-1) in numerator * (1 - t^a)(1 - t^b) / ((1 - t^4)(1 - t^6)),
+    the numerator itself for the omega block."""
+    if tag is BlockTag.OMEGA_POWERS:
+        return [*numerator[:n], *[0] * (n - len(numerator))]
+    return over_denominator(times_denominator(numerator, BLOCK_WEIGHTS[tag], n), LEVEL1_WEIGHTS, n)
 
 
 def _support_bound(tag: BlockTag) -> int:
@@ -159,40 +161,48 @@ class DecompositionSequence(NamedTuple):
         return self.mult.as_list(length)
 
 
-def _cusp_identity_failure(
-    group: CongruenceGroup, tag: BlockTag, cs: list[int], w1: Weight1Data | None
-) -> str:
+def _cusp_identity_failure(cusp_numerator: Sequence[int], tag: BlockTag, cs: list[int]) -> str:
     """'' if c_0..c_{a+b+1}, the first a+b+2 entries of ``cs``, obey Serre
     duality, c_{a+b+2-i} = [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for
-    1 <= i <= a+b+2; else the first shift where they do not."""
-    n = _support_bound(tag) + 2
-    dual = times_denominator(cusp_table(group, w1), BLOCK_WEIGHTS[tag], n)[:0:-1]
+    1 <= i <= a+b+2, with S(t) = N_S(t) / ((1 - t^4)(1 - t^6)); else the first
+    shift where they do not."""
+    dual = _over_block(cusp_numerator, tag, _support_bound(tag) + 2)[:0:-1]
     bad = [(i, c, d) for i, (c, d) in enumerate(zip(cs, dual)) if c != d]
     return "shift %d: %d != %d from the cusp-form dimensions" % bad[0] if bad else ""
+
+
+def _balanced(cs: Sequence[int]) -> bool:
+    """The level-3 balance identity k_0 + k_3 = k_1 + k_4 = k_2 + k_5."""
+    return cs[0] + cs[3] == cs[1] + cs[4] == cs[2] + cs[5]
 
 
 def _closed_form(
     group: CongruenceGroup, tag: BlockTag, w1: Weight1Data | None
 ) -> DecompositionSequence:
-    """Multiplicities c_i: the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k,
-    nonnegative and obeying the cusp-form identities (and, for level 3, the
-    balance identity)."""
+    """Multiplicities c_i: the coefficients of N(t) (1 - t^a)(1 - t^b) / ((1 - t^4)(1 - t^6))
+    through degree 11, all >= 0 and 0 past a + b + 1, or it raises.  A proof for
+    every weight: N - c K, for the block kernel K, vanishes mod t^12 and has
+    degree <= 11.  Every K is palindromic, so N_S(t) = t^12 N(1/t) gives the
+    cusp-form identities of every block; level 3 adds the balance identity."""
     min_level = MIN_GAMMA1_LEVEL[tag] if group.kind is GroupKind.GAMMA1 else 3
     if tag is not BlockTag.OMEGA_POWERS and (
         group.kind is GroupKind.GAMMA0 or group.level < min_level
     ):
         raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
-    table = dimension_table(group, w1)  # reaches past every support bound
-    seq = times_denominator(table, BLOCK_WEIGHTS[tag], _support_bound(tag) + 1)
+    numerator, cusp_numerator = hilbert_numerators(group, w1)
+    seq = _over_block(numerator, tag, 12)
+    bound = _support_bound(tag)
     for i, c in enumerate(seq):
-        if c < 0:
+        if c < 0 or c and i > bound:
+            why = f"{c} < 0" if c < 0 else f"{c} != 0 past shift {bound}"
             raise DecompositionInvalid(
-                f"{tag.value} multiplicity at shift {i} is {c} < 0 for {group}"
+                f"{tag.value} multiplicity at shift {i} is {why} for {group}"
             )
-    problem = _cusp_identity_failure(group, tag, seq, w1)
-    if problem:
-        raise DecompositionInvalid(f"{tag.value} cusp identities fail for {group}: {problem}")
-    if tag is BlockTag.LEVEL3 and not (seq[0] + seq[3] == seq[1] + seq[4] == seq[2] + seq[5]):
+    if cusp_numerator != (0, *numerator[::-1]):
+        raise DecompositionInvalid(
+            f"{tag.value} cusp identities fail for {group}: N_S(t) != t^12 N(1/t)"
+        )
+    if tag is BlockTag.LEVEL3 and not _balanced(seq):
         raise DecompositionInvalid(f"balance identity fails for {group}")
     return DecompositionSequence(group, tag, TwistMultiset(seq))
 
@@ -252,15 +262,18 @@ def verify_consistency(
     max_weight: int = 40,
 ) -> ConsistencyReport:
     """Convolution, rank, cross-block, cusp-form and (level 3) balance
-    identities for ``seq``."""
+    identities for ``seq``.  The convolution check is N = c K mod t^(max_weight+1)
+    for the numerator N and the block kernel K: for c within the support bound
+    both sides have degree <= 11, so max_weight >= 11 (default 40) is a proof."""
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    group, tag = seq.group, seq.tag
+    group, tag = seq.group, BlockTag(seq.tag)  # a plain "omega" would fail the `is` tests
     # one list c_0..c_n, through the convolution window and the support bound a + b + 1
     cs = seq.mult.as_list(max(max_weight, _support_bound(tag)) + 1)
+    numerator, cusp_numerator = hilbert_numerators(group, w1)
+    m = _series(numerator, max_weight + 1)
     # den = (1 - t^a)(1 - t^b) has den(0) = 1: m den - mult and m - mult / den lead alike
-    m = _dimensions(group, max_weight + 1, w1)
-    got = zip(m, times_denominator(m, BLOCK_WEIGHTS[tag], max_weight + 1), cs)
+    got = zip(m, _over_block(numerator, tag, max_weight + 1), cs)
     bad = [(k, mk, mk - md + c) for k, (mk, md, c) in enumerate(got) if md != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
     checks = [Check("convolution", not bad, detail or f"exact through weight {max_weight}")]
@@ -281,11 +294,10 @@ def verify_consistency(
         except DecompositionInvalid as exc:
             checks.append(Check("cross-block", False, str(exc)))
 
-    problem = _cusp_identity_failure(group, tag, cs, w1)
+    problem = _cusp_identity_failure(cusp_numerator, tag, cs)
     checks.append(Check("cusp-identities", not problem, problem or "Serre duality"))
     if tag is BlockTag.LEVEL3:
-        balanced = cs[0] + cs[3] == cs[1] + cs[4] == cs[2] + cs[5]
-        checks.append(Check("balance", balanced, "k_0+k_3 = k_1+k_4 = k_2+k_5"))
+        checks.append(Check("balance", _balanced(cs), "k_0+k_3 = k_1+k_4 = k_2+k_5"))
     return ConsistencyReport(tuple(checks))
 
 
@@ -301,14 +313,13 @@ def deconvolve_by_gamma1_block(
 
     The independent oracle for all closed-form decompositions, and the tool
     that exhibits non-decomposability (negative multiplicities) for q > 6.
+    The window checks C N_q = N for the Hilbert numerators (N_1 = 1), both of
+    degree <= max_shift + 11: verify_through >= 22 (default 40) is a proof.
     """
     n = max(max_shift, verify_through, 0) + 1
-    target = _dimensions(group, n, w1)
-    if q == 1:
-        block = _level1_block(n)
-    else:
-        block = _dimensions(CongruenceGroup(GroupKind.GAMMA1, q), n, w1)
-    return deconvolve(target, block, max_shift, verify_through)
+    target = _series(hilbert_numerators(group, w1)[0], n)
+    block = (1,) if q == 1 else hilbert_numerators(CongruenceGroup(GroupKind.GAMMA1, q), w1)[0]
+    return deconvolve(target, _series(block, n), max_shift, verify_through)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "TwistMultiset",
     "WeightedLine",
     "deconvolve",
-    "default_verify_through",
     "h0_dim",
     "h1_dim",
     "over_denominator",
@@ -193,15 +192,6 @@ class ResidualMismatch(DeconvolutionError):
         self.degree = degree
         self.expected = expected
         self.got = got
-
-
-def default_verify_through(max_shift: int, a: int, b: int) -> int:
-    """Verification horizon for blocks with Hilbert denominator (1-t^a)(1-t^b).
-
-    One full denominator period past the support forces equality of the
-    rational generating functions.
-    """
-    return max_shift + a * b + max(a, b)
 
 
 def _pack(values: Sequence[int], w: int) -> int:

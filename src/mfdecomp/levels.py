@@ -18,14 +18,14 @@ constructor, and so ``_replace``, turns a plain "g0", "g1" or "g" into it and
 raises ``InvalidGroup`` for any other kind.  ``level_invariants`` derives
 index, cusps, elliptic points and genus from one factorisation of the level,
 in integers, once per group; they are read as its fields (``genus`` has a
-function too).  ``dimension_table`` and ``cusp_table`` are coefficient lists
-m_0..m_40 and s_0..s_12, built once per (group, s_1) in one memoised
-function, each in one pass over the weights: for the small levels the series
-1/((1 - t^a)(1 - t^b)) and t^(a+b+2)/((1 - t^a)(1 - t^b)), otherwise the
-formulas above over a range of weights.  ``dim_modular_forms`` and
+function too).  ``hilbert_numerators`` gives the graded dimensions as two
+polynomials, sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) and sum_k s_k t^k =
+N_S(t)/((1 - t^4)(1 - t^6)), built once per (group, s_1) from the formulas
+above at weights 0..12 (for the small levels the series 1/((1 - t^a)(1 - t^b))
+and t^(a+b+2)/((1 - t^a)(1 - t^b))).  ``dim_modular_forms`` and
 ``dim_cusp_forms`` evaluate the same formulas at one weight.  The
 decomposition closed forms, their cusp-form identities, the deconvolution
-oracle and the consistency checks all read the tables.
+oracle and the consistency checks all read the numerators.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .arith import factorize
-from .hilbert import over_denominator
+from .hilbert import over_denominator, times_denominator
 
 __all__ = [
     "CongruenceGroup",
@@ -52,11 +52,10 @@ __all__ = [
     "LevelInvariants",
     "Weight1Data",
     "Weight1Unavailable",
-    "cusp_table",
     "dim_cusp_forms",
     "dim_modular_forms",
-    "dimension_table",
     "genus",
+    "hilbert_numerators",
     "level_invariants",
 ]
 
@@ -257,12 +256,6 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
 # ---------------------------------------------------------------------------
 # Dimensions
 
-#: The closed forms read weights up to 11, the deconvolution oracle and the
-#: consistency check up to 40: ``dimension_table`` holds weights 0..40.
-#: Serre duality reads cusp forms up to weight a + b + 2 for the block P(a, b),
-#: at most 12 for the omega block P(4, 6): ``cusp_table`` holds weights 0..12.
-DIMENSION_HORIZON, CUSP_HORIZON = 40, 12
-
 
 def _forms(group: CongruenceGroup, start: int, stop: int, s1: int | None = None) -> list[int]:
     """m_k for 0 <= start <= k < stop, all weights in one pass; s_1 is read for
@@ -316,23 +309,27 @@ def dim_cusp_forms(
     return _cusp_forms(group, k, k + 1, weight1_cusp_dim(group, w1) if k == 1 else None)[0]
 
 
+LEVEL1_WEIGHTS = (4, 6)  #: of E_4 and E_6, the generators of the level-1 ring
+
+
 @lru_cache(maxsize=None)
-def _tables(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(m_0..m_DIMENSION_HORIZON, s_0..s_CUSP_HORIZON), each in one pass over the
-    weights, once per (group, s_1): the weight-1 data enter through s_1 alone,
-    so the unhashable ``Weight1Data`` is no key and an override that changes
-    s_1 gets tables of its own."""
+def _numerators(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(N, N_S), 12 and 13 coefficients: M(t) = sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)),
+    and S(t) likewise.  deg N <= 11 and deg N_S <= 12, so they hold every weight:
+    (1 - t^4)(1 - t^6) is (1 - t)^2 times a polynomial of degree 8, and for a
+    representable group m_k is linear for k >= 2 and s_k for k >= 3, so (1 - t)^2 M and
+    (1 - t)^2 S have degrees <= 3 and 4; for Gamma0, m_k and s_k are quasi-linear
+    with period dividing 12 on even weights, proper over (1 - t^4)(1 - t^6) but
+    for m_0, s_0 and s_2; for the small levels N is the block kernel and N_S is
+    t^(a+b+2) N.  Once per (group, s_1): the unhashable ``Weight1Data`` is no key."""
     return (
-        tuple(_forms(group, 0, DIMENSION_HORIZON + 1, s1)),
-        tuple(_cusp_forms(group, 0, CUSP_HORIZON + 1, s1)),
+        tuple(times_denominator(_forms(group, 0, 12, s1), LEVEL1_WEIGHTS, 12)),
+        tuple(times_denominator(_cusp_forms(group, 0, 13, s1), LEVEL1_WEIGHTS, 13)),
     )
 
 
-def dimension_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:
-    """m_0..m_DIMENSION_HORIZON, once per (group, s_1)."""
-    return _tables(group, weight1_cusp_dim(group, w1))[0]
-
-
-def cusp_table(group: CongruenceGroup, w1: Weight1Data | None = None) -> tuple[int, ...]:
-    """s_0..s_CUSP_HORIZON, once per (group, s_1)."""
-    return _tables(group, weight1_cusp_dim(group, w1))[1]
+def hilbert_numerators(
+    group: CongruenceGroup, w1: Weight1Data | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(N, N_S) of ``_numerators``: every weight of M(t) and S(t), once per (group, s_1)."""
+    return _numerators(group, weight1_cusp_dim(group, w1))

@@ -24,7 +24,7 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
-from mfdecomp.decomp import _dimensions, _kernel, _level1_block, _support_bound
+from mfdecomp.decomp import _kernel, _series, _support_bound
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
@@ -122,7 +122,7 @@ def test_blocks():
         expected = ("rank", True, f"sum(mult) * {rank} = {total * rank}, index = 528")
         assert expected in verify_consistency(seq).checks, tag
     # the level-1 block is h0 on P(4, 6)
-    omega = _level1_block(41)
+    omega = _series((1,), 41)
     assert omega == tuple(h0_dim(WeightedLine(4, 6), k) for k in range(41))
     # level-5/6 block = convolution of (1,2,3,4,4,4,3,2,1) with the level-1 dims
     kernel = [1, 2, 3, 4, 4, 4, 3, 2, 1]
@@ -316,34 +316,56 @@ def _override_23():
     return Weight1Data({**default.table, (GroupKind.GAMMA1, 23): 5}, default.provenance)
 
 
-#: Every group whose dimensions the decomp-levels benchmark reads.
+#: Every group whose dimensions the decomp-levels benchmark reads; the builtin
+#: weight-1 table covers them all.
 DECOMP_LEVELS_GROUPS = [*map(G0, range(2, 401)), *map(G1, range(2, 43)), *map(GF, range(2, 12))]
 
 
 @pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)], ids=str)
 def test_tables_are_built_once_per_group_and_s1(group):
-    levels._tables.cache_clear()  # a fresh group: the one dimension cache starts empty
+    levels._numerators.cache_clear()  # a fresh group: the one dimension cache starts empty
     for w1 in (None, _override_23(), None, _override_23()):
         seq = omega_decomposition(group, w1)
         deconvolve_by_gamma1_block(group, 1, w1)
         assert verify_consistency(seq, w1).ok
-    info = levels._tables.cache_info()
+    info = levels._numerators.cache_info()
     builds = 2 if group == G1(23) else 1  # only the override's group gets a new s_1
     assert (info.misses, info.currsize) == (builds, builds)
 
 
-@pytest.mark.parametrize("w1", [None, _override_23()], ids=["builtin", "g1-23-5"])
-def test_tables_equal_the_dimensions_weight_by_weight(w1):
-    for group in DECOMP_LEVELS_GROUPS:
-        m = [levels.dim_modular_forms(group, k, w1) for k in range(levels.DIMENSION_HORIZON + 1)]
-        s = [dim_cusp_forms(group, k, w1) for k in range(levels.CUSP_HORIZON + 1)]
-        assert levels.dimension_table(group, w1) == tuple(m), group
-        assert levels.cusp_table(group, w1) == tuple(s), group
+def _zero_s1():
+    """The builtin weight-1 table with s_1 = 0 for Gamma1(43..120) and Gamma(12..60),
+    which it does not cover."""
+    default = Weight1Data.default()
+    zeros = {(g.kind, g.level): 0 for g in [*map(G1, range(43, 121)), *map(GF, range(12, 61))]}
+    return Weight1Data({**default.table, **zeros}, default.provenance)
+
+
+@pytest.mark.parametrize(
+    "w1, groups",
+    [
+        (None, DECOMP_LEVELS_GROUPS),
+        (_override_23(), DECOMP_LEVELS_GROUPS),
+        (_zero_s1(), [*map(G1, range(43, 121)), *map(GF, range(12, 61))]),
+    ],
+    ids=["builtin", "g1-23-5", "s1-zero"],
+)
+def test_tables_equal_the_dimensions_weight_by_weight(w1, groups):
+    # the numerators (N, N_S) hold every weight: N / ((1 - t^4)(1 - t^6)) and
+    # N_S / ((1 - t^4)(1 - t^6)) are the dimension formulas weight by weight
+    for group in groups:
+        numerator, cusp_numerator = levels.hilbert_numerators(group, w1)
+        assert len(numerator) <= 12 and len(cusp_numerator) <= 13, group
+        m = [levels.dim_modular_forms(group, k, w1) for k in range(61)]
+        s = [dim_cusp_forms(group, k, w1) for k in range(61)]
+        assert _series(numerator, 61) == tuple(m), group
+        assert _series(cusp_numerator, 61) == tuple(s), group
+        assert cusp_numerator == (0, *reversed(numerator)), group  # N_S = t^12 N(1/t)
 
 
 @pytest.mark.parametrize("group", [G0(11), G1(4), G1(23), GF(6)], ids=str)
 def test_checks_reach_past_the_dimension_table(group):
-    # weights 41..60 come from dim_modular_forms, past levels.DIMENSION_HORIZON
+    # weights 41..60 come from the same numerators as weights 0..40
     omega = omega_decomposition(group)
     oracle = deconvolve_by_gamma1_block(group, 1, verify_through=60)
     assert oracle.as_list(12) == omega.as_list()
@@ -359,8 +381,8 @@ def test_negative_window_is_rejected():
         with pytest.raises(ValueError, match=f"max_weight must be >= 0, got {max_weight}$"):
             verify_consistency(seq, max_weight=max_weight)
     assert verify_consistency(seq, max_weight=0).ok
-    with pytest.raises(ValueError, match="weight count must be >= 0, got -2$"):
-        _dimensions(G1(23), -2, None)
+    with pytest.raises(ValueError, match="coefficient count must be >= 0, got -2$"):
+        _series((1,), -2)
 
 
 def test_level3_oracle_past_the_dimension_table():
@@ -478,6 +500,38 @@ def test_a_plain_string_flavor_gives_the_rows_of_its_tag():
     assert len(table_generate(2, 2, "omega")[0]) == 14  # n, the genus, l_0..l_11
 
 
+def test_a_plain_string_tag_is_read_as_its_block_tag():
+    seq = omega_decomposition(G1(23))
+    copy = seq._replace(tag="omega")
+    assert copy == seq
+    assert verify_consistency(copy) == verify_consistency(seq)  # no cross-block check
+    level3 = level3_decomposition(G1(23))
+    plain = DecompositionSequence(level3.group, "level3", level3.mult)
+    assert verify_consistency(plain) == verify_consistency(level3)  # the balance check too
+    with pytest.raises(ValueError, match="'level7' is not a valid BlockTag"):
+        verify_consistency(DecompositionSequence(level3.group, "level7", level3.mult))
+
+
+def test_a_numerator_no_block_kernel_divides_is_invalid(monkeypatch):
+    # Gamma1(23)'s N plus t^5 + t^6: palindromic and nonnegative, so the omega
+    # block takes it, but (1 - t)^2 N / ((1 - t^4)(1 - t^6)) leaves 1 at shift 5,
+    # past the P(1, 1) support bound 3, where the first four shifts alone pass
+    group = G1(23)
+    numerator = list(levels.hilbert_numerators(group)[0])
+    numerator[5] += 1
+    numerator[6] += 1
+    pair = (tuple(numerator), (0, *reversed(numerator)))
+    monkeypatch.setattr(decomp, "hilbert_numerators", lambda group, w1=None: pair)
+    assert omega_decomposition(group).as_list() == numerator
+    with pytest.raises(DecompositionInvalid, match="shift 5 is 1 != 0 past shift 3 for g1:23$"):
+        level456_decomposition(group, 5)
+    with pytest.raises(DecompositionInvalid, match="shift 5 is 1 != 0 past shift 4 for g1:23$"):
+        level456_decomposition(group, 4)
+    pair = (pair[0], (0, 2, *pair[0][-2::-1]))  # s_1 one more: N_S is no longer t^12 N(1/t)
+    with pytest.raises(DecompositionInvalid, match=r"omega cusp identities fail .* t\^12 N\(1/t\)"):
+        omega_decomposition(group)
+
+
 # ---------------------------------------------------------------------------
 # The convolution check: m (1 - t^a)(1 - t^b) = mult, against the quotient form
 
@@ -485,7 +539,7 @@ def test_a_plain_string_flavor_gives_the_rows_of_its_tag():
 def _convolution_by_division(seq, max_weight):
     """The convolution check as the quotient mult / ((1 - t^a)(1 - t^b)) compared
     with m, weight by weight: the reference for ``verify_consistency``."""
-    m = _dimensions(seq.group, max_weight + 1, None)
+    m = [levels.dim_modular_forms(seq.group, k) for k in range(max_weight + 1)]
     got = over_denominator(seq.mult.as_list(), BLOCK_WEIGHTS[seq.tag], max_weight + 1)
     bad = [(k, mk, c) for k, (mk, c) in enumerate(zip(m, got)) if mk != c]
     detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""

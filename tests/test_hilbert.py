@@ -11,7 +11,6 @@ from mfdecomp.hilbert import (
     TwistMultiset,
     WeightedLine,
     deconvolve,
-    default_verify_through,
     h0_dim,
     h1_dim,
     over_denominator,
@@ -87,13 +86,13 @@ def dimensions(a, b, n):
 
 
 def test_deconvolve_gamma1_3_dimensions():
-    n = default_verify_through(11, 4, 6) + 1
+    n = 42  # through degree 41, past the largest shift 11 by a b + max(a, b) = 30
     mult = deconvolve(dimensions(1, 3, n), dimensions(4, 6, n), 11, n - 1)
     assert mult.as_list(12) == [1, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0]
 
 
 def test_deconvolve_gamma1_2_dimensions():
-    n = default_verify_through(11, 4, 6) + 1
+    n = 42  # through degree 41, past the largest shift 11 by a b + max(a, b) = 30
     mult = deconvolve(dimensions(2, 4, n), dimensions(4, 6, n), 11, n - 1)
     assert mult.multiplicities == (1, 0, 1, 0, 1)
 
@@ -142,7 +141,7 @@ def test_twist_multiset_invariants():
     st.sampled_from([(4, 6), (2, 4), (1, 3), (1, 2)]),
 )
 def test_convolve_then_deconvolve_roundtrip(mults, weights):
-    horizon = default_verify_through(len(mults) - 1, *weights)
+    horizon = 40  # past every largest shift (at most 7) by at least a b + max(a, b) <= 30
     block = dimensions(*weights, horizon + 1)
     original = TwistMultiset(mults)
     target = [original.convolve(block, k) for k in range(horizon + 1)]

@@ -126,10 +126,11 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
 
 
 def test_cli_import_builds_no_dimension_tables():
-    # tables and invariants are built on first use, not at start-up; cache sizes only, no timing
+    # numerators and invariants are built on first use, not at start-up; cache sizes only, no timing
     probe = (
         "import mfdecomp.cli; from mfdecomp import levels; "
-        "print(levels._tables.cache_info().currsize, levels.level_invariants.cache_info().currsize)"
+        "print(levels._numerators.cache_info().currsize, "
+        "levels.level_invariants.cache_info().currsize)"
     )
     assert _probe(probe).split() == ["0", "0"]
 
