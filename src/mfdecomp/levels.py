@@ -18,12 +18,13 @@ constructor, and so ``_replace``, turns a plain "g0", "g1" or "g" into it and
 raises ``InvalidGroup`` for any other kind.  ``level_invariants`` derives
 index, cusps, elliptic points and genus from one factorisation of the level,
 in integers, once per group; they are read as its fields (``genus`` has a
-function too).  ``hilbert_numerators`` gives the graded dimensions as two
-polynomials, sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) and sum_k s_k t^k =
-N_S(t)/((1 - t^4)(1 - t^6)), built once per (group, s_1) from the formulas
-above at weights 0..12 (for the small levels the series 1/((1 - t^a)(1 - t^b))
-and t^(a+b+2)/((1 - t^a)(1 - t^b))).  ``dim_modular_forms`` and
-``dim_cusp_forms`` evaluate the same formulas at one weight.  The
+function too).  The dimension formulas have one path: ``_numerators``
+evaluates them at weights 0..12, once per (group, s_1), and keeps the graded
+dimensions as two polynomials, sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) and
+sum_k s_k t^k = N_S(t)/((1 - t^4)(1 - t^6)) (for the small levels the series
+1/((1 - t^a)(1 - t^b)) and t^(a+b+2)/((1 - t^a)(1 - t^b))); every dimension
+is read from them.  ``hilbert_numerators`` returns them, and
+``dim_modular_forms`` and ``dim_cusp_forms`` expand them to one weight.  The
 decomposition closed forms, their cusp-form identities, the deconvolution
 oracle and the consistency checks all read the numerators.
 
@@ -98,14 +99,11 @@ class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
         if not sep:
             raise InvalidGroup(f"malformed group spec {spec!r}")
         try:
-            kind = GroupKind(head)
-        except ValueError:
-            raise InvalidGroup(f"unknown group kind {head!r}") from None
-        try:
             level = int(tail)
         except ValueError:
+            cls(head, 2)  # an unknown kind is reported before a malformed level
             raise InvalidGroup(f"malformed level {tail!r}") from None
-        return cls(kind, level)
+        return cls(head, level)
 
 
 #: Weighted polynomial-ring generator degrees for the non-representable
@@ -257,74 +255,44 @@ def weight1_cusp_dim(group: CongruenceGroup, w1: Weight1Data | None = None) -> i
 # Dimensions
 
 
-def _forms(group: CongruenceGroup, start: int, stop: int, s1: int | None = None) -> list[int]:
-    """m_k for 0 <= start <= k < stop, all weights in one pass; s_1 is read for
-    m_1 of a representable group only, so weights k >= 2 need no weight-1 data."""
-    key = (group.kind, group.level)
-    if key in SMALL_LEVEL_WEIGHTS:  # monomials of weight k in the weighted ring
-        return over_denominator([1], SMALL_LEVEL_WEIGHTS[key], stop)[start:]
-    inv = level_invariants(group)
-    weights = range(max(start, 1), stop)
-    if group.kind is GroupKind.GAMMA0:  # -I acts as -1: odd weights vanish
-        g, e2, e3, c = inv.genus - 1, inv.elliptic2, inv.elliptic3, inv.cusps
-        m = [0 if k % 2 else (k - 1) * g + k // 4 * e2 + k // 3 * e3 + k // 2 * c for k in weights]
-    else:  # representable Gamma1(n >= 5) / Gamma(n >= 3): deg(omega^k) = index * k / 24
-        degree, rem = divmod(inv.index, 24)
-        assert rem == 0 and inv.cusps % 2 == 0 and 2 * degree + 1 >= inv.genus  # cusps regular
-        g, half = inv.genus, inv.cusps // 2
-        m = [degree * k + 1 - g if k > 1 else half + s1 for k in weights]
-    return [1, *m] if start == 0 < stop else m
-
-
-def _cusp_forms(group: CongruenceGroup, start: int, stop: int, s1: int | None = None) -> list[int]:
-    """s_k for 0 <= start <= k < stop, all weights in one pass; s_1 is read at
-    weight 1 only, and m_k for k > 2 only."""
-    key = (group.kind, group.level)
-    if key in SMALL_LEVEL_WEIGHTS:
-        # Duality on the weighted line: cusp forms of weight k are sections
-        # of Omega^1 (x) omega^{k-2} = O(k - 2 - a - b).
-        a, b = SMALL_LEVEL_WEIGHTS[key]
-        return over_denominator([0] * (a + b + 2) + [1], (a, b), stop)[start:]
-    inv, high = level_invariants(group), max(start, 3)
-    s = [0, s1, inv.genus][start:stop]  # s_2 is the genus
-    for k, m_k in enumerate(_forms(group, high, stop), high):  # -I: odd Gamma0 weights vanish
-        s.append(0 if group.kind is GroupKind.GAMMA0 and k % 2 else m_k - inv.cusps)
-    return s
-
-
-def dim_modular_forms(
-    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
-) -> int:
-    if k < 0:
-        return 0
-    return _forms(group, k, k + 1, weight1_cusp_dim(group, w1) if k == 1 else None)[0]
-
-
-def dim_cusp_forms(
-    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
-) -> int:
-    """s_k; weights k != 1 need no weight-1 data."""
-    if k < 0:
-        return 0
-    return _cusp_forms(group, k, k + 1, weight1_cusp_dim(group, w1) if k == 1 else None)[0]
-
-
 LEVEL1_WEIGHTS = (4, 6)  #: of E_4 and E_6, the generators of the level-1 ring
 
 
 @lru_cache(maxsize=None)
 def _numerators(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(N, N_S), 12 and 13 coefficients: M(t) = sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)),
-    and S(t) likewise.  deg N <= 11 and deg N_S <= 12, so they hold every weight:
-    (1 - t^4)(1 - t^6) is (1 - t)^2 times a polynomial of degree 8, and for a
-    representable group m_k is linear for k >= 2 and s_k for k >= 3, so (1 - t)^2 M and
-    (1 - t)^2 S have degrees <= 3 and 4; for Gamma0, m_k and s_k are quasi-linear
-    with period dividing 12 on even weights, proper over (1 - t^4)(1 - t^6) but
-    for m_0, s_0 and s_2; for the small levels N is the block kernel and N_S is
-    t^(a+b+2) N.  Once per (group, s_1): the unhashable ``Weight1Data`` is no key."""
+    and S(t) likewise; the only place the dimension formulas are evaluated, at
+    weights 0..12 in one pass.  deg N <= 11 and deg N_S <= 12, so they hold every
+    weight: (1 - t^4)(1 - t^6) is (1 - t)^2 times a polynomial of degree 8, and for
+    a representable group m_k is linear for k >= 2 and s_k for k >= 3, so (1 - t)^2 M
+    and (1 - t)^2 S have degrees <= 3 and 4; for Gamma0, m_k and s_k are quasi-linear
+    with period dividing 12 on even weights, proper over (1 - t^4)(1 - t^6) but for
+    m_0, s_0 and s_2; for the small levels N is the block kernel and N_S is
+    t^(a+b+2) N.  s_1 enters m_1 and s_1 alone.  Once per (group, s_1): the
+    unhashable ``Weight1Data`` is no key."""
+    key = (group.kind, group.level)
+    if key in SMALL_LEVEL_WEIGHTS:  # monomials of weight k in the weighted ring
+        # Duality on the weighted line: cusp forms of weight k are sections
+        # of Omega^1 (x) omega^{k-2} = O(k - 2 - a - b).
+        a, b = SMALL_LEVEL_WEIGHTS[key]
+        m = over_denominator([1], (a, b), 13)
+        s = [0] * (a + b + 2) + m
+    else:
+        inv = level_invariants(group)
+        if group.kind is GroupKind.GAMMA0:  # -I acts as -1: odd weights vanish
+            g, e2, e3, c = inv.genus - 1, inv.elliptic2, inv.elliptic3, inv.cusps
+            m = [0 if k % 2 else (k - 1) * g + k // 4 * e2 + k // 3 * e3 + k // 2 * c for k in range(13)]
+        else:  # representable Gamma1(n >= 5) / Gamma(n >= 3): deg(omega^k) = index * k / 24
+            degree, rem = divmod(inv.index, 24)
+            assert rem == 0 and inv.cusps % 2 == 0 and 2 * degree + 1 >= inv.genus  # cusps regular
+            m = [degree * k + 1 - inv.genus for k in range(13)]
+            m[1] = inv.cusps // 2 + s1
+        m[0] = 1
+        s = [0, s1, inv.genus]  # s_2 is the genus
+        s += [0 if group.kind is GroupKind.GAMMA0 and k % 2 else m[k] - inv.cusps for k in range(3, 13)]
     return (
-        tuple(times_denominator(_forms(group, 0, 12, s1), LEVEL1_WEIGHTS, 12)),
-        tuple(times_denominator(_cusp_forms(group, 0, 13, s1), LEVEL1_WEIGHTS, 13)),
+        tuple(times_denominator(m, LEVEL1_WEIGHTS, 12)),
+        tuple(times_denominator(s, LEVEL1_WEIGHTS, 13)),
     )
 
 
@@ -333,3 +301,29 @@ def hilbert_numerators(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(N, N_S) of ``_numerators``: every weight of M(t) and S(t), once per (group, s_1)."""
     return _numerators(group, weight1_cusp_dim(group, w1))
+
+
+def _coefficient(group: CongruenceGroup, k: int, w1: Weight1Data | None, cusp: bool) -> int:
+    """The coefficient of t^k in N(t) or N_S(t) over (1 - t^4)(1 - t^6).  s_1 moves
+    N and N_S only by s_1 t (1 - t^4)(1 - t^6), so every weight k != 1 reads the
+    numerators of s_1 = 0 and needs no weight-1 data."""
+    if k < 0:
+        return 0
+    numerators = _numerators(group, weight1_cusp_dim(group, w1) if k == 1 else 0)
+    return over_denominator(numerators[cusp], LEVEL1_WEIGHTS, k + 1)[k]
+
+
+def dim_modular_forms(
+    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
+) -> int:
+    """m_k, read from N; weights k != 1 need no weight-1 data, and k = 1 raises
+    ``Weight1Unavailable`` past the table."""
+    return _coefficient(group, k, w1, False)
+
+
+def dim_cusp_forms(
+    group: CongruenceGroup, k: int, w1: Weight1Data | None = None
+) -> int:
+    """s_k, read from N_S; weights k != 1 need no weight-1 data, and k = 1 raises
+    ``Weight1Unavailable`` past the table."""
+    return _coefficient(group, k, w1, True)

@@ -58,6 +58,11 @@ COMMANDS = PAPER_CLI + [
     "table --flavor omega --from 2 --to 43",
     # usage errors found in the command
     "levels g1:1",
+    "levels gx:abc",
+    "levels g1:abc",
+    "levels gx:1",
+    "levels g1",
+    "levels :5",
     "hasse --prime 7",
     "hasse --prime 9",
     "obstruct --q 5",

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from mfdecomp import decomp, levels
 from mfdecomp.decomp import omega_decomposition
 from mfdecomp.hilbert import WeightedLine, h0_dim
 from mfdecomp.levels import (
@@ -32,9 +33,22 @@ def test_group_parsing():
     assert CongruenceGroup.parse("g1:23") == G1(23)
     assert CongruenceGroup.parse("g0:11") == G0(11)
     assert CongruenceGroup.parse("g:3") == GF(3)
-    for bad in ("g2:5", "g1:x", "g1", "g1:1"):
-        with pytest.raises(InvalidGroup):
+    assert CongruenceGroup.parse("g1: 7") == G1(7)
+    messages = {
+        "g2:5": "unknown group kind 'g2'",
+        "gx:abc": "unknown group kind 'gx'",  # the kind is reported before the level
+        "gx:1": "unknown group kind 'gx'",
+        ":5": "unknown group kind ''",
+        "g1:x": "malformed level 'x'",
+        "g1:abc": "malformed level 'abc'",
+        "g1:": "malformed level ''",
+        "g1": "malformed group spec 'g1'",
+        "g1:1": "level must be >= 2, got 1",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(InvalidGroup) as excinfo:
             CongruenceGroup.parse(bad)
+        assert str(excinfo.value) == message, bad
 
 
 def test_a_plain_string_kind_neither_misreads_nor_poisons_the_invariants_cache():
@@ -380,17 +394,21 @@ def test_level_invariants_match_coset_oracle():
         assert got == coset_invariants(group), group
 
 
-def _oracle_dimensions(group, k):
-    """(dim M_k, dim S_k) for k >= 2 from the coset-oracle invariants."""
+def _oracle_dimensions(group, k, s1):
+    """(dim M_k, dim S_k) for k >= 0 from the coset-oracle invariants and s_1."""
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         line = WeightedLine(*SMALL_LEVEL_WEIGHTS[key])
         return h0_dim(line, k), h0_dim(line, k - 2 - line.a - line.b)
     mu, cusps, e2, e3, g = coset_invariants(group)
+    if k == 0:
+        return 1, 0
     if group.kind is GroupKind.GAMMA0:
         if k % 2 == 1:
             return 0, 0
         m = (k - 1) * (g - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * cusps
+    elif k == 1:
+        return cusps // 2 + s1, s1  # every cusp of a representable group is regular
     else:
         m = Fraction(mu * k, 24) + 1 - g
         assert m.denominator == 1
@@ -400,9 +418,31 @@ def _oracle_dimensions(group, k):
 
 @given(st.sampled_from(ORACLE_GROUPS))
 def test_dimensions_match_coset_oracle(group):
-    for k in range(2, 49):
+    try:
+        s1 = weight1_cusp_dim(group)
+    except Weight1Unavailable:  # Gamma1(43..60), Gamma(12): past the weight-1 table
+        s1 = None
+    for k in range(49):
+        if k == 1 and s1 is None:
+            for dim in (dim_modular_forms, dim_cusp_forms):
+                with pytest.raises(Weight1Unavailable):
+                    dim(group, 1)
+            continue
         got = (dim_modular_forms(group, k), dim_cusp_forms(group, k))
-        assert got == _oracle_dimensions(group, k), k
+        assert got == _oracle_dimensions(group, k, s1), k
+
+
+def test_dimensions_by_weight_build_one_numerator_pair_per_s1():
+    # every weight k != 1 reads the numerators of s_1 = 0, weight 1 those of the
+    # table's s_1 (1 for Gamma1(23)); decomp's series cache does not grow
+    levels._numerators.cache_clear()
+    series = decomp._series.cache_info().currsize
+    for k in range(61):
+        dim_modular_forms(G1(23), k)
+        dim_cusp_forms(G1(23), k)
+    info = levels._numerators.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert decomp._series.cache_info().currsize == series
 
 
 def test_level_invariants_are_memoised_per_group():
