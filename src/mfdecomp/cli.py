@@ -55,8 +55,14 @@ def _lazy(name: str) -> types.ModuleType:
     and run on its first attribute access (the stdlib's ``LazyLoader``
     recipe).  An import statement of it elsewhere also runs it, because the
     import system reads its ``__spec__``; that is why it is not bound in the
-    package until it runs.  A module already imported is returned as it is,
-    so there is never a second copy with its own classes."""
+    package until it runs.  The binding on run is load-bearing: perfbench's
+    in-process runs execute ``from mfdecomp import decomp, eisenstein, ...``
+    before they time anything, and a name already bound in the package would
+    let that statement skip the module, whose first run would then fall in a
+    timed pass.  The registration is too: the tracer looks each traced module
+    up in ``sys.modules`` right after importing cli.  A module already
+    imported is returned as it is, so there is never a second copy with its
+    own classes."""
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]

@@ -15,8 +15,9 @@ coefficients of t^1..t^{a+b+2} in (1 - t^a)(1 - t^b) * sum_k s_k t^k, that is
 c_{a+b+2-i} = [... * S(t)]_i, for every block once N_S(t) = t^12 N(1/t).
 The identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus,
 k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
-Multiplicities, identities and the kernels between blocks all go through
-the series helpers ``times_denominator`` and ``over_denominator``.
+Multiplicities, identities and the cross-block product c K, for the kernel
+K = (1 - t^4)(1 - t^6) / ((1 - t^a)(1 - t^b)), all go through the series
+helpers ``times_denominator`` and ``over_denominator``.
 Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
 independent cross-check and the two must always agree.  Every Hilbert
 function here is a coefficient list: m_0..m_{n-1} expand N, with no horizon.  A
@@ -135,19 +136,6 @@ def _over_block(numerator: Sequence[int], tag: BlockTag, n: int) -> list[int]:
 def _support_bound(tag: BlockTag) -> int:
     """Largest shift with a nonzero multiplicity: a + b + 1, where it is s_1."""
     return sum(BLOCK_WEIGHTS[tag]) + 1
-
-
-@lru_cache(maxsize=None)
-def _kernel(outer: BlockTag, inner: BlockTag) -> tuple[int, ...]:
-    """The ``inner`` block as shifted copies of the ``outer`` block: the exact
-    quotient of the outer denominator (1 - t^a)(1 - t^b) by the inner one."""
-    (a, b), (c, d) = BLOCK_WEIGHTS[outer], BLOCK_WEIGHTS[inner]
-    n = a + b + 1  # terms of the outer denominator
-    series = over_denominator(times_denominator([1], (a, b), n), (c, d), n)
-    degree = a + b - c - d  # of the quotient, if it is a polynomial
-    free = degree >= 0 and not any(series[degree + 1 :])
-    assert free, f"{inner.value} is not free over {outer.value}"
-    return tuple(series[: degree + 1])
 
 
 class DecompositionSequence(NamedTuple):
@@ -287,8 +275,8 @@ def verify_consistency(
     if tag is not BlockTag.OMEGA_POWERS:
         try:
             omega = omega_decomposition(group, w1).as_list()
-            kernel = _kernel(BlockTag.OMEGA_POWERS, tag)
-            got = seq.mult.reconstruct([*kernel, *[0] * (len(omega) - len(kernel))])
+            # all of c, not the window cs, times the kernel K, through t^11
+            got = over_denominator(times_denominator(seq.mult.multiplicities, LEVEL1_WEIGHTS, 12), (a, b), 12)
             ok = got == omega
             checks.append(Check("cross-block", ok, f"omega sequence {'matches' if ok else got}"))
         except DecompositionInvalid as exc:

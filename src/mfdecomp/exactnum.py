@@ -133,9 +133,6 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
             self.order, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.order, tuple(-a for a in self.coords))
-
     def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         self._check_same_field(other)
         return CyclotomicElement(
@@ -148,14 +145,6 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
-
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
 
     def galois(self, k: int) -> "CyclotomicElement":
         """Apply zeta -> zeta^k (k odd): coordinate i moves to i*k mod order,

@@ -7,11 +7,12 @@ a coefficient list: the dimensions in degrees 0, 1, ..., read as 0 past its
 end.  Series N(t) / prod_w (1 - t^w) live on such lists truncated to n
 terms: ``times_denominator`` and ``over_denominator`` multiply and divide by
 the factors, one sparse factor per pass, for every such product or quotient
-in the package.  ``deconvolve`` recovers the multiset of twists of a split
-bundle from its Hilbert function, by greedy division with a nonnegativity
-constraint, checked over a verification window by one exact integer product.
+in the package but one.  ``deconvolve`` recovers the multiset of twists of a
+split bundle from its Hilbert function, by greedy division with a
+nonnegativity constraint, checked over a verification window by one exact
+integer product: that Kronecker product is the exception, kept for speed.
 A ``TwistMultiset`` is a coefficient list too: the multiplicities c_0..c_s,
-a tuple with no trailing zero.
+a tuple with no trailing zero, read through ``multiplicities``.
 ``Check`` is the package's one pass/fail record, a name, a verdict and a
 detail: ``serre_duality_check`` returns one, ``decomp.verify_consistency``
 collects them, and every ``mfdecomp verify`` suite yields them.
@@ -129,7 +130,8 @@ def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> l
 
 class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     """Multiplicities of shifts: c_i summands twisted by -i, as the tuple
-    c_0..c_s of integers >= 0 with no trailing zero."""
+    c_0..c_s of integers >= 0 with no trailing zero.  Indexing, slicing and
+    iteration act on the one-field record; c_i is ``multiplicities[i]``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
@@ -144,9 +146,6 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
             raise ValueError("multiplicities must be >= 0")
         return super().__new__(cls, tuple(cs))
 
-    def __getitem__(self, i: int) -> int:
-        return self.multiplicities[i] if 0 <= i < len(self.multiplicities) else 0
-
     def items(self) -> Iterator[tuple[int, int]]:
         """(shift, multiplicity) pairs with nonzero multiplicity, by shift."""
         return ((i, c) for i, c in enumerate(self.multiplicities) if c)
@@ -160,16 +159,6 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     def as_list(self, length: int | None = None) -> list[int]:
         """c_0..c_{length-1}, by default through ``max_shift``; a negative length raises."""
         return _padded(self.multiplicities, self.max_shift() + 1 if length is None else length)
-
-    def convolve(self, block: Sequence[int], k: int) -> int:
-        """sum_i mult[i] * block[k - i], with block read as 0 past its end."""
-        items = enumerate(self.multiplicities)
-        return sum(c * block[k - i] for i, c in items if 0 <= k - i < len(block))
-
-    def reconstruct(self, block: Sequence[int]) -> list[int]:
-        """``convolve`` in every degree k < len(block), from the block's values."""
-        coeffs = self.multiplicities
-        return [sum(map(mul, coeffs, reversed(block[: k + 1]))) for k in range(len(block))]
 
 
 class DeconvolutionError(ValueError):

@@ -75,6 +75,15 @@ class GroupKind(str, Enum):
     GAMMA_FULL = "g"
 
 
+def _integer(text: str) -> int:
+    """int(text) for ASCII digits, optionally led by '-', within whitespace:
+    no '+', no '_' separator and no other script's digits."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
@@ -99,7 +108,7 @@ class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
         if not sep:
             raise InvalidGroup(f"malformed group spec {spec!r}")
         try:
-            level = int(tail)
+            level = _integer(tail)
         except ValueError:
             cls(head, 2)  # an unknown kind is reported before a malformed level
             raise InvalidGroup(f"malformed level {tail!r}") from None
@@ -203,10 +212,8 @@ class Weight1Data(NamedTuple):
     @classmethod
     def load(cls, path: str | Path) -> "Weight1Data":
         """Default table extended/overridden by lines ``kind level s1``; a
-        line that contradicts a forced s_1 = 0 is an error."""
-        base = cls.default()
-        table = dict(base.table)
-        provenance = dict(base.provenance)
+        line that contradicts a forced s_1 = 0 or repeats a group is an error."""
+        entries: dict[tuple[GroupKind, int], int] = {}
         source = str(path)
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -216,17 +223,19 @@ class Weight1Data(NamedTuple):
             if len(parts) != 3:
                 raise ValueError(f"{source}:{lineno}: expected 'kind level s1'")
             try:
-                group = CongruenceGroup(GroupKind(parts[0]), int(parts[1]))
-                s1 = int(parts[2])
+                group = CongruenceGroup(GroupKind(parts[0]), _integer(parts[1]))
+                s1 = _integer(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
             if s1 < 0:
                 raise ValueError(f"{source}:{lineno}: s1 must be >= 0")
             if s1 and _weight1_vanishes(group):
                 raise ValueError(f"{source}:{lineno}: s1 of {group} is forced to be 0")
-            table[(group.kind, group.level)] = s1
-            provenance[(group.kind, group.level)] = source
-        return cls(table, provenance)
+            if (key := (group.kind, group.level)) in entries:
+                raise ValueError(f"{source}:{lineno}: repeated entry for {group}")
+            entries[key] = s1
+        base = cls.default()
+        return cls({**base.table, **entries}, {**base.provenance, **dict.fromkeys(entries, source)})
 
     def lookup(self, group: CongruenceGroup) -> int | None:
         return self.table.get((group.kind, group.level))

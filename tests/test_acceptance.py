@@ -28,6 +28,7 @@ from mfdecomp.decomp import BlockTag
 from mfdecomp.eisenstein import hasse_lift, valuation_claim_check
 from mfdecomp.hilbert import NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
 from mfdecomp.levels import CongruenceGroup, GroupKind, dim_modular_forms, level_invariants
+from oracles import convolve
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 
@@ -61,7 +62,7 @@ def test_criterion_3_oracle_equivalence():
         oracle = decomp.deconvolve_by_gamma1_block(group, 1)
         assert seq.as_list() == oracle.as_list(12), n
         for k in range(41):
-            assert dim_modular_forms(group, k) == seq.mult.convolve(block, k), (n, k)
+            assert dim_modular_forms(group, k) == convolve(seq.mult.multiplicities, block, k), (n, k)
         if n >= 5:
             for maker, q in (
                 (decomp.level3_decomposition, 3),

@@ -63,6 +63,9 @@ COMMANDS = PAPER_CLI + [
     "levels gx:1",
     "levels g1",
     "levels :5",
+    # a level is ASCII digits: int() alone read these as 11 and 3
+    "levels g1:1_1",
+    "levels g1:\u0663",
     "hasse --prime 7",
     "hasse --prime 9",
     "obstruct --q 5",

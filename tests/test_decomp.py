@@ -24,7 +24,7 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
-from mfdecomp.decomp import _kernel, _series, _support_bound
+from mfdecomp.decomp import _series, _support_bound
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
@@ -33,6 +33,7 @@ from mfdecomp.hilbert import (
     deconvolve,
     h0_dim,
     over_denominator,
+    times_denominator,
 )
 from mfdecomp.levels import (
     SMALL_LEVEL_WEIGHTS,
@@ -42,6 +43,7 @@ from mfdecomp.levels import (
     dim_cusp_forms,
     level_invariants,
 )
+from oracles import convolve
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 G0 = lambda n: CongruenceGroup(GroupKind.GAMMA0, n)
@@ -131,6 +133,17 @@ def test_blocks():
         assert h0_dim(five, k) == sum(c * omega[k - i] for i, c in enumerate(kernel) if i <= k)
 
 
+def _kernel_and_tail(outer, inner):
+    """The coefficients of (1 - t^a)(1 - t^b) / ((1 - t^c)(1 - t^d)) through
+    t^(a+b), for the outer weights (a, b) and the inner ones (c, d), by the
+    series helpers; split after degree a + b - c - d into the kernel and the
+    tail.  The inner block is free over the outer one when the tail is zero."""
+    (a, b), (c, d) = BLOCK_WEIGHTS[outer], BLOCK_WEIGHTS[inner]
+    series = over_denominator(times_denominator([1], (a, b), a + b + 1), (c, d), a + b + 1)
+    cut = max(a + b - c - d + 1, 0)
+    return tuple(series[:cut]), series[cut:]
+
+
 @pytest.mark.parametrize("inner", list(BlockTag), ids=lambda tag: tag.value)
 @pytest.mark.parametrize("outer", list(BlockTag), ids=lambda tag: tag.value)
 def test_kernel_is_polynomial_division(outer, inner):
@@ -138,32 +151,36 @@ def test_kernel_is_polynomial_division(outer, inner):
     t = sympy.symbols("t")
     den = {tag: (1 - t**a) * (1 - t**b) for tag, (a, b) in BLOCK_WEIGHTS.items()}
     quotient, remainder = sympy.div(den[outer], den[inner], t)
+    kernel, tail = _kernel_and_tail(outer, inner)
     if remainder == 0:
         coeffs = sympy.Poly(quotient, t).all_coeffs()[::-1]
-        assert _kernel(outer, inner) == tuple(int(c) for c in coeffs)
+        assert kernel == tuple(int(c) for c in coeffs)
+        assert not any(tail)
     else:
-        with pytest.raises(AssertionError, match="is not free over"):
-            _kernel(outer, inner)
+        assert any(tail)
 
 
 def test_block_tables_derive_from_weights():
     assert list(BLOCK_WEIGHTS) == list(BlockTag)
     assert [_support_bound(tag) for tag in BlockTag] == [11, 7, 5, 4, 3]
     omega = BlockTag.OMEGA_POWERS
-    assert _kernel(omega, omega) == (1,)
-    assert _kernel(omega, BlockTag.LEVEL2) == (1, 0, 1, 0, 1)
-    assert _kernel(omega, BlockTag.LEVEL3) == (1, 1, 1, 2, 1, 1, 1)
-    assert _kernel(omega, BlockTag.LEVEL4) == (1, 1, 2, 2, 2, 2, 1, 1)
-    assert _kernel(omega, BlockTag.LEVEL5OR6) == (1, 2, 3, 4, 4, 4, 3, 2, 1)
-    assert _kernel(BlockTag.LEVEL2, BlockTag.LEVEL4) == (1, 1, 1, 1)
-    assert _kernel(BlockTag.LEVEL3, BlockTag.LEVEL5OR6) == (1, 1, 1)
-    assert _kernel(BlockTag.LEVEL4, BlockTag.LEVEL5OR6) == (1, 1)
+    kernels = {
+        (omega, omega): (1,),
+        (omega, BlockTag.LEVEL2): (1, 0, 1, 0, 1),
+        (omega, BlockTag.LEVEL3): (1, 1, 1, 2, 1, 1, 1),
+        (omega, BlockTag.LEVEL4): (1, 1, 2, 2, 2, 2, 1, 1),
+        (omega, BlockTag.LEVEL5OR6): (1, 2, 3, 4, 4, 4, 3, 2, 1),
+        (BlockTag.LEVEL2, BlockTag.LEVEL4): (1, 1, 1, 1),
+        (BlockTag.LEVEL3, BlockTag.LEVEL5OR6): (1, 1, 1),
+        (BlockTag.LEVEL4, BlockTag.LEVEL5OR6): (1, 1),
+    }
+    for (outer, inner), kernel in kernels.items():  # then c + d zeros
+        assert _kernel_and_tail(outer, inner) == (kernel, [0] * sum(BLOCK_WEIGHTS[inner]))
     # a kernel's total is the ratio of the ranks
     for tag, rank in zip(BlockTag, RANKS):
-        assert sum(_kernel(omega, tag)) == rank
-    # the level-3 block is not free over the level-2 block
-    with pytest.raises(AssertionError):
-        _kernel(BlockTag.LEVEL2, BlockTag.LEVEL3)
+        assert sum(_kernel_and_tail(omega, tag)[0]) == rank
+    # the level-3 block is not free over the level-2 block: the tail past degree 2 is not zero
+    assert any(_kernel_and_tail(BlockTag.LEVEL2, BlockTag.LEVEL3)[1])
 
 
 @pytest.mark.parametrize("n", range(2, 43))
@@ -488,7 +505,7 @@ def test_one_changed_multiplicity_fails_the_cusp_identities(tag):
 )
 def test_level4_closed_form_equals_level2_deconvolution(group):
     level2 = level2_decomposition(group).as_list()
-    kernel = _kernel(BlockTag.LEVEL2, BlockTag.LEVEL4)
+    kernel, _ = _kernel_and_tail(BlockTag.LEVEL2, BlockTag.LEVEL4)
     oracle = deconvolve(level2, kernel, _support_bound(BlockTag.LEVEL4), verify_through=12)
     assert level456_decomposition(group, 4).as_list() == oracle.as_list(5)
 
@@ -612,3 +629,35 @@ def test_convolution_check_by_multiplication_equals_the_quotient_form(
     report = verify_consistency(seq, max_weight=max_weight)
     reference = (_convolution_by_division(seq, max_weight), *report.checks[1:])
     assert report == ConsistencyReport(reference)
+
+
+# ---------------------------------------------------------------------------
+# The cross-block check: every multiplicity times the kernel over the omega block
+
+
+def _cross_block_by_convolution(seq):
+    """The cross-block check with the whole tuple c_0..c_s convolved with the
+    kernel one term at a time, through t^11: the reference for ``verify_consistency``."""
+    omega = omega_decomposition(seq.group).as_list()
+    kernel, _ = _kernel_and_tail(BlockTag.OMEGA_POWERS, seq.tag)
+    got = [convolve(seq.mult.multiplicities, kernel, k) for k in range(len(omega))]
+    ok = got == omega
+    return Check("cross-block", ok, f"omega sequence {'matches' if ok else got}")
+
+
+CROSS_BLOCK_GROUPS = [G1(n) for n in range(2, 43)] + [GF(n) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("group", CROSS_BLOCK_GROUPS, ids=str)
+def test_cross_block_check_multiplies_every_multiplicity(group):
+    # for max_weight < 11 a raised multiplicity can lie past the window that the
+    # convolution check reads; the cross-block product must still count it
+    for tag in supported_blocks(group):
+        if tag is BlockTag.OMEGA_POWERS:  # no cross-block check
+            continue
+        good = DECOMPOSE[tag](group)
+        for seq in (good, *(_changed(good, shift, 1) for shift in range(14))):
+            expected = _cross_block_by_convolution(seq)
+            for max_weight in (0, 3, 5, 7, 10, 11, 12, 20, 40):
+                report = verify_consistency(seq, max_weight=max_weight)
+                assert report.checks[2] == expected, (tag, seq.mult, max_weight)

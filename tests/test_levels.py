@@ -44,6 +44,15 @@ def test_group_parsing():
         "g1:": "malformed level ''",
         "g1": "malformed group spec 'g1'",
         "g1:1": "level must be >= 2, got 1",
+        "g1:-5": "level must be >= 2, got -5",
+        # int() would read these as 11, 5, 3 and 3: a level is ASCII digits
+        "g1:1_1": "malformed level '1_1'",
+        "g1:+5": "malformed level '+5'",
+        "g1:\u0663": "malformed level '\u0663'",  # ARABIC-INDIC DIGIT THREE
+        "g1:\uff13": "malformed level '\uff13'",  # FULLWIDTH DIGIT THREE
+        "g1:-": "malformed level '-'",
+        "g1:--5": "malformed level '--5'",
+        "g1:5 5": "malformed level '5 5'",
     }
     for bad, message in messages.items():
         with pytest.raises(InvalidGroup) as excinfo:
@@ -256,6 +265,37 @@ def test_weight1_override_rejects_garbage(tmp_path):
         path.write_text(content)
         with pytest.raises(ValueError):
             Weight1Data.load(path)
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [("g1 4_3 1", "4_3"), ("g1 +43 1", "+43"), ("g1 4\u0663 1", "4\u0663"),
+     ("g1 43 +1", "+1"), ("g1 43 1_0", "1_0"), ("g1 43 \u0661", "\u0661")],
+)
+def test_weight1_override_fields_are_ascii_digits(tmp_path, content, field):
+    # int() would read each field as a number: the level 4_3 as 43
+    path = tmp_path / "w1.txt"
+    path.write_text("g1 23 1\n" + content + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        Weight1Data.load(path)
+    assert str(excinfo.value) == f"{path}:2: invalid literal for int() with base 10: {field!r}"
+
+
+def test_weight1_override_rejects_a_repeated_entry(tmp_path):
+    path = tmp_path / "w1.txt"
+    path.write_text("g1 43 1\ng1 44 0\n# the same group again\ng1 43 2\n")
+    with pytest.raises(ValueError) as excinfo:
+        Weight1Data.load(path)
+    assert str(excinfo.value) == f"{path}:4: repeated entry for g1:43"
+    path.write_text("g1 43 1\ng1 43 1\n")  # even with the same value
+    with pytest.raises(ValueError, match=":2: repeated entry for g1:43$"):
+        Weight1Data.load(path)
+    # overriding a builtin entry is no repetition
+    path.write_text("g1 23 2\ng1 31 0\n")
+    w1 = Weight1Data.load(path)
+    assert (w1.lookup(G1(23)), w1.lookup(G1(31)), w1.lookup(G1(39))) == (2, 0, 1)
+    assert w1.provenance[(GroupKind.GAMMA1, 23)] == str(path)
+    assert w1.provenance[(GroupKind.GAMMA1, 39)] == "builtin"
 
 
 @given(st.integers(min_value=2, max_value=120))

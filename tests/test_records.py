@@ -167,8 +167,19 @@ def test_elements_have_no_tuple_arithmetic(operation):
 def test_twist_multiset_pairs_come_from_items():
     mult = TwistMultiset([1, 0, 0, 2])
     assert list(mult.items()) == [(0, 1), (3, 2)]
-    assert (mult[0], mult[3], mult[7], mult[-1]) == (1, 2, 0, 0)
+    assert mult.as_list(8) == [1, 0, 0, 2, 0, 0, 0, 0]
+    assert (mult.multiplicities[0], mult.multiplicities[3], mult.multiplicities[-1]) == (1, 2, 2)
     assert list(mult) == [(1, 0, 0, 2)]  # iterating a record gives its fields
+
+
+def test_twist_multiset_indexes_as_the_record_it_iterates_as():
+    mult = TwistMultiset([1, 0, 2])
+    assert list(mult) == [(1, 0, 2)] and len(mult) == 1
+    assert mult[0] == mult[-1] == mult.multiplicities == (1, 0, 2)
+    assert mult[:] == tuple(mult) == ((1, 0, 2),)
+    assert list(reversed(mult)) == list(mult)
+    with pytest.raises(IndexError):
+        mult[2]  # c_2 is mult.multiplicities[2]
 
 
 @pytest.mark.parametrize(
