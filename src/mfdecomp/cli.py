@@ -25,6 +25,7 @@ from .levels import (
     GroupKind,
     Weight1Data,
     Weight1Unavailable,
+    _integer,
     level_invariants,
 )
 
@@ -343,6 +344,11 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def _int(text: str) -> int:  # an integer option, in ASCII digits as a group level
+        return _integer(text)
+
+    _int.__name__ = "int"  # argparse's error names the type: "invalid int value: 'x'"
+
     parser = argparse.ArgumentParser(
         prog="mfdecomp",
         description="Exact invariants and graded decompositions of rings of "
@@ -357,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="decomposition-number tables")
     p.add_argument("--flavor", choices=TABLE_FLAVORS, required=True)
-    p.add_argument("--from", dest="from_", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--from", dest="from_", type=_int, required=True)
+    p.add_argument("--to", type=_int, required=True)
     p.add_argument("--format", choices=["tsv", "json", "markdown"], default="tsv")
     p.add_argument("--weight1", help="weight-1 override file")
     p.set_defaults(func=cmd_table)
@@ -369,20 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hasse", help="Hasse-invariant lift report")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--prec", type=int, default=60)
+    p.add_argument("--prime", type=_int, required=True)
+    p.add_argument("--prec", type=_int, default=60)
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("wproj", help="weighted projective line cohomology")
     p.add_argument("op", choices=["h0", "h1", "serre"])
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
+    p.add_argument("m", type=_int)
     p.set_defaults(func=cmd_wproj)
 
     p = sub.add_parser("obstruct", help="divisibility obstruction search")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--bound", type=int, default=1000)
+    p.add_argument("--q", type=_int, required=True)
+    p.add_argument("--bound", type=_int, default=1000)
     p.set_defaults(func=cmd_obstruct)
 
     p = sub.add_parser("freebasis", help="free-basis certificates")

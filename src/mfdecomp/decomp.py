@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, zip_longest
 from math import isqrt
 from typing import NamedTuple, Sequence
 
@@ -149,13 +149,13 @@ class DecompositionSequence(NamedTuple):
         return self.mult.as_list(length)
 
 
-def _cusp_identity_failure(cusp_numerator: Sequence[int], tag: BlockTag, cs: list[int]) -> str:
-    """'' if c_0..c_{a+b+1}, the first a+b+2 entries of ``cs``, obey Serre
+def _cusp_identity_failure(cusp_numerator: Sequence[int], tag: BlockTag, cs: Sequence[int]) -> str:
+    """'' if the multiplicities ``cs``, read as 0 past their end, obey Serre
     duality, c_{a+b+2-i} = [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for
-    1 <= i <= a+b+2, with S(t) = N_S(t) / ((1 - t^4)(1 - t^6)); else the first
-    shift where they do not."""
+    1 <= i <= a+b+2, with S(t) = N_S(t) / ((1 - t^4)(1 - t^6)), and vanish
+    past a+b+1; else the first shift where they do not."""
     dual = _over_block(cusp_numerator, tag, _support_bound(tag) + 2)[:0:-1]
-    bad = [(i, c, d) for i, (c, d) in enumerate(zip(cs, dual)) if c != d]
+    bad = [(i, c, d) for i, (c, d) in enumerate(zip_longest(cs, dual, fillvalue=0)) if c != d]
     return "shift %d: %d != %d from the cusp-form dimensions" % bad[0] if bad else ""
 
 
@@ -274,15 +274,16 @@ def verify_consistency(
 
     if tag is not BlockTag.OMEGA_POWERS:
         try:
-            omega = omega_decomposition(group, w1).as_list()
-            # all of c, not the window cs, times the kernel K, through t^11
-            got = over_denominator(times_denominator(seq.mult.multiplicities, LEVEL1_WEIGHTS, 12), (a, b), 12)
+            # all of c, not the window cs, times the kernel K of degree 10 - a - b: the whole product
+            n = max(12, len(seq.mult.multiplicities) + 10 - a - b)
+            omega = omega_decomposition(group, w1).as_list(n)
+            got = over_denominator(times_denominator(seq.mult.multiplicities, LEVEL1_WEIGHTS, n), (a, b), n)
             ok = got == omega
             checks.append(Check("cross-block", ok, f"omega sequence {'matches' if ok else got}"))
         except DecompositionInvalid as exc:
             checks.append(Check("cross-block", False, str(exc)))
 
-    problem = _cusp_identity_failure(cusp_numerator, tag, cs)
+    problem = _cusp_identity_failure(cusp_numerator, tag, seq.mult.multiplicities)
     checks.append(Check("cusp-identities", not problem, problem or "Serre duality"))
     if tag is BlockTag.LEVEL3:
         checks.append(Check("balance", _balanced(cs), "k_0+k_3 = k_1+k_4 = k_2+k_5"))
@@ -338,8 +339,19 @@ def _obstruction_divisor(d_q: int) -> tuple[int, int]:
     raise ValueError(f"no usable divisor of {d_q} (is d_q > 24?)")
 
 
+@lru_cache(maxsize=4)
+def _primes_upto(bound: int) -> tuple[int, ...]:
+    """The primes p <= bound, from one sieve of Eratosthenes per bound."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)  # sieve[n] = 1 iff n is prime
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return tuple(compress(range(bound + 1), sieve))
+
+
 def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
-    """All primes p <= prime_bound coprime to q with their d_p | d_q verdicts."""
+    """All primes p <= prime_bound coprime to q with their d_p | d_q verdicts;
+    the primes come from one cached sieve per bound, shared by every q."""
     if q <= 6:
         raise ValueError("obstruction search needs q > 6")
     if prime_bound < 2:
@@ -347,12 +359,9 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
     d_q = level_invariants(CongruenceGroup(GroupKind.GAMMA1, q)).index
     assert d_q > 24
     divisor, residue = _obstruction_divisor(d_q)
-    sieve = bytearray([0, 0]) + bytearray([1]) * (prime_bound - 1)  # sieve[n] = 1 iff n is prime
-    for p in range(2, isqrt(prime_bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, prime_bound + 1, p)))
-    d_ps = [(p, (p - 1) * (p + 1)) for p in compress(range(prime_bound + 1), sieve) if q % p]
-    primes = tuple((p, d_p, d_p % d_q == 0) for p, d_p in d_ps)
+    ps = [p for p in _primes_upto(prime_bound) if q % p]
+    d_ps = [p * p - 1 for p in ps]
+    primes = tuple(zip(ps, d_ps, [d_p % d_q == 0 for d_p in d_ps]))
     return ObstructionReport(q, d_q, divisor, residue, primes)
 
 

@@ -8,9 +8,9 @@ end.  Series N(t) / prod_w (1 - t^w) live on such lists truncated to n
 terms: ``times_denominator`` and ``over_denominator`` multiply and divide by
 the factors, one sparse factor per pass, for every such product or quotient
 in the package but one.  ``deconvolve`` recovers the multiset of twists of a
-split bundle from its Hilbert function, by greedy division with a
-nonnegativity constraint, checked over a verification window by one exact
-integer product: that Kronecker product is the exception, kept for speed.
+split bundle from its Hilbert function by greedy division, subtracting
+residuals in place, with a nonnegativity constraint; one exact integer product
+checks a window: that Kronecker product is the exception, kept for speed.
 A ``TwistMultiset`` is a coefficient list too: the multiplicities c_0..c_s,
 a tuple with no trailing zero, read through ``multiplicities``.
 ``Check`` is the package's one pass/fail record, a name, a verdict and a
@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
 from struct import pack
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -123,8 +121,10 @@ def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> l
     """Coefficients of t^0..t^(n-1) in sum_k values[k] t^k / prod_w (1 - t^w)."""
     out = _padded(values, n)
     for w in weights:  # a stride-w running sum per factor
-        for r in range(min(w, n)):
-            out[r::w] = accumulate(out[r::w])
+        if w < 1:
+            raise ValueError(f"denominator weights must be >= 1, got {w}")
+        for k in range(w, n):
+            out[k] += out[k - w]
     return out
 
 
@@ -205,21 +205,23 @@ def deconvolve(
 ) -> TwistMultiset:
     """Write target = sum_i c_i * block[. - i] with c_i >= 0, or raise.
 
-    Both are coefficient lists, read as 0 past their end.  Greedy:
+    Both are coefficient lists, read as 0 past their end.  Greedy, by residuals:
     c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, so the
     reconstruction sum_i c_i block[k - i] equals the target in every degree
     k <= max_shift by construction; through verify_through it is checked by one
     exact integer product of the lists packed at X = 2^w (Kronecker substitution).
     """
     n = max(max_shift, verify_through) + 1
-    targets, blocks, coeffs = _padded(target, n), _padded(block, max(n, 1)), []
+    targets, blocks = _padded(target, n), _padded(block, max(n, 1))
     if blocks[0] != 1:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    for i in range(max_shift + 1):
-        c = targets[i] - sum(map(mul, reversed(coeffs), blocks[1 : i + 1]))
+    coeffs = targets[: max(max_shift + 1, 0)]  # residuals: entry i becomes c_i once step i is reached
+    for i, c in enumerate(coeffs):
         if c < 0:
             raise NegativeMultiplicity(i, c)
-        coeffs.append(c)
+        if c:  # take c_i * block[. - i] off the later residuals
+            for j in range(i + 1, max_shift + 1):
+                coeffs[j] -= c * blocks[j - i]
     bound = max(map(abs, targets), default=0) + (sum(coeffs) + 1) * _height(key := tuple(blocks))
     w = 8 << (bound.bit_length() // 8).bit_length()  # bytes; X/2 > bound >= |b|, |(CB - T)_k|
     diff = (_pack(coeffs, w) * _packed_block(key, w) - _pack(targets, w)) & (1 << w * n) - 1

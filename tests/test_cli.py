@@ -439,6 +439,35 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+INTEGER_OPTIONS = [
+    ("hasse", "--prime", "{}"),
+    ("hasse", "--prime", "17", "--prec", "{}"),
+    ("obstruct", "--q", "{}"),
+    ("obstruct", "--q", "13", "--bound", "{}"),
+    ("table", "--flavor", "omega", "--from", "{}", "--to", "5"),
+    ("table", "--flavor", "omega", "--from", "2", "--to", "{}"),
+    ("wproj", "h0", "{}", "2", "5"),
+    ("wproj", "h0", "1", "{}", "5"),
+    ("wproj", "h0", "1", "2", "{}"),
+]
+
+
+@pytest.mark.parametrize("text", ["1_7", "١٣", "３", "+5", "x", "5.0", ""])
+@pytest.mark.parametrize("template", INTEGER_OPTIONS, ids=" ".join)
+def test_integer_options_take_ascii_digits_only(capsys, template, text):
+    argv = [arg.format(text) for arg in template]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.endswith(f": invalid int value: {text!r}\n")
+
+
+def test_integer_options_still_take_signed_ascii_integers(capsys):
+    assert run(capsys, "hasse", "--prime", " 17 ") == run(capsys, "hasse", "--prime", "17")
+    assert run(capsys, "wproj", "h1", "1", "2", "-5")[:2] == (0, "2\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,5 +1,7 @@
+import time
 from collections import Counter
 from importlib import resources
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,7 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
-from mfdecomp.decomp import _series, _support_bound
+from mfdecomp.decomp import _primes_upto, _series, _support_bound
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
@@ -300,6 +302,37 @@ def test_obstruction_primes_are_the_trial_division_primes(q, bound):
     report = obstruction_search(q, bound)
     expected = [p for p in range(2, bound + 1) if is_prime(p) and q % p != 0]
     assert [p for p, _, _ in report.primes] == expected
+
+
+def _trial_division_primes(q, bound):
+    """(p, p^2 - 1, d_q | p^2 - 1) for each prime p <= bound coprime to q,
+    each p found by trial division: the reference for ``obstruction_search``."""
+    d_q = level_invariants(G1(q)).index
+    ps = [p for p in range(2, bound + 1) if q % p and all(p % d for d in range(2, isqrt(p) + 1))]
+    return tuple((p, p * p - 1, (p * p - 1) % d_q == 0) for p in ps)
+
+
+def test_obstruction_search_at_interleaved_bounds_matches_trial_division():
+    # the sieve is cached per bound: a call at one bound must not see another's primes
+    for bound in (1000, 20000, 1000):
+        for q in (7, 8, 9, 11, 13):
+            assert obstruction_search(q, bound).primes == _trial_division_primes(q, bound), (q, bound)
+
+
+def test_cached_primes_are_an_immutable_tuple():
+    primes = _primes_upto(30)
+    assert primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert type(primes) is tuple and _primes_upto(30) is primes
+
+
+def test_obstruction_search_to_a_million_stays_fast():
+    # growth guard: one sieve for the bound, then one flat pass per q
+    start = time.perf_counter()
+    first = [obstruction_search(q, 10**6) for q in (7, 8, 9, 11, 13)]
+    assert time.perf_counter() - start < 5.0
+    assert [len(report.primes) for report in first] == [78497, 78497, 78497, 78497, 78497]
+    for q, report in zip((7, 8, 9, 11, 13), first):
+        assert obstruction_search(q, 10**6) == report
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 11, 13])
@@ -637,10 +670,12 @@ def test_convolution_check_by_multiplication_equals_the_quotient_form(
 
 def _cross_block_by_convolution(seq):
     """The cross-block check with the whole tuple c_0..c_s convolved with the
-    kernel one term at a time, through t^11: the reference for ``verify_consistency``."""
-    omega = omega_decomposition(seq.group).as_list()
+    kernel one term at a time, as a whole polynomial and through at least t^11:
+    the reference for ``verify_consistency``."""
     kernel, _ = _kernel_and_tail(BlockTag.OMEGA_POWERS, seq.tag)
-    got = [convolve(seq.mult.multiplicities, kernel, k) for k in range(len(omega))]
+    n = max(12, len(seq.mult.multiplicities) + len(kernel) - 1)
+    omega = omega_decomposition(seq.group).as_list(n)
+    got = [convolve(seq.mult.multiplicities, kernel, k) for k in range(n)]
     ok = got == omega
     return Check("cross-block", ok, f"omega sequence {'matches' if ok else got}")
 
@@ -661,3 +696,18 @@ def test_cross_block_check_multiplies_every_multiplicity(group):
             for max_weight in (0, 3, 5, 7, 10, 11, 12, 20, 40):
                 report = verify_consistency(seq, max_weight=max_weight)
                 assert report.checks[2] == expected, (tag, seq.mult, max_weight)
+
+
+def test_multiplicity_past_the_support_bound_fails_cross_block_and_cusp_identities():
+    good = level2_decomposition(G1(23))
+    bad = _changed(good, 12, 1)  # the level-2 support bound is 7
+    report = verify_consistency(bad)
+    assert report.failures() == [
+        ("convolution", "first failure at weight 12: m=253, reconstruction=254"),
+        ("rank", "sum(mult) * 3 = 531, index = 528"),
+        ("cross-block", "omega sequence [1, 12, 33, 55, 76, 87, 87, 76, 55, 33, 12, 1, 1, 0, 1, 0, 1]"),
+        ("cusp-identities", "shift 12: 1 != 0 from the cusp-form dimensions"),
+    ]
+    for shift in (8, 20, 41, 60):  # inside and past the convolution window
+        names = [name for name, _ in verify_consistency(_changed(good, shift, 1)).failures()]
+        assert {"cross-block", "cusp-identities"} <= set(names), shift

@@ -280,6 +280,13 @@ def test_denominator_examples():
     assert over_denominator([3], (2,), 0) == []
 
 
+@pytest.mark.parametrize("weights", [(0,), (4, 0), (-1,), (6, -4)])
+def test_over_denominator_rejects_a_weight_below_one(weights):
+    # 1 - t^0 = 0 is no factor to divide by, and a negative weight no power series
+    with pytest.raises(ValueError, match=f"denominator weights must be >= 1, got {min(weights)}"):
+        over_denominator([1, 2, 3], weights, 6)
+
+
 @pytest.mark.parametrize(
     "call",
     [
