@@ -1,12 +1,13 @@
-"""Integer arithmetic: factorisation (for levels and group indices) and a
-Miller-Rabin primality test (for characteristics and primes)."""
+"""Integer arithmetic: factorisation (for levels and group indices), a
+Miller-Rabin primality test (for characteristics and primes) and
+``parse_integer``, the one reader of integers in outside text."""
 
 from __future__ import annotations
 
 from itertools import chain, count
 from math import gcd
 
-__all__ = ["factorize", "is_prime"]
+__all__ = ["factorize", "is_prime", "parse_integer"]
 
 #: No composite below 3.3 * 10**24 is a strong pseudoprime to all of these
 #: bases, so ``is_prime`` is exact there.
@@ -14,6 +15,15 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 #: ``factorize`` trial-divides by 2 and the odd integers below this bound only.
 _TRIAL_BOUND = 1000
+
+
+def parse_integer(text: str) -> int:
+    """int(text) for ASCII digits, optionally led by '-', within whitespace:
+    no '+', no '_' separator and no other script's digits."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

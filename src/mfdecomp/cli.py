@@ -1,6 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: it parses arguments and dispatches to the library.
 
-Subcommands: levels, table, verify, hasse, wproj, obstruct, freebasis.
+Subcommands: levels, table, verify, hasse, wproj, obstruct, freebasis.  The
+library reads every text format: integers through ``arith.parse_integer``,
+presentation files through ``ringalg.read_presentation``.
 Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 required
 weight-1 data unavailable.  Output is deterministic; TSV is tab-separated
 with LF line endings, JSON is a single document per invocation.  Each
@@ -14,18 +16,18 @@ import argparse
 import importlib.util
 import sys
 import types
-from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 from typing import Iterator
 
 from . import hilbert
+from .arith import parse_integer
 from .hilbert import Check, NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
 from .levels import (
     CongruenceGroup,
     GroupKind,
     Weight1Data,
     Weight1Unavailable,
-    _integer,
     level_invariants,
 )
 
@@ -90,15 +92,6 @@ TABLE_FLAVORS = ("level2", "level3", "omega")
 FREEBASIS_PRESETS = ("f2-rank4", "f3-rank3", "q-rank16", "q-rank6")
 
 
-@lru_cache(maxsize=None)
-def table_columns(flavor: str) -> tuple[str, ...]:
-    """n, then the genus and l_i for omega powers, or k_i for a level block,
-    one multiplicity column per shift through the block's support bound."""
-    tag = decomp.BlockTag(flavor)
-    head, letter = (("n", "genus"), "l") if tag is decomp.BlockTag.OMEGA_POWERS else (("n",), "k")
-    return head + tuple(f"{letter}{i}" for i in range(decomp._support_bound(tag) + 1))
-
-
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 
 
@@ -142,7 +135,7 @@ def cmd_levels(args) -> int:
 def cmd_table(args) -> int:
     w1 = _load_weight1(args.weight1)
     rows = decomp.table_generate(args.from_, args.to, decomp.BlockTag(args.flavor), w1)
-    sys.stdout.write(_render_table(table_columns(args.flavor), rows, args.format))
+    sys.stdout.write(_render_table(decomp.table_columns(args.flavor), rows, args.format))
     return EXIT_OK
 
 
@@ -177,63 +170,10 @@ def cmd_obstruct(args) -> int:
     return EXIT_OK
 
 
-def _freebasis_from_file(path: str):
-    single: dict[str, int] = {}  # the "char" and "bound" lines, each at most once
-    variables: list[tuple[str, int]] = []
-    gens: list[tuple[int, str, str]] = []  # (line number, name, polynomial text)
-    basis: list[tuple[int, str]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if head in single:
-                raise ValueError(f"repeated {head!r} line in {path}")
-            try:
-                if head in ("char", "bound"):
-                    single[head] = int(rest)
-                elif head == "var":
-                    if len(rest.split()) != 2:
-                        raise ValueError("expected 'var name degree'")
-                    name, deg = rest.split()
-                    variables.append((name, int(deg)))
-                elif head == "gen":
-                    name, eq, expr = rest.partition("=")
-                    if not eq:
-                        raise ValueError("expected 'gen name = polynomial'")
-                    gens.append((lineno, name.strip(), expr.strip()))
-                elif head == "basis":
-                    basis.append((lineno, rest))
-                else:
-                    raise ValueError(f"unknown directive {head!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
-        if not lines:
-            raise ValueError(f"no {directive!r} line in {path}")
-    algebra = ringalg.GradedAlgebra(single.get("char", 0), tuple(variables))
-
-    def parse(lineno: int, text: str, gen: str | None = None) -> ringalg.Polynomial:
-        try:  # a zero or inhomogeneous polynomial fails here too
-            f = ringalg.parse_polynomial(algebra, text)
-            if gen is None:
-                f.homogeneous_degree()
-            else:  # a generator of degree 0 too, by SubringSpec's own check
-                ringalg.SubringSpec(((gen, f),))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return f
-
-    spec = ringalg.SubringSpec(tuple((name, parse(n, text, name)) for n, name, text in gens))
-    bound = single.get("bound", ringalg.FREE_BASIS_BOUND)
-    return algebra, spec, [parse(*line) for line in basis], bound
-
-
 def cmd_freebasis(args) -> int:
     label = args.preset or args.file
-    presentation = ringalg.PRESETS[args.preset] if args.preset else _freebasis_from_file(label)
+    text = Path(label).read_text() if args.file else None  # a missing file runs no lazy module
+    presentation = ringalg.read_presentation(text, label) if args.file else ringalg.PRESETS[label]
     cert = ringalg.verify_free_basis(*presentation)
     if cert.free:
         sys.stdout.write(f"{label}: free (verified through degree {cert.bound})\n")
@@ -257,7 +197,7 @@ def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
         flavor = tag.value
         lo, hi = (2, 42) if flavor == "omega" else (4, 23)
         rows = decomp.table_generate(lo, hi, tag, w1)
-        generated = _render_table(table_columns(flavor), rows, "tsv")
+        generated = _render_table(decomp.table_columns(flavor), rows, "tsv")
         same = generated == _golden_text(f"{flavor}.tsv")
         yield Check(f"golden-table-{flavor}", same, "byte-for-byte")
     for n in range(2, 43):
@@ -345,7 +285,7 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     def _int(text: str) -> int:  # an integer option, in ASCII digits as a group level
-        return _integer(text)
+        return parse_integer(text)
 
     _int.__name__ = "int"  # argparse's error names the type: "invalid int value: 'x'"
 

@@ -70,6 +70,7 @@ __all__ = [
     "level456_decomposition",
     "obstruction_search",
     "omega_decomposition",
+    "table_columns",
     "table_generate",
     "verify_consistency",
 ]
@@ -367,6 +368,15 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
 
 # ---------------------------------------------------------------------------
 # Table generation
+
+
+def table_columns(flavor: BlockTag) -> tuple[str, ...]:
+    """Names of ``table_generate``'s columns: n, the genus and l_i for omega powers,
+    or n and k_i for a level block, through the support bound; ``flavor`` as there."""
+    tag = BlockTag(flavor)
+    head, letter = (("n", "genus"), "l") if tag is BlockTag.OMEGA_POWERS else (("n",), "k")
+    return head + tuple(f"{letter}{i}" for i in range(_support_bound(tag) + 1))
+
 
 def table_generate(
     lo: int,

@@ -81,21 +81,6 @@ class DirichletCharacter(NamedTuple):
     order: int
     exponents: tuple[int | None, ...]
 
-    def value(self, n: int) -> CyclotomicElement:
-        e = self.exponents[n % self.modulus]
-        if e is None:
-            return CyclotomicElement.from_rational(self.order, 0)
-        return CyclotomicElement.zeta_power(self.order, e)
-
-    def power(self, k: int) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.modulus,
-            self.order,
-            tuple(
-                None if e is None else (e * k) % self.order for e in self.exponents
-            ),
-        )
-
     def is_odd(self) -> bool:
         e = self.exponents[self.modulus - 1]  # chi(-1)
         return e is not None and e == self.order // 2

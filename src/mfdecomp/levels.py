@@ -43,7 +43,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import factorize
+from .arith import factorize, parse_integer
 from .hilbert import over_denominator, times_denominator
 
 __all__ = [
@@ -75,15 +75,6 @@ class GroupKind(str, Enum):
     GAMMA_FULL = "g"
 
 
-def _integer(text: str) -> int:
-    """int(text) for ASCII digits, optionally led by '-', within whitespace:
-    no '+', no '_' separator and no other script's digits."""
-    digits = text.strip().removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
-
-
 class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
@@ -108,7 +99,7 @@ class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
         if not sep:
             raise InvalidGroup(f"malformed group spec {spec!r}")
         try:
-            level = _integer(tail)
+            level = parse_integer(tail)
         except ValueError:
             cls(head, 2)  # an unknown kind is reported before a malformed level
             raise InvalidGroup(f"malformed level {tail!r}") from None
@@ -223,8 +214,8 @@ class Weight1Data(NamedTuple):
             if len(parts) != 3:
                 raise ValueError(f"{source}:{lineno}: expected 'kind level s1'")
             try:
-                group = CongruenceGroup(GroupKind(parts[0]), _integer(parts[1]))
-                s1 = _integer(parts[2])
+                group = CongruenceGroup(GroupKind(parts[0]), parse_integer(parts[1]))
+                s1 = parse_integer(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
             if s1 < 0:

@@ -6,10 +6,11 @@ Weierstrass identity c4^3 - c6^2 = 1728*Delta.  Each level's ring and its
 c4, c6 and Delta are written once, as strings over Q in
 ``WEIERSTRASS_PRESENTATIONS``; the F_2 and F_3 inputs are those strings read
 mod p, where ``GradedAlgebra.coeff`` reduces p-integral coefficients and
-rejects the rest.  A sequence is regular when each prefix's quotient has the
-previous quotient's Hilbert function times (1 - t^deg f); a free basis over
-k[g_1, g_2] is a basis of A/(g_1, g_2) for a regular pair.  Both checks stop
-where no later degree can change them (``_horizon``).
+rejects the rest.  ``parse_polynomial`` and ``read_presentation`` read a
+polynomial and a presentation file.  A sequence is regular when each prefix's
+quotient has the previous quotient's Hilbert function times (1 - t^deg f); a
+free basis over k[g_1, g_2] is a basis of A/(g_1, g_2) for a regular pair.
+Both checks stop where no later degree can change them (``_horizon``).
 
 Polynomials are read-only maps from exponent vectors to coefficients: ints
 where integral and ``Fraction`` otherwise in characteristic 0, ints in
@@ -31,7 +32,7 @@ from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .arith import is_prime
+from .arith import is_prime, parse_integer
 from .hilbert import times_denominator
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "graded_component",
     "matrix_rank",
     "parse_polynomial",
+    "read_presentation",
     "verify_free_basis",
     "verify_regular_sequence",
     "weierstrass_identity_check",
@@ -183,7 +185,8 @@ def parse_polynomial(algebra: GradedAlgebra, text: str) -> Polynomial:
     """Parse ``1/4*b2^2*b4^2 - 8*b4^3`` style input (no parentheses).
 
     Terms are separated by top-level + or -, each term is a '*'-joined
-    product of rational constants and ``var`` / ``var^exp`` factors.
+    product of constants ``a`` or ``a/b`` and ``var`` / ``var^exp`` factors,
+    every number read by ``parse_integer``.
     """
     s = text.replace(" ", "")
     if not s:
@@ -192,28 +195,86 @@ def parse_polynomial(algebra: GradedAlgebra, text: str) -> Polynomial:
     terms = s.replace("-", "+-").split("+")[1 if s[0] in "+-" else 0 :]
     if any(term in ("", "-") for term in terms):
         raise ValueError(f"malformed polynomial {text!r}")
-    result = Polynomial(algebra, {})
+    acc: dict[tuple[int, ...], Fraction | int] = {}
     for term in terms:
-        coeff = Fraction(-1 if term[0] == "-" else 1)
+        coeff: Fraction | int = -1 if term[0] == "-" else 1
         mono = [0] * len(algebra.variables)
         for factor in term.lstrip("-").split("*"):
             name, caret, exp = factor.partition("^")
             if caret and not exp:
                 raise ValueError(f"empty exponent in {factor!r}")
             if name in algebra.names:
-                e = int(exp) if exp else 1
-                if e < 0:
-                    raise ValueError(f"negative exponent in {factor!r}")
-                mono[algebra.names.index(name)] += e
+                mono[algebra.names.index(name)] += parse_integer(exp) if exp else 1
+                continue
+            if exp:
+                raise ValueError(f"unknown variable {name!r}")
+            numerator, slash, denominator = name.partition("/")
+            try:
+                den = parse_integer(denominator) if slash else 1
+                coeff *= Fraction(parse_integer(numerator), den)
+            except ValueError:  # neither a variable nor a constant a or a/b
+                raise ValueError(f"unknown variable {name!r}") from None
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {factor!r}") from None
+        key = tuple(mono)  # each term is reduced as it is read: 1/2 fails in characteristic 2
+        acc[key] = acc.get(key, 0) + algebra.coeff(coeff)
+    return Polynomial(algebra, acc)
+
+
+def read_presentation(text: str, source: str):
+    """The presentation file ``text``, read from ``source``, as a ``PRESETS`` entry:
+    lines ``var name degree``, ``gen name = polynomial``, ``basis polynomial``
+    and at most one each of ``char p`` and ``bound d``; '#' starts a comment.
+    An error in one line is prefixed ``source:lineno:``."""
+    single: dict[str, int] = {}  # the "char" and "bound" lines, each at most once
+    variables: list[tuple[str, int]] = []
+    gens: list[tuple[int, str, str]] = []  # (line number, name, polynomial text)
+    basis: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.split("\n"), 1):  # the lines a text-mode file yields
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if head in single:
+            raise ValueError(f"repeated {head!r} line in {source}")
+        try:
+            if head in ("char", "bound"):
+                single[head] = parse_integer(rest)
+            elif head == "var":
+                if len(rest.split()) != 2:
+                    raise ValueError("expected 'var name degree'")
+                name, deg = rest.split()
+                variables.append((name, parse_integer(deg)))
+            elif head == "gen":
+                name, eq, expr = rest.partition("=")
+                if not eq:
+                    raise ValueError("expected 'gen name = polynomial'")
+                gens.append((lineno, name.strip(), expr.strip()))
+            elif head == "basis":
+                basis.append((lineno, rest))
             else:
-                if exp:
-                    raise ValueError(f"unknown variable {name!r}")
-                try:
-                    coeff *= Fraction(name)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r}") from None
-        result = result + Polynomial(algebra, {tuple(mono): coeff})
-    return result
+                raise ValueError(f"unknown directive {head!r}")
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
+    for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
+        if not lines:
+            raise ValueError(f"no {directive!r} line in {source}")
+    algebra = GradedAlgebra(single.get("char", 0), tuple(variables))
+
+    def parse(lineno: int, expr: str, gen: str | None = None) -> Polynomial:
+        try:  # a zero or inhomogeneous polynomial fails here too
+            f = parse_polynomial(algebra, expr)
+            if gen is None:
+                f.homogeneous_degree()
+            else:  # a generator of degree 0 too, by SubringSpec's own check
+                SubringSpec(((gen, f),))
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
+        return f
+
+    spec = SubringSpec(tuple((name, parse(n, expr, name)) for n, name, expr in gens))
+    return algebra, spec, [parse(*line) for line in basis], single.get("bound", FREE_BASIS_BOUND)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from importlib import resources
 import pytest
 
 from mfdecomp import decomp, ringalg
-from mfdecomp.cli import _render_table, table_columns
-from mfdecomp.decomp import BlockTag
+from mfdecomp.cli import _render_table
+from mfdecomp.decomp import BlockTag, table_columns
 from mfdecomp.eisenstein import hasse_lift, valuation_claim_check
 from mfdecomp.hilbert import NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
 from mfdecomp.levels import CongruenceGroup, GroupKind, dim_modular_forms, level_invariants

@@ -1,8 +1,10 @@
+import re
 from math import isqrt, prod
 
+import pytest
 from hypothesis import given, strategies as st
 
-from mfdecomp.arith import factorize, is_prime
+from mfdecomp.arith import factorize, is_prime, parse_integer
 
 
 def _sieve(bound):
@@ -74,3 +76,32 @@ def test_factorize_is_multiplicative(parts):
         for p, e in factorize(part):
             exponents[p] = exponents.get(p, 0) + e
     assert factorize(prod(parts)) == tuple(sorted(exponents.items()))
+
+
+#: ``\s*-?[0-9]+\s*`` with the whitespace that int() strips: Python's ``\s``
+#: (and str.strip) also take the separators U+001C..U+001F, which int() rejects.
+INTEGER = re.compile(r"[^\S\x1c-\x1f]*-?[0-9]+[^\S\x1c-\x1f]*")
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789-+_. e\t\n\x1c\x1f\u2003\u0663\uff13"),
+        st.from_regex(r"\s*-?[0-9]+\s*", fullmatch=True),
+    )
+)
+def test_parse_integer_takes_exactly_signed_ascii_digits_within_whitespace(text):
+    try:
+        value = parse_integer(text)
+    except ValueError as exc:
+        assert not INTEGER.fullmatch(text)
+        assert str(exc).startswith("invalid literal for int() with base 10: ")  # int() cuts a long text
+    else:
+        assert INTEGER.fullmatch(text)
+        assert value == int(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13", "+5", "0.5", "1e3", "", "-", "\x1c5"])
+def test_parse_integer_rejects_separators_plus_signs_decimals_and_other_digits(text):
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        parse_integer(text)

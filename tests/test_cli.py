@@ -400,6 +400,41 @@ def test_freebasis_file_errors_name_the_line(capsys, tmp_path, text, lineno, mes
     assert (code, out, err) == (2, "", f"error: {spec}:{lineno}: {message}\n")
 
 
+#: Q[a1, b2] over itself on the basis 1; each case below spoils one line of it.
+PLAIN_FILE = "var a1 1\nvar b2 2\ngen x = a1\ngen y = b2\nbasis 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        (  # the F_3 rank-3 presentation, which int() read as F_3 through degree 10
+            "char \u0663\nvar b2 2\nvar b4 4\ngen b2 = b2\ngen delta = b2^2*b4^2 - b4^3\n"
+            "basis 1\nbasis b4\nbasis b4^2\nbound 1_0\n",
+            1,
+            "invalid literal for int() with base 10: '\u0663'",
+        ),
+        ("bound 1_0\n" + PLAIN_FILE, 1, "invalid literal for int() with base 10: '1_0'"),
+        (PLAIN_FILE.replace("var b2 2", "var b2 \u0662"), 2, "invalid literal for int() with base 10: '\u0662'"),
+        (PLAIN_FILE.replace("gen y = b2", "gen y = \u0661*b2^2"), 4, "unknown variable '\u0661'"),
+        (PLAIN_FILE.replace("basis 1", "basis a1^\u0661"), 5, "invalid literal for int() with base 10: '\u0661'"),
+        (PLAIN_FILE.replace("basis 1", "basis 1_0*b2"), 5, "unknown variable '1_0'"),
+        (PLAIN_FILE.replace("basis 1", "basis 0.5*b2"), 5, "unknown variable '0.5'"),
+        (PLAIN_FILE.replace("basis 1", "basis 1e3*b2"), 5, "unknown variable '1e3'"),
+    ],
+    ids=["char-and-bound", "bound", "var", "constant", "exponent", "separator", "decimal", "e-notation"],
+)
+def test_freebasis_file_numbers_are_ascii_integers(capsys, tmp_path, text, lineno, message):
+    spec = tmp_path / "pres.txt"
+    spec.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out, err) == (2, "", f"error: {spec}:{lineno}: {message}\n")
+
+
+def test_plain_file_is_free():
+    # the cases above fail only by the line each one spoils
+    assert ringalg.verify_free_basis(*ringalg.read_presentation(PLAIN_FILE, "plain")).free
+
+
 @pytest.mark.parametrize(
     "directive, lines", [("bound", "bound 6\nbound 2\n"), ("char", "char 0\nchar 3\nbound 6\n")]
 )

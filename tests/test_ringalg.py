@@ -22,6 +22,7 @@ from mfdecomp.ringalg import (
     graded_component,
     matrix_rank,
     parse_polynomial,
+    read_presentation,
     verify_free_basis,
     verify_regular_sequence,
     weierstrass_identity_check,
@@ -74,6 +75,68 @@ def test_parser():
 def test_parser_rejects_malformed_factors(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_polynomial(Q_B, text)
+
+
+@pytest.mark.parametrize(
+    "algebra, text, message",
+    [
+        (Q_A, "a1^\u0661", "invalid literal for int() with base 10: '\u0661'"),
+        (Q_B, "\u0661*b2^2", "unknown variable '\u0661'"),
+        (Q_B, "1_0*b2", "unknown variable '1_0'"),
+        (Q_B, "0.5*b2", "unknown variable '0.5'"),
+        (Q_B, "1e3*b2", "unknown variable '1e3'"),
+        (Q_B, "1/2_0*b2", "unknown variable '1/2_0'"),
+        (Q_B, "b7", "unknown variable 'b7'"),
+        (Q_B, "b2*b7^2", "unknown variable 'b7'"),
+    ],
+)
+def test_parser_reads_numbers_as_ascii_integers_only(algebra, text, message):
+    # a constant is a or a/b, each read by arith.parse_integer, as is an exponent
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_polynomial(algebra, text)
+
+
+def test_parser_sums_like_terms_once():
+    assert parse_polynomial(Q_B, "1/4*b2^2*b4^2").terms == {(2, 2): Fraction(1, 4)}
+    assert parse_polynomial(Q_B, "-3*b4").terms == {(0, 1): -3}
+    assert parse_polynomial(Q_B, "b4 - 1/2*b4 + 2*b2 - 1/2*b4").terms == {(1, 0): 2}
+    assert parse_polynomial(F3_B, "b4 + b4 + b4 + b2").terms == {(1, 0): 1}
+    # each term is reduced as it is read, so a sum that cancels the 2 still fails
+    with pytest.raises(ValueError, match="coefficient 1/2 is undefined in characteristic 2"):
+        parse_polynomial(F2_A, "1/2*a1 + 1/2*a1")
+
+
+#: The q-rank6 and f3-rank3 presets, written as presentation files.
+PRESET_FILES = {
+    "q-rank6": """
+        var b2 2
+        var b4 4
+        gen c4 = b2^2 - 24*b4   # c4 of the level-2 ring
+        gen delta = 1/4*b2^2*b4^2 - 8*b4^3
+        basis 1
+        basis b2
+        basis b4
+        basis b2*b4
+        basis b4^2
+        basis b2*b4^2
+    """,
+    "f3-rank3": """
+        char 3
+        var b2 2
+        var b4 4
+        gen b2 = b2
+        gen delta = 1/4*b2^2*b4^2 - 8*b4^3
+        basis 1
+        basis b4
+        basis b4^2
+        bound 48
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_FILES))
+def test_a_preset_written_as_a_file_reads_as_the_preset(name):
+    assert read_presentation(PRESET_FILES[name], name) == PRESETS[name]
 
 
 def test_polynomial_arithmetic():

@@ -215,8 +215,31 @@ def test_cli_reuses_a_module_imported_before_it():
         "from mfdecomp import cli\n"
         "print(cli.decomp is first, sys.modules['mfdecomp.decomp'] is first)\n"
         "rows = cli.decomp.table_generate(2, 42, first.BlockTag.OMEGA_POWERS)\n"
-        "print(cli._render_table(cli.table_columns('omega'), rows, 'tsv'), end='')"
+        "print(cli._render_table(cli.decomp.table_columns('omega'), rows, 'tsv'), end='')"
     )
     head, _, table = _probe(probe).partition("\n")
     assert head == "True True"
     assert table == (resources.files("mfdecomp") / "data" / "omega.tsv").read_text()
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # a private name is its module's own decision: ``from .m import _x`` and
+    # ``m._x`` on a sibling module, one that cli._lazy registers included
+    siblings = {path.stem for path in MODULES}
+    reads = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mfdecomp")):
+                module = node.module or ""
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module, names = node.value.id, [node.attr]
+                if module not in siblings or module == path.stem:
+                    continue
+            else:
+                continue
+            reads += [
+                f"{path.name}:{node.lineno} {module}.{name}" for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+    assert not reads, reads
