@@ -12,7 +12,8 @@ is the exact quotient N / K of the group's Hilbert numerator N (see
 ``levels.hilbert_numerators``) by the block kernel K.  Serre duality gives it
 a second time from the cusp-form dimensions: read backwards, it is the
 coefficients of t^1..t^{a+b+2} in (1 - t^a)(1 - t^b) * sum_k s_k t^k, that is
-c_{a+b+2-i} = [... * S(t)]_i, for every block once N_S(t) = t^12 N(1/t).
+c_{a+b+2-i} = [... * S(t)]_i, for every block, as every K is palindromic and
+``levels`` builds N_S(t) as t^12 N(1/t).
 The identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus,
 k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
 Multiplicities, identities and the cross-block product c K, for the kernel
@@ -171,15 +172,15 @@ def _closed_form(
     """Multiplicities c_i: the coefficients of N(t) (1 - t^a)(1 - t^b) / ((1 - t^4)(1 - t^6))
     through degree 11, all >= 0 and 0 past a + b + 1, or it raises.  A proof for
     every weight: N - c K, for the block kernel K, vanishes mod t^12 and has
-    degree <= 11.  Every K is palindromic, so N_S(t) = t^12 N(1/t) gives the
-    cusp-form identities of every block; level 3 adds the balance identity."""
+    degree <= 11.  Reads N alone: every K is palindromic and N_S(t) = t^12 N(1/t)
+    by Serre duality, so the cusp-form identities of every block hold with it;
+    level 3 adds the balance identity."""
     min_level = MIN_GAMMA1_LEVEL[tag] if group.kind is GroupKind.GAMMA1 else 3
     if tag is not BlockTag.OMEGA_POWERS and (
         group.kind is GroupKind.GAMMA0 or group.level < min_level
     ):
         raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
-    numerator, cusp_numerator = hilbert_numerators(group, w1)
-    seq = _over_block(numerator, tag, 12)
+    seq = _over_block(hilbert_numerators(group, w1)[0], tag, 12)
     bound = _support_bound(tag)
     for i, c in enumerate(seq):
         if c < 0 or c and i > bound:
@@ -187,10 +188,6 @@ def _closed_form(
             raise DecompositionInvalid(
                 f"{tag.value} multiplicity at shift {i} is {why} for {group}"
             )
-    if cusp_numerator != (0, *numerator[::-1]):
-        raise DecompositionInvalid(
-            f"{tag.value} cusp identities fail for {group}: N_S(t) != t^12 N(1/t)"
-        )
     if tag is BlockTag.LEVEL3 and not _balanced(seq):
         raise DecompositionInvalid(f"balance identity fails for {group}")
     return DecompositionSequence(group, tag, TwistMultiset(seq))

@@ -2,31 +2,30 @@
 
 Covers Gamma0(n), Gamma1(n) and Gamma(n) for n >= 2.  Indices are counted
 in SL2(Z) (the degree of the map of moduli stacks), so for Gamma1(n) with
-n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0:
+n >= 5 they are twice the PSL2 index.  Dimensions in characteristic 0, from
+the Hilbert series of the stacky modular curve (Wagreich 1980):
 
 * representable cases (Gamma1(n>=5), Gamma(n>=3)): Riemann-Roch on the
   modular curve, all cusps regular;
 * the small non-representable levels Gamma1(2), Gamma1(3), Gamma1(4) and
-  Gamma(2): monomial counting in the weighted polynomial rings with
-  generator weights (2,4), (1,3), (1,2) and (2,2);
-* Gamma0(n): odd weights vanish, even weights use the classical formula
-  with elliptic-point terms, calibrated against g(X0(11)) = 1 and
-  g(X0(23)) = 2.
+  Gamma(2): the weighted polynomial rings with generator weights (2,4),
+  (1,3), (1,2) and (2,2);
+* Gamma0(n): odd weights vanish, even weights take genus, cusp and
+  elliptic-point terms.
 
 A ``CongruenceGroup``'s kind is always a ``GroupKind`` member: the
 constructor, and so ``_replace``, turns a plain "g0", "g1" or "g" into it and
 raises ``InvalidGroup`` for any other kind.  ``level_invariants`` derives
 index, cusps, elliptic points and genus from one factorisation of the level,
 in integers, once per group; they are read as its fields (``genus`` has a
-function too).  The dimension formulas have one path: ``_numerators``
-evaluates them at weights 0..12, once per (group, s_1), and keeps the graded
-dimensions as two polynomials, sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) and
-sum_k s_k t^k = N_S(t)/((1 - t^4)(1 - t^6)) (for the small levels the series
-1/((1 - t^a)(1 - t^b)) and t^(a+b+2)/((1 - t^a)(1 - t^b))); every dimension
-is read from them.  ``hilbert_numerators`` returns them, and
-``dim_modular_forms`` and ``dim_cusp_forms`` expand them to one weight.  The
-decomposition closed forms, their cusp-form identities, the deconvolution
-oracle and the consistency checks all read the numerators.
+function too).  The graded dimensions have one path: ``_numerators`` writes
+sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) in closed form from the invariants
+and s_1, and sum_k s_k t^k = N_S(t)/((1 - t^4)(1 - t^6)) by Serre duality,
+N_S(t) = t^12 N(1/t), once per (group, s_1); every dimension is read from
+them.  ``hilbert_numerators`` returns them, and ``dim_modular_forms`` and
+``dim_cusp_forms`` expand them to one weight.  The decomposition closed forms,
+their cusp-form identities, the deconvolution oracle and the consistency
+checks all read the numerators.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -261,39 +260,31 @@ LEVEL1_WEIGHTS = (4, 6)  #: of E_4 and E_6, the generators of the level-1 ring
 @lru_cache(maxsize=None)
 def _numerators(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(N, N_S), 12 and 13 coefficients: M(t) = sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)),
-    and S(t) likewise; the only place the dimension formulas are evaluated, at
-    weights 0..12 in one pass.  deg N <= 11 and deg N_S <= 12, so they hold every
-    weight: (1 - t^4)(1 - t^6) is (1 - t)^2 times a polynomial of degree 8, and for
-    a representable group m_k is linear for k >= 2 and s_k for k >= 3, so (1 - t)^2 M
-    and (1 - t)^2 S have degrees <= 3 and 4; for Gamma0, m_k and s_k are quasi-linear
-    with period dividing 12 on even weights, proper over (1 - t^4)(1 - t^6) but for
-    m_0, s_0 and s_2; for the small levels N is the block kernel and N_S is
-    t^(a+b+2) N.  s_1 enters m_1 and s_1 alone.  Once per (group, s_1): the
-    unhashable ``Weight1Data`` is no key."""
+    and S(t) likewise, in closed form.  M is a sum of one to three series
+    h(t)/prod_w (1 - t^w), each exact over (1 - t^4)(1 - t^6) with a quotient of
+    degree <= 11: h = 1 over (a, b) on the small levels P(a, b); on Gamma1(n >= 5)
+    and Gamma(n >= 3), h = (1, d - g - 1 + s_1, g - 2 s_1, s_1) over (1, 1), that is
+    m_1 = c/2 + s_1 and m_k = d k + 1 - g (k >= 2) for d = index/24; on Gamma0(n),
+    (1, 0, g + c - 3, 0, g) over (2, 2), the genus and cusp terms of even weights,
+    plus e_2 t^4 over (2, 4) and e_3 (t^4 + t^6) over (2, 6), for e_2 floor(k/4) and
+    e_3 floor(k/3).  Serre duality gives N_S(t) = t^12 N(1/t).  Once per
+    (group, s_1): the unhashable ``Weight1Data`` is no key."""
     key = (group.kind, group.level)
-    if key in SMALL_LEVEL_WEIGHTS:  # monomials of weight k in the weighted ring
-        # Duality on the weighted line: cusp forms of weight k are sections
-        # of Omega^1 (x) omega^{k-2} = O(k - 2 - a - b).
-        a, b = SMALL_LEVEL_WEIGHTS[key]
-        m = over_denominator([1], (a, b), 13)
-        s = [0] * (a + b + 2) + m
+    if key in SMALL_LEVEL_WEIGHTS:
+        series = [((1,), SMALL_LEVEL_WEIGHTS[key])]
     else:
         inv = level_invariants(group)
-        if group.kind is GroupKind.GAMMA0:  # -I acts as -1: odd weights vanish
-            g, e2, e3, c = inv.genus - 1, inv.elliptic2, inv.elliptic3, inv.cusps
-            m = [0 if k % 2 else (k - 1) * g + k // 4 * e2 + k // 3 * e3 + k // 2 * c for k in range(13)]
-        else:  # representable Gamma1(n >= 5) / Gamma(n >= 3): deg(omega^k) = index * k / 24
-            degree, rem = divmod(inv.index, 24)
-            assert rem == 0 and inv.cusps % 2 == 0 and 2 * degree + 1 >= inv.genus  # cusps regular
-            m = [degree * k + 1 - inv.genus for k in range(13)]
-            m[1] = inv.cusps // 2 + s1
-        m[0] = 1
-        s = [0, s1, inv.genus]  # s_2 is the genus
-        s += [0 if group.kind is GroupKind.GAMMA0 and k % 2 else m[k] - inv.cusps for k in range(3, 13)]
-    return (
-        tuple(times_denominator(m, LEVEL1_WEIGHTS, 12)),
-        tuple(times_denominator(s, LEVEL1_WEIGHTS, 13)),
-    )
+        g, e3 = inv.genus, inv.elliptic3
+        if group.kind is GroupKind.GAMMA0:
+            series = [((1, 0, g + inv.cusps - 3, 0, g), (2, 2)), ((0, 0, 0, 0, inv.elliptic2), (2, 4)),
+                      ((0, 0, 0, 0, e3, 0, e3), (2, 6))]
+        else:
+            d, rem = divmod(inv.index, 24)
+            assert rem == 0 and inv.cusps == 2 * (d + 1 - g), group  # every cusp regular
+            series = [((1, d - g - 1 + s1, g - 2 * s1, s1), (1, 1))]
+    quotients = (over_denominator(times_denominator(h, LEVEL1_WEIGHTS, 12), w, 12) for h, w in series)
+    numerator = tuple(map(sum, zip(*quotients)))
+    return numerator, (0, *reversed(numerator))
 
 
 def hilbert_numerators(

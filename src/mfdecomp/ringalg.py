@@ -239,13 +239,16 @@ def read_presentation(text: str, source: str):
         if head in single:
             raise ValueError(f"repeated {head!r} line in {source}")
         try:
-            if head in ("char", "bound"):
-                single[head] = parse_integer(rest)
+            if head == "char":  # a composite one fails at its line
+                single[head] = GradedAlgebra(parse_integer(rest), ()).char
+            elif head == "bound":
+                single[head] = _nonnegative_bound(parse_integer(rest))
             elif head == "var":
                 if len(rest.split()) != 2:
                     raise ValueError("expected 'var name degree'")
                 name, deg = rest.split()
                 variables.append((name, parse_integer(deg)))
+                GradedAlgebra(0, tuple(variables))  # a bad degree or name fails at its line
             elif head == "gen":
                 name, eq, expr = rest.partition("=")
                 if not eq:
@@ -374,6 +377,12 @@ class SubringSpec(namedtuple("SubringSpec", "generators")):
 FREE_BASIS_BOUND = 48
 
 
+def _nonnegative_bound(bound: int) -> int:
+    if bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
+    return bound
+
+
 class BasisCertificate(NamedTuple):
     ambient: GradedAlgebra
     subring: SubringSpec
@@ -424,9 +433,7 @@ def verify_free_basis(
     products S_+-monomial * b, so this is where those products first fail
     to be a basis of A_d, and the same way.  The check stops at ``_horizon``.
     """
-    bound = FREE_BASIS_BOUND if bound is None else bound
-    if bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {bound}")
+    bound = _nonnegative_bound(FREE_BASIS_BOUND if bound is None else bound)
     basis_degrees = tuple(b.homogeneous_degree() for b in basis)
     gen_degrees = subring.degrees
     stop = _horizon(ambient, gen_degrees, bound, max(basis_degrees, default=0))
@@ -483,9 +490,7 @@ def verify_regular_sequence(
     ``_horizon``.
     """
     degrees = tuple(f.homogeneous_degree() for f in elements)
-    bound = 2 * sum(degrees) if bound is None else bound
-    if bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {bound}")
+    bound = _nonnegative_bound(2 * sum(degrees) if bound is None else bound)
 
     stop = _horizon(algebra, degrees, bound)
     components = [graded_component(algebra, d) for d in range(stop + 1)]

@@ -1,7 +1,13 @@
 """Reference computations that the tests compare the package with."""
 
+from functools import lru_cache
+from itertools import product
+from math import gcd
+
 from mfdecomp.eisenstein import DirichletCharacter
 from mfdecomp.exactnum import CyclotomicElement
+from mfdecomp.hilbert import WeightedLine, h0_dim
+from mfdecomp.levels import SMALL_LEVEL_WEIGHTS, GroupKind
 
 
 def convolve(mults, block, k):
@@ -21,3 +27,137 @@ def character_power(chi, k):
     """chi^k, the exponents multiplied by k mod the order."""
     exponents = tuple(None if e is None else e * k % chi.order for e in chi.exponents)
     return DirichletCharacter(chi.modulus, chi.order, exponents)
+
+
+# ---------------------------------------------------------------------------
+# Coset-action oracle: the invariants read off the right action of S, T and
+# ST on the cosets of the group in SL2(Z), taken modulo -I, without any of
+# the closed formulas in levels.py (Diamond-Shurman, ch. 3).
+
+S, T, ST = (0, -1, 1, 0), (1, 1, 0, 1), (0, -1, 1, 1)
+
+
+def _times(row, m, n):
+    """The row vector ``row`` = (c, d) times the matrix ``m`` = (a, b, c, d), mod n."""
+    (c, d), (a1, b1, c1, d1) = row, m
+    return (c * a1 + d * c1) % n, (c * b1 + d * d1) % n
+
+
+def _prime_powers(n):
+    out, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def _p1_point(row, p, q):
+    """The canonical form (1 : d) or (c : 1), p | c, of a point of P^1(Z/p^e)."""
+    c, d = row
+    if c % p:
+        return 1, d * pow(c, -1, q) % q
+    return c * pow(d, -1, q) % q, 1
+
+
+def _gamma0_action(n):
+    """Gamma0(n) cosets: P^1(Z/n), the product of the P^1(Z/p^e) (by CRT)."""
+    local = _prime_powers(n)
+    points = list(
+        product(*([(1, d) for d in range(q)] + [(c, 1) for c in range(0, q, p)] for p, q in local))
+    )
+
+    def act(point, m):
+        return tuple(_p1_point(_times(row, m, q), p, q) for row, (p, q) in zip(point, local))
+
+    return points, act, len(points)  # -I lies in Gamma0(n): SL2 index = PSL2 index
+
+
+def _gamma1_action(n):
+    """Gamma1(n) cosets: bottom rows (c, d) of order n in (Z/n)^2, modulo +-1."""
+    rows = [(c, d) for c in range(n) for d in range(n) if gcd(c, d, n) == 1]
+    sign = lambda row: min(row, ((-row[0]) % n, (-row[1]) % n))
+    return sorted({sign(row) for row in rows}), lambda row, m: sign(_times(row, m, n)), len(rows)
+
+
+def _gamma_full_action(n):
+    """Gamma(n) cosets: SL2(Z/n), modulo +-1."""
+    mats = [
+        (a, b, c, d)
+        for c in range(n)
+        for d in range(n)
+        if gcd(c, d, n) == 1
+        for a in range(n)
+        for b in range(n)
+        if (a * d - b * c) % n == 1
+    ]
+    sign = lambda m: min(m, tuple((-x) % n for x in m))
+
+    def act(m, g):
+        top, bottom = _times(m[:2], g, n), _times(m[2:], g, n)
+        return sign(top + bottom)
+
+    return sorted({sign(m) for m in mats}), act, len(mats)
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for start in perm:
+        if start not in seen:
+            count += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+    return count
+
+
+@lru_cache(maxsize=None)
+def coset_invariants(group):
+    """(index, cusps, e2, e3, genus) of ``group`` from its coset action."""
+    build = {
+        GroupKind.GAMMA0: _gamma0_action,
+        GroupKind.GAMMA1: _gamma1_action,
+        GroupKind.GAMMA_FULL: _gamma_full_action,
+    }[group.kind]
+    points, act, sl2_index = build(group.level)
+    s, t, st = ({x: act(x, m) for x in points} for m in (S, T, ST))
+    for perm in (s, t, st):
+        assert sorted(perm.values()) == sorted(points)  # a permutation of the cosets
+    cusps = _cycles(t)  # cusps: orbits of <T, -I>
+    e2 = sum(s[x] == x for x in points)
+    e3 = sum(st[x] == x for x in points)
+    # Riemann-Hurwitz for X(group) -> X(1), of degree mu, branched over
+    # i (S), rho (ST) and infinity (T): 2g - 2 = -2 mu + sum (mu - #cycles)
+    twice_g = len(points) - _cycles(s) - _cycles(st) - cusps + 2
+    assert twice_g % 2 == 0
+    return sl2_index, cusps, e2, e3, twice_g // 2
+
+
+def dimensions_by_weight(group, invariants, s1, n):
+    """m_0..m_{n-1} and s_0..s_{n-1}, weight by weight, from ``invariants`` =
+    (index, cusps, e2, e3, genus) and s_1: Riemann-Roch with every cusp regular,
+    the classical Gamma0 formula, or monomial counts on the small levels."""
+    key = (group.kind, group.level)
+    if key in SMALL_LEVEL_WEIGHTS:
+        line = WeightedLine(*SMALL_LEVEL_WEIGHTS[key])
+        return [h0_dim(line, k) for k in range(n)], [h0_dim(line, k - 2 - line.a - line.b) for k in range(n)]
+    mu, cusps, e2, e3, g = invariants
+    gamma0 = group.kind is GroupKind.GAMMA0
+    m, s = [1], [0]
+    for k in range(1, n):
+        if gamma0:  # -I acts as -1: odd weights vanish
+            m_k = 0 if k % 2 else (k - 1) * (g - 1) + k // 4 * e2 + k // 3 * e3 + k // 2 * cusps
+        elif k == 1:
+            m_k = cusps // 2 + s1  # every cusp of a representable group is regular
+        else:  # deg(omega^k) = index * k / 24
+            degree, rem = divmod(mu * k, 24)
+            assert rem == 0
+            m_k = degree + 1 - g
+        assert m_k >= 0
+        m.append(m_k)
+        s.append(s1 if k == 1 else g if k == 2 else 0 if gamma0 and k % 2 else m_k - cusps)
+    return m, s

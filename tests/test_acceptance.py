@@ -46,6 +46,25 @@ def test_criterion_1_omega_table():
     assert time.monotonic() - start < 1.0
 
 
+def test_omega_rows_are_the_closed_form_of_three_numbers():
+    # each published row for n = 5..42 is (1, d - g - 1 + s_1, g - 2 s_1, s_1) [4] [6],
+    # [k] = 1 + t + ... + t^(k-1), from its genus g, d = (l_2 + g - 1)/2 and s_1 = l_11:
+    # read from the file alone, with nothing of levels
+    four_six = [convolve([1] * 4, [1] * 6, k) for k in range(9)]
+    rows = [list(map(int, line.split("\t"))) for line in golden("omega.tsv").splitlines()[1:]]
+    checked = 0
+    for n, g, *ls in rows:
+        if n < 5:
+            continue
+        d, odd = divmod(ls[2] + g - 1, 2)
+        assert odd == 0, n
+        s1 = ls[11]
+        assert ls == [convolve((1, d - g - 1 + s1, g - 2 * s1, s1), four_six, k) for k in range(12)], n
+        assert ls[10] == g, n
+        checked += 1
+    assert checked == 38
+
+
 def test_criterion_2_block_tables():
     rows3 = decomp.table_generate(4, 23, BlockTag.LEVEL3)
     assert _render_table(table_columns("level3"), rows3, "tsv") == golden("level3.tsv")

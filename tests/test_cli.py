@@ -311,8 +311,8 @@ def test_freebasis_bad_file_is_usage_error(capsys, tmp_path, gen, bound, message
     code, out, err = run(capsys, "freebasis", "--file", str(spec))
     assert code == 2
     assert out == ""
-    # every case but the negative bound fails in the gen on line 4, and says so
-    where = f"{spec}:4: " if int(bound) >= 0 else ""
+    # every case but the negative bound fails in the gen on line 4, the bound on line 8
+    where = f"{spec}:4: " if int(bound) >= 0 else f"{spec}:8: "
     assert err == f"error: {where}{message}\n"
 
 
@@ -327,7 +327,7 @@ def test_freebasis_composite_characteristic_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "freebasis", "--file", str(spec))
     assert code == 2
     assert out == ""
-    assert err == "error: characteristic must be 0 or a prime, got 9\n"
+    assert err == f"error: {spec}:1: characteristic must be 0 or a prime, got 9\n"
 
 
 def test_freebasis_large_composite_characteristic_exits_quickly(capsys, tmp_path):
@@ -342,27 +342,29 @@ def test_freebasis_large_composite_characteristic_exits_quickly(capsys, tmp_path
     code, out, err = run(capsys, "freebasis", "--file", str(spec))
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == "error: characteristic must be 0 or a prime, got 998244359987710471\n"
+    assert err == f"error: {spec}:1: characteristic must be 0 or a prime, got 998244359987710471\n"
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, lineno, message",
     [
         (
             "char 2\nvar a1 1\nvar a1 3\ngen a1 = a1\ngen delta = a1^4\n",
+            3,
             "variable 'a1' is declared twice",
         ),
         (  # "2*2" would read as the square of a variable named 2
             "var 2 1\nvar b 3\ngen c = 2*2\ngen d = b\nbasis 2\n",
+            1,
             "variable name '2' is not an identifier",
         ),
     ],
 )
-def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, message):
+def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, lineno, message):
     spec = tmp_path / "pres.txt"
     spec.write_text(text + "basis 1\nbound 6\n")
     code, out, err = run(capsys, "freebasis", "--file", str(spec))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {spec}:{lineno}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -375,6 +377,10 @@ def test_freebasis_malformed_input_is_usage_error(capsys, tmp_path, text, messag
         ("var b2 2\nbound 4.5\n", 2, "invalid literal for int() with base 10: '4.5'"),
         ("var b2 2\n\n# a comment\ngen c b2\n", 4, "expected 'gen name = polynomial'"),
         ("var b2 2\nvars b4 4\n", 2, "unknown directive 'vars'"),
+        # the algebra's own checks, each at the line that fails it
+        ("var b2 0\n", 1, "variable degrees must be positive"),
+        ("var b2 2\n\nchar 4\n", 3, "characteristic must be 0 or a prime, got 4"),
+        ("var b2 2\nbound -1\n", 2, "degree bound must be >= 0, got -1"),
         # the polynomial texts, parsed once the whole file is read
         (
             "char 2\nvar a1 1\nvar a3 3\ngen a1 = 1/2*a1\ngen delta = a3^4 + a1^3*a3^3\n",

@@ -1,17 +1,14 @@
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mfdecomp import decomp, levels
 from mfdecomp.decomp import omega_decomposition
-from mfdecomp.hilbert import WeightedLine, h0_dim
+from mfdecomp.hilbert import times_denominator
 from mfdecomp.levels import (
-    SMALL_LEVEL_WEIGHTS,
     CongruenceGroup,
     GroupKind,
     InvalidGroup,
@@ -23,6 +20,7 @@ from mfdecomp.levels import (
     level_invariants,
     weight1_cusp_dim,
 )
+from oracles import coset_invariants, dimensions_by_weight
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 G0 = lambda n: CongruenceGroup(GroupKind.GAMMA0, n)
@@ -307,112 +305,8 @@ def test_gamma1_cusp_genus_relation(n):
 
 
 # ---------------------------------------------------------------------------
-# Coset-action oracle: the invariants read off the right action of S, T and
-# ST on the cosets of the group in SL2(Z), taken modulo -I, without any of
-# the closed formulas in levels.py (Diamond-Shurman, ch. 3).
-
-S, T, ST = (0, -1, 1, 0), (1, 1, 0, 1), (0, -1, 1, 1)
-
-
-def _times(row, m, n):
-    """The row vector ``row`` = (c, d) times the matrix ``m`` = (a, b, c, d), mod n."""
-    (c, d), (a1, b1, c1, d1) = row, m
-    return (c * a1 + d * c1) % n, (c * b1 + d * d1) % n
-
-
-def _prime_powers(n):
-    out, p = [], 2
-    while n > 1:
-        q = 1
-        while n % p == 0:
-            n, q = n // p, q * p
-        if q > 1:
-            out.append((p, q))
-        p += 1
-    return out
-
-
-def _p1_point(row, p, q):
-    """The canonical form (1 : d) or (c : 1), p | c, of a point of P^1(Z/p^e)."""
-    c, d = row
-    if c % p:
-        return 1, d * pow(c, -1, q) % q
-    return c * pow(d, -1, q) % q, 1
-
-
-def _gamma0_action(n):
-    """Gamma0(n) cosets: P^1(Z/n), the product of the P^1(Z/p^e) (by CRT)."""
-    local = _prime_powers(n)
-    points = list(
-        product(*([(1, d) for d in range(q)] + [(c, 1) for c in range(0, q, p)] for p, q in local))
-    )
-
-    def act(point, m):
-        return tuple(_p1_point(_times(row, m, q), p, q) for row, (p, q) in zip(point, local))
-
-    return points, act, len(points)  # -I lies in Gamma0(n): SL2 index = PSL2 index
-
-
-def _gamma1_action(n):
-    """Gamma1(n) cosets: bottom rows (c, d) of order n in (Z/n)^2, modulo +-1."""
-    rows = [(c, d) for c in range(n) for d in range(n) if gcd(c, d, n) == 1]
-    sign = lambda row: min(row, ((-row[0]) % n, (-row[1]) % n))
-    return sorted({sign(row) for row in rows}), lambda row, m: sign(_times(row, m, n)), len(rows)
-
-
-def _gamma_full_action(n):
-    """Gamma(n) cosets: SL2(Z/n), modulo +-1."""
-    mats = [
-        (a, b, c, d)
-        for c in range(n)
-        for d in range(n)
-        if gcd(c, d, n) == 1
-        for a in range(n)
-        for b in range(n)
-        if (a * d - b * c) % n == 1
-    ]
-    sign = lambda m: min(m, tuple((-x) % n for x in m))
-
-    def act(m, g):
-        top, bottom = _times(m[:2], g, n), _times(m[2:], g, n)
-        return sign(top + bottom)
-
-    return sorted({sign(m) for m in mats}), act, len(mats)
-
-
-def _cycles(perm):
-    seen, count = set(), 0
-    for start in perm:
-        if start not in seen:
-            count += 1
-            x = start
-            while x not in seen:
-                seen.add(x)
-                x = perm[x]
-    return count
-
-
-@lru_cache(maxsize=None)
-def coset_invariants(group):
-    """(index, cusps, e2, e3, genus) of ``group`` from its coset action."""
-    build = {
-        GroupKind.GAMMA0: _gamma0_action,
-        GroupKind.GAMMA1: _gamma1_action,
-        GroupKind.GAMMA_FULL: _gamma_full_action,
-    }[group.kind]
-    points, act, sl2_index = build(group.level)
-    s, t, st = ({x: act(x, m) for x in points} for m in (S, T, ST))
-    for perm in (s, t, st):
-        assert sorted(perm.values()) == sorted(points)  # a permutation of the cosets
-    cusps = _cycles(t)  # cusps: orbits of <T, -I>
-    e2 = sum(s[x] == x for x in points)
-    e3 = sum(st[x] == x for x in points)
-    # Riemann-Hurwitz for X(group) -> X(1), of degree mu, branched over
-    # i (S), rho (ST) and infinity (T): 2g - 2 = -2 mu + sum (mu - #cycles)
-    twice_g = len(points) - _cycles(s) - _cycles(st) - cusps + 2
-    assert twice_g % 2 == 0
-    return sl2_index, cusps, e2, e3, twice_g // 2
-
+# The coset-action oracle (``oracles.coset_invariants``), and the dimensions
+# weight by weight from its invariants
 
 ORACLE_GROUPS = (
     [G0(n) for n in range(2, 201)] + [G1(n) for n in range(2, 61)] + [GF(n) for n in range(2, 13)]
@@ -434,34 +328,13 @@ def test_level_invariants_match_coset_oracle():
         assert got == coset_invariants(group), group
 
 
-def _oracle_dimensions(group, k, s1):
-    """(dim M_k, dim S_k) for k >= 0 from the coset-oracle invariants and s_1."""
-    key = (group.kind, group.level)
-    if key in SMALL_LEVEL_WEIGHTS:
-        line = WeightedLine(*SMALL_LEVEL_WEIGHTS[key])
-        return h0_dim(line, k), h0_dim(line, k - 2 - line.a - line.b)
-    mu, cusps, e2, e3, g = coset_invariants(group)
-    if k == 0:
-        return 1, 0
-    if group.kind is GroupKind.GAMMA0:
-        if k % 2 == 1:
-            return 0, 0
-        m = (k - 1) * (g - 1) + (k // 4) * e2 + (k // 3) * e3 + (k // 2) * cusps
-    elif k == 1:
-        return cusps // 2 + s1, s1  # every cusp of a representable group is regular
-    else:
-        m = Fraction(mu * k, 24) + 1 - g
-        assert m.denominator == 1
-    assert m >= 0
-    return m, g if k == 2 else m - cusps
-
-
 @given(st.sampled_from(ORACLE_GROUPS))
 def test_dimensions_match_coset_oracle(group):
     try:
         s1 = weight1_cusp_dim(group)
     except Weight1Unavailable:  # Gamma1(43..60), Gamma(12): past the weight-1 table
         s1 = None
+    m, s = dimensions_by_weight(group, coset_invariants(group), s1 or 0, 49)
     for k in range(49):
         if k == 1 and s1 is None:
             for dim in (dim_modular_forms, dim_cusp_forms):
@@ -469,7 +342,29 @@ def test_dimensions_match_coset_oracle(group):
                     dim(group, 1)
             continue
         got = (dim_modular_forms(group, k), dim_cusp_forms(group, k))
-        assert got == _oracle_dimensions(group, k, s1), k
+        assert got == (m[k], s[k]), k
+
+
+CLOSED_FORM_GROUPS = st.one_of(
+    st.builds(G0, st.integers(2, 2999)),
+    st.builds(G1, st.integers(5, 2000)),
+    st.builds(GF, st.integers(3, 199)),
+)
+
+
+@given(CLOSED_FORM_GROUPS, st.sampled_from((0, 1, 4)))
+def test_closed_form_numerators_are_the_dimensions_by_weight(group, s1):
+    # N and N_S come from one to three series h(t)/prod (1 - t^w) and Serre
+    # duality; the oracle evaluates the dimension formulas at each weight
+    if levels._weight1_vanishes(group):
+        s1 = 0
+    numerator, cusp_numerator = levels._numerators(group, s1)
+    inv = level_invariants(group)
+    m, s = dimensions_by_weight(group, (inv.index, inv.cusps, inv.elliptic2, inv.elliptic3, inv.genus), s1, 49)
+    assert times_denominator(m, (4, 6), 49) == [*numerator, *[0] * (49 - len(numerator))]  # deg N <= 11
+    assert len(numerator) == 12
+    assert times_denominator(s, (4, 6), 49) == [*cusp_numerator, *[0] * (49 - len(cusp_numerator))]
+    assert cusp_numerator == (0, *reversed(numerator))
 
 
 def test_dimensions_by_weight_build_one_numerator_pair_per_s1():

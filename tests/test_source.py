@@ -110,6 +110,25 @@ def test_every_private_function_is_read():
     assert not unread, unread
 
 
+def test_every_oracle_is_called_from_a_test():
+    # the oracle-side twin of the check above: an oracle that no test file
+    # calls checks nothing, and a private helper of the oracles is read by them
+    tests = Path(__file__).resolve().parent
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    called = set()
+    for path in tests.glob("test_*.py"):
+        tree = ast.parse(path.read_text())
+        called |= _names_read(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    helpers = _names_read(oracles)
+    unread = [
+        f"oracles.py:{node.lineno}: {node.name}"
+        for node in oracles.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in (helpers if node.name.startswith("_") else called)
+    ]
+    assert not unread, unread
+
+
 def _probe(code: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter that imports mfdecomp from this tree."""
     src = str(Path(mfdecomp.__file__).parent.parent)
