@@ -2,6 +2,8 @@
 
 Modules:
 
+* :mod:`.arith` -- factorisation, primality, and the readers of integers
+  and of input-file lines;
 * :mod:`.exactnum` -- rationals and 2-power cyclotomic arithmetic with
   exact 2-adic valuations;
 * :mod:`.levels` -- indices, cusps, genera and dimension formulas for

@@ -1,13 +1,15 @@
-"""Integer arithmetic: factorisation (for levels and group indices), a
-Miller-Rabin primality test (for characteristics and primes) and
-``parse_integer``, the one reader of integers in outside text."""
+"""Integer arithmetic and the readers of outside text: factorisation, a
+Miller-Rabin primality test, ``parse_integer``, the one reader of integers, and
+``read_lines``, the one reader of input-file lines (weight-1 and presentation)."""
 
 from __future__ import annotations
 
+import io
+from collections.abc import Callable
 from itertools import chain, count
 from math import gcd
 
-__all__ = ["factorize", "is_prime", "parse_integer"]
+__all__ = ["factorize", "is_prime", "parse_integer", "read_lines"]
 
 #: No composite below 3.3 * 10**24 is a strong pseudoprime to all of these
 #: bases, so ``is_prime`` is exact there.
@@ -24,6 +26,23 @@ def parse_integer(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
+
+
+def read_lines(text: str | bytes, source: str, read: Callable[[int, str], object]) -> None:
+    """Call ``read(lineno, line)`` on each line of ``text`` (bytes decoded as a
+    text-mode file is), split at line feeds alone, '#' comment cut, stripped and
+    skipped if blank; a ValueError names ``source:lineno:``, or ``source:`` if undecodable."""
+    if isinstance(text, bytes):
+        try:
+            text = io.TextIOWrapper(io.BytesIO(text)).read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        if line := raw.split("#", 1)[0].strip():
+            try:
+                read(lineno, line)
+            except ValueError as exc:
+                raise ValueError(f"{source}:{lineno}: {exc}") from None
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -2,7 +2,8 @@
 
 Subcommands: levels, table, verify, hasse, wproj, obstruct, freebasis.  The
 library reads every text format: integers through ``arith.parse_integer``,
-presentation files through ``ringalg.read_presentation``.
+input-file lines through ``arith.read_lines`` and presentations through
+``ringalg.read_presentation``.
 Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 required
 weight-1 data unavailable.  Output is deterministic; TSV is tab-separated
 with LF line endings, JSON is a single document per invocation.  Each
@@ -100,35 +101,21 @@ def _load_weight1(path: str | None) -> Weight1Data:
 
 
 def _render_table(columns: tuple[str, ...], rows: list[tuple[int, ...]], fmt: str) -> str:
-    if fmt == "tsv":
-        lines = ["\t".join(columns)]
-        lines += ["\t".join(str(x) for x in row) for row in rows]
-        return "\n".join(lines) + "\n"
     if fmt == "json":
         import json
 
         return json.dumps({"columns": columns, "rows": [list(r) for r in rows]}) + "\n"
-    # markdown
-    lines = ["| " + " | ".join(columns) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
-    lines += ["| " + " | ".join(str(x) for x in row) + " |" for row in rows]
-    return "\n".join(lines) + "\n"
+    if fmt == "tsv":
+        return "".join("\t".join(map(str, row)) + "\n" for row in (columns, *rows))
+    rule = ["---"] * len(columns)  # markdown: the row under the header
+    return "".join("| " + " | ".join(map(str, row)) + " |\n" for row in (columns, rule, *rows))
 
 
 def cmd_levels(args) -> int:
     group = CongruenceGroup.parse(args.group)
     inv = level_invariants(group)
-    columns = ["group", "index", "omega_degree", "cusps", "elliptic2", "elliptic3", "genus"]
-    row = (
-        str(group),
-        inv.index,
-        str(inv.omega_degree),
-        inv.cusps,
-        inv.elliptic2,
-        inv.elliptic3,
-        inv.genus,
-    )
-    sys.stdout.write(_render_table(columns, [row], args.format))
+    row = (str(group), *inv._replace(omega_degree=str(inv.omega_degree)))
+    sys.stdout.write(_render_table(("group", *inv._fields), [row], args.format))
     return EXIT_OK
 
 
@@ -172,8 +159,8 @@ def cmd_obstruct(args) -> int:
 
 def cmd_freebasis(args) -> int:
     label = args.preset or args.file
-    text = Path(label).read_text() if args.file else None  # a missing file runs no lazy module
-    presentation = ringalg.read_presentation(text, label) if args.file else ringalg.PRESETS[label]
+    data = Path(label).read_bytes() if args.file else None  # a missing file runs no lazy module
+    presentation = ringalg.read_presentation(data, label) if args.file else ringalg.PRESETS[label]
     cert = ringalg.verify_free_basis(*presentation)
     if cert.free:
         sys.stdout.write(f"{label}: free (verified through degree {cert.bound})\n")

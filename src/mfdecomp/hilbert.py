@@ -153,12 +153,10 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     def total(self) -> int:
         return sum(self.multiplicities)
 
-    def max_shift(self) -> int:
-        return max(len(self.multiplicities) - 1, 0)
-
     def as_list(self, length: int | None = None) -> list[int]:
-        """c_0..c_{length-1}, by default through ``max_shift``; a negative length raises."""
-        return _padded(self.multiplicities, self.max_shift() + 1 if length is None else length)
+        """c_0..c_{length-1}, by default through c_s and at least c_0; a negative length raises."""
+        cs = self.multiplicities
+        return _padded(cs, max(len(cs), 1) if length is None else length)
 
 
 class DeconvolutionError(ValueError):

@@ -42,7 +42,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import factorize, parse_integer
+from .arith import factorize, parse_integer, read_lines
 from .hilbert import over_denominator, times_denominator
 
 __all__ = [
@@ -204,26 +204,22 @@ class Weight1Data(NamedTuple):
         """Default table extended/overridden by lines ``kind level s1``; a
         line that contradicts a forced s_1 = 0 or repeats a group is an error."""
         entries: dict[tuple[GroupKind, int], int] = {}
-        source = str(path)
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+
+        def read(_: int, line: str) -> None:
             parts = line.split()
             if len(parts) != 3:
-                raise ValueError(f"{source}:{lineno}: expected 'kind level s1'")
-            try:
-                group = CongruenceGroup(GroupKind(parts[0]), parse_integer(parts[1]))
-                s1 = parse_integer(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: {exc}") from None
+                raise ValueError("expected 'kind level s1'")
+            group = CongruenceGroup(GroupKind(parts[0]), parse_integer(parts[1]))
+            s1 = parse_integer(parts[2])
             if s1 < 0:
-                raise ValueError(f"{source}:{lineno}: s1 must be >= 0")
+                raise ValueError("s1 must be >= 0")
             if s1 and _weight1_vanishes(group):
-                raise ValueError(f"{source}:{lineno}: s1 of {group} is forced to be 0")
+                raise ValueError(f"s1 of {group} is forced to be 0")
             if (key := (group.kind, group.level)) in entries:
-                raise ValueError(f"{source}:{lineno}: repeated entry for {group}")
+                raise ValueError(f"repeated entry for {group}")
             entries[key] = s1
+
+        read_lines(Path(path).read_bytes(), source := str(path), read)
         base = cls.default()
         return cls({**base.table, **entries}, {**base.provenance, **dict.fromkeys(entries, source)})
 

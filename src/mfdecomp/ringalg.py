@@ -1,16 +1,16 @@
 """Graded polynomial algebras over Q and F_p, with exact linear algebra.
 
-Two-variable weighted polynomial rings, homogeneous elements, free-basis
-certificates over two-generator subrings, regular-sequence checks, and the
-Weierstrass identity c4^3 - c6^2 = 1728*Delta.  Each level's ring and its
+Weighted polynomial rings, homogeneous elements, free-basis certificates and
+regular-sequence checks, all in any number of variables and generators, and
+the Weierstrass identity c4^3 - c6^2 = 1728*Delta.  Each level's ring and its
 c4, c6 and Delta are written once, as strings over Q in
 ``WEIERSTRASS_PRESENTATIONS``; the F_2 and F_3 inputs are those strings read
 mod p, where ``GradedAlgebra.coeff`` reduces p-integral coefficients and
 rejects the rest.  ``parse_polynomial`` and ``read_presentation`` read a
 polynomial and a presentation file.  A sequence is regular when each prefix's
 quotient has the previous quotient's Hilbert function times (1 - t^deg f); a
-free basis over k[g_1, g_2] is a basis of A/(g_1, g_2) for a regular pair.
-Both checks stop where no later degree can change them (``_horizon``).
+free basis over k[g] is a basis of A/(g) for a regular sequence g.  With two
+variables and two generators both checks stop sooner (``_horizon``).
 
 Polynomials are read-only maps from exponent vectors to coefficients: ints
 where integral and ``Fraction`` otherwise in characteristic 0, ints in
@@ -32,7 +32,7 @@ from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .arith import is_prime, parse_integer
+from .arith import is_prime, parse_integer, read_lines
 from .hilbert import times_denominator
 
 __all__ = [
@@ -221,45 +221,42 @@ def parse_polynomial(algebra: GradedAlgebra, text: str) -> Polynomial:
     return Polynomial(algebra, acc)
 
 
-def read_presentation(text: str, source: str):
-    """The presentation file ``text``, read from ``source``, as a ``PRESETS`` entry:
-    lines ``var name degree``, ``gen name = polynomial``, ``basis polynomial``
-    and at most one each of ``char p`` and ``bound d``; '#' starts a comment.
-    An error in one line is prefixed ``source:lineno:``."""
+def read_presentation(text: str | bytes, source: str):
+    """The presentation file ``source``, its text or bytes, as a ``PRESETS``
+    entry: lines ``var name degree``, ``gen name = polynomial``, ``basis
+    polynomial`` and at most one each of ``char p`` and ``bound d``, read by
+    ``read_lines``, so an error in one line is prefixed ``source:lineno:``."""
     single: dict[str, int] = {}  # the "char" and "bound" lines, each at most once
     variables: list[tuple[str, int]] = []
     gens: list[tuple[int, str, str]] = []  # (line number, name, polynomial text)
     basis: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):  # the lines a text-mode file yields
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def read(lineno: int, line: str) -> None:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head in single:
-            raise ValueError(f"repeated {head!r} line in {source}")
-        try:
-            if head == "char":  # a composite one fails at its line
-                single[head] = GradedAlgebra(parse_integer(rest), ()).char
-            elif head == "bound":
-                single[head] = _nonnegative_bound(parse_integer(rest))
-            elif head == "var":
-                if len(rest.split()) != 2:
-                    raise ValueError("expected 'var name degree'")
-                name, deg = rest.split()
-                variables.append((name, parse_integer(deg)))
-                GradedAlgebra(0, tuple(variables))  # a bad degree or name fails at its line
-            elif head == "gen":
-                name, eq, expr = rest.partition("=")
-                if not eq:
-                    raise ValueError("expected 'gen name = polynomial'")
-                gens.append((lineno, name.strip(), expr.strip()))
-            elif head == "basis":
-                basis.append((lineno, rest))
-            else:
-                raise ValueError(f"unknown directive {head!r}")
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: {exc}") from None
+            raise ValueError(f"repeated {head!r} line")
+        if head == "char":  # a composite one fails at its line
+            single[head] = GradedAlgebra(parse_integer(rest), ()).char
+        elif head == "bound":
+            single[head] = _nonnegative_bound(parse_integer(rest))
+        elif head == "var":
+            if len(rest.split()) != 2:
+                raise ValueError("expected 'var name degree'")
+            name, deg = rest.split()
+            variables.append((name, parse_integer(deg)))
+            GradedAlgebra(0, tuple(variables))  # a bad degree or name fails at its line
+        elif head == "gen":
+            name, eq, expr = rest.partition("=")
+            if not eq:
+                raise ValueError("expected 'gen name = polynomial'")
+            gens.append((lineno, name.strip(), expr.strip()))
+        elif head == "basis":
+            basis.append((lineno, rest))
+        else:
+            raise ValueError(f"unknown directive {head!r}")
+
+    read_lines(text, source, read)
     for directive, lines in (("var", variables), ("gen", gens), ("basis", basis)):
         if not lines:
             raise ValueError(f"no {directive!r} line in {source}")
@@ -356,7 +353,7 @@ def matrix_rank(algebra: GradedAlgebra, rows: list[list["Fraction | int"]]) -> i
 
 
 class SubringSpec(namedtuple("SubringSpec", "generators")):
-    """Two generators of the ambient algebra, each homogeneous."""
+    """Generators of a subring of the ambient algebra: any number, each homogeneous."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too

@@ -4,7 +4,9 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from mfdecomp.arith import factorize, is_prime, parse_integer
+from mfdecomp import ringalg
+from mfdecomp.arith import factorize, is_prime, parse_integer, read_lines
+from mfdecomp.levels import Weight1Data
 
 
 def _sieve(bound):
@@ -105,3 +107,67 @@ def test_parse_integer_takes_exactly_signed_ascii_digits_within_whitespace(text)
 def test_parse_integer_rejects_separators_plus_signs_decimals_and_other_digits(text):
     with pytest.raises(ValueError, match="invalid literal for int"):
         parse_integer(text)
+
+
+def test_read_lines_cuts_comments_skips_blanks_and_names_the_line():
+    seen = []
+    read_lines("a 1 # note\n\n   # only a comment\n\tb\f2  \n", "f", lambda *line: seen.append(line))
+    assert seen == [(1, "a 1"), (4, "b\f2")]
+
+    def read(lineno, line):
+        raise ValueError(f"bad {line!r}")
+
+    with pytest.raises(ValueError, match=r"^f:2: bad 'x'$"):
+        read_lines("# x\nx\n", "f", read)
+
+
+def test_read_lines_decodes_bytes_as_a_text_mode_file():
+    seen = []
+    read_lines("a\r\nb\rc\x85d\n".encode(), "f", lambda *line: seen.append(line))
+    assert seen == [(1, "a"), (2, "b"), (3, "c\x85d")]  # universal newlines, no more
+    with pytest.raises(ValueError, match=r"^f: .*can't decode byte 0xff in position 2"):
+        read_lines(b"a\n\xff\n", "f", lambda *line: None)
+
+
+#: The characters at which str.splitlines, but not a text-mode file, ends a
+#: line; all of them are whitespace to str.split and str.strip.
+ODD_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+padding = st.text(alphabet=" " + ODD_LINE_ENDS, max_size=3)
+separators = st.text(alphabet=" " + ODD_LINE_ENDS, min_size=1, max_size=2)
+comments = st.one_of(st.just(""), st.text(alphabet="ab #" + ODD_LINE_ENDS, max_size=6).map("#".__add__))
+
+
+@st.composite
+def numbered_files(draw):
+    """(weight-1 text, presentation text, k): the same layout of valid,
+    comment and blank lines in both formats, odd characters inside the
+    lines, and one malformed token on line k."""
+    kinds = draw(st.lists(st.sampled_from(["valid", "comment", "blank"]), max_size=8))
+    k = draw(st.integers(min_value=0, max_value=len(kinds)))
+    kinds.insert(k, "bad")
+    w1_lines, pres_lines = [], []
+    for i, kind in enumerate(kinds):
+        left, right, comment = draw(padding), draw(padding), draw(comments)
+        seps = [draw(separators) for _ in range(2)]
+        if kind in ("comment", "blank"):
+            text = left + (comment or "#") if kind == "comment" else left + right
+            w1_lines.append(text)
+            pres_lines.append(text)
+            continue
+        token = "x" if kind == "bad" else None  # the bad line's malformed number
+        w1_lines.append(f"{left}g0{seps[0]}{i + 2}{seps[1]}{token or 0}{right}{comment}")
+        pres_lines.append(f"{left}var x{i}{seps[0]}{token or 1}{right}{comment}")
+    return "\n".join(w1_lines) + "\n", "\n".join(pres_lines) + "\n", k + 1
+
+
+@given(numbered_files())
+def test_both_readers_number_lines_alike(tmp_path_factory, case):
+    w1_text, pres_text, k = case
+    path = tmp_path_factory.getbasetemp() / "numbered.txt"
+    path.write_bytes(w1_text.encode())
+    with pytest.raises(ValueError) as w1_error:
+        Weight1Data.load(path)
+    with pytest.raises(ValueError) as pres_error:
+        ringalg.read_presentation(pres_text, "pres.txt")
+    assert str(w1_error.value).startswith(f"{path}:{k}: invalid literal")
+    assert str(pres_error.value).startswith(f"pres.txt:{k}: invalid literal")

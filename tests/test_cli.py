@@ -453,7 +453,21 @@ def test_freebasis_repeated_directive_is_usage_error(capsys, tmp_path, directive
         + lines
     )
     code, out, err = run(capsys, "freebasis", "--file", str(spec))
-    assert (code, out, err) == (2, "", f"error: repeated '{directive}' line in {spec}\n")
+    assert (code, out, err) == (2, "", f"error: {spec}:12: repeated '{directive}' line\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--flavor", "omega", "--from", "43", "--to", "43", "--weight1"), ("freebasis", "--file")],
+    ids=["weight1", "file"],
+)
+def test_an_undecodable_input_file_names_the_file(capsys, tmp_path, argv):
+    spec = tmp_path / "input.txt"
+    spec.write_bytes(b"g1 43 0\n\xff\n")
+    code, out, err = run(capsys, *argv, str(spec))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {spec}: ")
+    assert err.endswith(" can't decode byte 0xff in position 8: invalid start byte\n")
 
 
 @pytest.mark.parametrize(

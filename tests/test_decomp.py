@@ -598,7 +598,7 @@ def _convolution_by_division(seq, max_weight):
 
 
 def _changed(seq, shift, delta):
-    mults = seq.mult.as_list(max(shift, seq.mult.max_shift()) + 1)
+    mults = seq.mult.as_list(max(shift, len(seq.mult.multiplicities) - 1) + 1)
     mults[shift] = max(mults[shift] + delta, 0)
     return DecompositionSequence(seq.group, seq.tag, TwistMultiset(mults))
 

@@ -131,7 +131,6 @@ def test_twist_multiset_invariants():
     assert mult.as_list() == [1, 0, 0, 2]
     assert mult.as_list(6) == [1, 0, 0, 2, 0, 0]
     assert mult.total() == 3
-    assert mult.max_shift() == 3
     assert list(mult.items()) == [(0, 1), (3, 2)]
     with pytest.raises(ValueError):
         TwistMultiset([0, -2])

@@ -245,6 +245,14 @@ def test_weight1_override_file(tmp_path):
     assert dim_cusp_forms(G1(43), 1, w1) == 0
 
 
+def test_weight1_line_ends_only_at_a_line_feed(tmp_path):
+    # a form feed separates fields, as a space does, and ends no line
+    path = tmp_path / "w1.txt"
+    path.write_text("g1 43\f1\n")
+    w1 = Weight1Data.load(path)
+    assert w1.lookup(G1(43)) == weight1_cusp_dim(G1(43), w1) == 1
+
+
 @pytest.mark.parametrize(
     "line", ["g1 5 0", "g0 11 0", "g1 23 5", "g1 50 3", "g 20 7", "g1 43 0", "g1 44 0", "g1 23 0"]
 )

@@ -241,6 +241,22 @@ def test_cli_reuses_a_module_imported_before_it():
     assert table == (resources.files("mfdecomp") / "data" / "omega.tsv").read_text()
 
 
+def test_only_arith_splits_text_into_lines():
+    # arith.read_lines owns where a line of an input file ends: str.splitlines
+    # also ends one at a form feed or U+2028, a text-mode file does not
+    splits = []
+    for path in MODULES:
+        if path.stem == "arith":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                first = node.args[0] if node.args else None
+                on_newline = isinstance(first, ast.Constant) and first.value in ("\n", b"\n")
+                if node.func.attr == "splitlines" or node.func.attr in ("split", "rsplit") and on_newline:
+                    splits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not splits, splits
+
+
 def test_no_module_reads_a_private_name_of_another():
     # a private name is its module's own decision: ``from .m import _x`` and
     # ``m._x`` on a sibling module, one that cli._lazy registers included
