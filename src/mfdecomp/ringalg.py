@@ -15,9 +15,12 @@ variables and two generators both checks stop sooner (``_horizon``).
 Polynomials are read-only maps from exponent vectors to coefficients: ints
 where integral and ``Fraction`` otherwise in characteristic 0, ints in
 [0, p) in characteristic p.  Over Q the checks scale their inputs to integer
-coefficients and sum each rank row from the terms of its factors.  Every
-rank comes from one incremental echelon that reduces each new row against
-the pivot rows kept so far: mod p over F_p, fraction-free over Q.
+coefficients (integral inputs, and every F_p input, are used as they are).
+Each rank row is an element times a monomial, written straight from the
+element's terms into the numbering of its degree's monomials.  Every rank
+comes from one incremental echelon: each new row is cut to its first nonzero
+entry and reduced by that column's pivot row, from that column on, mod p over
+F_p and fraction-free over Q.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count, dropwhile
 from math import gcd, lcm
-from operator import add
+from operator import add, not_
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -60,29 +63,22 @@ class InhomogeneousInput(ValueError):
 class GradedAlgebra(namedtuple("GradedAlgebra", "char variables")):
     """Free graded polynomial algebra: coefficient field Q (char 0) or F_p."""
 
-    __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, char: int, variables: tuple[tuple[str, int], ...]) -> "GradedAlgebra":
         if char != 0 and not is_prime(char):
             raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-        if any(deg <= 0 for _, deg in variables):
+        names, degrees = tuple(zip(*variables)) or ((), ())
+        if any(deg <= 0 for deg in degrees):
             raise ValueError("variable degrees must be positive")
-        names = [name for name, _ in variables]
         for i, name in enumerate(names):
             if not name.isidentifier():
                 raise ValueError(f"variable name {name!r} is not an identifier")
             if name in names[:i]:
                 raise ValueError(f"variable {name!r} is declared twice")
-        return super().__new__(cls, char, variables)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.variables)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(deg for _, deg in self.variables)
+        self = super().__new__(cls, char, variables)
+        self.names, self.degrees = names, degrees  # the columns of variables, read per term
+        return self
 
     def coeff(self, value) -> "Fraction | int":
         """The value in the coefficient field: an int in [0, p) in characteristic p;
@@ -232,8 +228,8 @@ def read_presentation(text: str | bytes, source: str):
     basis: list[tuple[int, str]] = []
 
     def read(lineno: int, line: str) -> None:
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *fields = line.split(maxsplit=1)  # the directive ends at any whitespace
+        rest = "".join(fields)
         if head in single:
             raise ValueError(f"repeated {head!r} line")
         if head == "char":  # a composite one fails at its line
@@ -281,28 +277,30 @@ def read_presentation(text: str | bytes, source: str):
 # Exact rank computation
 
 
-def _row(f: Mapping, g: Mapping, column: dict) -> list[int]:
-    """The coordinates of f*g (f, g: terms of homogeneous elements) in the
-    numbering ``column`` of their degree's monomials, unreduced mod p."""
+def _row(f: Mapping, mono: tuple[int, ...], column: dict) -> list[int]:
+    """The coordinates of f * x^mono (f: the terms of a homogeneous element)
+    in the numbering ``column`` of their degree's monomials.  Distinct terms
+    stay distinct, so each coefficient is written, not summed."""
     row = [0] * len(column)
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            row[column[tuple(map(add, m1, m2))]] += c1 * c2
+    for m, c in f.items():
+        row[column[tuple(map(add, m, mono))]] = c
     return row
 
 
 class _Echelon:
     """Rows in echelon form over F_p (char p) or Q (char 0), one pivot row
-    per leading column.
+    per leading column, each stored from its leading column on.
 
-    Over F_p entries are taken mod p and a stored row is scaled to leading
-    entry 1.  Over Q rows stay integral: a row is reduced as
+    A new row is cut to its first nonzero entry and reduced by the pivot
+    of that column, tail against tail, until it leads in a free column or
+    vanishes.  Over F_p entries are taken mod p and a stored row is scaled
+    to leading entry 1.  Over Q rows stay integral: a row is reduced as
     c*row - x*pivot, and a stored row is divided by its content.
     """
 
     def __init__(self, char: int) -> None:
         self.char = char
-        self.pivots: dict[int, list[int]] = {}  # leading column -> row
+        self.pivots: dict[int, list[int]] = {}  # leading column -> row from there on
 
     def __len__(self) -> int:
         return len(self.pivots)
@@ -311,12 +309,10 @@ class _Echelon:
         """Reduce the integer ``row`` against the pivots from left to right,
         store a nonzero remainder as a new pivot, and return whether the
         rank grew."""
-        p = self.char
+        p, width = self.char, len(row)
         row = [x % p for x in row] if p else row
-        for col in range(len(row)):
-            x = row[col]
-            if not x:
-                continue
+        while row := list(dropwhile(not_, row)):  # the entries from the first nonzero on
+            col, x = width - len(row), row[0]
             pivot = self.pivots.get(col)
             if pivot is None:
                 if p:
@@ -330,7 +326,7 @@ class _Echelon:
             if p:
                 row = [(y - x * z) % p for y, z in zip(row, pivot)]
             else:
-                c = pivot[col]
+                c = pivot[0]
                 row = [c * y - x * z for y, z in zip(row, pivot)]
         return False
 
@@ -355,18 +351,16 @@ def matrix_rank(algebra: GradedAlgebra, rows: list[list["Fraction | int"]]) -> i
 class SubringSpec(namedtuple("SubringSpec", "generators")):
     """Generators of a subring of the ambient algebra: any number, each homogeneous."""
 
-    __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, generators: tuple[tuple[str, Polynomial], ...]) -> "SubringSpec":
-        for name, g in generators:
-            if g.homogeneous_degree() <= 0:
+        degrees = tuple(g.homogeneous_degree() for _, g in generators)
+        for (name, _), deg in zip(generators, degrees):
+            if deg <= 0:
                 raise ValueError(f"subring generator {name} must have positive degree")
-        return super().__new__(cls, generators)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(g.homogeneous_degree() for _, g in self.generators)
+        self = super().__new__(cls, generators)
+        self.degrees = degrees
+        return self
 
 
 #: Default degree bound of a free-basis certificate; two-variable checks stop
@@ -394,9 +388,11 @@ class BasisCertificate(NamedTuple):
         return self.verdict == "free"
 
 
-def _integral(p: Polynomial) -> Polynomial:
-    """``p`` scaled by the lcm of its denominators, which changes no rank."""
-    return p.scale(lcm(*(c.denominator for c in p.terms.values())))
+def _integral(p: Polynomial) -> Mapping:
+    """The terms of ``p`` scaled by the lcm of its denominators, which changes
+    no rank; ``p``'s own terms when they are integral, as over F_p."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return p.terms if scale == 1 else p.scale(scale).terms
 
 
 def _horizon(algebra: GradedAlgebra, degrees: tuple[int, ...], bound: int, top: int = 0) -> int:
@@ -434,19 +430,20 @@ def verify_free_basis(
     basis_degrees = tuple(b.homogeneous_degree() for b in basis)
     gen_degrees = subring.degrees
     stop = _horizon(ambient, gen_degrees, bound, max(basis_degrees, default=0))
-    components = [graded_component(ambient, d) for d in range(stop + 1)]
+    components = [_graded_monomials(ambient.degrees, d) for d in range(stop + 1)]
     quotient = times_denominator(list(map(len, components)), gen_degrees, stop + 1)
-    gens = [_integral(g).terms for _, g in subring.generators]
-    basis = [_integral(b).terms for b in basis]
+    gens = [_integral(g) for _, g in subring.generators]
+    basis = [_integral(b) for b in basis]
+    one = (0,) * len(ambient.degrees)
     for d, (component, e_d) in enumerate(zip(components, quotient)):
-        column = {m: i for i, m in enumerate(component)}
+        column = dict(zip(component, count()))
         echelon = _Echelon(ambient.char)
         for g, deg in zip(gens, gen_degrees):
-            for mono in graded_component(ambient, d - deg):
-                echelon.add(_row(g, {mono: 1}, column))
+            for mono in components[d - deg] if deg <= d else ():
+                echelon.add(_row(g, mono, column))
         here = [b for b, bd in zip(basis, basis_degrees) if bd == d]
         for b in here:
-            echelon.add([b.get(m, 0) for m in component])
+            echelon.add(_row(b, one, column))
         if len(here) != e_d or len(echelon) < len(component):
             kind = "spanning" if len(here) < e_d else "independence"
             return BasisCertificate(ambient, subring, basis_degrees, bound, "not free", d, kind)
@@ -490,15 +487,15 @@ def verify_regular_sequence(
     bound = _nonnegative_bound(2 * sum(degrees) if bound is None else bound)
 
     stop = _horizon(algebra, degrees, bound)
-    components = [graded_component(algebra, d) for d in range(stop + 1)]
-    columns = [{m: i for i, m in enumerate(component)} for component in components]
+    components = [_graded_monomials(algebra.degrees, d) for d in range(stop + 1)]
+    columns = [dict(zip(component, count())) for component in components]
     h = [len(component) for component in components]
     ideal = [_Echelon(algebra.char) for _ in components]
     for k, (f, e) in enumerate(zip(map(_integral, elements), degrees)):
         expected = times_denominator(h, [e], stop + 1)
         for d in range(e, stop + 1):  # below e nothing changes
             for mono in components[d - e]:
-                ideal[d].add(_row(f.terms, {mono: 1}, columns[d]))
+                ideal[d].add(_row(f, mono, columns[d]))
             h[d] = len(components[d]) - len(ideal[d])
             if h[d] != expected[d]:
                 return RegularSequenceVerdict(

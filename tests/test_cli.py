@@ -441,6 +441,18 @@ def test_plain_file_is_free():
     assert ringalg.verify_free_basis(*ringalg.read_presentation(PLAIN_FILE, "plain")).free
 
 
+def test_freebasis_directive_ends_at_any_whitespace(capsys, tmp_path):
+    # the f3-rank3 presentation with a tab after each directive and between fields
+    spec = tmp_path / "pres.txt"
+    spec.write_text(
+        "char\t3\nvar\tb2\t2\nvar\tb4\t4\ngen\tb2\t=\tb2\n"
+        "gen\tdelta\t=\t1/4*b2^2*b4^2 - 8*b4^3\nbasis\t1\nbasis\tb4\nbasis\tb4^2\nbound\t48\n"
+    )
+    assert ringalg.read_presentation(spec.read_text(), str(spec)) == ringalg.PRESETS["f3-rank3"]
+    code, out, _ = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out) == (0, f"{spec}: free (verified through degree 48)\n")
+
+
 @pytest.mark.parametrize(
     "directive, lines", [("bound", "bound 6\nbound 2\n"), ("char", "char 0\nchar 3\nbound 6\n")]
 )

@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -166,15 +168,19 @@ MIXED = st.one_of(INTS, st.fractions(-6, 6, max_denominator=6))
 
 @st.composite
 def matrices(draw, entries):
-    """Products of an n x k and a k x m factor, so rank deficits are common."""
-    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    """Products of an n x k and a k x m factor, so rank deficits are common,
+    with up to 12 columns; a row may start with a drawn run of zeros, so that
+    pivots sit late and rows are reduced from a late column on."""
+    n, k, m = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 12))
 
     def block(rows, cols):
         row = st.lists(entries, min_size=cols, max_size=cols)
         return draw(st.lists(row, min_size=rows, max_size=rows))
 
     left, right = block(n, k), block(k, m)
-    return [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] for row in left]
+    product = [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] for row in left]
+    zeros = st.one_of(st.just(0), st.integers(0, m))
+    return [[0] * z + row[z:] for row, z in zip(product, (draw(zeros) for _ in product))]
 
 
 def _rank_by_span(rows, p):
@@ -208,19 +214,21 @@ def test_matrix_rank_mod_p_matches_span_count(p, data):
     assert matrix_rank(GradedAlgebra(p, Q_B.variables), rows) == _rank_by_span(rows, p)
 
 
-@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_echelon_add_reports_each_rank_increase(char, data):
-    # integer rows, added in two batches to one echelon
+    # integer rows, added in two batches to one echelon; the prefixes reach
+    # rank 10, too many for a span count, so sympy ranks them over GF(p) or Q
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
     first, second = (data.draw(matrices(INTS)) for _ in range(2))
     width = min(len(first[0]), len(second[0]))
     rows = [row[:width] for row in first + second]
-    if char:
-        ranks = [_rank_by_span(rows[:i], char) for i in range(1, len(rows) + 1)]
-    else:
-        sympy = pytest.importorskip("sympy")
-        ranks = [sympy.Matrix(rows[:i]).rank() for i in range(1, len(rows) + 1)]
+    field = sympy.GF(char) if char else sympy.QQ
+    prefixes = (DomainMatrix.from_list(rows[:i], sympy.ZZ) for i in range(1, len(rows) + 1))
+    ranks = [prefix.convert_to(field).rank() for prefix in prefixes]
     echelon = ringalg._Echelon(char)
     grew = [echelon.add(row) for row in rows[: len(first)]]
     assert len(echelon) == ranks[len(first) - 1]
@@ -469,12 +477,14 @@ def homogeneous_elements(draw, algebra):
 @given(data=st.data())
 def test_row_is_the_product_in_coordinates(char, degrees, data):
     algebra = GradedAlgebra(char, tuple((f"x{i}", d) for i, d in enumerate(degrees)))
-    f, g = (data.draw(homogeneous_elements(algebra)) for _ in range(2))
-    component = graded_component(algebra, f.homogeneous_degree() + g.homogeneous_degree())
-    row = ringalg._row(f.terms, g.terms, {m: i for i, m in enumerate(component)})
+    f = data.draw(homogeneous_elements(algebra))
+    shift = data.draw(st.integers(0, 8).filter(lambda e: graded_component(algebra, e)))
+    mono = data.draw(st.sampled_from(graded_component(algebra, shift)))  # 1 when shift is 0
+    component = graded_component(algebra, f.homogeneous_degree() + shift)
+    row = ringalg._row(f.terms, mono, {m: i for i, m in enumerate(component)})
     assert all(type(x) is int for x in row)
-    reduced = [x % char for x in row] if char else row
-    assert reduced == [(f * g).terms.get(m, 0) for m in component]
+    product = f * Polynomial(algebra, {mono: 1})
+    assert row == [product.terms.get(m, 0) for m in component]
 
 
 @settings(max_examples=60, deadline=None)
@@ -701,6 +711,30 @@ def test_characteristic_must_be_zero_or_prime(char):
         GradedAlgebra(char, (("b2", 2),))
     for ok in (0, 2, 3, 5):
         GradedAlgebra(ok, (("b2", 2),))
+
+
+variable_lists = st.lists(
+    st.tuples(st.from_regex(r"[a-z_][a-z0-9_]{0,3}", fullmatch=True), st.integers(1, 12)),
+    max_size=4,
+    unique_by=lambda var: var[0],
+).map(tuple)
+
+
+@given(st.sampled_from([0, 2, 3, 7]), variable_lists, variable_lists)
+def test_names_and_degrees_are_the_columns_of_variables(char, variables, other):
+    algebra = GradedAlgebra(char, variables)
+    copies = [
+        algebra,
+        algebra._replace(variables=other),
+        algebra._replace(char=5),
+        copy.copy(algebra),
+        copy.deepcopy(algebra),
+        *(pickle.loads(pickle.dumps(algebra, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)),
+    ]
+    for a in copies:
+        assert a.names == tuple(name for name, _ in a.variables)
+        assert a.degrees == tuple(deg for _, deg in a.variables)
+    assert copies[3:] == [algebra] * 4
 
 
 def test_variable_names_must_be_distinct():
