@@ -25,6 +25,7 @@ from . import hilbert
 from .arith import parse_integer
 from .hilbert import Check, NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
 from .levels import (
+    LEVEL1_WEIGHTS,
     CongruenceGroup,
     GroupKind,
     Weight1Data,
@@ -217,9 +218,10 @@ def _suite_wproj(w1: Weight1Data) -> Iterator[Check]:
     failure = next(failures, "")
     yield Check("serre-duality-grid", not failure, failure or "a,b <= 12, |m| <= 60")
     # h0 counts lattice points; the series 1/((1 - t^4)(1 - t^6)) is a second way
-    got = [h0_dim(WeightedLine(4, 6), k) for k in range(61)]
-    expected = hilbert.over_denominator([1], (4, 6), 61)
-    yield Check("level1-dimensions", got == expected, "weights (4,6), k <= 60")
+    line = WeightedLine(*LEVEL1_WEIGHTS)
+    got = [h0_dim(line, k) for k in range(61)]
+    expected = hilbert.over_denominator([1], LEVEL1_WEIGHTS, 61)
+    yield Check("level1-dimensions", got == expected, f"weights ({line.a},{line.b}), k <= 60")
 
 
 def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:

@@ -14,13 +14,14 @@ variables and two generators both checks stop sooner (``_horizon``).
 
 Polynomials are read-only maps from exponent vectors to coefficients: ints
 where integral and ``Fraction`` otherwise in characteristic 0, ints in
-[0, p) in characteristic p.  Over Q the checks scale their inputs to integer
-coefficients (integral inputs, and every F_p input, are used as they are).
-Each rank row is an element times a monomial, written straight from the
-element's terms into the numbering of its degree's monomials.  Every rank
-comes from one incremental echelon: each new row is cut to its first nonzero
-entry and reduced by that column's pivot row, from that column on, mod p over
-F_p and fraction-free over Q.
+[0, p) in characteristic p.  Every rank comes from one incremental echelon,
+whose rows hold the field's integers: ints in [0, p) over F_p, ints over Q.
+A certificate's rank row is an element times a monomial, written straight
+from the element's terms (over Q scaled to integers by ``_integral``) into
+the numbering of its degree's monomials; ``matrix_rank`` is the one
+converter of outside rows.  Each new row is cut to its first nonzero entry
+and reduced by that column's pivot row, from that column on, mod p over F_p
+and fraction-free over Q.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, dropwhile
+from itertools import count, dropwhile
 from math import gcd, lcm
 from operator import add, not_
 from types import MappingProxyType
@@ -46,7 +47,6 @@ __all__ = [
     "PRESETS",
     "RegularSequenceVerdict",
     "SubringSpec",
-    "graded_component",
     "matrix_rank",
     "parse_polynomial",
     "read_presentation",
@@ -105,11 +105,6 @@ def _graded_monomials(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...]
         for e in range(d // head, -1, -1)
         for tail in _graded_monomials(rest, d - e * head)
     )
-
-
-def graded_component(algebra: GradedAlgebra, d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of weighted degree d, descending lexicographic order."""
-    return list(_graded_monomials(algebra.degrees, d))
 
 
 class Polynomial(namedtuple("Polynomial", "algebra terms")):
@@ -182,9 +177,9 @@ def parse_polynomial(algebra: GradedAlgebra, text: str) -> Polynomial:
 
     Terms are separated by top-level + or -, each term is a '*'-joined
     product of constants ``a`` or ``a/b`` and ``var`` / ``var^exp`` factors,
-    every number read by ``parse_integer``.
+    every number read by ``parse_integer``.  Whitespace is ignored anywhere.
     """
-    s = text.replace(" ", "")
+    s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
     # terms, each "-"-prefixed when negative; a leading sign leaves a first ""
@@ -291,9 +286,11 @@ class _Echelon:
     """Rows in echelon form over F_p (char p) or Q (char 0), one pivot row
     per leading column, each stored from its leading column on.
 
+    Rows arrive as the field's integers: ints in [0, p) over F_p, ints over
+    Q.  ``_row`` builds them so, and ``matrix_rank`` converts any other row.
     A new row is cut to its first nonzero entry and reduced by the pivot
     of that column, tail against tail, until it leads in a free column or
-    vanishes.  Over F_p entries are taken mod p and a stored row is scaled
+    vanishes.  Over F_p a row is reduced mod p and a stored row is scaled
     to leading entry 1.  Over Q rows stay integral: a row is reduced as
     c*row - x*pivot, and a stored row is divided by its content.
     """
@@ -306,11 +303,10 @@ class _Echelon:
         return len(self.pivots)
 
     def add(self, row: list[int]) -> bool:
-        """Reduce the integer ``row`` against the pivots from left to right,
-        store a nonzero remainder as a new pivot, and return whether the
-        rank grew."""
+        """Reduce ``row``, the field's integers, against the pivots from left
+        to right, store a nonzero remainder as a new pivot, and return
+        whether the rank grew."""
         p, width = self.char, len(row)
-        row = [x % p for x in row] if p else row
         while row := list(dropwhile(not_, row)):  # the entries from the first nonzero on
             col, x = width - len(row), row[0]
             pivot = self.pivots.get(col)
@@ -332,15 +328,14 @@ class _Echelon:
 
 
 def matrix_rank(algebra: GradedAlgebra, rows: list[list["Fraction | int"]]) -> int:
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        if algebra.char:
-            rows = [[algebra.coeff(x) for x in row] for row in rows]
-        else:
-            scale = lcm(*(x.denominator for row in rows for x in row))
-            rows = [[int(x * scale) for x in row] for row in rows]
+    """The rank of ``rows`` over ``algebra``'s field.  Each row is brought into
+    the field by ``algebra.coeff`` and scaled by the lcm of its denominators,
+    as ``_integral`` scales an element; a nonzero multiple changes no rank."""
     echelon = _Echelon(algebra.char)
     for row in rows:
-        echelon.add(row)
+        row = [algebra.coeff(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        echelon.add([int(x * scale) for x in row])
     return len(echelon)
 
 

@@ -453,6 +453,18 @@ def test_freebasis_directive_ends_at_any_whitespace(capsys, tmp_path):
     assert (code, out) == (0, f"{spec}: free (verified through degree 48)\n")
 
 
+def test_freebasis_polynomial_ignores_whitespace(capsys, tmp_path):
+    # the q-rank6 presentation with a tab on each side of the '*' in line 8
+    spec = tmp_path / "pres.txt"
+    spec.write_text(
+        "var b2 2\nvar b4 4\ngen c4 = b2^2 - 24*b4\ngen delta = 1/4*b2^2*b4^2 - 8*b4^3\n"
+        + "".join(f"basis {b}\n" for b in ("1", "b2", "b4", "b2\t*\tb4", "b4^2", "b2*b4^2"))
+    )
+    assert ringalg.read_presentation(spec.read_text(), str(spec)) == ringalg.PRESETS["q-rank6"]
+    code, out, err = run(capsys, "freebasis", "--file", str(spec))
+    assert (code, out, err) == (0, f"{spec}: free (verified through degree 48)\n", "")
+
+
 @pytest.mark.parametrize(
     "directive, lines", [("bound", "bound 6\nbound 2\n"), ("char", "char 0\nchar 3\nbound 6\n")]
 )
