@@ -9,16 +9,13 @@ closed-form offsets, cusp-form identities, the kernels between blocks)
 derives from the pair (a, b) in ``BLOCK_WEIGHTS``.  The multiplicity
 sequence c_0..c_{a+b+1}, the coefficients of (1 - t^a)(1 - t^b) * sum_k m_k t^k,
 is the exact quotient N / K of the group's Hilbert numerator N (see
-``levels.hilbert_numerators``) by the block kernel K.  Serre duality gives it
-a second time from the cusp-form dimensions: read backwards, it is the
-coefficients of t^1..t^{a+b+2} in (1 - t^a)(1 - t^b) * sum_k s_k t^k, that is
-c_{a+b+2-i} = [... * S(t)]_i, for every block, as every K is palindromic and
-``levels`` builds N_S(t) as t^12 N(1/t).
-The identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus,
-k_5 = s_1, k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
-Multiplicities, identities and the cross-block product c K, for the kernel
-K = (1 - t^4)(1 - t^6) / ((1 - t^a)(1 - t^b)), all go through the series
-helpers ``times_denominator`` and ``over_denominator``.
+``levels.hilbert_numerators``) by the block kernel
+K = (1 - t^4)(1 - t^6) / ((1 - t^a)(1 - t^b)); ``hilbert.denominator_quotient``
+builds K once, and the cross-block product c K is one ``add_product``.  Serre
+duality gives c a second time from the cusp-form dimensions, as every K is
+palindromic and N_S(t) = t^12 N(1/t) (see ``_cusp_identity_failure``): the
+identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus, k_5 = s_1,
+k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
 Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
 independent cross-check and the two must always agree.  Every Hilbert
 function here is a coefficient list: m_0..m_{n-1} expand N, with no horizon.  A
@@ -43,7 +40,9 @@ from .hilbert import (
     Check,
     DeconvolutionError,
     TwistMultiset,
+    add_product,
     deconvolve,
+    denominator_quotient,
     over_denominator,
     times_denominator,
 )
@@ -170,11 +169,9 @@ def _closed_form(
     group: CongruenceGroup, tag: BlockTag, w1: Weight1Data | None
 ) -> DecompositionSequence:
     """Multiplicities c_i: the coefficients of N(t) (1 - t^a)(1 - t^b) / ((1 - t^4)(1 - t^6))
-    through degree 11, all >= 0 and 0 past a + b + 1, or it raises.  A proof for
-    every weight: N - c K, for the block kernel K, vanishes mod t^12 and has
-    degree <= 11.  Reads N alone: every K is palindromic and N_S(t) = t^12 N(1/t)
-    by Serre duality, so the cusp-form identities of every block hold with it;
-    level 3 adds the balance identity."""
+    through degree 11, all >= 0 and 0 past a + b + 1, or it raises.  A proof for every
+    weight: N - c K vanishes mod t^12 and has degree <= 11.  Reads N alone, as the
+    cusp-form identities follow from it (see above); level 3 adds the balance identity."""
     min_level = MIN_GAMMA1_LEVEL[tag] if group.kind is GroupKind.GAMMA1 else 3
     if tag is not BlockTag.OMEGA_POWERS and (
         group.kind is GroupKind.GAMMA0 or group.level < min_level
@@ -272,10 +269,10 @@ def verify_consistency(
 
     if tag is not BlockTag.OMEGA_POWERS:
         try:
-            # all of c, not the window cs, times the kernel K of degree 10 - a - b: the whole product
-            n = max(12, len(seq.mult.multiplicities) + 10 - a - b)
+            kernel = denominator_quotient(LEVEL1_WEIGHTS, (a, b))  # all of c, not the window cs, times K
+            n = max(12, len(seq.mult.multiplicities) + len(kernel) - 1)  # the whole product
             omega = omega_decomposition(group, w1).as_list(n)
-            got = over_denominator(times_denominator(seq.mult.multiplicities, LEVEL1_WEIGHTS, n), (a, b), n)
+            got = add_product([0] * n, seq.mult.multiplicities, kernel)
             ok = got == omega
             checks.append(Check("cross-block", ok, f"omega sequence {'matches' if ok else got}"))
         except DecompositionInvalid as exc:

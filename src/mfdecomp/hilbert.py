@@ -1,21 +1,19 @@
 """Line bundles on weighted projective lines and Hilbert-function tools.
 
-h0/h1 of O(m) on P(a,b) are lattice-point counts, computed by direct
-enumeration rather than floor-function closed forms (slower, but immune to
-off-by-one mistakes at the degrees we care about).  A Hilbert function is
-a coefficient list: the dimensions in degrees 0, 1, ..., read as 0 past its
-end.  Series N(t) / prod_w (1 - t^w) live on such lists truncated to n
-terms: ``times_denominator`` and ``over_denominator`` multiply and divide by
-the factors, one sparse factor per pass, for every such product or quotient
-in the package but one.  ``deconvolve`` recovers the multiset of twists of a
-split bundle from its Hilbert function by greedy division, subtracting
-residuals in place, with a nonnegativity constraint; one exact integer product
-checks a window: that Kronecker product is the exception, kept for speed.
-A ``TwistMultiset`` is a coefficient list too: the multiplicities c_0..c_s,
-a tuple with no trailing zero, read through ``multiplicities``.
-``Check`` is the package's one pass/fail record, a name, a verdict and a
-detail: ``serre_duality_check`` returns one, ``decomp.verify_consistency``
-collects them, and every ``mfdecomp verify`` suite yields them.
+h0/h1 of O(m) on P(a,b) are lattice-point counts by direct enumeration, not
+floor-function closed forms (slower, but immune to off-by-one mistakes).  A
+Hilbert function is a coefficient list, the dimensions in degrees 0, 1, ...,
+read as 0 past its end; so are the multiplicities c_0..c_s of a
+``TwistMultiset``, a tuple with no trailing zero.  ``times_denominator`` and
+``over_denominator`` multiply and divide such a list, truncated to n terms, by
+prod_w (1 - t^w), one sparse factor per pass.  Through them
+``denominator_quotient`` builds an exact quotient of two such products, such as
+a block kernel, once per pair of weight tuples; ``add_product`` is the one
+truncated product by it.  ``deconvolve`` recovers the twists of a split bundle
+from its Hilbert function by greedy division with a nonnegativity constraint,
+and checks a window by one exact integer product (Kronecker).  ``Check``, the
+package's one pass/fail record, is what ``serre_duality_check`` returns and
+``decomp.verify_consistency`` and every ``mfdecomp verify`` suite yield.
 """
 
 from __future__ import annotations
@@ -33,7 +31,9 @@ __all__ = [
     "ResidualMismatch",
     "TwistMultiset",
     "WeightedLine",
+    "add_product",
     "deconvolve",
+    "denominator_quotient",
     "h0_dim",
     "h1_dim",
     "over_denominator",
@@ -72,13 +72,9 @@ def h1_dim(line: WeightedLine, m: int) -> int:
         return 0
     a, b = line
     count = 0
-    lam = -1
-    while lam * a > m:
-        rest = m - lam * a
-        if rest % b == 0 and rest // b <= -1:
+    for lam in range(m // a + 1, 0):  # lam*a > m: mu*b = m - lam*a < 0, so mu <= -1 if b divides it
+        if (m - lam * a) % b == 0:
             count += 1
-        lam -= 1
-    # lam*a == m (mu would be 0, not negative) or below: nothing more.
     return count
 
 
@@ -112,7 +108,9 @@ def _padded(values: Sequence[int], n: int) -> list[int]:
 def times_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
     """Coefficients of t^0..t^(n-1) in prod_w (1 - t^w) * sum_k values[k] t^k."""
     out = _padded(values, n)
-    for w in weights:  # a stride-w difference per factor
+    for w in weights:  # a stride-w difference per factor; 1 - t^0 = 0 is one too
+        if w < 0:
+            raise ValueError(f"denominator weights must be >= 0, got {w}")
         out[w:] = [c - d for c, d in zip(out[w:], out)]
     return out
 
@@ -126,6 +124,27 @@ def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> l
         for k in range(w, n):
             out[k] += out[k - w]
     return out
+
+
+@lru_cache(maxsize=None)
+def denominator_quotient(factors: tuple[int, ...], weights: tuple[int, ...]) -> tuple[int, ...]:
+    """prod_c (1 - t^c) / prod_w (1 - t^w) over the ``factors`` c, a polynomial, once per
+    pair: checked exact by multiplying back, else ``ValueError``."""
+    top = times_denominator([1], factors, n := sum(factors) + 1)
+    quotient = over_denominator(top, weights, max(n - sum(weights), 0))
+    if times_denominator(quotient, weights, n) != top:
+        raise ValueError(f"prod (1 - t^c) / prod (1 - t^w), c in {factors}, w in {weights}: no polynomial")
+    return tuple(quotient)
+
+
+def add_product(acc: list[int], values: Sequence[int], poly: Sequence[int]) -> list[int]:
+    """acc += values * poly, truncated to len(acc) coefficients, in place; returns acc."""
+    n = len(acc)
+    for i, v in enumerate(values[:n]):
+        if v:
+            for j, p in enumerate(poly[: n - i], i):
+                acc[j] += v * p
+    return acc
 
 
 class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):

@@ -19,13 +19,12 @@ raises ``InvalidGroup`` for any other kind.  ``level_invariants`` derives
 index, cusps, elliptic points and genus from one factorisation of the level,
 in integers, once per group; they are read as its fields (``genus`` has a
 function too).  The graded dimensions have one path: ``_numerators`` writes
-sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) in closed form from the invariants
-and s_1, and sum_k s_k t^k = N_S(t)/((1 - t^4)(1 - t^6)) by Serre duality,
-N_S(t) = t^12 N(1/t), once per (group, s_1); every dimension is read from
-them.  ``hilbert_numerators`` returns them, and ``dim_modular_forms`` and
-``dim_cusp_forms`` expand them to one weight.  The decomposition closed forms,
-their cusp-form identities, the deconvolution oracle and the consistency
-checks all read the numerators.
+the Hilbert numerators N of sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) and N_S
+of the cusp forms in closed form from the invariants and s_1, once per
+(group, s_1): N by one ``hilbert.add_product`` per series with its block
+kernel, which ``hilbert.denominator_quotient`` builds once, and
+N_S(t) = t^12 N(1/t) by Serre duality.  ``hilbert_numerators`` returns them;
+every dimension, closed form, identity, oracle and consistency check reads them.
 
 Weight-1 dimensions are not computable by Riemann-Roch.  We use the
 degree criterion (the cusp-form line bundle has negative degree) where it
@@ -43,7 +42,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .arith import factorize, parse_integer, read_lines
-from .hilbert import over_denominator, times_denominator
+from .hilbert import add_product, denominator_quotient, over_denominator
 
 __all__ = [
     "CongruenceGroup",
@@ -256,15 +255,15 @@ LEVEL1_WEIGHTS = (4, 6)  #: of E_4 and E_6, the generators of the level-1 ring
 @lru_cache(maxsize=None)
 def _numerators(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(N, N_S), 12 and 13 coefficients: M(t) = sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)),
-    and S(t) likewise, in closed form.  M is a sum of one to three series
-    h(t)/prod_w (1 - t^w), each exact over (1 - t^4)(1 - t^6) with a quotient of
-    degree <= 11: h = 1 over (a, b) on the small levels P(a, b); on Gamma1(n >= 5)
-    and Gamma(n >= 3), h = (1, d - g - 1 + s_1, g - 2 s_1, s_1) over (1, 1), that is
-    m_1 = c/2 + s_1 and m_k = d k + 1 - g (k >= 2) for d = index/24; on Gamma0(n),
-    (1, 0, g + c - 3, 0, g) over (2, 2), the genus and cusp terms of even weights,
-    plus e_2 t^4 over (2, 4) and e_3 (t^4 + t^6) over (2, 6), for e_2 floor(k/4) and
-    e_3 floor(k/3).  Serre duality gives N_S(t) = t^12 N(1/t).  Once per
-    (group, s_1): the unhashable ``Weight1Data`` is no key."""
+    and S(t) likewise, in closed form.  M is a sum of one to three series h(t)/prod_w (1 - t^w),
+    so N = sum h K_w, of degree <= 11, is one ``add_product`` per series by the kernel
+    K_w = (1 - t^4)(1 - t^6)/prod_w (1 - t^w) that ``denominator_quotient`` builds once:
+    h = 1 over (a, b) on the small levels P(a, b); on Gamma1(n >= 5) and Gamma(n >= 3),
+    h = (1, d - g - 1 + s_1, g - 2 s_1, s_1) over (1, 1), that is m_1 = c/2 + s_1 and
+    m_k = d k + 1 - g (k >= 2) for d = index/24; on Gamma0(n), (1, 0, g + c - 3, 0, g)
+    over (2, 2), the genus and cusp terms of even weights, plus e_2 t^4 over (2, 4) and
+    e_3 (t^4 + t^6) over (2, 6), for e_2 floor(k/4) and e_3 floor(k/3).  Serre duality
+    gives N_S(t) = t^12 N(1/t).  Once per (group, s_1): the unhashable ``Weight1Data`` is no key."""
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         series = [((1,), SMALL_LEVEL_WEIGHTS[key])]
@@ -278,9 +277,10 @@ def _numerators(group: CongruenceGroup, s1: int) -> tuple[tuple[int, ...], tuple
             d, rem = divmod(inv.index, 24)
             assert rem == 0 and inv.cusps == 2 * (d + 1 - g), group  # every cusp regular
             series = [((1, d - g - 1 + s1, g - 2 * s1, s1), (1, 1))]
-    quotients = (over_denominator(times_denominator(h, LEVEL1_WEIGHTS, 12), w, 12) for h, w in series)
-    numerator = tuple(map(sum, zip(*quotients)))
-    return numerator, (0, *reversed(numerator))
+    numerator = [0] * 12
+    for h, w in series:
+        add_product(numerator, h, denominator_quotient(LEVEL1_WEIGHTS, w))
+    return tuple(numerator), (0, *reversed(numerator))
 
 
 def hilbert_numerators(

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mfdecomp import decomp, hilbert
 from mfdecomp.hilbert import (
@@ -10,14 +10,16 @@ from mfdecomp.hilbert import (
     ResidualMismatch,
     TwistMultiset,
     WeightedLine,
+    add_product,
     deconvolve,
+    denominator_quotient,
     h0_dim,
     h1_dim,
     over_denominator,
     serre_duality_check,
     times_denominator,
 )
-from mfdecomp.levels import CongruenceGroup, GroupKind, Weight1Data
+from mfdecomp.levels import LEVEL1_WEIGHTS, SMALL_LEVEL_WEIGHTS, CongruenceGroup, GroupKind, Weight1Data
 from oracles import convolve
 
 
@@ -284,6 +286,64 @@ def test_over_denominator_rejects_a_weight_below_one(weights):
     # 1 - t^0 = 0 is no factor to divide by, and a negative weight no power series
     with pytest.raises(ValueError, match=f"denominator weights must be >= 1, got {min(weights)}"):
         over_denominator([1, 2, 3], weights, 6)
+
+
+@pytest.mark.parametrize("weights", [(-1,), (-5,), (3, -2)])
+def test_times_denominator_rejects_a_negative_weight(weights):
+    # 1 - t^w for w < 0 is no polynomial; read as a slice start, -1 gave [1, 2, 2]
+    with pytest.raises(ValueError, match=f"denominator weights must be >= 0, got {min(weights)}"):
+        times_denominator([1, 2, 3], weights, 3)
+
+
+def test_times_denominator_by_weight_zero_is_zero():
+    # 1 - t^0 = 0: the product vanishes, as the Hilbert-function recurrence of a constant needs
+    assert times_denominator([1, 2, 3], (0,), 4) == [0, 0, 0, 0]
+    assert times_denominator([1, 2, 3], (2, 0), 4) == [0, 0, 0, 0]
+
+
+#: Every weight pair that some Hilbert series of the package divides (1 - t^4)(1 - t^6) by:
+#: the blocks, the small levels and the series of the closed-form numerators.
+KERNEL_WEIGHTS = sorted(
+    {*decomp.BLOCK_WEIGHTS.values(), *SMALL_LEVEL_WEIGHTS.values(), (2, 2), (2, 4), (2, 6), (1, 1)}
+)
+
+
+@pytest.mark.parametrize("weights", KERNEL_WEIGHTS, ids=str)
+def test_block_kernel_times_its_denominator_is_the_level1_denominator(weights):
+    kernel = denominator_quotient(LEVEL1_WEIGHTS, weights)
+    (a, b), level1 = weights, [1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]  # (1 - t^4)(1 - t^6)
+    den = [0] * (a + b + 1)  # (1 - t^a)(1 - t^b), term by term
+    for k, c in ((0, 1), (a, -1), (b, -1), (a + b, 1)):
+        den[k] += c
+    assert len(kernel) == 11 - a - b
+    assert [convolve(kernel, den, k) for k in range(11)] == level1
+    assert denominator_quotient(LEVEL1_WEIGHTS, weights) is kernel  # built once
+
+
+@pytest.mark.parametrize("weights", [(4, 4), (5, 7)], ids=str)
+def test_denominator_quotient_that_is_no_polynomial_raises(weights):
+    with pytest.raises(ValueError, match="no polynomial"):
+        denominator_quotient(LEVEL1_WEIGHTS, weights)
+
+
+def test_add_product_truncates_and_accumulates():
+    acc = [1, 1, 1, 1]
+    assert add_product(acc, [2, 0, 1], (1, 3, 5)) is acc
+    assert acc == [3, 7, 12, 4]  # + (2 + 6t + 11t^2 + 3t^3 + 5t^4) mod t^4
+    assert add_product([], [1, 2], (3,)) == []
+
+
+# 200 examples, each one product and one round trip of at most 40 terms
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=20),
+    st.sampled_from(KERNEL_WEIGHTS),
+    st.integers(min_value=0, max_value=40),
+)
+def test_kernel_product_is_the_series_round_trip(values, weights, n):
+    kernel = denominator_quotient(LEVEL1_WEIGHTS, weights)
+    round_trip = over_denominator(times_denominator(values, LEVEL1_WEIGHTS, n), weights, n)
+    assert add_product([0] * n, values, kernel) == round_trip
 
 
 @pytest.mark.parametrize(
