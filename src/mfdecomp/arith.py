@@ -1,5 +1,6 @@
 """Integer arithmetic and the readers of outside text: factorisation, a
-Miller-Rabin primality test, ``parse_integer``, the one reader of integers, and
+primality test (trial division below 43^2, Miller-Rabin above),
+``parse_integer``, the one reader of integers, and
 ``read_lines``, the one reader of input-file lines (weight-1 and presentation)."""
 
 from __future__ import annotations
@@ -82,11 +83,16 @@ def _rho_factor(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Exact below 3.3 * 10**24: trial division by ``_BASES`` decides every
+    n < 43^2 (a composite there has a prime factor below 43); the strong
+    test to each of ``_BASES`` decides the larger n."""
     if n < 2:
         return False
     for p in _BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

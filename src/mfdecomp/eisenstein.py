@@ -14,8 +14,9 @@ L(0, chi) / 2 has 2-integral coordinates and their sum F_0 is 1 mod 2.  g
 is found by the p - 1 test (g^((p-1)/q) != 1 for each prime q | p - 1).
 The lift builds no table over the residues: L(0, chi) is one walk over
 x = g^t for t < (p - 1)/2, pairing x with p - x (chi is odd), and chi(d)
-for the divisors d <= N is read from the 2^m powers of h = g^l.  So a prime
-costs about (p - 1)/2 multiplications mod p, in memory O(2^m * N) for any p.
+for the divisors d <= N is read from the 2^m powers of h = g^l at the primes
+d and multiplied out at the others.  So a prime costs about (p - 1)/2
+multiplications mod p, in memory O(2^m * N) for any p.
 
 Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is proved by the unit
 condition: u is a unit, so v_2(L(0, chi)) = v_2(2) - v_2(1 - zeta).  Where u
@@ -31,6 +32,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, islice
+from math import isqrt
 from operator import add, sub
 from typing import NamedTuple, Sequence
 
@@ -208,11 +210,28 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     )
 
 
+@lru_cache(maxsize=1)
+def _least_prime_factors(n: int) -> list[int]:
+    """The least prime factor of each d < n (d itself for d < 2), cached for
+    the next prime at the same bound.  q runs down from isqrt(n), so the last
+    q to write at a composite d is its least divisor q > 1, a prime."""
+    factor = list(range(n))
+    for q in range(isqrt(max(n, 0)), 1, -1):
+        factor[q * q :: q] = [q] * len(range(q * q, n, q))
+    return factor
+
+
 def _chi_exponents(p: int, powers: dict[int, int], N: int) -> list[int | None]:
-    """chi's exponent at each d < min(N + 1, p), None at d = 0: chi(d) =
-    zeta^e for h^e = d^l, one pow per d; the sieve reads d >= p as d mod p."""
-    l = (p - 1) // len(powers)
-    return [powers[pow(d, l, p)] if d else None for d in range(min(N + 1, p))]
+    """chi's exponent at each d < min(N + 1, p), None at d = 0, ascending: at
+    a prime q, chi(q) = zeta^e for h^e = q^l, one pow per prime; at a
+    composite d with least prime factor q, e(q) + e(d/q) mod 2^m, as chi is
+    completely multiplicative.  The divisor sieve reads d >= p as d mod p."""
+    order = len(powers)
+    l = (p - 1) // order
+    exponents: list[int | None] = [None]
+    for d, q in islice(enumerate(_least_prime_factors(min(N + 1, p))), 1, None):
+        exponents.append(powers[pow(d, l, p)] if q == d else (exponents[q] + exponents[d // q]) % order)
+    return exponents
 
 
 def _divisor_columns(order: int, N: int, exponents: Sequence[int | None]) -> list[list[int]]:

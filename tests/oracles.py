@@ -23,6 +23,13 @@ def character_value(chi, n):
     return CyclotomicElement.zeta_power(chi.order, e)
 
 
+def chi_exponents_by_pow(p, powers, N):
+    """chi's exponent at each d < min(N + 1, p), None at d = 0, one pow per d:
+    chi(d) = zeta^e for h^e = d^l, with {h^e mod p: e} = ``powers`` and l = (p - 1)/2^m."""
+    l = (p - 1) // len(powers)
+    return [powers[pow(d, l, p)] if d else None for d in range(min(N + 1, p))]
+
+
 def character_power(chi, k):
     """chi^k, the exponents multiplied by k mod the order."""
     exponents = tuple(None if e is None else e * k % chi.order for e in chi.exponents)

@@ -4,7 +4,7 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from mfdecomp import ringalg
+from mfdecomp import arith, ringalg
 from mfdecomp.arith import factorize, is_prime, parse_integer, read_lines
 from mfdecomp.levels import Weight1Data
 
@@ -21,6 +21,19 @@ def _sieve(bound):
 def test_is_prime_agrees_with_a_sieve_below_100000():
     flags = _sieve(10**5)
     assert [n for n in range(-5, 10**5) if is_prime(n)] == [n for n in range(10**5) if flags[n]]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [(1369, False), (1681, False), (1763, False), (1847, True), (1849, False), (2021, False), (2209, False)],
+)
+def test_is_prime_at_the_trial_division_bound(monkeypatch, n, prime):
+    # 37^2, 41^2, 41 * 43, the largest prime below 43^2, 43^2, 43 * 47 and 47^2:
+    # trial division by the bases 2..41 decides n < 43^2 alone; above it the strong test runs
+    pows = []
+    monkeypatch.setattr(arith, "pow", lambda *args: pows.append(args) or pow(*args), raising=False)
+    assert is_prime(n) is prime
+    assert bool(pows) is (n >= 43 * 43)
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

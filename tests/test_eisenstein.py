@@ -19,7 +19,7 @@ from mfdecomp.eisenstein import (
     smallest_primitive_root,
     valuation_claim_check,
 )
-from oracles import character_power, character_value
+from oracles import character_power, character_value, chi_exponents_by_pow
 
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 
@@ -418,6 +418,19 @@ def test_half_walk_and_power_table_agree_with_the_character_table(p):
     exponents = eisenstein._chi_exponents(p, powers, 60)  # the residues d < min(61, p)
     assert len(exponents) == min(61, p)
     assert [exponents[d % len(exponents)] for d in range(61)] == [chi.exponents[d % p] for d in range(61)]
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_1_MOD_4_BELOW_5000 if p < 2000])
+def test_exponent_sieve_agrees_with_one_pow_per_d(p):
+    # the table is read at d mod its length: d >= p as d mod p, and d = 0 mod p gives None
+    chi = odd_two_power_character(p)
+    powers = eisenstein._character_data(p)[0]
+    for N in (1, 2, p - 2, p - 1, p, 2 * p, (p * p - 1) // 24):
+        exponents = eisenstein._chi_exponents(p, powers, N)
+        assert exponents == chi_exponents_by_pow(p, powers, N), N
+        for d in {1, 2, p - 2, p - 1, p, p + 1, 2 * p - 1, 2 * p, N - 1, N}:
+            if 0 < d <= N:
+                assert exponents[d % len(exponents)] == chi.exponents[d % p], (N, d)
 
 
 @pytest.mark.parametrize("p", SWEEP_PRIMES)
