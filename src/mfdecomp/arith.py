@@ -1,23 +1,28 @@
-"""Integer arithmetic and the readers of outside text: factorisation, a
-primality test (trial division below 43^2, Miller-Rabin above),
-``parse_integer``, the one reader of integers, and
-``read_lines``, the one reader of input-file lines (weight-1 and presentation)."""
+"""Integer arithmetic and the readers of outside text: one table of least
+prime factors (``least_prime_factors``), factorisation (read off that table
+below 1000), a primality test (trial division below 43^2, Miller-Rabin
+above), ``parse_integer``, the one reader of integers, and ``read_lines``,
+the one reader of input-file lines (weight-1 and presentation)."""
 
 from __future__ import annotations
 
 import io
 from collections.abc import Callable
 from itertools import chain, count
-from math import gcd
+from math import gcd, isqrt
 
-__all__ = ["factorize", "is_prime", "parse_integer", "read_lines"]
+__all__ = ["factorize", "is_prime", "least_prime_factors", "parse_integer", "read_lines"]
 
 #: No composite below 3.3 * 10**24 is a strong pseudoprime to all of these
 #: bases, so ``is_prime`` is exact there.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: ``factorize`` trial-divides by 2 and the odd integers below this bound only.
+#: ``factorize`` reads n below this bound off the table, and trial-divides a
+#: larger n by 2 and the odd integers below the bound only.
 _TRIAL_BOUND = 1000
+
+#: The one table of ``least_prime_factors``, replaced only by a longer one.
+_least_factors: list[int] = []
 
 
 def parse_integer(text: str) -> int:
@@ -46,10 +51,35 @@ def read_lines(text: str | bytes, source: str, read: Callable[[int, str], object
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
 
 
+def least_prime_factors(n: int) -> list[int]:
+    """The process's one table of least prime factors, at least n long: its
+    entry at d is the least prime factor of d (d itself for d < 2).  Built on
+    first use and rebuilt only for a longer n, so every caller shares it; do
+    not modify it.  q runs down from isqrt(n - 1), so the last q to write at a
+    composite d is its least divisor q > 1, a prime."""
+    global _least_factors
+    if len(_least_factors) < n:
+        factor = list(range(n))
+        for q in range(isqrt(n - 1), 1, -1):
+            factor[q * q :: q] = [q] * len(range(q * q, n, q))
+        _least_factors = factor
+    return _least_factors
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, e) with p^e exactly dividing n >= 1, p ascending: trial
-    division below ``_TRIAL_BOUND``, then ``is_prime`` and Pollard-Brent rho
-    on the cofactor, so a level with large prime factors factors at once."""
+    """The pairs (p, e) with p^e exactly dividing n >= 1, p ascending: read
+    off ``least_prime_factors`` below ``_TRIAL_BOUND``, one division per
+    prime factor; above it trial division, then ``is_prime`` and Pollard-Brent
+    rho on the cofactor, so a level with large prime factors factors at once."""
+    if n < _TRIAL_BOUND:
+        factor = least_prime_factors(_TRIAL_BOUND)
+        pairs = []
+        while n > 1:
+            p, e = factor[n], 0
+            while factor[n] == p:  # factor[1] = 1 ends the last prime's run
+                n, e = n // p, e + 1
+            pairs.append((p, e))
+        return tuple(pairs)
     exponents: dict[int, int] = {}
     for p in chain((2,), range(3, _TRIAL_BOUND, 2)):  # 2, then odd candidates only
         if p * p > n:

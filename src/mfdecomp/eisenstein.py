@@ -32,12 +32,11 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, islice
-from math import isqrt
 from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .exactnum import CyclotomicElement, ExtendedValuation, zeta
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, least_prime_factors
 
 __all__ = [
     "DirichletCharacter",
@@ -210,26 +209,20 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
     )
 
 
-@lru_cache(maxsize=1)
-def _least_prime_factors(n: int) -> list[int]:
-    """The least prime factor of each d < n (d itself for d < 2), cached for
-    the next prime at the same bound.  q runs down from isqrt(n), so the last
-    q to write at a composite d is its least divisor q > 1, a prime."""
-    factor = list(range(n))
-    for q in range(isqrt(max(n, 0)), 1, -1):
-        factor[q * q :: q] = [q] * len(range(q * q, n, q))
-    return factor
-
-
 def _chi_exponents(p: int, powers: dict[int, int], N: int) -> list[int | None]:
     """chi's exponent at each d < min(N + 1, p), None at d = 0, ascending: at
     a prime q, chi(q) = zeta^e for h^e = q^l, one pow per prime; at a
     composite d with least prime factor q, e(q) + e(d/q) mod 2^m, as chi is
-    completely multiplicative.  The divisor sieve reads d >= p as d mod p."""
+    completely multiplicative; q is read off ``arith.least_prime_factors``.
+    The list is exactly min(N + 1, p) long, as the divisor sieve reads d >= p
+    as d mod p."""
     order = len(powers)
     l = (p - 1) // order
+    bound = min(N + 1, p)
+    factor = least_prime_factors(bound)
     exponents: list[int | None] = [None]
-    for d, q in islice(enumerate(_least_prime_factors(min(N + 1, p))), 1, None):
+    for d in range(1, bound):
+        q = factor[d]
         exponents.append(powers[pow(d, l, p)] if q == d else (exponents[q] + exponents[d // q]) % order)
     return exponents
 

@@ -2,10 +2,10 @@ import re
 from math import isqrt, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mfdecomp import arith, ringalg
-from mfdecomp.arith import factorize, is_prime, parse_integer, read_lines
+from mfdecomp.arith import factorize, is_prime, least_prime_factors, parse_integer, read_lines
 from mfdecomp.levels import Weight1Data
 
 
@@ -57,19 +57,67 @@ def test_factorize(n):
     assert all(is_prime(p) and e >= 1 for p, e in pairs)
 
 
-def test_factorize_agrees_with_a_sieve_through_20000():
-    bound = 20_001
-    smallest = list(range(bound))  # smallest[n]: the least prime factor of n >= 2
+def _smallest_prime_factors(bound):
+    """smallest[n]: the least prime factor of n >= 2, by an ascending sieve."""
+    smallest = list(range(bound))
     for p in range(2, isqrt(bound - 1) + 1):
         if smallest[p] == p:
             for n in range(p * p, bound, p):
                 smallest[n] = min(smallest[n], p)
-    for n in range(1, bound):
-        exponents, m = {}, n
-        while m > 1:
-            exponents[smallest[m]] = exponents.get(smallest[m], 0) + 1
-            m //= smallest[m]
-        assert factorize(n) == tuple(sorted(exponents.items())), n
+    return smallest
+
+
+SMALLEST = _smallest_prime_factors(20_001)
+
+
+def _factorize_by_sieve(n):
+    exponents, m = {}, n
+    while m > 1:
+        exponents[SMALLEST[m]] = exponents.get(SMALLEST[m], 0) + 1
+        m //= SMALLEST[m]
+    return tuple(sorted(exponents.items()))
+
+
+def test_factorize_agrees_with_a_sieve_through_20000():
+    for n in range(1, len(SMALLEST)):
+        assert factorize(n) == _factorize_by_sieve(n), n
+
+
+@pytest.mark.parametrize("n", [997, 998, 999, 1000, 1001, 1009, 31 * 32, 997 * 2, 31**2])
+def test_factorize_at_the_table_bound(n):
+    # below 1000 the pairs are read off the table; from 1000 on trial division
+    # runs, and the prime 1009 is left to is_prime
+    expected = {997: ((997, 1),), 998: ((2, 1), (499, 1)), 999: ((3, 3), (37, 1)),
+                1000: ((2, 3), (5, 3)), 1001: ((7, 1), (11, 1), (13, 1)), 1009: ((1009, 1),),
+                992: ((2, 5), (31, 1)), 1994: ((2, 1), (997, 1)), 961: ((31, 2),)}
+    assert factorize(n) == expected[n] == _factorize_by_sieve(n)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=10**4 - 1))
+def test_factorize_below_10000_agrees_with_the_sieve(n):
+    # 300 examples, on top of the full comparison through 20000 above
+    assert factorize(n) == _factorize_by_sieve(n)
+
+
+@pytest.mark.parametrize("held", [0, 1, 2, 30, 999, 1000, 1001, 5000])
+def test_least_prime_factors_is_right_below_any_bound_whatever_table_is_held(monkeypatch, held):
+    monkeypatch.setattr(arith, "_least_factors", [])
+    least_prime_factors(held)
+    for k in (0, 1, 2, 3, 4, 30, 31, 961, 962, 1000, 1001, 4999, 5000, 5001, 20_001):
+        table = least_prime_factors(k)
+        assert len(table) >= k
+        assert table[:k] == SMALLEST[:k], (held, k)
+
+
+def test_a_shorter_request_reads_the_longer_table_without_a_rebuild(monkeypatch):
+    monkeypatch.setattr(arith, "_least_factors", [])
+    longer = least_prime_factors(2000)
+    monkeypatch.setattr(arith, "isqrt", None)  # a rebuild would call it
+    for k in (1000, 61, 2000, 1, 0):
+        assert least_prime_factors(k) is longer
+    assert factorize(999) == ((3, 3), (37, 1))
+    assert arith._least_factors is longer
 
 
 def test_factorize_large_factors():

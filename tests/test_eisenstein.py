@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfdecomp import cli, eisenstein, levels
-from mfdecomp.arith import is_prime
+from mfdecomp.arith import factorize, is_prime, least_prime_factors
 from mfdecomp.exactnum import CyclotomicElement, two_adic_valuation_rational, zeta
 from mfdecomp.eisenstein import (
     NotPrime,
@@ -431,6 +431,17 @@ def test_exponent_sieve_agrees_with_one_pow_per_d(p):
         for d in {1, 2, p - 2, p - 1, p, p + 1, 2 * p - 1, 2 * p, N - 1, N}:
             if 0 < d <= N:
                 assert exponents[d % len(exponents)] == chi.exponents[d % p], (N, d)
+
+
+@pytest.mark.parametrize("p", [13, 97])
+def test_exponents_keep_their_length_when_the_shared_table_is_longer(p):
+    # factorize builds the table through 999; the exponent list is still min(N + 1, p) long
+    factorize(999)
+    assert len(least_prime_factors(0)) >= 1000
+    powers = eisenstein._character_data(p)[0]
+    exponents = eisenstein._chi_exponents(p, powers, 60)
+    assert len(exponents) == min(61, p)
+    assert exponents == chi_exponents_by_pow(p, powers, 60)
 
 
 @pytest.mark.parametrize("p", SWEEP_PRIMES)

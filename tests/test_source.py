@@ -145,15 +145,16 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
 
 
 def test_cli_import_builds_no_dimension_tables():
-    # numerators, invariants and block kernels are built on first use, not at start-up;
-    # cache sizes only, no timing
+    # numerators, invariants, block kernels and the factor table are built on first
+    # use, not at start-up; cache and table sizes only, no timing
     probe = (
-        "import mfdecomp.cli; from mfdecomp import hilbert, levels; "
+        "import mfdecomp.cli; from mfdecomp import arith, hilbert, levels; "
         "print(levels._numerators.cache_info().currsize, "
         "levels.level_invariants.cache_info().currsize, "
-        "hilbert.denominator_quotient.cache_info().currsize)"
+        "hilbert.denominator_quotient.cache_info().currsize, "
+        "len(arith._least_factors))"
     )
-    assert _probe(probe).split() == ["0", "0", "0"]
+    assert _probe(probe).split() == ["0", "0", "0", "0"]
 
 
 LAZY = ("mfdecomp.decomp", "mfdecomp.eisenstein", "mfdecomp.exactnum", "mfdecomp.ringalg")
