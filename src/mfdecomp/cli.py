@@ -153,8 +153,9 @@ def cmd_obstruct(args) -> int:
         f"q={report.q}\td_q={report.d_q}\tdivisor={report.divisor}"
         f"\tresidue={report.witness_residue}\n"
     )
-    for p in report.witnesses():
-        sys.stdout.write(f"p={p}\td_p={(p - 1) * (p + 1)}\n")
+    for p, d_p, divides in report.primes:
+        if not divides:
+            sys.stdout.write(f"p={p}\td_p={d_p}\n")
     return EXIT_OK
 
 

@@ -16,9 +16,9 @@ duality gives c a second time from the cusp-form dimensions, as every K is
 palindromic and N_S(t) = t^12 N(1/t) (see ``_cusp_identity_failure``): the
 identities l_{12-i} = s_i, l_10 = genus, k_7 = s_1, k_6 = genus, k_5 = s_1,
 k_4 = s_2 - s_1 and kappa_3 = s_1 are special cases of that rule.
-Hilbert-function deconvolution (in :mod:`.hilbert`) serves as the
-independent cross-check and the two must always agree.  Every Hilbert
-function here is a coefficient list: m_0..m_{n-1} expand N, with no horizon.  A
+Deconvolution (in :mod:`.hilbert`) of N by the numerator N_q of Gamma1(q)
+serves as the independent cross-check and the two must always agree.  Every
+numerator and Hilbert function here is a coefficient list, with no horizon.  A
 ``DecompositionSequence`` is a group, a block tag and the multiplicities, a
 ``TwistMultiset``: the tuple c_0..c_{a+b+1} with its trailing zeros dropped.
 ``as_list`` pads it back to a+b+2 entries.
@@ -116,14 +116,6 @@ MIN_GAMMA1_LEVEL = {
 
 #: The blocks with a published table of Gamma1(n) decomposition numbers.
 TABLE_BLOCKS = (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3)
-
-
-@lru_cache(maxsize=None)
-def _series(numerator: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Coefficients of t^0..t^(n-1) in numerator / ((1 - t^4)(1 - t^6)): the
-    dimensions m_0..m_{n-1} of a group from its Hilbert numerator N, and the
-    level-1 dimensions from N = (1,); once per (N, n)."""
-    return tuple(over_denominator(numerator, LEVEL1_WEIGHTS, n))
 
 
 def _over_block(numerator: Sequence[int], tag: BlockTag, n: int) -> list[int]:
@@ -247,19 +239,22 @@ def verify_consistency(
     """Convolution, rank, cross-block, cusp-form and (level 3) balance
     identities for ``seq``.  The convolution check is N = c K mod t^(max_weight+1)
     for the numerator N and the block kernel K: for c within the support bound
-    both sides have degree <= 11, so max_weight >= 11 (default 40) is a proof."""
+    both sides have degree <= 11, so max_weight >= 11 (default 40) is a proof.
+    The dimension m_k is expanded only to word a failure at weight k."""
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     group, tag = seq.group, BlockTag(seq.tag)  # a plain "omega" would fail the `is` tests
     # one list c_0..c_n, through the convolution window and the support bound a + b + 1
     cs = seq.mult.as_list(max(max_weight, _support_bound(tag)) + 1)
     numerator, cusp_numerator = hilbert_numerators(group, w1)
-    m = _series(numerator, max_weight + 1)
     # den = (1 - t^a)(1 - t^b) has den(0) = 1: m den - mult and m - mult / den lead alike
-    got = zip(m, _over_block(numerator, tag, max_weight + 1), cs)
-    bad = [(k, mk, mk - md + c) for k, (mk, md, c) in enumerate(got) if md != c]
-    detail = "first failure at weight %d: m=%d, reconstruction=%d" % bad[0] if bad else ""
-    checks = [Check("convolution", not bad, detail or f"exact through weight {max_weight}")]
+    md = _over_block(numerator, tag, max_weight + 1)
+    bad = [k for k, (d, c) in enumerate(zip(md, cs)) if d != c]
+    detail = f"exact through weight {max_weight}"
+    if bad:  # m_k, expanded only to word the first failure
+        m = over_denominator(numerator, LEVEL1_WEIGHTS, (k := bad[0]) + 1)[k]
+        detail = f"first failure at weight {k}: m={m}, reconstruction={m - md[k] + cs[k]}"
+    checks = [Check("convolution", not bad, detail)]
 
     a, b = BLOCK_WEIGHTS[tag]
     index, block_rank = level_invariants(group).index, 24 // (a * b)
@@ -297,13 +292,14 @@ def deconvolve_by_gamma1_block(
 
     The independent oracle for all closed-form decompositions, and the tool
     that exhibits non-decomposability (negative multiplicities) for q > 6.
-    The window checks C N_q = N for the Hilbert numerators (N_1 = 1), both of
-    degree <= max_shift + 11: verify_through >= 22 (default 40) is a proof.
+    It divides the Hilbert numerators (N_1 = 1), as the series' quotient is N / N_q,
+    and the window checks C N_q = N, both of degree <= max_shift + 11:
+    verify_through >= 22 (default 40) is a proof.  A failure names the first degree
+    where the dimension series differ, by as much, but in coefficients of N: max_shift=3
+    for Gamma1(23) by q = 1 reads "target 76, reconstruction 0", not 77 and 1.
     """
-    n = max(max_shift, verify_through, 0) + 1
-    target = _series(hilbert_numerators(group, w1)[0], n)
     block = (1,) if q == 1 else hilbert_numerators(CongruenceGroup(GroupKind.GAMMA1, q), w1)[0]
-    return deconvolve(target, _series(block, n), max_shift, verify_through)
+    return deconvolve(hilbert_numerators(group, w1)[0], block, max_shift, verify_through)
 
 
 # ---------------------------------------------------------------------------

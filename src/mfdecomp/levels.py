@@ -208,7 +208,8 @@ class Weight1Data(NamedTuple):
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError("expected 'kind level s1'")
-            group = CongruenceGroup(GroupKind(parts[0]), parse_integer(parts[1]))
+            CongruenceGroup(parts[0], 2)  # an unknown kind is reported before a malformed level
+            group = CongruenceGroup(parts[0], parse_integer(parts[1]))
             s1 = parse_integer(parts[2])
             if s1 < 0:
                 raise ValueError("s1 must be >= 0")

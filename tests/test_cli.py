@@ -160,6 +160,16 @@ def test_override_contradicting_a_forced_value_exits_2(capsys, tmp_path, line, m
     assert err == f"error: {override}:2: {message}\n"
 
 
+def test_override_with_an_unknown_kind_exits_2_as_a_group_spec_does(capsys, tmp_path):
+    override = tmp_path / "w1.txt"
+    override.write_text("g2 5 0\n")
+    code, out, err = run(
+        capsys, "table", "--flavor", "omega", "--from", "5", "--to", "5", "--weight1", str(override)
+    )
+    assert (code, out, err) == (2, "", f"error: {override}:1: unknown group kind 'g2'\n")
+    assert run(capsys, "levels", "g2:5") == (2, "", "error: unknown group kind 'g2'\n")
+
+
 def test_override_consistent_with_forced_values_passes_verify(capsys, tmp_path):
     override = tmp_path / "w1.txt"
     override.write_text("g1 5 0\ng0 11 0\n")

@@ -26,10 +26,11 @@ from mfdecomp.decomp import (
     table_generate,
     verify_consistency,
 )
-from mfdecomp.decomp import _primes_upto, _series, _support_bound
+from mfdecomp.decomp import _primes_upto, _support_bound
 from mfdecomp.hilbert import (
     Check,
     NegativeMultiplicity,
+    ResidualMismatch,
     TwistMultiset,
     WeightedLine,
     deconvolve,
@@ -38,6 +39,7 @@ from mfdecomp.hilbert import (
     times_denominator,
 )
 from mfdecomp.levels import (
+    LEVEL1_WEIGHTS,
     SMALL_LEVEL_WEIGHTS,
     CongruenceGroup,
     GroupKind,
@@ -126,8 +128,8 @@ def test_blocks():
         expected = ("rank", True, f"sum(mult) * {rank} = {total * rank}, index = 528")
         assert expected in verify_consistency(seq).checks, tag
     # the level-1 block is h0 on P(4, 6)
-    omega = _series((1,), 41)
-    assert omega == tuple(h0_dim(WeightedLine(4, 6), k) for k in range(41))
+    omega = over_denominator([1], LEVEL1_WEIGHTS, 41)
+    assert omega == [h0_dim(WeightedLine(4, 6), k) for k in range(41)]
     # level-5/6 block = convolution of (1,2,3,4,4,4,3,2,1) with the level-1 dims
     kernel = [1, 2, 3, 4, 4, 4, 3, 2, 1]
     five = WeightedLine(*BLOCK_WEIGHTS[BlockTag.LEVEL5OR6])
@@ -435,13 +437,24 @@ def test_negative_window_is_rejected():
         with pytest.raises(ValueError, match=f"max_weight must be >= 0, got {max_weight}$"):
             verify_consistency(seq, max_weight=max_weight)
     assert verify_consistency(seq, max_weight=0).ok
-    with pytest.raises(ValueError, match="coefficient count must be >= 0, got -2$"):
-        _series((1,), -2)
 
 
 def test_level3_oracle_past_the_dimension_table():
     oracle = deconvolve_by_gamma1_block(G1(23), 3, verify_through=60)
     assert oracle.as_list() == [1, 11, 21, 21, 11, 1]
+
+
+def test_a_short_window_reports_numerator_coefficients():
+    # max_shift=3 stops C short of N = (1, 12, 33, 55, 76, ...), so C N_q = N fails at
+    # degree 4 with N's coefficient 76; the dimension series fail there too, at
+    # m_4 = 77 against 1, by the same difference
+    with pytest.raises(ResidualMismatch) as excinfo:
+        deconvolve_by_gamma1_block(G1(23), 1, max_shift=3)
+    assert str(excinfo.value) == "convolution check failed at degree 4: target 76, reconstruction 0"
+    series = [over_denominator(p, LEVEL1_WEIGHTS, 41) for p in (levels.hilbert_numerators(G1(23))[0], [1])]
+    with pytest.raises(ResidualMismatch) as excinfo:
+        deconvolve(*series, 3, 40)
+    assert (excinfo.value.degree, excinfo.value.expected, excinfo.value.got) == (4, 77, 1)
 
 
 # ---------------------------------------------------------------------------

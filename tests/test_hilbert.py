@@ -19,7 +19,14 @@ from mfdecomp.hilbert import (
     serre_duality_check,
     times_denominator,
 )
-from mfdecomp.levels import LEVEL1_WEIGHTS, SMALL_LEVEL_WEIGHTS, CongruenceGroup, GroupKind, Weight1Data
+from mfdecomp.levels import (
+    LEVEL1_WEIGHTS,
+    SMALL_LEVEL_WEIGHTS,
+    CongruenceGroup,
+    GroupKind,
+    Weight1Data,
+    hilbert_numerators,
+)
 from oracles import convolve
 
 
@@ -253,6 +260,69 @@ def test_deconvolve_matches_naive_reference_on_the_decomp_levels_calls():
     raised = [fast for fast, _ in outcomes if not isinstance(fast, TwistMultiset)]
     message = "multiplicity at shift 3 would be -10 < 0"
     assert raised == [(NegativeMultiplicity, message, {"shift": 3, "value": -10})]
+
+
+@pytest.mark.parametrize(
+    "kind, n, q, windows",
+    [(GroupKind.GAMMA1, 23, 1, ()), (GroupKind.GAMMA1, 31, 7, (5, 17)),
+     (GroupKind.GAMMA0, 11, 1, (0, 0)), (GroupKind.GAMMA_FULL, 6, 3, (-1, 60))],
+)
+def test_gamma1_block_oracle_passes_the_numerators(monkeypatch, kind, n, q, windows):
+    # the target is the group's Hilbert numerator N, the block N_q (N_1 = (1,)),
+    # and the windows pass through unchanged (11 and 40 by default)
+    seen = []
+    monkeypatch.setattr(decomp, "deconvolve", lambda *args: seen.append(args) or TwistMultiset())
+    w1 = Weight1Data.default()
+    decomp.deconvolve_by_gamma1_block(CongruenceGroup(kind, n), q, w1, *windows)
+    block = (1,) if q == 1 else hilbert_numerators(CongruenceGroup(GroupKind.GAMMA1, q), w1)[0]
+    assert seen == [(hilbert_numerators(CongruenceGroup(kind, n), w1)[0], block, *(windows or (11, 40)))]
+
+
+def _series_outcome(target, block, max_shift, verify_through):
+    """``deconvolve`` of the two Hilbert series N / L_1 and N_q / L_1, L_1 = (1 - t^4)(1 - t^6),
+    through the window: the reference the numerators' quotient N / N_q must match."""
+    n = max(max_shift, verify_through, 0) + 1
+    series = [over_denominator(numerator, LEVEL1_WEIGHTS, n) for numerator in (target, block)]
+    return _outcome(deconvolve, *series, max_shift, verify_through)
+
+
+def test_numerator_quotient_matches_the_series_on_the_decomp_levels_calls():
+    # (N / L_1) / (N_q / L_1) = N / N_q: the same multiplicities and the same failures
+    outcomes = [
+        (_outcome(deconvolve, *args), _series_outcome(*args))
+        for args in _decomp_levels_argument_sets()
+    ]
+    assert len(outcomes) == 640
+    assert all(numerators == series for numerators, series in outcomes)
+    raised = [numerators for numerators, _ in outcomes if not isinstance(numerators, TwistMultiset)]
+    message = "multiplicity at shift 3 would be -10 < 0"
+    assert raised == [(NegativeMultiplicity, message, {"shift": 3, "value": -10})]
+
+
+ORACLE_GROUPS = st.one_of(
+    st.builds(CongruenceGroup, st.just(GroupKind.GAMMA0), st.integers(2, 120)),
+    st.builds(CongruenceGroup, st.just(GroupKind.GAMMA1), st.integers(2, 42)),
+    st.builds(CongruenceGroup, st.just(GroupKind.GAMMA_FULL), st.integers(2, 11)),
+)
+
+
+@settings(max_examples=200)
+@given(ORACLE_GROUPS, st.integers(1, 12), st.integers(-1, 12), st.integers(-1, 45))
+def test_numerator_quotient_fails_where_the_series_quotient_does(group, q, max_shift, verify_through):
+    # any window: the same multiplicities or NegativeMultiplicity; a ResidualMismatch at the
+    # same degree by the same difference, as C N_q - N = (C (N_q / L_1) - N / L_1) L_1, L_1(0) = 1
+    try:
+        got = decomp.deconvolve_by_gamma1_block(group, q, None, max_shift, verify_through)
+    except ResidualMismatch as exc:
+        got = ResidualMismatch, exc.degree, exc.expected - exc.got
+    except ValueError as exc:
+        got = type(exc), str(exc), vars(exc)
+    block = (1,) if q == 1 else hilbert_numerators(CongruenceGroup(GroupKind.GAMMA1, q))[0]
+    expected = _series_outcome(hilbert_numerators(group)[0], block, max_shift, verify_through)
+    if not isinstance(expected, TwistMultiset) and expected[0] is ResidualMismatch:
+        info = expected[2]
+        expected = ResidualMismatch, info["degree"], info["expected"] - info["got"]
+    assert got == expected
 
 
 @pytest.mark.parametrize(

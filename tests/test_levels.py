@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from mfdecomp import decomp, levels
+from mfdecomp import levels
 from mfdecomp.decomp import omega_decomposition
 from mfdecomp.hilbert import times_denominator
 from mfdecomp.levels import (
@@ -273,6 +273,17 @@ def test_weight1_override_rejects_garbage(tmp_path):
             Weight1Data.load(path)
 
 
+@pytest.mark.parametrize("content", ["g2 5 0", "g2 x 0", "G1 5 0"])
+def test_weight1_override_names_an_unknown_kind_as_a_group_spec_does(tmp_path, content):
+    # as in ``levels g2:5``, and before a malformed level
+    path = tmp_path / "w1.txt"
+    path.write_text(content + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        Weight1Data.load(path)
+    kind = content.split()[0]
+    assert str(excinfo.value) == f"{path}:1: unknown group kind {kind!r}"
+
+
 @pytest.mark.parametrize(
     "content, field",
     [("g1 4_3 1", "4_3"), ("g1 +43 1", "+43"), ("g1 4\u0663 1", "4\u0663"),
@@ -377,15 +388,13 @@ def test_closed_form_numerators_are_the_dimensions_by_weight(group, s1):
 
 def test_dimensions_by_weight_build_one_numerator_pair_per_s1():
     # every weight k != 1 reads the numerators of s_1 = 0, weight 1 those of the
-    # table's s_1 (1 for Gamma1(23)); decomp's series cache does not grow
+    # table's s_1 (1 for Gamma1(23))
     levels._numerators.cache_clear()
-    series = decomp._series.cache_info().currsize
     for k in range(61):
         dim_modular_forms(G1(23), k)
         dim_cusp_forms(G1(23), k)
     info = levels._numerators.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
-    assert decomp._series.cache_info().currsize == series
 
 
 def test_level_invariants_are_memoised_per_group():
