@@ -143,13 +143,13 @@ class DecompositionSequence(NamedTuple):
 
 
 def _cusp_identity_failure(cusp_numerator: Sequence[int], tag: BlockTag, cs: Sequence[int]) -> str:
-    """'' if the multiplicities ``cs``, read as 0 past their end, obey Serre
-    duality, c_{a+b+2-i} = [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for
-    1 <= i <= a+b+2, with S(t) = N_S(t) / ((1 - t^4)(1 - t^6)), and vanish
-    past a+b+1; else the first shift where they do not."""
+    """'' if the multiplicities ``cs``, with no trailing zero, obey Serre duality,
+    c_{a+b+2-i} = [(1 - t^a)(1 - t^b) * sum_k s_k t^k]_i for 1 <= i <= a+b+2, with S(t) =
+    N_S(t) / ((1 - t^4)(1 - t^6)), and vanish past a+b+1; else the first shift where they do not."""
     dual = _over_block(cusp_numerator, tag, _support_bound(tag) + 2)[:0:-1]
-    bad = [(i, c, d) for i, (c, d) in enumerate(zip_longest(cs, dual, fillvalue=0)) if c != d]
-    return "shift %d: %d != %d from the cusp-form dimensions" % bad[0] if bad else ""
+    bad = [*cs, *[0] * (len(dual) - len(cs))] != dual and next(
+        (i, c, d) for i, (c, d) in enumerate(zip_longest(cs, dual, fillvalue=0)) if c != d)
+    return "shift %d: %d != %d from the cusp-form dimensions" % bad if bad else ""
 
 
 def _balanced(cs: Sequence[int]) -> bool:
@@ -236,35 +236,32 @@ def verify_consistency(
     w1: Weight1Data | None = None,
     max_weight: int = 40,
 ) -> ConsistencyReport:
-    """Convolution, rank, cross-block, cusp-form and (level 3) balance
-    identities for ``seq``.  The convolution check is N = c K mod t^(max_weight+1)
-    for the numerator N and the block kernel K: for c within the support bound
-    both sides have degree <= 11, so max_weight >= 11 (default 40) is a proof.
-    The dimension m_k is expanded only to word a failure at weight k."""
+    """Convolution, rank, cross-block, cusp-form and (level 3) balance identities for ``seq``.
+    The convolution check is N = c K mod t^(max_weight+1) for the numerator N and the block
+    kernel K: for c within the support bound both sides have degree <= 11, so max_weight >= 11
+    (default 40) is a proof.  It reads no further than N and c K (K of degree 10 - a - b), so a
+    pass costs the same at any max_weight; m_k is expanded only to word a failure at weight k."""
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     group, tag = seq.group, BlockTag(seq.tag)  # a plain "omega" would fail the `is` tests
-    # one list c_0..c_n, through the convolution window and the support bound a + b + 1
-    cs = seq.mult.as_list(max(max_weight, _support_bound(tag)) + 1)
-    numerator, cusp_numerator = hilbert_numerators(group, w1)
-    # den = (1 - t^a)(1 - t^b) has den(0) = 1: m den - mult and m - mult / den lead alike
-    md = _over_block(numerator, tag, max_weight + 1)
-    bad = [k for k, (d, c) in enumerate(zip(md, cs)) if d != c]
+    (a, b), numerator, cusp_numerator = BLOCK_WEIGHTS[tag], *hilbert_numerators(group, w1)
+    # md = m den = N / K, and N, c K have degree < n; m - c / den leads as md - c, den(0) = 1
+    n = min(max_weight + 1, max(len(numerator), len(seq.mult.multiplicities) + 10 - a - b))
+    md, cs = _over_block(numerator, tag, n), seq.mult.as_list(n)
     detail = f"exact through weight {max_weight}"
-    if bad:  # m_k, expanded only to word the first failure
-        m = over_denominator(numerator, LEVEL1_WEIGHTS, (k := bad[0]) + 1)[k]
+    if md != cs:  # m_k, expanded only to word the first failure
+        k = next(k for k, (d, c) in enumerate(zip(md, cs)) if d != c)
+        m = over_denominator(numerator, LEVEL1_WEIGHTS, k + 1)[k]
         detail = f"first failure at weight {k}: m={m}, reconstruction={m - md[k] + cs[k]}"
-    checks = [Check("convolution", not bad, detail)]
+    checks = [Check("convolution", md == cs, detail)]
 
-    a, b = BLOCK_WEIGHTS[tag]
     index, block_rank = level_invariants(group).index, 24 // (a * b)
     rank = seq.mult.total() * block_rank
-    detail = f"sum(mult) * {block_rank} = {rank}, index = {index}"
-    checks.append(Check("rank", rank == index, detail))
+    checks.append(Check("rank", rank == index, f"sum(mult) * {block_rank} = {rank}, index = {index}"))
 
     if tag is not BlockTag.OMEGA_POWERS:
         try:
-            kernel = denominator_quotient(LEVEL1_WEIGHTS, (a, b))  # all of c, not the window cs, times K
+            kernel = denominator_quotient(LEVEL1_WEIGHTS, (a, b))  # all of c times K
             n = max(12, len(seq.mult.multiplicities) + len(kernel) - 1)  # the whole product
             omega = omega_decomposition(group, w1).as_list(n)
             got = add_product([0] * n, seq.mult.multiplicities, kernel)
@@ -276,7 +273,7 @@ def verify_consistency(
     problem = _cusp_identity_failure(cusp_numerator, tag, seq.mult.multiplicities)
     checks.append(Check("cusp-identities", not problem, problem or "Serre duality"))
     if tag is BlockTag.LEVEL3:
-        checks.append(Check("balance", _balanced(cs), "k_0+k_3 = k_1+k_4 = k_2+k_5"))
+        checks.append(Check("balance", _balanced(seq.as_list()), "k_0+k_3 = k_1+k_4 = k_2+k_5"))
     return ConsistencyReport(tuple(checks))
 
 

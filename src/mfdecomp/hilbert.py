@@ -223,27 +223,30 @@ def deconvolve(
     """Write target = sum_i c_i * block[. - i] with c_i >= 0, or raise.
 
     Both are coefficient lists, read as 0 past their end.  Greedy, by residuals:
-    c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, so the
-    reconstruction sum_i c_i block[k - i] equals the target in every degree
-    k <= max_shift by construction; through verify_through it is checked by one
-    exact integer product of the lists packed at X = 2^w (Kronecker substitution).
+    c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, so the reconstruction
+    sum_i c_i block[k - i] equals the target in every degree k <= max_shift by construction;
+    through verify_through it is checked by one exact product of the lists, cut at the window
+    but never padded to it, packed at X = 2^w (Kronecker): no call costs more at a larger window.
     """
-    n = max(max_shift, verify_through) + 1
-    targets, blocks = _padded(target, n), _padded(block, max(n, 1))
-    if blocks[0] != 1:
+    for name, window in ("max_shift", max_shift), ("verify_through", verify_through):
+        if window < 0:
+            raise ValueError(f"{name} must be >= 0, got {window}")
+    targets, key = target[: (n := max(max_shift, verify_through) + 1)], tuple(block[:n])
+    if key[:1] != (1,):
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    coeffs = targets[: max(max_shift + 1, 0)]  # residuals: entry i becomes c_i once step i is reached
+    coeffs = _padded(targets, max_shift + 1)  # residuals: entry i becomes c_i once step i is reached
     for i, c in enumerate(coeffs):
         if c < 0:
             raise NegativeMultiplicity(i, c)
-        if c:  # take c_i * block[. - i] off the later residuals
-            for j in range(i + 1, max_shift + 1):
-                coeffs[j] -= c * blocks[j - i]
-    bound = max(map(abs, targets), default=0) + (sum(coeffs) + 1) * _height(key := tuple(blocks))
+        if c:  # take c_i * block[. - i] off the later residuals, over the block's support
+            for j, b in enumerate(key[1 : max_shift + 1 - i], i + 1):
+                coeffs[j] -= c * b
+    bound = max(map(abs, targets), default=0) + (sum(coeffs) + 1) * _height(key)
     w = 8 << (bound.bit_length() // 8).bit_length()  # bytes; X/2 > bound >= |b|, |(CB - T)_k|
-    diff = (_pack(coeffs, w) * _packed_block(key, w) - _pack(targets, w)) & (1 << w * n) - 1
+    diff = _pack(coeffs, w) * _packed_block(key, w) - _pack(targets, w)
+    diff &= (1 << w * n) - 1 if len(coeffs) + len(key) > n + 1 else -1  # masked past the window
     if diff:  # the lowest set bit lies in the first failing degree
-        k = ((diff & -diff).bit_length() - 1) // w
-        digit = (diff >> w * k) & (1 << w) - 1  # got - target, as a balanced digit
-        raise ResidualMismatch(k, targets[k], targets[k] + digit - (digit >> w - 1 << w))
+        k = ((diff & -diff).bit_length() - 1) // w  # > max_shift, so every c_i reaches degree k
+        got = sum(c * key[k - i] for i, c in enumerate(coeffs) if k - i < len(key))
+        raise ResidualMismatch(k, targets[k] if k < len(targets) else 0, got)
     return TwistMultiset(coeffs)

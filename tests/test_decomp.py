@@ -439,6 +439,27 @@ def test_negative_window_is_rejected():
     assert verify_consistency(seq, max_weight=0).ok
 
 
+def test_oracle_rejects_a_negative_window():
+    # a window of -1 returned an empty multiset with nothing checked
+    for windows, name in (((-1, -1), "max_shift"), ((11, -1), "verify_through"), ((-5, 40), "max_shift")):
+        value = min(windows)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+            deconvolve_by_gamma1_block(G1(23), 1, None, *windows)
+
+
+def test_oracle_at_a_window_of_a_million_degrees():
+    # both numerators have degree <= 22, so the window past them reads nothing more
+    w1 = Weight1Data.default()
+    default = deconvolve_by_gamma1_block(G1(23), 3, w1)
+    assert deconvolve_by_gamma1_block(G1(23), 3, w1, 11, 10**6) == default
+    failures = []
+    for verify_through in (40, 10**6):
+        with pytest.raises(NegativeMultiplicity) as excinfo:
+            deconvolve_by_gamma1_block(G1(31), 7, w1, 11, verify_through)
+        failures.append((str(excinfo.value), excinfo.value.shift, excinfo.value.value))
+    assert failures == [("multiplicity at shift 3 would be -10 < 0", 3, -10)] * 2
+
+
 def test_level3_oracle_past_the_dimension_table():
     oracle = deconvolve_by_gamma1_block(G1(23), 3, verify_through=60)
     assert oracle.as_list() == [1, 11, 21, 21, 11, 1]
@@ -652,6 +673,36 @@ def test_convolution_check_by_multiplication_equals_the_quotient_form(
     report = verify_consistency(seq, max_weight=max_weight)
     reference = (_convolution_by_division(seq, max_weight), *report.checks[1:])
     assert report == ConsistencyReport(reference)
+
+
+@pytest.mark.parametrize("case", CHANGED_CASES, ids=lambda case: f"{case[0]}-{case[1].value}")
+def test_convolution_check_equals_the_quotient_form_at_every_window(case):
+    # every shift through 20 raised or lowered: the check reads N and c K, not the window
+    group, tag = case
+    good = DECOMPOSE[tag](group)
+    changed = [_changed(good, shift, delta) for shift in range(21) for delta in (-2, -1, 1, 3)]
+    for seq in (good, *changed):
+        for max_weight in (0, 3, 11, 40, 100):
+            check = verify_consistency(seq, max_weight=max_weight).checks[0]
+            assert check == _convolution_by_division(seq, max_weight), (seq.mult, max_weight)
+
+
+@pytest.mark.parametrize(
+    "tag, group, shift, delta, detail",
+    [
+        (BlockTag.OMEGA_POWERS, G1(23), 12, 1, "shift 12: 1 != 0"),  # past the support bound 11
+        (BlockTag.LEVEL2, G1(23), 0, 1, "shift 0: 2 != 1"),
+        (BlockTag.LEVEL3, G1(13), 5, 2, "shift 5: 2 != 0"),
+        (BlockTag.LEVEL4, GF(6), 3, -1, "shift 3: 0 != 1"),  # c shorter than the dual
+        (BlockTag.LEVEL5OR6, G1(23), 4, 1, "shift 4: 1 != 0"),  # past the support bound 3
+    ],
+    ids=[tag.value for tag in BlockTag],
+)
+def test_cusp_identity_failure_names_the_first_shift_and_both_values(tag, group, shift, delta, detail):
+    seq = _changed(DECOMPOSE[tag](group), shift, delta)
+    failure = decomp._cusp_identity_failure(levels.hilbert_numerators(group)[1], tag, seq.mult.multiplicities)
+    assert failure == detail + " from the cusp-form dimensions"
+    assert dict(verify_consistency(seq).failures())["cusp-identities"] == failure
 
 
 # ---------------------------------------------------------------------------

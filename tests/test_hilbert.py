@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfdecomp import decomp, hilbert
 from mfdecomp.hilbert import (
@@ -175,6 +175,9 @@ def test_finite_sequence_roundtrip(mults, tail):
 
 def _naive_deconvolve(target, block, max_shift, verify_through):
     """Reference: the greedy division and check, one term read at a time."""
+    for name, window in ("max_shift", max_shift), ("verify_through", verify_through):
+        if window < 0:
+            raise ValueError(f"{name} must be >= 0, got {window}")
     at = lambda seq, k: seq[k] if 0 <= k < len(seq) else 0
     if at(block, 0) != 1:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
@@ -229,6 +232,51 @@ def deconvolution_args(draw):
 def test_deconvolve_matches_naive_reference(args):
     # a block not normalised to block(0) = 1 must raise the same error in both
     assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+
+
+#: Short entries, small or huge; the lists are never padded to the window.
+SHORT_LISTS = st.lists(st.one_of(st.integers(-3, 6), st.integers(2**64, 2**70)), max_size=30)
+
+
+# 60 examples: the reference re-convolves up to 5,001 degrees one term at a time
+@settings(max_examples=60, deadline=None)
+@example([1, 5], [2, 1], True, 1, 1, 5000)  # C = 1 + 5t: C B has 5t^3 past the target 1 + 7t + 11t^2
+@given(
+    SHORT_LISTS,
+    SHORT_LISTS,
+    st.booleans(),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=5000),
+)
+def test_deconvolve_matches_naive_reference_at_windows_past_the_lists(
+    target, tail, convolved, drop, max_shift, verify_through
+):
+    # windows up to 5,000, mostly past both lists, where the product is not masked;
+    # a failing degree past the target's end reports expected 0
+    block = [1, *tail]
+    if convolved:  # a nonnegative multiset times the block, its last `drop` terms cut
+        mults = [abs(v) for v in target[: max_shift + 1]]
+        product = [convolve(mults, block, k) for k in range(len(mults) + len(tail))]
+        target = product[: max(len(product) - drop, 0)]
+    args = target, block, max_shift, verify_through
+    assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([1, 2, 3, 4], [1, 1], -3, -3), "max_shift must be >= 0, got -3"),
+        (([1, 2, 3, 4], [1, 1], -1, 5), "max_shift must be >= 0, got -1"),
+        (([1, 2, 3, 4], [1, 1], 2, -1), "verify_through must be >= 0, got -1"),
+        (([1], [2], 0, -2), "verify_through must be >= 0, got -2"),  # before the normalisation
+    ],
+    ids=["both", "max_shift", "verify_through", "unnormalised-block"],
+)
+def test_deconvolve_rejects_a_negative_window(args, message):
+    # a window of -1 used to pass with an empty multiset and nothing checked
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        deconvolve(*args)
 
 
 def _decomp_levels_argument_sets():
@@ -421,12 +469,11 @@ def test_kernel_product_is_the_series_round_trip(values, weights, n):
     [
         lambda: times_denominator([1, 2, 3], (1,), -1),
         lambda: over_denominator([1, 2, 3, 4, 5, 6], (4, 6), -2),
-        lambda: deconvolve([1, 2, 3, 4], [1, 1], -3, -3),
         lambda: TwistMultiset([1, 0, 2]).as_list(-1),
         lambda: decomp.omega_decomposition(CongruenceGroup(GroupKind.GAMMA1, 23)).as_list(-1),
     ],
     ids=[
-        "times_denominator", "over_denominator", "deconvolve",
+        "times_denominator", "over_denominator",
         "TwistMultiset.as_list", "DecompositionSequence.as_list",
     ],
 )
