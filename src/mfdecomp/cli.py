@@ -229,15 +229,13 @@ def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:
     for name, presentation in ringalg.PRESETS.items():
         cert = ringalg.verify_free_basis(*presentation)
         yield Check(f"freebasis-{name}", cert.free, f"degree bound {cert.bound}")
-    for name, (char, variables, exprs, expected) in ringalg.REGULAR_SEQUENCE_CASES.items():
-        algebra = ringalg.GradedAlgebra(char, variables)
-        elems = [ringalg.parse_polynomial(algebra, e) for e in exprs]
+    for name in ringalg.REGULAR_SEQUENCE_CASES:
+        algebra, elems, expected = ringalg.regular_sequence_case(name)
         verdict = ringalg.verify_regular_sequence(algebra, elems)
         detail = "regular" if verdict.regular else verdict.detail
         yield Check(f"regseq-{name}", verdict.regular == expected, detail)
-    for name, (algebra, *texts) in ringalg.WEIERSTRASS_PRESENTATIONS.items():
-        c4, c6, delta = (ringalg.parse_polynomial(algebra, text) for text in texts)
-        holds = ringalg.weierstrass_identity_check(c4, c6, delta)
+    for name in ringalg.WEIERSTRASS_PRESENTATIONS:
+        holds = ringalg.weierstrass_identity_check(*ringalg.weierstrass_forms(name))
         yield Check(f"weierstrass-{name}", holds, "c4^3 - c6^2 = 1728*delta")
 
 

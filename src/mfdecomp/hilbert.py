@@ -10,8 +10,8 @@ prod_w (1 - t^w), one sparse factor per pass.  Through them
 ``denominator_quotient`` builds an exact quotient of two such products, such as
 a block kernel, once per pair of weight tuples; ``add_product`` is the one
 truncated product by it.  ``deconvolve`` recovers the twists of a split bundle
-from its Hilbert function by greedy division with a nonnegativity constraint,
-and checks a window by one exact integer product (Kronecker).  ``Check``, the
+from its Hilbert function by power-series division with a nonnegativity
+constraint, one residual recurrence that also checks the window.  ``Check``, the
 package's one pass/fail record, is what ``serre_duality_check`` returns and
 ``decomp.verify_consistency`` and every ``mfdecomp verify`` suite yield.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from struct import pack
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -200,20 +199,6 @@ class ResidualMismatch(DeconvolutionError):
         self.got = got
 
 
-def _pack(values: Sequence[int], w: int) -> int:
-    """sum_k values[k] X^k, X = 2^w, w in 8, 16, 32, ..., |values[k]| < X / 2, in linear time."""
-    raw = (pack(f"<{len(values)}{'bhiq'[w.bit_length() - 4]}", *values) if w <= 64
-           else b"".join([v.to_bytes(w // 8, "little", signed=True) for v in values]))
-    packed = int.from_bytes(raw, "little")  # the values as two's complement words
-    if min(values, default=0) < 0:  # a negative word reads as itself plus X
-        packed -= _pack([v < 0 for v in values], w) << w
-    return packed
-
-
-_height = lru_cache(maxsize=64)(lambda block: max(map(abs, block)))  # max |b|, per block
-_packed_block = lru_cache(maxsize=64)(_pack)
-
-
 def deconvolve(
     target: Sequence[int],
     block: Sequence[int],
@@ -222,31 +207,31 @@ def deconvolve(
 ) -> TwistMultiset:
     """Write target = sum_i c_i * block[. - i] with c_i >= 0, or raise.
 
-    Both are coefficient lists, read as 0 past their end.  Greedy, by residuals:
-    c_i = target[i] - sum_{j>=1} block[j] c_{i-j} for i = 0..max_shift, so the reconstruction
-    sum_i c_i block[k - i] equals the target in every degree k <= max_shift by construction;
-    through verify_through it is checked by one exact product of the lists, cut at the window
-    but never padded to it, packed at X = 2^w (Kronecker): no call costs more at a larger window.
+    Both are coefficient lists, read as 0 past their end.  One residual recurrence
+    (power-series division) both divides and checks: the residuals start as the target, cut
+    at the window n = max(max_shift, verify_through) + 1; for i = 0..max_shift, c_i is
+    residual i, and c_i * block[. - i] comes off the residuals.  Every residual past
+    max_shift is then target minus reconstruction, and the first nonzero one fails.  The
+    residuals stop where both sides end, at the target's length or max_shift plus the block's
+    length (trailing zeros dropped), so no call costs more at a larger window.
     """
     for name, window in ("max_shift", max_shift), ("verify_through", verify_through):
         if window < 0:
             raise ValueError(f"{name} must be >= 0, got {window}")
-    targets, key = target[: (n := max(max_shift, verify_through) + 1)], tuple(block[:n])
-    if key[:1] != (1,):
+    block = list(block[: (n := max(max_shift, verify_through) + 1)])
+    while block and not block[-1]:  # a padded numerator's zeros would only cost products
+        block.pop()
+    if block[:1] != [1]:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    coeffs = _padded(targets, max_shift + 1)  # residuals: entry i becomes c_i once step i is reached
-    for i, c in enumerate(coeffs):
-        if c < 0:
+    residuals = _padded(target, size := min(n, max(len(target), max_shift + len(block))))
+    for i in range(max_shift + 1):
+        if (c := residuals[i]) < 0:
             raise NegativeMultiplicity(i, c)
         if c:  # take c_i * block[. - i] off the later residuals, over the block's support
-            for j, b in enumerate(key[1 : max_shift + 1 - i], i + 1):
-                coeffs[j] -= c * b
-    bound = max(map(abs, targets), default=0) + (sum(coeffs) + 1) * _height(key)
-    w = 8 << (bound.bit_length() // 8).bit_length()  # bytes; X/2 > bound >= |b|, |(CB - T)_k|
-    diff = _pack(coeffs, w) * _packed_block(key, w) - _pack(targets, w)
-    diff &= (1 << w * n) - 1 if len(coeffs) + len(key) > n + 1 else -1  # masked past the window
-    if diff:  # the lowest set bit lies in the first failing degree
-        k = ((diff & -diff).bit_length() - 1) // w  # > max_shift, so every c_i reaches degree k
-        got = sum(c * key[k - i] for i, c in enumerate(coeffs) if k - i < len(key))
-        raise ResidualMismatch(k, targets[k] if k < len(targets) else 0, got)
-    return TwistMultiset(coeffs)
+            for j, b in enumerate(block[1 : size - i], i + 1):
+                residuals[j] -= c * b
+    for k in range(max_shift + 1, size):
+        if residuals[k]:
+            expected = target[k] if k < len(target) else 0
+            raise ResidualMismatch(k, expected, expected - residuals[k])
+    return TwistMultiset(residuals[: max_shift + 1])

@@ -6,11 +6,12 @@ the Weierstrass identity c4^3 - c6^2 = 1728*Delta.  Each level's ring and its
 c4, c6 and Delta are written once, as strings over Q in
 ``WEIERSTRASS_PRESENTATIONS``; the F_2 and F_3 inputs are those strings read
 mod p, where ``GradedAlgebra.coeff`` reduces p-integral coefficients and
-rejects the rest.  ``parse_polynomial`` and ``read_presentation`` read a
-polynomial and a presentation file.  A sequence is regular when each prefix's
-quotient has the previous quotient's Hilbert function times (1 - t^deg f); a
-free basis over k[g] is a basis of A/(g) for a regular sequence g.  With two
-variables and two generators both checks stop sooner (``_horizon``).
+rejects the rest; ``weierstrass_forms`` and ``regular_sequence_case`` parse
+them.  ``parse_polynomial`` and ``read_presentation`` read a polynomial and a
+presentation file.  A sequence is regular when each prefix's quotient has the
+previous quotient's Hilbert function times (1 - t^deg f); a free basis over
+k[g] is a basis of A/(g) for a regular sequence g.  With two variables and two
+generators both checks stop sooner (``_horizon``).
 
 Polynomials are read-only maps from exponent vectors to coefficients: ints
 where integral and ``Fraction`` otherwise in characteristic 0, ints in
@@ -50,8 +51,10 @@ __all__ = [
     "matrix_rank",
     "parse_polynomial",
     "read_presentation",
+    "regular_sequence_case",
     "verify_free_basis",
     "verify_regular_sequence",
+    "weierstrass_forms",
     "weierstrass_identity_check",
 ]
 
@@ -561,3 +564,16 @@ REGULAR_SEQUENCE_CASES = {
     "f3-c4-delta": (3, *_level_texts("level2", ("c4", "delta")), True),
     "f3-negative-control": (3, *_level_texts("level2", ("c4", "b2^3")), False),
 }
+
+
+def weierstrass_forms(level: str) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """``level``'s c4, c6 and Delta over Q, parsed from ``WEIERSTRASS_PRESENTATIONS``."""
+    algebra, *texts = WEIERSTRASS_PRESENTATIONS[level]
+    return tuple(parse_polynomial(algebra, text) for text in texts)
+
+
+def regular_sequence_case(name: str) -> tuple[GradedAlgebra, list[Polynomial], bool]:
+    """``REGULAR_SEQUENCE_CASES[name]`` parsed: its ring, its elements, and whether they are regular."""
+    char, variables, texts, regular = REGULAR_SEQUENCE_CASES[name]
+    algebra = GradedAlgebra(char, variables)
+    return algebra, [parse_polynomial(algebra, text) for text in texts], regular

@@ -229,9 +229,50 @@ def deconvolution_args(draw):
 
 
 @given(deconvolution_args())
+@example(([1, 2, 3, 4], [1, 1], -1, 5))  # max_shift = -1: drawn, but rarely
+@example(([1, 2, 3, 4], [1, 1], 2, -1))  # verify_through = -1
 def test_deconvolve_matches_naive_reference(args):
     # a block not normalised to block(0) = 1 must raise the same error in both
     assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+
+
+# 200 examples: two calls each, on lists of at most 210 terms
+@settings(max_examples=200)
+@given(deconvolution_args(), st.integers(min_value=1, max_value=12))
+def test_deconvolve_ignores_trailing_zeros_of_the_block(args, zeros):
+    # the same multiplicities, or the same exception with the same fields
+    target, block, max_shift, verify_through = args
+    padded = [*block, *[0] * zeros]
+    assert _outcome(deconvolve, target, padded, max_shift, verify_through) == _outcome(deconvolve, *args)
+
+
+@st.composite
+def mismatch_args(draw):
+    """A normalised block, and a convolution by it of at most max_shift + 1 multiplicities,
+    changed in one degree past max_shift and cut somewhere past it: every window through
+    that degree fails."""
+    block = [1, *draw(st.lists(ENTRIES, max_size=8))]
+    max_shift = draw(st.integers(min_value=0, max_value=20))
+    mults = draw(st.lists(st.integers(0, 2**66), max_size=max_shift + 1))
+    changed = draw(st.integers(min_value=max_shift + 1, max_value=max_shift + 30))
+    target = [convolve(mults, block, k) for k in range(draw(st.integers(changed + 1, changed + 12)))]
+    target[changed] += draw(ENTRIES.filter(bool))
+    return target, block, max_shift, draw(st.integers(min_value=changed, max_value=changed + 60))
+
+
+# 200 examples: each deconvolves and re-convolves at most 111 degrees
+@settings(max_examples=200)
+@given(mismatch_args())
+def test_residual_mismatch_reports_the_naive_reconstruction(args):
+    target, block, max_shift, _ = args
+    with pytest.raises(ResidualMismatch) as excinfo:
+        deconvolve(*args)
+    exc = excinfo.value
+    mults = _naive_deconvolve(target, block, max_shift, 0).multiplicities  # checks degree 0 only
+    assert exc.degree > max_shift
+    assert exc.got == convolve(mults, block, exc.degree)
+    assert exc.expected == (target[exc.degree] if exc.degree < len(target) else 0)
+    assert all(convolve(mults, block, k) == target[k] for k in range(exc.degree))
 
 
 #: Short entries, small or huge; the lists are never padded to the window.

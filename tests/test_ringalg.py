@@ -393,6 +393,14 @@ def test_regular_sequence_cases(name):
     assert verify_regular_sequence(algebra, elems).regular == expected
 
 
+@pytest.mark.parametrize("name", sorted(REGULAR_SEQUENCE_CASES))
+def test_regular_sequence_case_parses_the_raw_strings(name):
+    char, variables, exprs, expected = REGULAR_SEQUENCE_CASES[name]
+    algebra = GradedAlgebra(char, variables)
+    parsed = [parse_polynomial(algebra, e) for e in exprs]
+    assert ringalg.regular_sequence_case(name) == (algebra, parsed, expected)
+
+
 def test_regular_sequence_order_and_errors():
     # (b2^2, b4^3) is regular over Q
     elems = [parse_polynomial(Q_B, "b2^2"), parse_polynomial(Q_B, "b4^3")]
@@ -609,6 +617,13 @@ def test_weierstrass_identities(name):
         parse_polynomial(algebra, c6),
         parse_polynomial(algebra, delta),
     )
+
+
+@pytest.mark.parametrize("name", sorted(WEIERSTRASS_PRESENTATIONS))
+def test_weierstrass_forms_parse_the_raw_strings(name):
+    algebra, *texts = WEIERSTRASS_PRESENTATIONS[name]
+    # a Polynomial compares its ring too, so this pins the level's algebra over Q
+    assert ringalg.weierstrass_forms(name) == tuple(parse_polynomial(algebra, text) for text in texts)
 
 
 def _q_presentation(variables):
