@@ -24,14 +24,6 @@ from typing import Iterator
 from . import hilbert
 from .arith import parse_integer
 from .hilbert import Check, NegativeMultiplicity, WeightedLine, h0_dim, h1_dim
-from .levels import (
-    LEVEL1_WEIGHTS,
-    CongruenceGroup,
-    GroupKind,
-    Weight1Data,
-    Weight1Unavailable,
-    level_invariants,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,12 +71,14 @@ def _lazy(name: str) -> types.ModuleType:
     return module
 
 
-# Each command executes only the modules it uses; hilbert and levels, which
-# every command needs, are imported above.  exactnum, which only eisenstein
-# imports, is registered too, so that every module of the package is in
-# sys.modules once cli is imported.
+# Each command executes only the modules it uses; arith (argument parsing)
+# and hilbert (wproj, and main's error path) are imported above, and levels
+# runs for levels, table, obstruct and verify only.  exactnum, which only
+# eisenstein imports, is registered too, so that every module of the package
+# is in sys.modules once cli is imported.
 _lazy("exactnum")
-decomp, eisenstein, ringalg = _lazy("decomp"), _lazy("eisenstein"), _lazy("ringalg")
+levels, decomp = _lazy("levels"), _lazy("decomp")
+eisenstein, ringalg = _lazy("eisenstein"), _lazy("ringalg")
 
 
 #: ``--flavor`` and ``--preset`` choices: the sorted values of
@@ -97,8 +91,8 @@ FREEBASIS_PRESETS = ("f2-rank4", "f3-rank3", "q-rank16", "q-rank6")
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 
 
-def _load_weight1(path: str | None) -> Weight1Data:
-    return Weight1Data.load(path) if path else Weight1Data.default()
+def _load_weight1(path: str | None) -> levels.Weight1Data:
+    return levels.Weight1Data.load(path) if path else levels.Weight1Data.default()
 
 
 def _render_table(columns: tuple[str, ...], rows: list[tuple[int, ...]], fmt: str) -> str:
@@ -113,8 +107,8 @@ def _render_table(columns: tuple[str, ...], rows: list[tuple[int, ...]], fmt: st
 
 
 def cmd_levels(args) -> int:
-    group = CongruenceGroup.parse(args.group)
-    inv = level_invariants(group)
+    group = levels.CongruenceGroup.parse(args.group)
+    inv = levels.level_invariants(group)
     row = (str(group), *inv._replace(omega_degree=str(inv.omega_degree)))
     sys.stdout.write(_render_table(("group", *inv._fields), [row], args.format))
     return EXIT_OK
@@ -181,7 +175,7 @@ def _golden_text(name: str) -> str:
     return (resources.files("mfdecomp") / "data" / name).read_text()
 
 
-def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
+def _suite_decomp(w1: levels.Weight1Data) -> Iterator[Check]:
     for tag in decomp.TABLE_BLOCKS:
         flavor = tag.value
         lo, hi = (2, 42) if flavor == "omega" else (4, 23)
@@ -190,7 +184,7 @@ def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
         same = generated == _golden_text(f"{flavor}.tsv")
         yield Check(f"golden-table-{flavor}", same, "byte-for-byte")
     for n in range(2, 43):
-        group = CongruenceGroup(GroupKind.GAMMA1, n)
+        group = levels.CongruenceGroup(levels.GroupKind.GAMMA1, n)
         try:
             seq = decomp.omega_decomposition(group, w1)
             closed = seq.as_list()
@@ -201,8 +195,9 @@ def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
         except Exception as exc:  # pragma: no cover - surfaced as failure
             check = Check(f"omega-g1-{n}", False, str(exc))
         yield check
+    g1_31 = levels.CongruenceGroup(levels.GroupKind.GAMMA1, 31)
     try:
-        decomp.deconvolve_by_gamma1_block(CongruenceGroup(GroupKind.GAMMA1, 31), 7, w1)
+        decomp.deconvolve_by_gamma1_block(g1_31, 7, w1)
     except NegativeMultiplicity as exc:
         yield Check("gamma1-31-by-7", True, f"fails as required: {exc}")
     else:
@@ -212,20 +207,20 @@ def _suite_decomp(w1: Weight1Data) -> Iterator[Check]:
         yield Check(f"obstruction-q{q}", len(witnesses) >= 5, f"{len(witnesses)} witnesses")
 
 
-def _suite_wproj(w1: Weight1Data) -> Iterator[Check]:
+def _suite_wproj(w1: levels.Weight1Data) -> Iterator[Check]:
     grid = [WeightedLine(a, b) for a in range(1, 13) for b in range(1, 13)]
     checks = (hilbert.serre_duality_check(line, -60, 60) for line in grid)
     failures = (f"P({line.a}, {line.b}) {c.detail}" for line, c in zip(grid, checks) if not c)
     failure = next(failures, "")
     yield Check("serre-duality-grid", not failure, failure or "a,b <= 12, |m| <= 60")
     # h0 counts lattice points; the series 1/((1 - t^4)(1 - t^6)) is a second way
-    line = WeightedLine(*LEVEL1_WEIGHTS)
+    line = WeightedLine(*levels.LEVEL1_WEIGHTS)
     got = [h0_dim(line, k) for k in range(61)]
-    expected = hilbert.over_denominator([1], LEVEL1_WEIGHTS, 61)
+    expected = hilbert.over_denominator([1], levels.LEVEL1_WEIGHTS, 61)
     yield Check("level1-dimensions", got == expected, f"weights ({line.a},{line.b}), k <= 60")
 
 
-def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:
+def _suite_ringalg(w1: levels.Weight1Data) -> Iterator[Check]:
     for name, presentation in ringalg.PRESETS.items():
         cert = ringalg.verify_free_basis(*presentation)
         yield Check(f"freebasis-{name}", cert.free, f"degree bound {cert.bound}")
@@ -239,7 +234,7 @@ def _suite_ringalg(w1: Weight1Data) -> Iterator[Check]:
         yield Check(f"weierstrass-{name}", holds, "c4^3 - c6^2 = 1728*delta")
 
 
-def _suite_hasse(w1: Weight1Data) -> Iterator[Check]:
+def _suite_hasse(w1: levels.Weight1Data) -> Iterator[Check]:
     for p in HASSE_PRIMES:
         report = eisenstein.hasse_lift(p, 60)
         claim = eisenstein.valuation_claim_check(p)
@@ -333,7 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Weight1Unavailable as exc:
+    except LookupError as exc:  # levels' Weight1Unavailable; no other error runs levels
+        if not isinstance(exc, levels.Weight1Unavailable):
+            raise
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA_UNAVAILABLE
     except (ValueError, OSError) as exc:  # InvalidGroup is a ValueError

@@ -1,7 +1,9 @@
 """Line bundles on weighted projective lines and Hilbert-function tools.
 
-h0/h1 of O(m) on P(a,b) are lattice-point counts by direct enumeration, not
-floor-function closed forms (slower, but immune to off-by-one mistakes).  A
+h0/h1 of O(m) on P(a,b) count the lattice points (lam, mu) on lam*a + mu*b = m
+in closed form, by residue class of lam: O(1) arithmetic per degree once the
+line's gcd and a modular inverse are known, which ``serre_duality_check``
+computes once per line (the tests keep the enumeration as the reference).  A
 Hilbert function is a coefficient list, the dimensions in degrees 0, 1, ...,
 read as 0 past its end; so are the multiplicities c_0..c_s of a
 ``TwistMultiset``, a tuple with no trailing zero.  ``times_denominator`` and
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -53,28 +56,47 @@ class WeightedLine(namedtuple("WeightedLine", "a b")):
         return super().__new__(cls, a, b)
 
 
+def _residue_class(line: WeightedLine) -> tuple[int, int, int, int]:
+    """g = gcd(a, b), a' = a/g, b' = b/g and the inverse of a' mod b': for m = g*q,
+    lam*a + mu*b = m has its solutions at lam = q * inverse mod b', step b'."""
+    a, b = line
+    g = gcd(a, b)
+    return g, a // g, b // g, pow(a // g, -1, b // g)
+
+
+def _h0_values(line: WeightedLine, twists: Iterable[int]) -> Iterator[int]:
+    """h0(O(m)) for each m in ``twists``, 0 unless m >= 0 and g | m: the lam in
+    [0, q // a'] (so mu >= 0) of the class q * inverse mod b', one floor division."""
+    g, a, b, inverse = _residue_class(line)
+    for m in twists:
+        if m < 0 or m % g:
+            yield 0
+        else:
+            q = m // g
+            yield (q // a - q * inverse % b) // b + 1
+
+
+def _h1_values(line: WeightedLine, twists: Iterable[int]) -> Iterator[int]:
+    """h1(O(m)) for each m in ``twists``, 0 unless m < 0 and g | m: the lam in
+    [q // a' + 1, -1] (so mu <= -1) of the class q * inverse mod b', one floor
+    division.  ``h1_dim`` and ``serre_duality_check`` read h1 only through here."""
+    g, a, b, inverse = _residue_class(line)
+    for m in twists:
+        if m >= 0 or m % g:
+            yield 0
+        else:
+            q = m // g
+            yield (q * inverse % b - q // a - 1) // b
+
+
 def h0_dim(line: WeightedLine, m: int) -> int:
     """dim H^0(P(a,b); O(m)): pairs (lam, mu) >= 0 with lam*a + mu*b = m."""
-    if m < 0:
-        return 0
-    a, b = line
-    count = 0
-    for lam in range(m // a + 1):
-        if (m - lam * a) % b == 0:
-            count += 1
-    return count
+    return next(_h0_values(line, (m,)))
 
 
 def h1_dim(line: WeightedLine, m: int) -> int:
     """dim H^1(P(a,b); O(m)): pairs (lam, mu) < 0 with lam*a + mu*b = m."""
-    if m >= 0:
-        return 0
-    a, b = line
-    count = 0
-    for lam in range(m // a + 1, 0):  # lam*a > m: mu*b = m - lam*a < 0, so mu <= -1 if b divides it
-        if (m - lam * a) % b == 0:
-            count += 1
-    return count
+    return next(_h1_values(line, (m,)))
 
 
 class Check(NamedTuple):
@@ -89,10 +111,12 @@ class Check(NamedTuple):
 
 
 def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> Check:
-    """Check h0(m) = h1(-m - a - b) for every m in [lo, hi]."""
+    """Check h0(m) = h1(-m - a - b) for every m in [lo, hi], in one pass."""
     shift = line.a + line.b
-    for m in range(lo, hi + 1):
-        if h0_dim(line, m) != h1_dim(line, -m - shift):
+    twists = range(lo, hi + 1)
+    duals = range(-lo - shift, -hi - shift - 1, -1)
+    for m, h0, h1 in zip(twists, _h0_values(line, twists), _h1_values(line, duals)):
+        if h0 != h1:
             return Check("serre-duality", False, f"fails at m={m}")
     return Check("serre-duality", True, f"holds on [{lo}, {hi}]")
 

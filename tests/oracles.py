@@ -6,13 +6,40 @@ from math import gcd
 
 from mfdecomp.eisenstein import DirichletCharacter
 from mfdecomp.exactnum import CyclotomicElement
-from mfdecomp.hilbert import WeightedLine, h0_dim
+from mfdecomp.hilbert import Check, WeightedLine
 from mfdecomp.levels import SMALL_LEVEL_WEIGHTS, GroupKind
 
 
 def convolve(mults, block, k):
     """sum_i mults[i] * block[k - i], one term at a time, with block read as 0 past its end."""
     return sum(c * block[k - i] for i, c in enumerate(mults) if 0 <= k - i < len(block))
+
+
+def h0_by_enumeration(line, m):
+    """h0(O(m)) on P(a, b), one step per lam: the pairs (lam, mu) >= 0 with lam*a + mu*b = m."""
+    if m < 0:
+        return 0
+    a, b = line
+    return sum(1 for lam in range(m // a + 1) if (m - lam * a) % b == 0)
+
+
+def h1_by_enumeration(line, m):
+    """h1(O(m)) on P(a, b), one step per lam: the pairs (lam, mu) < 0 with lam*a + mu*b = m."""
+    if m >= 0:
+        return 0
+    a, b = line
+    # lam*a > m: mu*b = m - lam*a < 0, so mu <= -1 if b divides it
+    return sum(1 for lam in range(m // a + 1, 0) if (m - lam * a) % b == 0)
+
+
+def serre_duality_by_enumeration(line, lo, hi, h1=h1_by_enumeration):
+    """The Check of h0(m) = h1(-m - a - b) on [lo, hi], one pair of enumerations per m
+    (``h1``, by default the enumeration, takes the line and the twist)."""
+    shift = line.a + line.b
+    for m in range(lo, hi + 1):
+        if h0_by_enumeration(line, m) != h1(line, -m - shift):
+            return Check("serre-duality", False, f"fails at m={m}")
+    return Check("serre-duality", True, f"holds on [{lo}, {hi}]")
 
 
 def character_value(chi, n):
@@ -151,7 +178,8 @@ def dimensions_by_weight(group, invariants, s1, n):
     key = (group.kind, group.level)
     if key in SMALL_LEVEL_WEIGHTS:
         line = WeightedLine(*SMALL_LEVEL_WEIGHTS[key])
-        return [h0_dim(line, k) for k in range(n)], [h0_dim(line, k - 2 - line.a - line.b) for k in range(n)]
+        h0 = [h0_by_enumeration(line, k) for k in range(n)]
+        return h0, [h0_by_enumeration(line, k - 2 - line.a - line.b) for k in range(n)]
     mu, cusps, e2, e3, g = invariants
     gamma0 = group.kind is GroupKind.GAMMA0
     m, s = [1], [0]

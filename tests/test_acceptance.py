@@ -22,7 +22,7 @@ from importlib import resources
 
 import pytest
 
-from mfdecomp import decomp, ringalg
+from mfdecomp import cli, decomp, ringalg
 from mfdecomp.cli import _render_table
 from mfdecomp.decomp import BlockTag, table_columns
 from mfdecomp.eisenstein import hasse_lift, valuation_claim_check
@@ -127,6 +127,21 @@ def test_criterion_5_weighted_projective_duality():
             if 4 * i + 6 * j == k
         )
         assert h0_dim(line, k) == brute
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["wproj", "serre", "1", "1", "10000"], "serre duality holds on [-10000, 10000]"),
+        (["wproj", "h0", "1", "1", "100000000"], "100000001"),
+    ],
+)
+def test_criterion_5_large_windows_within_the_1_s_gate(capsys, argv, line):
+    # h0 and h1 are residue-class counts, O(1) per degree: no walk over lam
+    start = time.monotonic()
+    assert cli.main(argv) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_criterion_6_certificates_and_regular_sequences():

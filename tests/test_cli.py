@@ -188,8 +188,8 @@ def test_verify_writes_nothing_when_a_suite_raises(capsys, tmp_path):
 
 @pytest.fixture
 def h1_off_by_one(monkeypatch):
-    h1 = hilbert.h1_dim
-    monkeypatch.setattr(hilbert, "h1_dim", lambda line, m: h1(line, m) + 1)
+    h1_values = hilbert._h1_values  # the one reader of h1, per line
+    monkeypatch.setattr(hilbert, "_h1_values", lambda line, twists: (h1 + 1 for h1 in h1_values(line, twists)))
 
 
 def test_wproj_serre_failure_exits_1(capsys, h1_off_by_one):

@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +28,12 @@ from mfdecomp.levels import (
     Weight1Data,
     hilbert_numerators,
 )
-from oracles import convolve
+from oracles import (
+    convolve,
+    h0_by_enumeration,
+    h1_by_enumeration,
+    serre_duality_by_enumeration,
+)
 
 
 def test_h0_examples():
@@ -76,12 +82,50 @@ def test_serre_duality_check_names_its_range():
 
 
 def test_serre_duality_check_reports_the_first_failing_degree(monkeypatch):
-    h1 = hilbert.h1_dim
+    h1_values = hilbert._h1_values  # the one reader of h1, per line
     # h1 off by one in twists <= -30, which Serre duality on P(4, 6) reads at m >= 20
-    monkeypatch.setattr(hilbert, "h1_dim", lambda line, m: h1(line, m) + (m <= -30))
+    monkeypatch.setattr(
+        hilbert,
+        "_h1_values",
+        lambda line, twists: (h1 + (m <= -30) for m, h1 in zip(twists, h1_values(line, twists))),
+    )
     check = serre_duality_check(WeightedLine(4, 6), -60, 60)
     assert not check
     assert check == ("serre-duality", False, "fails at m=20")
+
+
+LINES = st.builds(WeightedLine, st.integers(1, 40), st.integers(1, 40))
+
+
+@settings(max_examples=300)  # the enumeration takes up to 2000 steps an example
+@given(LINES, st.integers(-2000, 2000))
+@example(WeightedLine(6, 10), 7)  # gcd 2 does not divide m
+@example(WeightedLine(6, 10), -7)
+@example(WeightedLine(6, 10), 0)  # m = 0
+@example(WeightedLine(7, 9), -16)  # m = -a - b, where h1 = 1
+@example(WeightedLine(1, 1), 2000)
+@example(WeightedLine(1, 1), -2000)
+def test_h0_and_h1_match_the_enumeration(line, m):
+    assert h0_dim(line, m) == h0_by_enumeration(line, m)
+    assert h1_dim(line, m) == h1_by_enumeration(line, m)
+
+
+@settings(max_examples=100)  # windows up to 201 degrees, each two enumerations
+@given(LINES, st.integers(-150, 150), st.integers(-3, 200), st.none() | st.integers(-400, 400))
+@example(WeightedLine(4, 6), 5, -1, None)  # empty: hi < lo
+@example(WeightedLine(4, 6), -60, 49, None)  # all negative: [-60, -11]
+@example(WeightedLine(4, 6), 11, 49, None)  # all positive: [11, 60]
+@example(WeightedLine(4, 6), -60, 120, -40)  # fails at m = 30
+def test_serre_duality_check_matches_the_enumeration(line, lo, width, fault):
+    # with h1 off by one at the twist ``fault`` on both sides, when one is drawn,
+    # so that a failing check must name the same first degree
+    hi = lo + width
+    h1_values = hilbert._h1_values
+    faulty = lambda line, twists: (h1 + (m == fault) for m, h1 in zip(twists, h1_values(line, twists)))
+    with mock.patch.object(hilbert, "_h1_values", faulty):
+        got = serre_duality_check(line, lo, hi)
+    h1 = lambda line, m: h1_by_enumeration(line, m) + (m == fault)
+    assert got == serre_duality_by_enumeration(line, lo, hi, h1)
 
 
 def test_invalid_weights():

@@ -157,7 +157,7 @@ def test_cli_import_builds_no_dimension_tables():
     assert _probe(probe).split() == ["0", "0", "0", "0"]
 
 
-LAZY = ("mfdecomp.decomp", "mfdecomp.eisenstein", "mfdecomp.exactnum", "mfdecomp.ringalg")
+LAZY = ("mfdecomp.decomp", "mfdecomp.eisenstein", "mfdecomp.exactnum", "mfdecomp.levels", "mfdecomp.ringalg")
 
 #: Prints, space-separated, the modules of LAZY that have executed: a lazy
 #: module is not a plain ModuleType until its first attribute access runs it.
@@ -198,21 +198,24 @@ def test_an_import_statement_runs_a_registered_module():
 @pytest.mark.parametrize(
     "argv, executed",
     [
-        (["levels", "g1:23"], ""),
+        (["levels", "g1:23"], "mfdecomp.levels"),
         (["wproj", "serre", "4", "6", "60"], ""),
         (["hasse", "--prime", "17"], "mfdecomp.eisenstein mfdecomp.exactnum"),
         (["freebasis", "--preset", "q-rank16"], "mfdecomp.ringalg"),
-        (["table", "--flavor", "omega", "--from", "2", "--to", "5"], "mfdecomp.decomp"),
-        (["obstruct", "--q", "13", "--bound", "100"], "mfdecomp.decomp"),
+        (["table", "--flavor", "omega", "--from", "2", "--to", "5"], "mfdecomp.decomp mfdecomp.levels"),
+        (["obstruct", "--q", "13", "--bound", "100"], "mfdecomp.decomp mfdecomp.levels"),
         # usage errors, found in the command: choosing their exit code runs no other module
-        (["levels", "g1:0"], ""),
+        (["levels", "g1:0"], "mfdecomp.levels"),
         (["wproj", "h0", "0", "6", "4"], ""),
         (["hasse", "--prime", "7"], "mfdecomp.eisenstein mfdecomp.exactnum"),
         (["freebasis", "--file", "/nonexistent/presentation"], ""),
+        # weight-1 data unavailable (Weight1Unavailable, raised in levels)
+        (["table", "--flavor", "omega", "--from", "2", "--to", "43"], "mfdecomp.decomp mfdecomp.levels"),
     ],
 )
 def test_each_command_executes_only_the_modules_it_uses(argv, executed):
-    # a command passes (0, nothing on stderr) or is a usage error (2, "error: ...")
+    # a command passes (0, nothing on stderr), is a usage error (2, "error: ...")
+    # or lacks weight-1 data (3, "error: ...")
     probe = (
         "import contextlib, io, sys, types\n"
         "from mfdecomp.cli import main\n"
@@ -223,7 +226,7 @@ def test_each_command_executes_only_the_modules_it_uses(argv, executed):
         f"{EXECUTED}"
     )
     outcome, ran = _probe(probe).split("\n")[:2]
-    assert outcome in ("0 False", "2 True")
+    assert outcome in ("0 False", "2 True", "3 True")
     assert ran == executed
 
 
