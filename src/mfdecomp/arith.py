@@ -13,9 +13,10 @@ from math import gcd, isqrt
 
 __all__ = ["factorize", "is_prime", "least_prime_factors", "parse_integer", "read_lines"]
 
-#: No composite below 3.3 * 10**24 is a strong pseudoprime to all of these
-#: bases, so ``is_prime`` is exact there.
+#: psi_13, the least strong pseudoprime to all of these bases (Sorenson and
+#: Webster, Math. Comp. 86, 2017): passing them all proves primality below it.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 #: ``factorize`` reads n below this bound off the table, and trial-divides a
 #: larger n by 2 and the odd integers below the bound only.
@@ -113,9 +114,9 @@ def _rho_factor(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact below 3.3 * 10**24: trial division by ``_BASES`` decides every
-    n < 43^2 (a composite there has a prime factor below 43); the strong
-    test to each of ``_BASES`` decides the larger n."""
+    """Trial division by ``_BASES`` decides every n < 43^2 (a composite there
+    has a prime factor below 43), the strong test to each base any larger
+    composite and every prime below ``_PSI_13``; a ValueError for the rest."""
     if n < 2:
         return False
     for p in _BASES:
@@ -136,4 +137,6 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValueError(f"cannot decide whether {n} is prime: the test is exact below psi_13 = {_PSI_13}")
     return True

@@ -73,9 +73,9 @@ def _lazy(name: str) -> types.ModuleType:
 
 # Each command executes only the modules it uses; arith (argument parsing)
 # and hilbert (wproj, and main's error path) are imported above, and levels
-# runs for levels, table, obstruct and verify only.  exactnum, which only
-# eisenstein imports, is registered too, so that every module of the package
-# is in sys.modules once cli is imported.
+# runs for levels, table, obstruct, verify --weight1 and verify's decomp and
+# wproj suites only.  exactnum, which only eisenstein imports, is registered,
+# so that every module of the package is in sys.modules once cli is imported.
 _lazy("exactnum")
 levels, decomp = _lazy("levels"), _lazy("decomp")
 eisenstein, ringalg = _lazy("eisenstein"), _lazy("ringalg")
@@ -207,7 +207,7 @@ def _suite_decomp(w1: levels.Weight1Data) -> Iterator[Check]:
         yield Check(f"obstruction-q{q}", len(witnesses) >= 5, f"{len(witnesses)} witnesses")
 
 
-def _suite_wproj(w1: levels.Weight1Data) -> Iterator[Check]:
+def _suite_wproj(w1: levels.Weight1Data | None) -> Iterator[Check]:
     grid = [WeightedLine(a, b) for a in range(1, 13) for b in range(1, 13)]
     checks = (hilbert.serre_duality_check(line, -60, 60) for line in grid)
     failures = (f"P({line.a}, {line.b}) {c.detail}" for line, c in zip(grid, checks) if not c)
@@ -220,7 +220,7 @@ def _suite_wproj(w1: levels.Weight1Data) -> Iterator[Check]:
     yield Check("level1-dimensions", got == expected, f"weights ({line.a},{line.b}), k <= 60")
 
 
-def _suite_ringalg(w1: levels.Weight1Data) -> Iterator[Check]:
+def _suite_ringalg(w1: levels.Weight1Data | None) -> Iterator[Check]:
     for name, presentation in ringalg.PRESETS.items():
         cert = ringalg.verify_free_basis(*presentation)
         yield Check(f"freebasis-{name}", cert.free, f"degree bound {cert.bound}")
@@ -234,7 +234,7 @@ def _suite_ringalg(w1: levels.Weight1Data) -> Iterator[Check]:
         yield Check(f"weierstrass-{name}", holds, "c4^3 - c6^2 = 1728*delta")
 
 
-def _suite_hasse(w1: levels.Weight1Data) -> Iterator[Check]:
+def _suite_hasse(w1: levels.Weight1Data | None) -> Iterator[Check]:
     for p in HASSE_PRIMES:
         report = eisenstein.hasse_lift(p, 60)
         claim = eisenstein.valuation_claim_check(p)
@@ -252,8 +252,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    w1 = _load_weight1(args.weight1)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    w1 = _load_weight1(args.weight1) if args.weight1 or "decomp" in names else None
     # every check runs before any line is written, so a suite that raises
     # leaves stdout empty
     checks = [check for name in names for check in SUITES[name](w1)]

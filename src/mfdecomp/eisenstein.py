@@ -18,9 +18,9 @@ for the divisors d <= N is read from the 2^m powers of h = g^l at the primes
 d and multiplied out at the others.  So a prime costs about (p - 1)/2
 multiplications mod p, in memory O(2^m * N) for any p.
 
-Valuations: v_2(L(0,chi)) + v_2(1 - zeta) = 1 is proved by the unit
-condition: u is a unit, so v_2(L(0, chi)) = v_2(2) - v_2(1 - zeta).  Where u
-is no unit, v_2(L(0, chi)) comes from the tower norm instead.  The
+Valuations: v_2(1 - zeta) = 1/2^(m-1), as 2 ramifies totally (Washington,
+ch. 1-2); where u is a unit, v_2(L(0, chi)) = 1 - v_2(1 - zeta) follows, and
+the tower norm runs only where u is no unit, and in the tests.  The
 stated closed form for the exponent is recorded in two variants (see
 ``HasseLiftReport.paper_exponent`` / ``computed_exponent``) which disagree;
 reports always carry both, never a silent reconciliation.
@@ -35,7 +35,7 @@ from itertools import cycle, islice
 from operator import add, sub
 from typing import NamedTuple, Sequence
 
-from .exactnum import CyclotomicElement, ExtendedValuation, zeta
+from .exactnum import CyclotomicElement, ExtendedValuation
 from .arith import factorize, is_prime, least_prime_factors
 
 __all__ = [
@@ -131,6 +131,9 @@ def _half_walk(p: int, g: int, order: int) -> list[int]:
 
 
 class ValuationClaimReport(NamedTuple):
+    """Where u is a unit, ``sum_is_one`` restates the unit condition, whose
+    independent check is the tests' tower norm."""
+
     p: int
     m: int
     v2_l: ExtendedValuation
@@ -168,7 +171,7 @@ def _character_data(
     # u is a unit of Z_2[zeta] exactly when it is 2-integral and its
     # coordinate sum x_{d-1} is odd; then v_2(L) = v_2(2) - v_2(1 - zeta)
     unit = u is not None and D[-1] % 2
-    v2_l = 1 - _v2_one_minus_zeta(order) if unit else L.two_adic_valuation()
+    v2_l = 1 - Fraction(2, order) if unit else L.two_adic_valuation()
     h = pow(g, (p - 1) // order, p)
     powers, y = {}, 1
     for e in range(order):
@@ -184,17 +187,11 @@ def _exponents(m: int) -> dict[str, Fraction]:
             "computed_exponent": 1 - Fraction(1, 1 << (m - 1))}
 
 
-@lru_cache(maxsize=None)
-def _v2_one_minus_zeta(order: int) -> ExtendedValuation:
-    """v_2(1 - zeta_order) from the tower norm, once per order."""
-    return (CyclotomicElement.from_rational(order, 1) - zeta(order)).two_adic_valuation()
-
-
 def valuation_claim_check(p: int) -> ValuationClaimReport:
     """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
     _, L, _, v2_l = _character_data(p)
     m = L.order.bit_length() - 1
-    v2_omz = _v2_one_minus_zeta(L.order)
+    v2_omz = Fraction(2, L.order)  # 2 ramifies totally: N(1 - zeta) = 2
     sum_is_one = v2_l + v2_omz == 1
     # v_2(a/b - 1) >= 1 for a/b in lowest terms exactly when a - b is even
     congruence_ok = all((c.numerator - c.denominator) % 2 == 0 for c in L.coords)
@@ -228,21 +225,20 @@ def _chi_exponents(p: int, powers: dict[int, int], N: int) -> list[int | None]:
 
 
 def _divisor_columns(order: int, N: int, exponents: Sequence[int | None]) -> list[list[int]]:
-    """g[i][n] = #{d | n : chi(d) = zeta^i} - #{d | n : chi(d) = -zeta^i}
-    for i < order/2 and 1 <= n <= N (g[i][0] stays 0), from chi's exponent
-    e at d, read as exponents[d mod len(exponents)]: the multiples of d go
-    into column e, or into column e - order/2 with a minus sign
-    (zeta^(order/2) = -1)."""
+    """g[i][n - 1] = #{d | n : chi(d) = zeta^i} - #{d | n : chi(d) = -zeta^i}
+    for i < order/2 and 1 <= n <= N, from chi's exponent e at d, read as
+    exponents[d mod len(exponents)]: the multiples of d go into column e mod
+    order/2, with a minus sign for e >= order/2 (zeta^(order/2) = -1)."""
     if N < 1:
         raise ValueError("precision must be >= 1")
-    half = order // 2
+    columns = [[0] * N for _ in range(order // 2)]
+    signed = [(column, 1) for column in columns] + [(column, -1) for column in columns]
     period = len(exponents)
-    columns = [[0] * (N + 1) for _ in range(half)]
     for d in range(1, N + 1):
         e = exponents[d % period]
         if e is not None:
-            column, step = (columns[e], 1) if e < half else (columns[e - half], -1)
-            for n in range(d, N + 1, d):
+            column, step = signed[e]
+            for n in range(d - 1, N, d):
                 column[n] += step
     return columns
 
@@ -256,7 +252,7 @@ def eisenstein_q_expansion(chi: DirichletCharacter, N: int) -> tuple[CyclotomicE
     _, order, exponents = chi
     columns = _divisor_columns(order, N, exponents)
     coeffs = [l_value(chi).scale(Fraction(1, 2))]
-    coeffs += [CyclotomicElement(order, tuple(map(Fraction, row))) for row in islice(zip(*columns), 1, None)]
+    coeffs += [CyclotomicElement(order, tuple(map(Fraction, row))) for row in zip(*columns)]
     return tuple(coeffs)
 
 
@@ -312,11 +308,11 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     g = _divisor_columns(L.order, N, _chi_exponents(p, powers, N))
     if u is None:
         raise IntegralityFailure(f"coefficient of q^0 in E is not 2-integral (p={p})")
-    averaged = (L.coords[-1], *islice(map(add, g[-1], g[-1]), 1, None))
+    averaged = (L.coords[-1], *map(add, g[-1], g[-1]))
     last = g[-1]
     for i in reversed(range(len(g))):  # f_i replaces g_i once g_{i+1} no longer needs it
         column = map(sub, g[i], g[i - 1]) if i else map(add, g[0], last)
-        g[i] = (u[i], *islice(column, 1, None))
+        g[i] = (u[i], *column)
     return HasseLiftReport(
         p=p,
         m=m,

@@ -43,10 +43,30 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert not is_prime(998244353 * 1000000007)
 
 
+#: The least strong pseudoprime to every prime base below 43 (Sorenson and
+#: Webster 2017), written out here so that the test does not read arith's copy.
+PSI_13 = 3317044064679887385961981
+
+
 def test_is_prime_accepts_large_primes():
-    for p in (998244353, 1000000007, 2**61 - 1, 2**89 - 1):
+    # the largest primes below psi_13 and below psi_13 / 3 (2^89 - 1 is above psi_13)
+    for p in (998244353, 1000000007, 2**61 - 1, PSI_13 - 168, 1105681354893295795320593):
         assert is_prime(p)
     assert not is_prime(2**67 - 1)  # = 193707721 * 761838257287
+
+
+def test_is_prime_refuses_to_decide_from_psi_13_on():
+    # psi_13 is composite, yet passes the strong test to all 13 bases
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    for n in (PSI_13, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match=rf"^cannot decide whether {n} is prime: .* exact below psi_13 = {PSI_13}$"):
+            is_prime(n)
+    # a failed strong test or a small factor proves n composite at any size
+    for n in (PSI_13 + 2, PSI_13 - 2, PSI_13 + 1, (10**18 + 3) ** 2 - 1, 2**128 + 1):
+        assert not is_prime(n)
+    with pytest.raises(ValueError, match="psi_13"):
+        factorize(2 * PSI_13)  # the cofactor psi_13 would be taken for a prime
 
 
 @given(st.integers(min_value=1, max_value=10**6))

@@ -58,6 +58,36 @@ def test_levels_with_large_prime_factors_exit_quickly(capsys, spec, index):
     assert dict(zip(header.split("\t"), row.split("\t")))["index"] == str(index)
 
 
+PSI_13 = 1287836182261 * 2575672364521  # the least strong pseudoprime to the bases 2..41
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # psi_13 and 2 * psi_13: their prime factors near 2 * 10^12 would be one "prime" psi_13
+        ("levels", f"g0:{PSI_13}"),
+        ("levels", f"g1:{2 * PSI_13}"),
+        ("hasse", "--prime", str(2**89 - 1)),  # a prime, but not provably so by the strong test
+    ],
+)
+def test_numbers_beyond_the_primality_bound_exit_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot decide whether ") and err.endswith(f"exact below psi_13 = {PSI_13}\n")
+
+
+def test_a_level_just_below_the_primality_bound_factors(capsys):
+    # 3 * p with p prime: n prod (1 + 1/p) = 4 (p + 1)
+    p = 1105681354893295795320593
+    assert 3 * p < PSI_13
+    code, out, _ = run(capsys, "levels", f"g0:{3 * p}")
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split("\t"), row.split("\t")))["index"] == str(4 * (p + 1))
+
+
 def test_obstruct_at_a_large_prime_exits_quickly(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "obstruct", "--q", "1000000000000000003", "--bound", "100")
@@ -158,6 +188,15 @@ def test_override_contradicting_a_forced_value_exits_2(capsys, tmp_path, line, m
     code, out, err = run(capsys, "verify", "--suite", "decomp", "--weight1", str(override))
     assert (code, out) == (2, "")
     assert err == f"error: {override}:2: {message}\n"
+
+
+@pytest.mark.parametrize("suite", ["all", *SUITES])
+def test_a_malformed_override_exits_2_whatever_the_suite(capsys, tmp_path, suite):
+    # the file is read before any suite runs, even by a suite that never reads the table
+    override = tmp_path / "w1.txt"
+    override.write_text("g1 23\n")
+    code, out, err = run(capsys, "verify", "--suite", suite, "--weight1", str(override))
+    assert (code, out, err) == (2, "", f"error: {override}:1: expected 'kind level s1'\n")
 
 
 def test_override_with_an_unknown_kind_exits_2_as_a_group_spec_does(capsys, tmp_path):

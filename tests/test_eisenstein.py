@@ -218,7 +218,7 @@ def test_hasse_lift_passes(p):
 
 
 def _clear_caches():
-    for cache in (eisenstein._character_data, eisenstein._exponents, eisenstein._v2_one_minus_zeta):
+    for cache in (eisenstein._character_data, eisenstein._exponents):
         cache.cache_clear()
 
 
@@ -378,19 +378,58 @@ def test_order_256_primes(p):
 
 def test_lift_and_claim_share_the_norm_of_l(monkeypatch):
     eisenstein._character_data.cache_clear()
-    eisenstein._v2_one_minus_zeta.cache_clear()
     norms = []
     norm = CyclotomicElement.norm
     monkeypatch.setattr(CyclotomicElement, "norm", lambda x: norms.append(x) or norm(x))
     report = hasse_lift(97, 20)
     claim = valuation_claim_check(97)
     assert report.v2_l == claim.v2_l == Fraction(15, 16)  # 97 - 1 = 2^5 * 3
-    one_minus_zeta = CyclotomicElement.from_rational(32, 1) - zeta(32)
-    assert norms == [one_minus_zeta]  # u is a unit, so v_2(L) = 1 - v_2(1 - zeta): no norm of L
+    # u is a unit, so v_2(L) = 1 - v_2(1 - zeta), and v_2(1 - zeta) = 2/order: no norm at all
+    assert norms == []
     hasse_lift(353, 20)
     claim = valuation_claim_check(353)  # 353 - 1 = 2^5 * 11: the same order 32
     assert claim.ok and claim.v2_one_minus_zeta == Fraction(1, 16)
-    assert norms == [one_minus_zeta]  # v_2(1 - zeta) is kept per order
+    assert norms == []
+
+
+#: One prime per cyclotomic order 4..256, and 65537 for the order 2^16.
+ONE_PRIME_PER_ORDER = (5, 41, 17, 97, 193, 641, 257, 65537)
+
+
+@pytest.mark.parametrize("p", ONE_PRIME_PER_ORDER)
+def test_v2_one_minus_zeta_equals_the_tower_norm(p):
+    # oracle: v_2(N(1 - zeta)) / degree down the tower, where the report reads 2/order
+    claim = valuation_claim_check(p)
+    order = 1 << claim.m
+    assert order == (p - 1) & (1 - p)
+    expected = (CyclotomicElement.from_rational(order, 1) - zeta(order)).two_adic_valuation()
+    assert claim.v2_one_minus_zeta == expected == Fraction(2, order)
+    assert type(claim.v2_one_minus_zeta) is Fraction
+    assert claim.ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    N=st.integers(1, 80),
+    data=st.data(),
+)
+def test_divisor_columns_match_a_naive_signed_divisor_count(m, N, data):
+    # oracle: for each n, sum the sign of chi(d) over d | n into the column of
+    # chi(d) folded by zeta^(order/2) = -1; None (d = 0 mod p) counts nowhere
+    order = 1 << m
+    half = order // 2
+    values = st.one_of(st.none(), st.integers(0, order - 1))
+    exponents = [None, *data.draw(st.lists(values, max_size=40))]
+    columns = eisenstein._divisor_columns(order, N, exponents)
+    assert len(columns) == half and all(len(column) == N for column in columns)
+    for n in range(1, N + 1):
+        expected = [0] * half
+        for d in range(1, n + 1):
+            e = exponents[d % len(exponents)]
+            if n % d == 0 and e is not None:
+                expected[e % half] += 1 if e < half else -1
+        assert [column[n - 1] for column in columns] == expected, n
 
 
 def test_lift_makes_no_field_product(monkeypatch):

@@ -211,6 +211,11 @@ def test_an_import_statement_runs_a_registered_module():
         (["freebasis", "--file", "/nonexistent/presentation"], ""),
         # weight-1 data unavailable (Weight1Unavailable, raised in levels)
         (["table", "--flavor", "omega", "--from", "2", "--to", "43"], "mfdecomp.decomp mfdecomp.levels"),
+        # verify reads the weight-1 table for the decomp suite or a --weight1 file only
+        (["verify", "--suite", "hasse"], "mfdecomp.eisenstein mfdecomp.exactnum"),
+        (["verify", "--suite", "ringalg"], "mfdecomp.ringalg"),
+        (["verify", "--suite", "wproj"], "mfdecomp.levels"),  # it reads levels.LEVEL1_WEIGHTS
+        (["verify", "--suite", "ringalg", "--weight1", "/nonexistent/weight1"], "mfdecomp.levels"),
     ],
 )
 def test_each_command_executes_only_the_modules_it_uses(argv, executed):
