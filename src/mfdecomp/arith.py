@@ -68,34 +68,41 @@ def least_prime_factors(n: int) -> list[int]:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, e) with p^e exactly dividing n >= 1, p ascending: read
-    off ``least_prime_factors`` below ``_TRIAL_BOUND``, one division per
-    prime factor; above it trial division, then ``is_prime`` and Pollard-Brent
-    rho on the cofactor, so a level with large prime factors factors at once."""
-    if n < _TRIAL_BOUND:
-        factor = least_prime_factors(_TRIAL_BOUND)
-        pairs = []
-        while n > 1:
-            p, e = factor[n], 0
-            while factor[n] == p:  # factor[1] = 1 ends the last prime's run
-                n, e = n // p, e + 1
-            pairs.append((p, e))
-        return tuple(pairs)
-    exponents: dict[int, int] = {}
-    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):  # 2, then odd candidates only
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            exponents[p] = exponents.get(p, 0) + 1
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if m < _TRIAL_BOUND**2 or is_prime(m):  # no factor below the bound is left
-            exponents[m] = exponents.get(m, 0) + 1
-        else:
-            pending += [d := _rho_factor(m), m // d]
-    return tuple(sorted(exponents.items()))
+    """The pairs (p, e) with p^e exactly dividing n >= 1, p ascending: read off
+    ``least_prime_factors`` below ``_TRIAL_BOUND``, one division per prime factor;
+    above it trial division until the cofactor falls below the bound, then the
+    table, or ``is_prime`` and Pollard-Brent rho on a cofactor with no factor
+    below the bound, so a level with large prime factors factors at once."""
+    factor = least_prime_factors(_TRIAL_BOUND)
+    pairs = []
+    if n >= _TRIAL_BOUND:
+        # 2, then odd candidates: skipping the composites by the table costs more than dividing
+        for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
+            if p * p > n:
+                break
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n, e = n // p, e + 1
+                pairs.append((p, e))
+                if n < _TRIAL_BOUND:
+                    break
+        if n >= _TRIAL_BOUND:  # no factor below the bound is left
+            exponents: dict[int, int] = {}
+            pending = [n]
+            while pending:
+                m = pending.pop()
+                if m < _TRIAL_BOUND**2 or is_prime(m):
+                    exponents[m] = exponents.get(m, 0) + 1
+                else:
+                    pending += [d := _rho_factor(m), m // d]
+            return (*pairs, *sorted(exponents.items()))
+    while n > 1:  # the rest off the table, above every prime divided out
+        p, e = factor[n], 0
+        while factor[n] == p:  # factor[1] = 1 ends the last prime's run
+            n, e = n // p, e + 1
+        pairs.append((p, e))
+    return tuple(pairs)
 
 
 def _rho_factor(n: int) -> int:

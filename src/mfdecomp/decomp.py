@@ -44,6 +44,7 @@ from .hilbert import (
     deconvolve,
     denominator_quotient,
     over_denominator,
+    padded,
     times_denominator,
 )
 from .levels import (
@@ -92,6 +93,11 @@ class BlockTag(str, Enum):
     LEVEL5OR6 = "level5or6"
 
 
+#: Members the hot checks test, as plain names: an Enum attribute read costs ~0.1 us more.
+_OMEGA, _LEVEL3 = BlockTag.OMEGA_POWERS, BlockTag.LEVEL3
+_GAMMA0, _GAMMA1 = GroupKind.GAMMA0, GroupKind.GAMMA1
+
+
 #: Generator weights (a, b) of each block ring: the block is the ring of the
 #: weighted projective line P(a, b), so its Hilbert series is
 #: 1/((1 - t^a)(1 - t^b)) and its rank over the level-1 ring is 24 / (a b).
@@ -121,8 +127,8 @@ TABLE_BLOCKS = (BlockTag.OMEGA_POWERS, BlockTag.LEVEL2, BlockTag.LEVEL3)
 def _over_block(numerator: Sequence[int], tag: BlockTag, n: int) -> list[int]:
     """Coefficients of t^0..t^(n-1) in numerator * (1 - t^a)(1 - t^b) / ((1 - t^4)(1 - t^6)),
     the numerator itself for the omega block."""
-    if tag is BlockTag.OMEGA_POWERS:
-        return [*numerator[:n], *[0] * (n - len(numerator))]
+    if tag is _OMEGA:
+        return padded(numerator, n)
     return over_denominator(times_denominator(numerator, BLOCK_WEIGHTS[tag], n), LEVEL1_WEIGHTS, n)
 
 
@@ -164,20 +170,17 @@ def _closed_form(
     through degree 11, all >= 0 and 0 past a + b + 1, or it raises.  A proof for every
     weight: N - c K vanishes mod t^12 and has degree <= 11.  Reads N alone, as the
     cusp-form identities follow from it (see above); level 3 adds the balance identity."""
-    min_level = MIN_GAMMA1_LEVEL[tag] if group.kind is GroupKind.GAMMA1 else 3
-    if tag is not BlockTag.OMEGA_POWERS and (
-        group.kind is GroupKind.GAMMA0 or group.level < min_level
-    ):
-        raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
+    if tag is not _OMEGA:
+        kind, level = group
+        if kind is _GAMMA0 or level < (MIN_GAMMA1_LEVEL[tag] if kind is _GAMMA1 else 3):
+            raise UnsupportedGroup(f"{tag.value} decomposition undefined for {group}")
     seq = _over_block(hilbert_numerators(group, w1)[0], tag, 12)
     bound = _support_bound(tag)
-    for i, c in enumerate(seq):
-        if c < 0 or c and i > bound:
-            why = f"{c} < 0" if c < 0 else f"{c} != 0 past shift {bound}"
-            raise DecompositionInvalid(
-                f"{tag.value} multiplicity at shift {i} is {why} for {group}"
-            )
-    if tag is BlockTag.LEVEL3 and not _balanced(seq):
+    if min(seq) < 0 or any(seq[bound + 1 :]):  # the first failing shift, only to word it
+        i, c = next((i, c) for i, c in enumerate(seq) if c < 0 or c and i > bound)
+        why = f"{c} < 0" if c < 0 else f"{c} != 0 past shift {bound}"
+        raise DecompositionInvalid(f"{tag.value} multiplicity at shift {i} is {why} for {group}")
+    if tag is _LEVEL3 and not _balanced(seq):
         raise DecompositionInvalid(f"balance identity fails for {group}")
     return DecompositionSequence(group, tag, TwistMultiset(seq))
 
@@ -243,7 +246,9 @@ def verify_consistency(
     pass costs the same at any max_weight; m_k is expanded only to word a failure at weight k."""
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    group, tag = seq.group, BlockTag(seq.tag)  # a plain "omega" would fail the `is` tests
+    group, tag = seq.group, seq.tag
+    if type(tag) is not BlockTag:  # a plain "omega" would fail the `is` tests
+        tag = BlockTag(tag)
     (a, b), numerator, cusp_numerator = BLOCK_WEIGHTS[tag], *hilbert_numerators(group, w1)
     # md = m den = N / K, and N, c K have degree < n; m - c / den leads as md - c, den(0) = 1
     n = min(max_weight + 1, max(len(numerator), len(seq.mult.multiplicities) + 10 - a - b))
@@ -259,7 +264,7 @@ def verify_consistency(
     rank = seq.mult.total() * block_rank
     checks.append(Check("rank", rank == index, f"sum(mult) * {block_rank} = {rank}, index = {index}"))
 
-    if tag is not BlockTag.OMEGA_POWERS:
+    if tag is not _OMEGA:
         try:
             kernel = denominator_quotient(LEVEL1_WEIGHTS, (a, b))  # all of c times K
             n = max(12, len(seq.mult.multiplicities) + len(kernel) - 1)  # the whole product
@@ -272,7 +277,7 @@ def verify_consistency(
 
     problem = _cusp_identity_failure(cusp_numerator, tag, seq.mult.multiplicities)
     checks.append(Check("cusp-identities", not problem, problem or "Serre duality"))
-    if tag is BlockTag.LEVEL3:
+    if tag is _LEVEL3:
         checks.append(Check("balance", _balanced(seq.as_list()), "k_0+k_3 = k_1+k_4 = k_2+k_5"))
     return ConsistencyReport(tuple(checks))
 

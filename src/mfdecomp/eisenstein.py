@@ -171,7 +171,7 @@ def _character_data(
     # u is a unit of Z_2[zeta] exactly when it is 2-integral and its
     # coordinate sum x_{d-1} is odd; then v_2(L) = v_2(2) - v_2(1 - zeta)
     unit = u is not None and D[-1] % 2
-    v2_l = 1 - Fraction(2, order) if unit else L.two_adic_valuation()
+    v2_l = _exponents(order.bit_length() - 1)[1]["computed_exponent"] if unit else L.two_adic_valuation()
     h = pow(g, (p - 1) // order, p)
     powers, y = {}, 1
     for e in range(order):
@@ -181,17 +181,18 @@ def _character_data(
 
 
 @lru_cache(maxsize=None)
-def _exponents(m: int) -> dict[str, Fraction]:
-    """Once per m, for both reports: the stated 1 - 2^(2-m) and the computed 1 - 2^(1-m)."""
-    return {"paper_exponent": 1 - Fraction(1, 1 << (m - 2)),
-            "computed_exponent": 1 - Fraction(1, 1 << (m - 1))}
+def _exponents(m: int) -> tuple[Fraction, dict[str, Fraction]]:
+    """Once per m: v_2(1 - zeta) = 2^(1-m), as 2 ramifies totally (N(1 - zeta) = 2), and
+    the exponents of both reports, the stated 1 - 2^(2-m) and the computed 1 - v_2(1 - zeta)."""
+    v2_omz = Fraction(1, 1 << (m - 1))
+    return v2_omz, {"paper_exponent": 1 - Fraction(1, 1 << (m - 2)), "computed_exponent": 1 - v2_omz}
 
 
 def valuation_claim_check(p: int) -> ValuationClaimReport:
     """v_2(L(0,chi)) + v_2(1 - zeta) = 1, and L(0,chi) = sum_j zeta^j mod 2."""
     _, L, _, v2_l = _character_data(p)
     m = L.order.bit_length() - 1
-    v2_omz = Fraction(2, L.order)  # 2 ramifies totally: N(1 - zeta) = 2
+    v2_omz, exponents = _exponents(m)
     sum_is_one = v2_l + v2_omz == 1
     # v_2(a/b - 1) >= 1 for a/b in lowest terms exactly when a - b is even
     congruence_ok = all((c.numerator - c.denominator) % 2 == 0 for c in L.coords)
@@ -202,7 +203,7 @@ def valuation_claim_check(p: int) -> ValuationClaimReport:
         v2_one_minus_zeta=v2_omz,
         sum_is_one=sum_is_one,
         congruence_ok=congruence_ok,
-        **_exponents(m),
+        **exponents,
     )
 
 
@@ -318,7 +319,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
         m=m,
         l_value=L.galois(galois_exponent),
         v2_l=v2_l,
-        **_exponents(m),
+        **_exponents(m)[1],
         precision=N,
         components=tuple(g),
         averaged=averaged,

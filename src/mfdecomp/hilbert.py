@@ -39,6 +39,7 @@ __all__ = [
     "h0_dim",
     "h1_dim",
     "over_denominator",
+    "padded",
     "serre_duality_check",
     "times_denominator",
 ]
@@ -121,7 +122,7 @@ def serre_duality_check(line: WeightedLine, lo: int, hi: int) -> Check:
     return Check("serre-duality", True, f"holds on [{lo}, {hi}]")
 
 
-def _padded(values: Sequence[int], n: int) -> list[int]:
+def padded(values: Sequence[int], n: int) -> list[int]:
     """values[0..n-1], read as 0 past the end."""
     if n < 0:
         raise ValueError(f"coefficient count must be >= 0, got {n}")
@@ -130,7 +131,7 @@ def _padded(values: Sequence[int], n: int) -> list[int]:
 
 def times_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
     """Coefficients of t^0..t^(n-1) in prod_w (1 - t^w) * sum_k values[k] t^k."""
-    out = _padded(values, n)
+    out = padded(values, n)
     for w in weights:  # a stride-w difference per factor; 1 - t^0 = 0 is one too
         if w < 0:
             raise ValueError(f"denominator weights must be >= 0, got {w}")
@@ -140,7 +141,7 @@ def times_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> 
 
 def over_denominator(values: Sequence[int], weights: Iterable[int], n: int) -> list[int]:
     """Coefficients of t^0..t^(n-1) in sum_k values[k] t^k / prod_w (1 - t^w)."""
-    out = _padded(values, n)
+    out = padded(values, n)
     for w in weights:  # a stride-w running sum per factor
         if w < 1:
             raise ValueError(f"denominator weights must be >= 1, got {w}")
@@ -181,12 +182,13 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     def __new__(cls, multiplicities: Sequence[int] = ()) -> "TwistMultiset":
         if isinstance(multiplicities, Mapping):  # a {shift: c} dict would give its keys
             raise TypeError("multiplicities must be the sequence c_0..c_s, not a mapping")
-        cs = list(multiplicities)
-        while cs and cs[-1] == 0:  # so that equal multisets are equal records
-            cs.pop()
-        if min(cs, default=0) < 0:
+        cs = tuple(multiplicities)
+        end = len(cs)
+        while end and cs[end - 1] == 0:  # so that equal multisets are equal records
+            end -= 1
+        if end and min(cs) < 0:  # end = 0: all zeros; min(cs, default=0) would parse a keyword
             raise ValueError("multiplicities must be >= 0")
-        return super().__new__(cls, tuple(cs))
+        return super().__new__(cls, cs[:end])
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(shift, multiplicity) pairs with nonzero multiplicity, by shift."""
@@ -198,7 +200,7 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     def as_list(self, length: int | None = None) -> list[int]:
         """c_0..c_{length-1}, by default through c_s and at least c_0; a negative length raises."""
         cs = self.multiplicities
-        return _padded(cs, max(len(cs), 1) if length is None else length)
+        return padded(cs, max(len(cs), 1) if length is None else length)
 
 
 class DeconvolutionError(ValueError):
@@ -239,23 +241,23 @@ def deconvolve(
     residuals stop where both sides end, at the target's length or max_shift plus the block's
     length (trailing zeros dropped), so no call costs more at a larger window.
     """
-    for name, window in ("max_shift", max_shift), ("verify_through", verify_through):
-        if window < 0:
-            raise ValueError(f"{name} must be >= 0, got {window}")
+    if max_shift < 0 or verify_through < 0:
+        name, window = ("max_shift", max_shift) if max_shift < 0 else ("verify_through", verify_through)
+        raise ValueError(f"{name} must be >= 0, got {window}")
     block = list(block[: (n := max(max_shift, verify_through) + 1)])
     while block and not block[-1]:  # a padded numerator's zeros would only cost products
         block.pop()
     if block[:1] != [1]:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    residuals = _padded(target, size := min(n, max(len(target), max_shift + len(block))))
+    residuals = padded(target, size := min(n, max(len(target), max_shift + len(block))))
     for i in range(max_shift + 1):
         if (c := residuals[i]) < 0:
             raise NegativeMultiplicity(i, c)
         if c:  # take c_i * block[. - i] off the later residuals, over the block's support
             for j, b in enumerate(block[1 : size - i], i + 1):
                 residuals[j] -= c * b
-    for k in range(max_shift + 1, size):
-        if residuals[k]:
-            expected = target[k] if k < len(target) else 0
-            raise ResidualMismatch(k, expected, expected - residuals[k])
+    if any(residuals[max_shift + 1 :]):  # the first failing degree, only to word it
+        k = next(k for k in range(max_shift + 1, size) if residuals[k])
+        expected = target[k] if k < len(target) else 0
+        raise ResidualMismatch(k, expected, expected - residuals[k])
     return TwistMultiset(residuals[: max_shift + 1])

@@ -6,13 +6,59 @@ from math import gcd
 
 from mfdecomp.eisenstein import DirichletCharacter
 from mfdecomp.exactnum import CyclotomicElement
-from mfdecomp.hilbert import Check, WeightedLine
+from mfdecomp.hilbert import Check, NegativeMultiplicity, ResidualMismatch, TwistMultiset, WeightedLine
 from mfdecomp.levels import SMALL_LEVEL_WEIGHTS, GroupKind
 
 
 def convolve(mults, block, k):
     """sum_i mults[i] * block[k - i], one term at a time, with block read as 0 past its end."""
     return sum(c * block[k - i] for i, c in enumerate(mults) if 0 <= k - i < len(block))
+
+
+def multiplicities_by_index(values):
+    """``TwistMultiset``'s field from the integers ``values``, one entry at a time: the
+    entries through the last nonzero one, or ValueError at the first negative one."""
+    values = list(values)
+    last = -1
+    for i, c in enumerate(values):
+        if c < 0:
+            raise ValueError("multiplicities must be >= 0")
+        if c:
+            last = i
+    return tuple(values[: last + 1])
+
+
+def closed_form_failure_by_index(coefficients, bound):
+    """'' if every c_i >= 0 and c_i = 0 past ``bound``, else the closed form's wording for
+    the first shift that fails, one index at a time: a negative c_i reads '< 0' past the bound too."""
+    for i, c in enumerate(coefficients):
+        if c < 0:
+            return f"at shift {i} is {c} < 0"
+        if i > bound and c != 0:
+            return f"at shift {i} is {c} != 0 past shift {bound}"
+    return ""
+
+
+def deconvolve_by_terms(target, block, max_shift, verify_through):
+    """``deconvolve`` as the greedy division and check, one term read at a time."""
+    for name, window in ("max_shift", max_shift), ("verify_through", verify_through):
+        if window < 0:
+            raise ValueError(f"{name} must be >= 0, got {window}")
+    at = lambda seq, k: seq[k] if 0 <= k < len(seq) else 0
+    if at(block, 0) != 1:
+        raise ValueError("block Hilbert function must be normalized: block(0) = 1")
+    coeffs = []
+    for i in range(max_shift + 1):
+        c = at(target, i) - sum(at(block, i - j) * coeffs[j] for j in range(i))
+        if c < 0:
+            raise NegativeMultiplicity(i, c)
+        coeffs.append(c)
+    result = TwistMultiset(coeffs)
+    for k in range(verify_through + 1):
+        got = convolve(coeffs, block, k)
+        if got != at(target, k):
+            raise ResidualMismatch(k, at(target, k), got)
+    return result
 
 
 def h0_by_enumeration(line, m):

@@ -2,7 +2,7 @@ import re
 from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfdecomp import arith, ringalg
 from mfdecomp.arith import factorize, is_prime, least_prime_factors, parse_integer, read_lines
@@ -118,6 +118,23 @@ def test_factorize_at_the_table_bound(n):
 def test_factorize_below_10000_agrees_with_the_sieve(n):
     # 300 examples, on top of the full comparison through 20000 above
     assert factorize(n) == _factorize_by_sieve(n)
+
+
+# 200 examples: each one factorisation below 10^15, whose cofactor rho splits in milliseconds
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=1, max_value=10**15 - 1),
+    st.lists(st.integers(min_value=2, max_value=5000), min_size=1, max_size=4).map(prod),  # < 10^15
+))
+@example(1000)
+@example(1001)
+@example(997**2)
+@example(997 * 1009)
+@example(1009)  # the first prime above 1000
+def test_factorize_agrees_with_sympy_below_10_15(n):
+    # above 1000, trial division hands a cofactor below 1000 to the table
+    sympy = pytest.importorskip("sympy")
+    assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))
 
 
 @pytest.mark.parametrize("held", [0, 1, 2, 30, 999, 1000, 1001, 5000])

@@ -4,7 +4,7 @@ from importlib import resources
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfdecomp import decomp, levels
 from mfdecomp.arith import is_prime
@@ -33,7 +33,9 @@ from mfdecomp.hilbert import (
     ResidualMismatch,
     TwistMultiset,
     WeightedLine,
+    add_product,
     deconvolve,
+    denominator_quotient,
     h0_dim,
     over_denominator,
     times_denominator,
@@ -47,7 +49,7 @@ from mfdecomp.levels import (
     dim_cusp_forms,
     level_invariants,
 )
-from oracles import convolve, dimensions_by_weight
+from oracles import closed_form_failure_by_index, convolve, dimensions_by_weight, multiplicities_by_index
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 G0 = lambda n: CongruenceGroup(GroupKind.GAMMA0, n)
@@ -615,6 +617,48 @@ def test_a_numerator_no_block_kernel_divides_is_invalid(monkeypatch):
         level456_decomposition(group, 5)
     with pytest.raises(DecompositionInvalid, match="shift 5 is 1 != 0 past shift 4 for g1:23$"):
         level456_decomposition(group, 4)
+
+
+@st.composite
+def block_multiplicities(draw):
+    """A block tag and c_0..c_11 from -2 to 3, half the time cut to 0 from a shift past
+    the tag's support bound on and half the time made nonnegative, so that both verdicts
+    occur, and failures at any shift past the bound."""
+    tag = draw(st.sampled_from(list(BlockTag)))
+    cs = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=12, max_size=12))
+    if draw(st.booleans()):
+        cut = draw(st.integers(min_value=_support_bound(tag) + 1, max_value=12))
+        cs[cut:] = [0] * (12 - cut)
+    if draw(st.booleans()):
+        cs = [abs(c) for c in cs]
+    return tag, cs
+
+
+# 300 examples: each one closed form of a 12-term numerator
+@settings(max_examples=300)
+@given(block_multiplicities())
+@example((BlockTag.LEVEL5OR6, [1, 1, 1, 1, -1, 2, 0, 0, 0, 0, 0, 0]))  # past the bound, "-1 < 0"
+@example((BlockTag.LEVEL5OR6, [1, 1, 1, 1, 2, -1, 0, 0, 0, 0, 0, 0]))  # "2 != 0 past shift 3" first
+@example((BlockTag.OMEGA_POWERS, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1]))  # the last shift alone
+def test_closed_form_failure_matches_the_per_index_reference(args):
+    # N = c K mod t^12 for the block kernel K (K(0) = 1), so the closed form reads c
+    # itself: the first failing shift and its wording are the per-index reference's
+    tag, cs = args
+    numerator = tuple(add_product([0] * 12, cs, denominator_quotient(LEVEL1_WEIGHTS, BLOCK_WEIGHTS[tag])))
+    group = G1(7)  # every block decomposes Gamma1(7)
+    problem = closed_form_failure_by_index(cs, _support_bound(tag))
+    balanced = cs[0] + cs[3] == cs[1] + cs[4] == cs[2] + cs[5]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomp, "hilbert_numerators", lambda group, w1=None: (numerator, ()))
+        if problem:
+            with pytest.raises(DecompositionInvalid) as info:
+                decomp._closed_form(group, tag, None)
+            assert str(info.value) == f"{tag.value} multiplicity {problem} for {group}"
+        elif tag is BlockTag.LEVEL3 and not balanced:
+            with pytest.raises(DecompositionInvalid, match=f"^balance identity fails for {group}$"):
+                decomp._closed_form(group, tag, None)
+        else:
+            assert decomp._closed_form(group, tag, None).mult.multiplicities == multiplicities_by_index(cs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import time
+from collections import Counter, OrderedDict
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -30,8 +32,10 @@ from mfdecomp.levels import (
 )
 from oracles import (
     convolve,
+    deconvolve_by_terms,
     h0_by_enumeration,
     h1_by_enumeration,
+    multiplicities_by_index,
     serre_duality_by_enumeration,
 )
 
@@ -189,6 +193,46 @@ def test_twist_multiset_invariants():
         TwistMultiset([0, -2])
 
 
+@st.composite
+def multiplicity_inputs(draw):
+    """An argument for ``TwistMultiset`` and its entries as a list: a list, tuple or
+    generator of entries from -2 to 3 followed by up to 6 zeros, or a range, which
+    may end in 0."""
+    if draw(st.booleans()):
+        values = range(draw(st.integers(-4, 6)), draw(st.integers(-4, 6)), draw(st.sampled_from([1, 2, -1, -2])))
+        return values, list(values)
+    values = [*draw(st.lists(st.integers(min_value=-2, max_value=3), max_size=10)), *[0] * draw(st.integers(0, 6))]
+    form = draw(st.sampled_from([list, tuple, lambda values: (c for c in values)]))
+    return form(values), values
+
+
+# 300 examples: each builds one multiset of at most 16 entries
+@settings(max_examples=300)
+@given(multiplicity_inputs())
+def test_twist_multiset_matches_the_per_index_reference(args):
+    # the same tuple, or the same ValueError, as one entry read at a time
+    argument, values = args
+    try:
+        expected = multiplicities_by_index(values)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            TwistMultiset(argument)
+    else:
+        assert TwistMultiset(argument).multiplicities == expected
+
+
+# 100 examples: each one constructor call
+@settings(max_examples=100)
+@given(
+    st.dictionaries(st.integers(-3, 8), st.integers(-3, 3), max_size=6),
+    st.sampled_from([dict, OrderedDict, Counter, MappingProxyType]),  # the proxy is no dict
+)
+def test_a_mapping_is_refused_before_any_value_check(items, form):
+    # negative keys or values would be a ValueError if the mapping were read at all
+    with pytest.raises(TypeError, match="^multiplicities must be the sequence c_0..c_s, not a mapping$"):
+        TwistMultiset(form(items))
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
     st.sampled_from([(4, 6), (2, 4), (1, 3), (1, 2)]),
@@ -215,28 +259,6 @@ def test_finite_sequence_roundtrip(mults, tail):
     target = [convolve(mults, block, k) for k in range(support)]
     recovered = deconvolve(target, block, len(mults) - 1, support + 5)
     assert recovered.multiplicities == original.multiplicities
-
-
-def _naive_deconvolve(target, block, max_shift, verify_through):
-    """Reference: the greedy division and check, one term read at a time."""
-    for name, window in ("max_shift", max_shift), ("verify_through", verify_through):
-        if window < 0:
-            raise ValueError(f"{name} must be >= 0, got {window}")
-    at = lambda seq, k: seq[k] if 0 <= k < len(seq) else 0
-    if at(block, 0) != 1:
-        raise ValueError("block Hilbert function must be normalized: block(0) = 1")
-    coeffs = []
-    for i in range(max_shift + 1):
-        c = at(target, i) - sum(at(block, i - j) * coeffs[j] for j in range(i))
-        if c < 0:
-            raise NegativeMultiplicity(i, c)
-        coeffs.append(c)
-    result = TwistMultiset(coeffs)
-    for k in range(verify_through + 1):
-        got = convolve(coeffs, block, k)
-        if got != at(target, k):
-            raise ResidualMismatch(k, at(target, k), got)
-    return result
 
 
 def _outcome(fn, *args):
@@ -275,9 +297,14 @@ def deconvolution_args(draw):
 @given(deconvolution_args())
 @example(([1, 2, 3, 4], [1, 1], -1, 5))  # max_shift = -1: drawn, but rarely
 @example(([1, 2, 3, 4], [1, 1], 2, -1))  # verify_through = -1
+@example(([1, 3, 2, 0, 5], [1, 1], 1, 4))  # the one mismatch is the last residual, at the window's end
+@example(([1, 1], [1, 1, 1], 0, 2))  # the one mismatch is the last residual, past the target's end
+@example(([1, 1, 5], [1], 1, 2))  # the one mismatch is the last residual and the first past max_shift
+@example(([1, 0], [1, 1], 1, 1))  # the one negative multiplicity is at max_shift
+@example(([1, 1, 1, 0], [1, 1], 3, 3))  # likewise, after a zero multiplicity
 def test_deconvolve_matches_naive_reference(args):
     # a block not normalised to block(0) = 1 must raise the same error in both
-    assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+    assert _outcome(deconvolve, *args) == _outcome(deconvolve_by_terms, *args)
 
 
 # 200 examples: two calls each, on lists of at most 210 terms
@@ -312,7 +339,7 @@ def test_residual_mismatch_reports_the_naive_reconstruction(args):
     with pytest.raises(ResidualMismatch) as excinfo:
         deconvolve(*args)
     exc = excinfo.value
-    mults = _naive_deconvolve(target, block, max_shift, 0).multiplicities  # checks degree 0 only
+    mults = deconvolve_by_terms(target, block, max_shift, 0).multiplicities  # checks degree 0 only
     assert exc.degree > max_shift
     assert exc.got == convolve(mults, block, exc.degree)
     assert exc.expected == (target[exc.degree] if exc.degree < len(target) else 0)
@@ -345,7 +372,7 @@ def test_deconvolve_matches_naive_reference_at_windows_past_the_lists(
         product = [convolve(mults, block, k) for k in range(len(mults) + len(tail))]
         target = product[: max(len(product) - drop, 0)]
     args = target, block, max_shift, verify_through
-    assert _outcome(deconvolve, *args) == _outcome(_naive_deconvolve, *args)
+    assert _outcome(deconvolve, *args) == _outcome(deconvolve_by_terms, *args)
 
 
 @pytest.mark.parametrize(
@@ -385,7 +412,7 @@ def _decomp_levels_argument_sets():
 
 def test_deconvolve_matches_naive_reference_on_the_decomp_levels_calls():
     outcomes = [
-        (_outcome(deconvolve, *args), _outcome(_naive_deconvolve, *args))
+        (_outcome(deconvolve, *args), _outcome(deconvolve_by_terms, *args))
         for args in _decomp_levels_argument_sets()
     ]
     assert len(outcomes) == 640
