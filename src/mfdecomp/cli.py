@@ -73,8 +73,8 @@ def _lazy(name: str) -> types.ModuleType:
 
 # Each command executes only the modules it uses; arith (argument parsing)
 # and hilbert (wproj, and main's error path) are imported above, and levels
-# runs for levels, table, obstruct, verify --weight1 and verify's decomp and
-# wproj suites only.  exactnum, which only eisenstein imports, is registered,
+# runs for levels, table, obstruct, verify --weight1 FILE and verify's decomp
+# and wproj suites only.  exactnum, which only eisenstein imports, is registered,
 # so that every module of the package is in sys.modules once cli is imported.
 _lazy("exactnum")
 levels, decomp = _lazy("levels"), _lazy("decomp")
@@ -91,8 +91,9 @@ FREEBASIS_PRESETS = ("f2-rank4", "f3-rank3", "q-rank16", "q-rank6")
 HASSE_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
 
 
-def _load_weight1(path: str | None) -> levels.Weight1Data:
-    return levels.Weight1Data.load(path) if path else levels.Weight1Data.default()
+def _load_weight1(path: str | None) -> levels.Weight1Data | None:
+    """The ``--weight1`` file's table, or None: the library's builtin one, built on first need."""
+    return levels.Weight1Data.load(path) if path else None
 
 
 def _render_table(columns: tuple[str, ...], rows: list[tuple[int, ...]], fmt: str) -> str:
@@ -115,9 +116,9 @@ def cmd_levels(args) -> int:
 
 
 def cmd_table(args) -> int:
-    w1 = _load_weight1(args.weight1)
-    rows = decomp.table_generate(args.from_, args.to, decomp.BlockTag(args.flavor), w1)
-    sys.stdout.write(_render_table(decomp.table_columns(args.flavor), rows, args.format))
+    w1, tag = _load_weight1(args.weight1), decomp.BlockTag(args.flavor)
+    rows = decomp.table_generate(args.from_, args.to, tag, w1)
+    sys.stdout.write(_render_table(decomp.table_columns(tag), rows, args.format))
     return EXIT_OK
 
 
@@ -175,12 +176,12 @@ def _golden_text(name: str) -> str:
     return (resources.files("mfdecomp") / "data" / name).read_text()
 
 
-def _suite_decomp(w1: levels.Weight1Data) -> Iterator[Check]:
+def _suite_decomp(w1: levels.Weight1Data | None) -> Iterator[Check]:
     for tag in decomp.TABLE_BLOCKS:
         flavor = tag.value
-        lo, hi = (2, 42) if flavor == "omega" else (4, 23)
-        rows = decomp.table_generate(lo, hi, tag, w1)
-        generated = _render_table(decomp.table_columns(flavor), rows, "tsv")
+        # each golden table runs through its last level; table_generate starts it at its first
+        rows = decomp.table_generate(2, 42 if flavor == "omega" else 23, tag, w1)
+        generated = _render_table(decomp.table_columns(tag), rows, "tsv")
         same = generated == _golden_text(f"{flavor}.tsv")
         yield Check(f"golden-table-{flavor}", same, "byte-for-byte")
     for n in range(2, 43):
@@ -192,7 +193,7 @@ def _suite_decomp(w1: levels.Weight1Data) -> Iterator[Check]:
             report = decomp.verify_consistency(seq, w1)
             detail = "closed form = deconvolution; identities hold"
             check = Check(f"omega-g1-{n}", oracle == closed and report.ok, detail)
-        except Exception as exc:  # pragma: no cover - surfaced as failure
+        except Exception as exc:  # surfaced as a failing check
             check = Check(f"omega-g1-{n}", False, str(exc))
         yield check
     g1_31 = levels.CongruenceGroup(levels.GroupKind.GAMMA1, 31)
@@ -242,7 +243,7 @@ def _suite_hasse(w1: levels.Weight1Data | None) -> Iterator[Check]:
         yield Check(f"hasse-p{p}", report.passed and claim.ok, detail)
 
 
-#: Each suite yields its checks; only the decomp suite reads the weight-1 data.
+#: Each suite yields its checks; only the decomp suite reads the weight-1 table (None: builtin).
 SUITES = {
     "decomp": _suite_decomp,
     "wproj": _suite_wproj,
@@ -253,7 +254,7 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    w1 = _load_weight1(args.weight1) if args.weight1 or "decomp" in names else None
+    w1 = _load_weight1(args.weight1)
     # every check runs before any line is written, so a suite that raises
     # leaves stdout empty
     checks = [check for name in names for check in SUITES[name](w1)]

@@ -317,6 +317,7 @@ def hasse_lift(p: int, N: int, galois_exponent: int = 1) -> HasseLiftReport:
     return HasseLiftReport(
         p=p,
         m=m,
+        # L itself at k = 1; kept, as hasse-sweep's one call perfbench traces in exactnum
         l_value=L.galois(galois_exponent),
         v2_l=v2_l,
         **_exponents(m)[1],

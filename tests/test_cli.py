@@ -225,6 +225,60 @@ def test_verify_writes_nothing_when_a_suite_raises(capsys, tmp_path):
     assert err == "error: level2 multiplicity at shift 5 is -7 < 0 for g1:23\n"
 
 
+def test_without_a_weight1_file_every_suite_is_handed_none(capsys, monkeypatch, tmp_path):
+    # None is the library's builtin table; a file is read once, before any suite runs
+    handed = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda w1: handed.append(w1) or iter(()))
+    assert run(capsys, "verify") == (0, "", "")
+    assert handed == [None] * len(SUITES)
+    override = tmp_path / "w1.txt"
+    override.write_text("g1 43 0\n")
+    handed.clear()
+    assert run(capsys, "verify", "--weight1", str(override)) == (0, "", "")
+    assert [w1.table[cli.levels.GroupKind.GAMMA1, 43] for w1 in handed] == [0] * len(SUITES)
+    assert len({id(w1) for w1 in handed}) == 1
+
+
+def test_an_empty_weight1_path_reads_the_builtin_table(capsys):
+    argv = ["table", "--flavor", "omega", "--from", "2", "--to", "42"]
+    code, out, err = run(capsys, *argv, "--weight1", "")
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_decomp_suite_reports_a_raising_group_and_an_unexpected_decomposition(capsys, monkeypatch):
+    omega, deconvolve = decomp.omega_decomposition, decomp.deconvolve_by_gamma1_block
+
+    def omega_raising_at_13(group, w1=None):
+        if group.level == 13:
+            raise RuntimeError("no closed form")
+        return omega(group, w1)
+
+    def deconvolve_by_7_as_by_1(group, q, w1=None):
+        return deconvolve(group, 1 if q == 7 else q, w1)
+
+    monkeypatch.setattr(decomp, "omega_decomposition", omega_raising_at_13)
+    monkeypatch.setattr(decomp, "deconvolve_by_gamma1_block", deconvolve_by_7_as_by_1)
+    code, out, err = run(capsys, "verify", "--suite", "decomp")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if not line.startswith("PASS\t")] == [
+        "FAIL\tomega-g1-13\tno closed form",
+        "FAIL\tgamma1-31-by-7\tunexpectedly decomposed",
+    ]
+
+
+def test_main_reraises_a_lookup_error_that_is_not_missing_weight1_data(capsys, monkeypatch):
+    # only Weight1Unavailable means exit 3; any other LookupError is a bug, and propagates
+    def lookup_fails(group):
+        raise KeyError("no such entry")
+
+    monkeypatch.setattr(cli.levels, "level_invariants", lookup_fails)
+    with pytest.raises(KeyError, match="no such entry"):
+        main(["levels", "g1:23"])
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.fixture
 def h1_off_by_one(monkeypatch):
     h1_values = hilbert._h1_values  # the one reader of h1, per line
@@ -299,6 +353,11 @@ def test_hasse_command(capsys):
     assert doc["verdict"] == "pass"
     assert doc["p"] == 5
     assert json.dumps(doc) == out.strip()
+
+
+@pytest.mark.parametrize("prec", ["0", "-1"])
+def test_hasse_precision_below_one_is_a_usage_error(capsys, prec):
+    assert run(capsys, "hasse", "--prime", "17", "--prec", prec) == (2, "", "error: precision must be >= 1\n")
 
 
 def test_freebasis_presets(capsys):

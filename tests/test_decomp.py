@@ -796,3 +796,45 @@ def test_multiplicity_past_the_support_bound_fails_cross_block_and_cusp_identiti
     for shift in (8, 20, 41, 60):  # inside and past the convolution window
         names = [name for name, _ in verify_consistency(_changed(good, shift, 1)).failures()]
         assert {"cross-block", "cusp-identities"} <= set(names), shift
+
+
+def test_cross_block_check_records_an_omega_decomposition_that_fails():
+    # s_1 moves N by s_1 t (1 - t^4)(1 - t^6): at s_1 = 100 the t^5 coefficient of
+    # Gamma1(23), 88 - s_1, is negative, so its omega decomposition raises
+    group = G1(23)
+    default = Weight1Data.default()
+    w1 = Weight1Data({**default.table, (GroupKind.GAMMA1, 23): 100}, default.provenance)
+    failure = "omega multiplicity at shift 5 is -12 < 0 for g1:23"
+    with pytest.raises(DecompositionInvalid, match=f"^{failure}$"):
+        omega_decomposition(group, w1)
+    for seq in (level2_decomposition(group), level3_decomposition(group)):
+        assert dict(verify_consistency(seq, w1).failures())["cross-block"] == failure
+
+
+# ---------------------------------------------------------------------------
+# No weight-1 table (w1=None) means the builtin one
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:  # NegativeMultiplicity, ResidualMismatch
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("flavor", TABLE_BLOCKS)
+def test_table_generate_without_a_table_reads_the_builtin_one(flavor):
+    assert table_generate(2, 42, flavor) == table_generate(2, 42, flavor, Weight1Data.default())
+
+
+@pytest.mark.parametrize("n", range(2, 43))
+def test_decompositions_without_a_table_read_the_builtin_one(n):
+    group, builtin = G1(n), Weight1Data.default()
+    for tag in supported_blocks(group):
+        seq = DECOMPOSE[tag](group, None)
+        assert seq == DECOMPOSE[tag](group, builtin), tag
+        assert verify_consistency(seq, None) == verify_consistency(seq, builtin), tag
+    for q in range(1, 8):  # the level-q blocks, and Gamma1(7), which divides none of them
+        with_none = _outcome(deconvolve_by_gamma1_block, group, q, None)
+        assert with_none == _outcome(deconvolve_by_gamma1_block, group, q, builtin), q

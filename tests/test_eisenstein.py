@@ -107,6 +107,13 @@ def test_valuation_claims():
     assert r13.v2_l == Fraction(1, 2)
 
 
+def test_a_failing_valuation_claim_is_false():
+    report = valuation_claim_check(17)
+    assert report
+    assert not report._replace(sum_is_one=False)
+    assert not report._replace(congruence_ok=False)
+
+
 def test_valuation_claim_order_too_small():
     # p = 7: p - 1 = 2 * 3, m = 1
     with pytest.raises(OrderTooSmall):

@@ -158,6 +158,13 @@ def test_polynomial_arithmetic():
         Polynomial(Q_B, {}).homogeneous_degree()
 
 
+def test_polynomials_over_different_algebras_do_not_combine():
+    f, g = parse_polynomial(Q_B, "b2"), parse_polynomial(Q_A, "a1")
+    for combine in (lambda: f + g, lambda: f - g, lambda: f * g):
+        with pytest.raises(ValueError, match="^mixed algebras$"):
+            combine()
+
+
 def test_terms_are_read_only():
     f = parse_polynomial(Q_B, "b2^2 - 24*b4")
     square = f * f
@@ -426,6 +433,13 @@ def test_regular_sequence_failure_is_located(algebra, exprs, index, degree):
         f"multiplication by element {index} has a nontrivial kernel in degree "
         f"{degree} of the quotient"
     )
+
+
+def test_a_failing_regular_sequence_verdict_is_false():
+    algebra, elems, expected = ringalg.regular_sequence_case("f3-negative-control")
+    verdict = verify_regular_sequence(algebra, elems)
+    assert (expected, verdict.regular, bool(verdict)) == (False, False, False)
+    assert verify_regular_sequence(Q_B, [parse_polynomial(Q_B, "b2^2")])
 
 
 #: products f_k * monomial per prefix k and monomial through the horizon
