@@ -334,12 +334,12 @@ def _obstruction_divisor(d_q: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=4)
 def _primes_upto(bound: int) -> tuple[int, ...]:
-    """The primes p <= bound, from one sieve of Eratosthenes per bound."""
+    """The primes p <= bound, bound >= 2, from one sieve of Eratosthenes per bound."""
     sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)  # sieve[n] = 1 iff n is prime
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-    return tuple(compress(range(bound + 1), sieve))
+    return (2, *compress(range(3, bound + 1, 2), sieve[3::2]))  # 2, then the odd entries alone
 
 
 def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
@@ -352,9 +352,8 @@ def obstruction_search(q: int, prime_bound: int) -> ObstructionReport:
     d_q = level_invariants(CongruenceGroup(GroupKind.GAMMA1, q)).index
     assert d_q > 24
     divisor, residue = _obstruction_divisor(d_q)
-    ps = [p for p in _primes_upto(prime_bound) if q % p]
-    d_ps = [p * p - 1 for p in ps]
-    primes = tuple(zip(ps, d_ps, [d_p % d_q == 0 for d_p in d_ps]))
+    primes = tuple([(p, (d_p := p * p - 1), d_p % d_q == 0)
+                    for p in _primes_upto(prime_bound) if q % p])
     return ObstructionReport(q, d_q, divisor, residue, primes)
 
 

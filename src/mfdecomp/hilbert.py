@@ -180,7 +180,9 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks the fields too
 
     def __new__(cls, multiplicities: Sequence[int] = ()) -> "TwistMultiset":
-        if isinstance(multiplicities, Mapping):  # a {shift: c} dict would give its keys
+        # a {shift: c} dict would give its keys; a list, what every caller in the package
+        # passes, is no mapping and skips the ABC check
+        if type(multiplicities) is not list and isinstance(multiplicities, Mapping):
             raise TypeError("multiplicities must be the sequence c_0..c_s, not a mapping")
         cs = tuple(multiplicities)
         end = len(cs)
@@ -188,7 +190,7 @@ class TwistMultiset(namedtuple("TwistMultiset", "multiplicities")):
             end -= 1
         if end and min(cs) < 0:  # end = 0: all zeros; min(cs, default=0) would parse a keyword
             raise ValueError("multiplicities must be >= 0")
-        return super().__new__(cls, cs[:end])
+        return tuple.__new__(cls, (cs[:end],))  # the namedtuple's __new__ without its Python frame
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(shift, multiplicity) pairs with nonzero multiplicity, by shift."""
@@ -250,11 +252,12 @@ def deconvolve(
     if block[:1] != [1]:
         raise ValueError("block Hilbert function must be normalized: block(0) = 1")
     residuals = padded(target, size := min(n, max(len(target), max_shift + len(block))))
+    tail = block[1:]  # taken once: the one-term block N_1 = 1 leaves nothing to take off
     for i in range(max_shift + 1):
         if (c := residuals[i]) < 0:
             raise NegativeMultiplicity(i, c)
-        if c:  # take c_i * block[. - i] off the later residuals, over the block's support
-            for j, b in enumerate(block[1 : size - i], i + 1):
+        if c and tail:  # take c_i * block[. - i] off the later residuals, over the block's support
+            for j, b in zip(range(i + 1, size), tail):
                 residuals[j] -= c * b
     if any(residuals[max_shift + 1 :]):  # the first failing degree, only to word it
         k = next(k for k in range(max_shift + 1, size) if residuals[k])

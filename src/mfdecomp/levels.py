@@ -15,9 +15,10 @@ the Hilbert series of the stacky modular curve (Wagreich 1980):
 
 A ``CongruenceGroup``'s kind is always a ``GroupKind`` member: the
 constructor, and so ``_replace``, turns a plain "g0", "g1" or "g" into it and
-raises ``InvalidGroup`` for any other kind.  ``level_invariants`` derives
-index, cusps, elliptic points and genus from one factorisation of the level,
-in integers, once per group; they are read as its fields (``genus`` has a
+raises ``InvalidGroup`` for any other kind or a level that is no integer >= 2.
+``level_invariants`` derives index, cusps, elliptic points and genus in
+integers, from one walk per level, shared by the three kinds, over the
+factorisation of the level; they are read as its fields (``genus`` has a
 function too).  The graded dimensions have one path: ``_numerators`` writes
 the Hilbert numerators N of sum_k m_k t^k = N(t)/((1 - t^4)(1 - t^6)) and N_S
 of the cusp forms in closed form from the invariants and s_1, once per
@@ -87,6 +88,8 @@ class CongruenceGroup(namedtuple("CongruenceGroup", "kind level")):
                 kind = GroupKind(kind)
             except ValueError:
                 raise InvalidGroup(f"unknown group kind {kind!r}") from None
+        if not isinstance(level, int):  # a float level would fail only later, in factorize
+            raise InvalidGroup(f"level must be an integer, got {level!r}")
         if level < 2:
             raise InvalidGroup(f"level must be >= 2, got {level}")
         return super().__new__(cls, kind, level)
@@ -128,33 +131,38 @@ class LevelInvariants(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _level_record(n: int) -> tuple[int, int, int, int, int, int]:
+    """Gamma0(n)'s mu, cusps, e2 and e3 and Gamma1(n)'s mu and pairs, in integers, from one
+    walk over the factorisation of n; memoised per level, so the three kinds share it."""
+    # Gamma0(n): mu = n prod (1 + 1/p); cusps = sum over d | n of phi(gcd(d, n/d)), whose
+    # p-part is 2 p^((e-1)/2) for odd e and p^(e/2 - 1) (p + 1) for even e;
+    # e2 = prod over odd p | n of 1 + (-1/p), e3 = prod over p | n of 1 + (-3/p).
+    # Gamma1(n): mu = [SL2(Z) : Gamma1(n)] = n^2 prod (1 - 1/p^2); pairs = sum over d | n
+    # of phi(d) phi(n/d), twice the Gamma1(n) cusp count for n >= 5, whose
+    # p-part is 2 phi(p^e) + (e - 1) p^(e-2) (p - 1)^2
+    mu0, cusps, e2, e3, mu1, pairs = n, 1, int(n % 4 != 0), int(n % 9 != 0), n * n, 1
+    for p, e in factorize(n):
+        mu0 = mu0 // p * (p + 1)
+        cusps *= 2 * p ** (e // 2) if e % 2 else p ** (e // 2 - 1) * (p + 1)
+        if p != 2:
+            e2 *= 2 if p % 4 == 1 else 0
+        e3 *= 1 if p == 3 else 2 if p % 3 == 1 else 0
+        mu1 = mu1 // (p * p) * (p * p - 1)
+        phi = p ** (e - 1) * (p - 1)
+        pairs *= 2 * phi + (e - 1) * phi * (p - 1) // p
+    return mu0, cusps, e2, e3, mu1, pairs
+
+
+@lru_cache(maxsize=None)
 def level_invariants(group: CongruenceGroup) -> LevelInvariants:
-    """All invariants of ``group`` from one factorisation of its level, in
-    integers; memoised per group, and every dimension reads them."""
+    """All invariants of ``group``, in integers, from its level's ``_level_record``;
+    memoised per group, and every dimension reads them."""
     kind, n = group
-    primes = factorize(n)
-    e2 = e3 = 0
+    mu, cusps, e2, e3, mu1, pairs = _level_record(n)
     if kind is _GAMMA0:
-        # mu = n prod (1 + 1/p); cusps = sum over d | n of phi(gcd(d, n/d)), whose
-        # p-part is 2 p^((e-1)/2) for odd e and p^(e/2 - 1) (p + 1) for even e;
-        # e2 = prod over odd p | n of 1 + (-1/p), e3 = prod over p | n of 1 + (-3/p)
-        mu, cusps, e2, e3 = n, 1, int(n % 4 != 0), int(n % 9 != 0)
-        for p, e in primes:
-            mu = mu // p * (p + 1)
-            cusps *= 2 * p ** (e // 2) if e % 2 else p ** (e // 2 - 1) * (p + 1)
-            if p != 2:
-                e2 *= 2 if p % 4 == 1 else 0
-            e3 *= 1 if p == 3 else 2 if p % 3 == 1 else 0
         genus24 = 24 + 2 * mu - 6 * e2 - 8 * e3 - 12 * cusps
     else:
-        # mu = [SL2(Z) : Gamma1(n)] = n^2 prod (1 - 1/p^2); pairs = sum over d | n
-        # of phi(d) phi(n/d), twice the Gamma1(n) cusp count for n >= 5, whose
-        # p-part is 2 phi(p^e) + (e - 1) p^(e-2) (p - 1)^2
-        mu, pairs = n * n, 1
-        for p, e in primes:
-            mu = mu // (p * p) * (p * p - 1)
-            phi = p ** (e - 1) * (p - 1)
-            pairs *= 2 * phi + (e - 1) * phi * (p - 1) // p
+        mu, e2, e3 = mu1, 0, 0
         if kind is _GAMMA_FULL:
             mu *= n  # = |SL2(Z/n)| = n^3 prod (1 - 1/p^2)
             cusps = 3 if n == 2 else mu // (2 * n)
@@ -167,7 +175,8 @@ def level_invariants(group: CongruenceGroup) -> LevelInvariants:
         genus24 = 0  # weighted projective lines
     g, rem = divmod(genus24, 24)
     assert rem == 0 and g >= 0, group
-    return LevelInvariants(mu, Fraction(mu, 24), cusps, e2, e3, g)
+    # the record's own constructor minus its Python frame, as every group builds one
+    return tuple.__new__(LevelInvariants, (mu, Fraction(mu, 24), cusps, e2, e3, g))
 
 
 def genus(group: CongruenceGroup) -> int:

@@ -1,13 +1,15 @@
 """Reference computations that the tests compare the package with."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
+from mfdecomp.arith import factorize
 from mfdecomp.eisenstein import DirichletCharacter
 from mfdecomp.exactnum import CyclotomicElement
 from mfdecomp.hilbert import Check, NegativeMultiplicity, ResidualMismatch, TwistMultiset, WeightedLine
-from mfdecomp.levels import SMALL_LEVEL_WEIGHTS, GroupKind
+from mfdecomp.levels import SMALL_LEVEL_WEIGHTS, GroupKind, LevelInvariants
 
 
 def convolve(mults, block, k):
@@ -215,6 +217,48 @@ def coset_invariants(group):
     twice_g = len(points) - _cycles(s) - _cycles(st) - cusps + 2
     assert twice_g % 2 == 0
     return sl2_index, cusps, e2, e3, twice_g // 2
+
+
+def level_invariants_by_kind(group):
+    """``levels.level_invariants`` as one walk per group over its own factorisation of the
+    level, for its kind alone: mu, cusps, e2, e3 and the genus, nothing shared between kinds."""
+    kind, n = group
+    primes = factorize(n)
+    e2 = e3 = 0
+    if kind is GroupKind.GAMMA0:
+        # mu = n prod (1 + 1/p); cusps = sum over d | n of phi(gcd(d, n/d)), whose
+        # p-part is 2 p^((e-1)/2) for odd e and p^(e/2 - 1) (p + 1) for even e;
+        # e2 = prod over odd p | n of 1 + (-1/p), e3 = prod over p | n of 1 + (-3/p)
+        mu, cusps, e2, e3 = n, 1, int(n % 4 != 0), int(n % 9 != 0)
+        for p, e in primes:
+            mu = mu // p * (p + 1)
+            cusps *= 2 * p ** (e // 2) if e % 2 else p ** (e // 2 - 1) * (p + 1)
+            if p != 2:
+                e2 *= 2 if p % 4 == 1 else 0
+            e3 *= 1 if p == 3 else 2 if p % 3 == 1 else 0
+        genus24 = 24 + 2 * mu - 6 * e2 - 8 * e3 - 12 * cusps
+    else:
+        # mu = [SL2(Z) : Gamma1(n)] = n^2 prod (1 - 1/p^2); pairs = sum over d | n
+        # of phi(d) phi(n/d), twice the Gamma1(n) cusp count for n >= 5, whose
+        # p-part is 2 phi(p^e) + (e - 1) p^(e-2) (p - 1)^2
+        mu, pairs = n * n, 1
+        for p, e in primes:
+            mu = mu // (p * p) * (p * p - 1)
+            phi = p ** (e - 1) * (p - 1)
+            pairs *= 2 * phi + (e - 1) * phi * (p - 1) // p
+        if kind is GroupKind.GAMMA_FULL:
+            mu *= n  # = |SL2(Z/n)| = n^3 prod (1 - 1/p^2)
+            cusps = 3 if n == 2 else mu // (2 * n)
+        elif n > 4:
+            cusps = pairs // 2
+        else:  # Gamma1(2), Gamma1(3), Gamma1(4)
+            cusps, e2, e3 = 3 if n == 4 else 2, int(n == 2), int(n == 3)
+        genus24 = 24 + mu - 12 * cusps
+    if (kind, n) in SMALL_LEVEL_WEIGHTS:
+        genus24 = 0  # weighted projective lines
+    g, rem = divmod(genus24, 24)
+    assert rem == 0 and g >= 0, group
+    return LevelInvariants(mu, Fraction(mu, 24), cusps, e2, e3, g)
 
 
 def dimensions_by_weight(group, invariants, s1, n):

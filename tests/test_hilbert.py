@@ -1,5 +1,6 @@
 import time
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, UserDict
+from collections.abc import Mapping
 from types import MappingProxyType
 from unittest import mock
 
@@ -221,11 +222,31 @@ def test_twist_multiset_matches_the_per_index_reference(args):
         assert TwistMultiset(argument).multiplicities == expected
 
 
+class _RegisteredMapping:
+    """A mapping by ``Mapping.register`` alone: no dict and no ``Mapping`` subclass."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+Mapping.register(_RegisteredMapping)
+
+
 # 100 examples: each one constructor call
 @settings(max_examples=100)
 @given(
     st.dictionaries(st.integers(-3, 8), st.integers(-3, 3), max_size=6),
-    st.sampled_from([dict, OrderedDict, Counter, MappingProxyType]),  # the proxy is no dict
+    # the proxy, the UserDict and the registered class are no dict: only the ABC check sees them
+    st.sampled_from([dict, OrderedDict, Counter, MappingProxyType, UserDict, _RegisteredMapping]),
 )
 def test_a_mapping_is_refused_before_any_value_check(items, form):
     # negative keys or values would be a ValueError if the mapping were read at all
@@ -302,6 +323,9 @@ def deconvolution_args(draw):
 @example(([1, 1, 5], [1], 1, 2))  # the one mismatch is the last residual and the first past max_shift
 @example(([1, 0], [1, 1], 1, 1))  # the one negative multiplicity is at max_shift
 @example(([1, 1, 1, 0], [1, 1], 3, 3))  # likewise, after a zero multiplicity
+@example(([3, 0, 2, 7], (1,), 3, 40))  # the one-term block N_1 = 1: a pass
+@example(([3, 0, 2, -7], (1,), 3, 40))  # by it, a negative multiplicity at max_shift
+@example(([3, 0, 2, 7, 5], (1,), 3, 40))  # by it, a mismatch one degree past max_shift
 def test_deconvolve_matches_naive_reference(args):
     # a block not normalised to block(0) = 1 must raise the same error in both
     assert _outcome(deconvolve, *args) == _outcome(deconvolve_by_terms, *args)

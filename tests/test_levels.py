@@ -1,12 +1,13 @@
+import re
 from fractions import Fraction
 from importlib import resources
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mfdecomp import levels
-from mfdecomp.decomp import omega_decomposition
+from mfdecomp.decomp import obstruction_search, omega_decomposition
 from mfdecomp.hilbert import times_denominator
 from mfdecomp.levels import (
     CongruenceGroup,
@@ -20,7 +21,7 @@ from mfdecomp.levels import (
     level_invariants,
     weight1_cusp_dim,
 )
-from oracles import coset_invariants, dimensions_by_weight
+from oracles import coset_invariants, dimensions_by_weight, level_invariants_by_kind
 
 G1 = lambda n: CongruenceGroup(GroupKind.GAMMA1, n)
 G0 = lambda n: CongruenceGroup(GroupKind.GAMMA0, n)
@@ -56,6 +57,25 @@ def test_group_parsing():
         with pytest.raises(InvalidGroup) as excinfo:
             CongruenceGroup.parse(bad)
         assert str(excinfo.value) == message, bad
+
+
+@pytest.mark.parametrize(
+    "kind, level, shown",
+    [("g1", 5.0, "5.0"), ("g0", 2.5, "2.5"), ("g", 3.0, "3.0"), (GroupKind.GAMMA1, Fraction(10, 2), "Fraction(5, 1)")],
+)
+def test_a_level_that_is_no_integer_is_refused_at_construction(kind, level, shown):
+    # "g1", 5.0 and "g0", 2.5 used to be accepted, and failed later inside factorize with
+    # "TypeError: list indices must be integers or slices, not float"
+    message = f"^level must be an integer, got {re.escape(shown)}$"
+    with pytest.raises(InvalidGroup, match=message):
+        CongruenceGroup(kind, level)
+    with pytest.raises(InvalidGroup, match=message):
+        G1(5)._replace(level=level)
+
+
+def test_an_obstruction_search_at_a_level_that_is_no_integer_names_the_level():
+    with pytest.raises(InvalidGroup, match=r"^level must be an integer, got 7\.5$"):
+        obstruction_search(7.5, 100)
 
 
 def test_a_plain_string_kind_neither_misreads_nor_poisons_the_invariants_cache():
@@ -395,6 +415,20 @@ def test_dimensions_by_weight_build_one_numerator_pair_per_s1():
         dim_cusp_forms(G1(23), k)
     info = levels._numerators.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
+
+
+@given(st.integers(min_value=2, max_value=10**6 - 1), st.permutations(list(GroupKind)))
+@example(510510, list(GroupKind))  # 2 3 5 7 11 13 17: the most prime factors below 10^6
+@example(1009 * 1013 * 1019, [GroupKind.GAMMA_FULL, GroupKind.GAMMA1, GroupKind.GAMMA0])  # factored by rho
+def test_level_invariants_match_the_per_kind_reference(n, kinds):
+    # from cold caches: the first kind asked walks the level, and the others read its record
+    level_invariants.cache_clear()
+    levels._level_record.cache_clear()
+    for kind in kinds:
+        group = CongruenceGroup(kind, n)
+        got, expected = level_invariants(group), level_invariants_by_kind(group)
+        assert got == expected, group
+        assert repr(got) == repr(expected), group  # the field types too: omega_degree a Fraction
 
 
 def test_level_invariants_are_memoised_per_group():
